@@ -6,11 +6,11 @@ memory qubit and freshly prepares the encoding of the observed output bit.
 Because each output bit equals the destination causal state, repreparing by
 output bit reproduces the process law exactly.
 
-Gate imperfections are modelled as Monte Carlo Pauli trajectories: with
-probability lam, one of the 15 non-identity two-qubit Paulis (uniformly
-chosen) hits the state right after the entangling gate.  The exact average
-of that channel is kept alongside for calibration against a Bell-state
-fidelity target.
+Gate imperfections are Pauli trajectories: with probability lam, one of the
+15 non-identity two-qubit Paulis (uniformly chosen) hits the state right
+after the entangling gate.  The single steps run circuit and trajectories
+literally and are the reference oracle; run_trace samples the equivalent
+two-state chain, whose emission probabilities average the exact channel.
 """
 
 from __future__ import annotations
@@ -19,10 +19,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import qmath
-from .process import CausalMachine, Trace, stationary_distribution
+from .process import CausalMachine, Trace, _sample_path, stationary_distribution
 from .qmodel import QuantumModel, construct_cu, quantum_causal_states
 from .qmath import DensityMatrix, Ket
 from .seeding import make_rng
@@ -62,21 +61,13 @@ class CircuitState:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Depolarizing trajectory rate plus optional preparation misalignment.
-
-    lam is the per-gate probability of a uniformly random non-identity
-    two-qubit Pauli; prep_angle_error is the standard deviation (radians) of
-    a Y-rotation error applied to every freshly prepared memory ket.
-    """
+    """Depolarizing trajectory rate: per-gate probability of a random Pauli."""
 
     lam: float = 0.0
-    prep_angle_error: float = 0.0
 
     def __post_init__(self):
         if not (0.0 <= self.lam <= 1.0):
             raise ValueError(f"lam must be in [0, 1], got {self.lam!r}")
-        if self.prep_angle_error < 0.0:
-            raise ValueError(f"prep_angle_error must be >= 0, got {self.prep_angle_error!r}")
 
 
 @dataclass(frozen=True)
@@ -132,15 +123,14 @@ def classical_step(s: int, machine: CausalMachine,
                    rng: np.random.Generator) -> tuple[int, int]:
     """One step of the classical bit circuit: returns (output bit, next state).
 
-    The state flips with its transition probability, is XORed onto a fresh
-    zero meter bit, and the meter readout is both the output and the next
-    state.
+    The destination state is 1 iff a uniform falls below P(1|s) (p_right
+    from state 0, 1 - p_left from state 1); it is XORed onto a fresh zero
+    meter bit, and the meter readout is both the output and the next state.
     """
     if s not in (0, 1):
         raise ValueError(f"causal state must be 0 or 1, got {s!r}")
-    flip_prob = machine.p_right if s == 0 else machine.p_left
-    flipped = s ^ int(rng.random() < flip_prob)
-    meter = 0 ^ flipped
+    p_one = machine.p_right if s == 0 else 1.0 - machine.p_left
+    meter = 0 ^ int(rng.random() < p_one)
     return meter, meter
 
 
@@ -169,22 +159,12 @@ def _apply_noise_raw(psi: np.ndarray, lam: float, rng: np.random.Generator) -> n
     return psi
 
 
-def _quantum_step_raw(mem: np.ndarray, preps, meter_in, gate4, frame,
-                      lam: float, prep_sigma: float,
-                      rng: np.random.Generator) -> tuple[int, np.ndarray]:
-    psi = gate4 @ np.kron(mem, meter_in)
-    if lam > 0.0:
-        psi = _apply_noise_raw(psi, lam, rng)
+def _meter_one_prob(psi: np.ndarray, frame) -> float:
+    """Born probability of meter readout 1 from the post-gate joint state."""
     if frame is not None:
         psi = frame @ psi
     odd = psi[1::2]
-    outcome = _born_pick(float(np.real(np.vdot(odd, odd))), rng)
-    nxt = preps[outcome]
-    if prep_sigma > 0.0:
-        eps = rng.normal(0.0, prep_sigma)
-        c, s = np.cos(eps / 2.0), np.sin(eps / 2.0)
-        nxt = np.array([[c, -s], [s, c]], dtype=complex) @ nxt
-    return outcome, nxt
+    return float(np.real(np.vdot(odd, odd)))
 
 
 def quantum_step(memory: Ket, model: QuantumModel, rng: np.random.Generator,
@@ -203,10 +183,11 @@ def quantum_step(memory: Ket, model: QuantumModel, rng: np.random.Generator,
         raise ValueError(f"gate must be one of {GATES}, got {gate!r}")
     noise = noise or NoiseModel()
     meter_in, gate4, frame = _step_operators(model.machine, gate)
-    preps = (model.ket0.amplitudes, model.ket1.amplitudes)
-    outcome, nxt = _quantum_step_raw(memory.amplitudes, preps, meter_in, gate4,
-                                     frame, noise.lam, noise.prep_angle_error, rng)
-    return outcome, Ket(nxt)
+    psi = gate4 @ np.kron(memory.amplitudes, meter_in)
+    if noise.lam > 0.0:
+        psi = _apply_noise_raw(psi, noise.lam, rng)
+    outcome = _born_pick(_meter_one_prob(psi, frame), rng)
+    return outcome, (model.ket0, model.ket1)[outcome]
 
 
 def apply_noise(state: CircuitState, noise: NoiseModel,
@@ -258,33 +239,45 @@ def noisy_bell_average(lam: float) -> DensityMatrix:
 def calibrate_noise(target_fidelity: float) -> NoiseModel:
     """Trajectory rate whose exact channel average hits a Bell fidelity target.
 
-    Root-found against the exact average channel (not Monte Carlo).  Targets
-    below 0.25 are rejected as unachievable.
+    Closed form of that average: F = 1 - (3/4)(16/15) lam = 1 - 0.8 lam.
+    Targets below 0.25 are rejected as unachievable.
     """
     if not (0.25 <= target_fidelity <= 1.0):
         raise ValueError(f"target fidelity must be in [0.25, 1], got {target_fidelity!r}")
-    bell = bell_state()
-
-    def gap(lam: float) -> float:
-        return qmath.fidelity(noisy_bell_average(lam), bell) - target_fidelity
-
-    if gap(0.0) <= 0.0:        # target is the clean-gate fidelity (float-exactly)
-        return NoiseModel(lam=0.0)
-    lam = float(brentq(gap, 0.0, 1.0, xtol=1e-14))
-    return NoiseModel(lam=lam)
+    return NoiseModel(lam=(1.0 - target_fidelity) / 0.8)
 
 
 # ---------------------------------------------------------------------------
 # trace runs
 # ---------------------------------------------------------------------------
 
+def _quantum_emission_probs(model: QuantumModel, gate: str,
+                            lam: float) -> tuple[float, float]:
+    """(P(1|0), P(1|1)) of one quantum step, noise channel averaged exactly.
+
+    Runs the circuit once per encoded state with quantum_step's Born
+    arithmetic; (1 - lam) p_I + lam / 15 sum_P p_P is the exact outcome law
+    because the memory is reprepared from the output bit.
+    """
+    meter_in, gate4, frame = _step_operators(model.machine, gate)
+    probs = []
+    for ket in (model.ket0, model.ket1):
+        psi = gate4 @ np.kron(ket.amplitudes, meter_in)
+        hit = sum(_meter_one_prob(pauli @ psi, frame) for pauli in TWO_QUBIT_PAULIS)
+        probs.append((1.0 - lam) * _meter_one_prob(psi, frame) + (lam / 15.0) * hit)
+    return probs[0], probs[1]
+
+
 def run_trace(machine: CausalMachine, mode: str, n: int, seed: int,
               gate: str = "cnot", noise: NoiseModel | None = None) -> RunResult:
-    """Iterate the step circuit n times from a stationary start.
+    """Sample n steps of the step circuit from a stationary start.
 
     Returns the output trace plus, for every step, the memory ket that
     entered it: encoded causal states in quantum mode, logical basis states
     in classical mode.  That ket record is the tomography ensemble.
+    Outputs follow the two-state chain with the circuit's per-state emission
+    probabilities, one uniform per step: stepping classical_step or noiseless
+    quantum_step on the same generator gives them bit for bit.
     Reproducible for a fixed seed.
     """
     if mode not in MODES:
@@ -295,34 +288,16 @@ def run_trace(machine: CausalMachine, mode: str, n: int, seed: int,
         raise ValueError(f"step count must be >= 1, got {n!r}")
     noise = noise or NoiseModel()
 
-    rng = make_rng(seed)
-    w0, _ = stationary_distribution(machine)
-    state = 0 if rng.random() < w0 else 1
-
-    outputs = np.empty(n, dtype=np.int8)
-    kets = np.empty((n, 2), dtype=complex)
-
     if mode == "classical":
-        logical = (np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex))
-        for j in range(n):
-            kets[j] = logical[state]
-            x, state = classical_step(state, machine, rng)
-            outputs[j] = x
+        p1 = (machine.p_right, 1.0 - machine.p_left)
+        preps = np.eye(2, dtype=complex)
     else:
         model = quantum_causal_states(machine)
-        preps = (model.ket0.amplitudes, model.ket1.amplitudes)
-        meter_in, gate4, frame = _step_operators(machine, gate)
-        lam, sigma = noise.lam, noise.prep_angle_error
-        mem = preps[state]
-        if sigma > 0.0:
-            eps = rng.normal(0.0, sigma)
-            c, s = np.cos(eps / 2.0), np.sin(eps / 2.0)
-            mem = np.array([[c, -s], [s, c]], dtype=complex) @ mem
-        for j in range(n):
-            kets[j] = mem
-            x, mem = _quantum_step_raw(mem, preps, meter_in, gate4, frame,
-                                       lam, sigma, rng)
-            outputs[j] = x
+        p1 = _quantum_emission_probs(model, gate, noise.lam)
+        preps = np.array([model.ket0.amplitudes, model.ket1.amplitudes])
+    w0, _ = stationary_distribution(machine)
+    path = _sample_path(p1, n, make_rng(seed), w0=w0)
 
+    outputs = path[1:]
     trace = Trace(outputs=outputs, states=outputs.copy(), seed=int(seed))
-    return RunResult(trace=trace, memory_kets=kets)
+    return RunResult(trace=trace, memory_kets=preps[path[:-1]])

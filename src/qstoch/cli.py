@@ -155,6 +155,10 @@ SWEEP_HEADER = ["p", "c_classical_theory", "c_quantum_theory",
 
 
 def cmd_sweep(args) -> int:
+    # every grid point shares these settings: check them once, before any work
+    ExperimentConfig(p_right=args.p_min, p_left=args.p_min, gate=args.gate,
+                     steps=args.steps, shots_per_basis=args.shots,
+                     noise_lambda=args.noise_lambda, seed=args.seed)
     grid = []
     p = args.p_min
     i = 0

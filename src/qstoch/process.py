@@ -28,6 +28,7 @@ MERGE_TOL = 1e-12   # |1 - p_right - p_left| below this collapses the two states
 
 MAX_BLOCK_LEN = 12
 MAX_HALF_WINDOW = 6
+_DRAW_BLOCK = 1 << 16     # uniforms per block in _sample_path
 
 
 class ReducibleChainError(ValueError):
@@ -278,6 +279,29 @@ def excess_entropy(machine: CausalMachine, half_window: int) -> float:
     return max(2.0 * h_half - h_full, 0.0)
 
 
+def _sample_path(p1: tuple[float, float], n: int, rng: np.random.Generator,
+                 w0: float | None = None, start: int | None = None,
+                 burn_in: int = 0) -> np.ndarray:
+    """Int8 state path of the chain that emits 1 from state s w.p. p1[s].
+
+    A start not forced is drawn with one uniform (0 iff below w0); each step
+    emits 1 iff its uniform is below p1[state], and that bit is the next
+    state.  Returns the state entering the first kept step, then n bits.
+    Uniforms come in fixed-size blocks: same stream, bounded temporaries.
+    """
+    state = start if start is not None else (0 if rng.random() < w0 else 1)
+    steps = burn_in + n
+    path = np.empty(steps + 1, dtype=np.int8)
+    path[0] = state
+    for lo in range(0, steps, _DRAW_BLOCK):
+        bits = rng.random(min(_DRAW_BLOCK, steps - lo)).tolist()
+        for k, u in enumerate(bits):
+            state = 1 if u < p1[state] else 0
+            bits[k] = state
+        path[lo + 1:lo + 1 + len(bits)] = bits
+    return path[burn_in:]
+
+
 def sample_sequence(machine: CausalMachine, n: int, seed: int,
                     start: int | None = None, burn_in: int = 0) -> Trace:
     """Sample an n-step output trace, reproducible for a fixed seed.
@@ -291,20 +315,11 @@ def sample_sequence(machine: CausalMachine, n: int, seed: int,
         raise ValueError(f"sequence length must be >= 1, got {n!r}")
     if burn_in < 0:
         raise ValueError(f"burn_in must be >= 0, got {burn_in!r}")
-    rng = make_rng(seed)
+    w0 = None
     if start is None:
         w0, _ = stationary_distribution(machine)
-        state = 0 if rng.random() < w0 else 1
-    else:
-        if start not in (0, 1):
-            raise ValueError(f"start state must be 0 or 1, got {start!r}")
-        state = start
-    move_prob = (machine.p_right, 1.0 - machine.p_left)     # P(next state = 1 | state)
-    draws = rng.random(burn_in + n)
-    for j in range(burn_in):
-        state = int(draws[j] < move_prob[state])
-    outputs = np.empty(n, dtype=np.int8)
-    for j in range(n):
-        state = int(draws[burn_in + j] < move_prob[state])
-        outputs[j] = state
-    return Trace(outputs=outputs, states=outputs.copy(), seed=int(seed))
+    elif start not in (0, 1):
+        raise ValueError(f"start state must be 0 or 1, got {start!r}")
+    path = _sample_path((machine.p_right, 1.0 - machine.p_left), n, make_rng(seed),
+                        w0=w0, start=start, burn_in=burn_in)
+    return Trace(outputs=path[1:], states=path[1:].copy(), seed=int(seed))

@@ -21,10 +21,11 @@ from qstoch.circuit import (
     quantum_step,
     run_trace,
     to_mixing_rate,
+    _quantum_emission_probs,
 )
-from qstoch.process import CausalMachine
+from qstoch.process import CausalMachine, stationary_distribution
 from qstoch.qmath import DensityMatrix, Ket, fidelity, tensor, trace_distance
-from qstoch.qmodel import quantum_causal_states
+from qstoch.qmodel import construct_cu, quantum_causal_states
 from qstoch.seeding import make_rng
 from qstoch.stats import block_law_check, two_sample_block_check
 
@@ -278,15 +279,6 @@ class TestRunTrace:
         probs = np.abs(run.memory_kets) ** 2
         assert np.all((probs > 1 - 1e-12).sum(axis=1) == 1)
 
-    def test_preparation_noise_perturbs_kets(self):
-        machine = CausalMachine(0.8, 0.8)
-        noisy = run_trace(machine, "quantum", 300, seed=79,
-                          noise=NoiseModel(prep_angle_error=0.05))
-        clean = run_trace(machine, "quantum", 300, seed=79)
-        assert not np.allclose(noisy.memory_kets, clean.memory_kets)
-        norms = np.linalg.norm(noisy.memory_kets, axis=1)
-        np.testing.assert_allclose(norms, 1.0, atol=1e-12)
-
     def test_block_law_error_shrinks_with_trace_length(self):
         for machine in (CausalMachine(0.8, 0.8), CausalMachine(0.9, 0.3)):
             tvs = []
@@ -308,11 +300,75 @@ class TestRunTrace:
     def test_noise_model_validated(self):
         with pytest.raises(ValueError):
             NoiseModel(lam=1.5)
-        with pytest.raises(ValueError):
-            NoiseModel(prep_angle_error=-0.1)
 
     def test_result_kets_frozen(self):
         run = run_trace(CausalMachine(0.8, 0.8), "quantum", 10, seed=80)
         assert isinstance(run, RunResult)
         with pytest.raises(ValueError):
             run.memory_kets[0, 0] = 1.0
+
+
+ORACLE_MACHINES = [CausalMachine(0.9, 0.3), CausalMachine(0.8, 0.8), CausalMachine(0.3, 0.9)]
+ORACLE_IDS = ["0.9-0.3", "0.8-0.8", "0.3-0.9"]
+
+
+def step_oracle(machine, mode, gate, n, seed):
+    """Outputs and entering memory kets from stepping the single-step circuit."""
+    rng = make_rng(seed)
+    w0, _ = stationary_distribution(machine)
+    state = 0 if rng.random() < w0 else 1
+    outputs = np.empty(n, dtype=np.int8)
+    kets = np.empty((n, 2), dtype=complex)
+    if mode == "classical":
+        logical = np.eye(2, dtype=complex)
+        for j in range(n):
+            kets[j] = logical[state]
+            outputs[j], state = classical_step(state, machine, rng)
+    else:
+        model = quantum_causal_states(machine)
+        memory = (model.ket0, model.ket1)[state]
+        for j in range(n):
+            kets[j] = memory.amplitudes
+            outputs[j], memory = quantum_step(memory, model, rng, gate=gate)
+    return outputs, kets
+
+
+class TestTraceMatchesStepOracle:
+    @pytest.mark.parametrize("gate", ["cnot", "cu"])
+    @pytest.mark.parametrize("machine", ORACLE_MACHINES, ids=ORACLE_IDS)
+    def test_quantum_pathwise(self, machine, gate):
+        run = run_trace(machine, "quantum", 3000, seed=85, gate=gate)
+        outputs, kets = step_oracle(machine, "quantum", gate, 3000, seed=85)
+        np.testing.assert_array_equal(run.trace.outputs, outputs)
+        np.testing.assert_array_equal(run.memory_kets, kets)
+
+    @pytest.mark.parametrize("machine", ORACLE_MACHINES, ids=ORACLE_IDS)
+    def test_classical_pathwise(self, machine):
+        run = run_trace(machine, "classical", 3000, seed=86)
+        outputs, kets = step_oracle(machine, "classical", "cnot", 3000, seed=86)
+        np.testing.assert_array_equal(run.trace.outputs, outputs)
+        np.testing.assert_array_equal(run.memory_kets, kets)
+
+    @pytest.mark.parametrize("gate", ["cnot", "cu"])
+    def test_noisy_emission_law_is_exact_channel_average(self, gate):
+        machine = CausalMachine(0.9, 0.3)
+        model = quantum_causal_states(machine)
+        lam = 0.0375
+        if gate == "cnot":
+            meter_in, gate4, frame = np.array([1.0, 0.0]), CNOT4, np.eye(4)
+        else:
+            ops = construct_cu(machine)
+            v = ops.v.entries
+            meter_in, gate4 = v[:, 0], ops.cu.entries
+            frame = np.kron(np.eye(2), v.conj().T)
+        via_channel = []
+        for ket in (model.ket0, model.ket1):
+            joint = Ket(gate4 @ np.kron(ket.amplitudes, meter_in))
+            rho = depolarizing_average(joint.projector(), lam).entries
+            rho = frame @ rho @ frame.conj().T
+            via_channel.append(np.real(rho[1, 1] + rho[3, 3]))
+        closed_form = [p + (16 * lam / 15) * (0.5 - p) for p in (0.9, 1 - 0.3)]
+        got = _quantum_emission_probs(model, gate, lam)
+        np.testing.assert_allclose(got, via_channel, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got, closed_form, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got, [0.884, 1 - 0.308], rtol=0, atol=1e-12)

@@ -71,6 +71,17 @@ class TestSweep:
         by_p = {row["p"]: row for row in rows}
         assert float(by_p["0.8"]["c_quantum_theory"]) == pytest.approx(0.4690, abs=1e-4)
 
+    @pytest.mark.parametrize("bad", [
+        ["--p-min", "0", "--p-max", "0", "--seed", "-1"],
+        ["--seed", "-1"],
+        ["--steps", "0"],
+        ["--shots", "0"],
+    ], ids=["frozen-grid-seed", "seed", "steps", "shots"])
+    def test_invalid_config_rejected_before_work(self, tmp_path, bad):
+        out = tmp_path / "bad.csv"
+        assert main(FAST_SWEEP + bad + ["--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_invalid_grid_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
             main(["sweep", "--p-min", "0.5", "--p-max", "0.1"])
