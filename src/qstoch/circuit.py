@@ -72,15 +72,21 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Trace of an n-step run plus the per-step prepared memory kets."""
+    """Trace of an n-step run plus the sufficient statistic of its memory.
+
+    Every step enters with one of two prepared kets, the encoding of the
+    causal state it starts from, so the memory ensemble is fixed by how many
+    steps entered in state 1.
+    """
 
     trace: Trace
-    memory_kets: np.ndarray     # (n, 2) complex; row j entered step j
+    ones: int                   # steps whose entering state was 1
+    kets: tuple[Ket, Ket]       # the prepared memory of state 0 and state 1
 
-    def __post_init__(self):
-        kets = np.asarray(self.memory_kets, dtype=complex)
-        kets.setflags(write=False)
-        object.__setattr__(self, "memory_kets", kets)
+    def density(self) -> DensityMatrix:
+        """Average memory state over the steps: (n0 P0 + n1 P1) / n."""
+        n = len(self.trace)
+        return qmath.mixture([(n - self.ones) / n, self.ones / n], self.kets)
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +278,10 @@ def run_trace(machine: CausalMachine, mode: str, n: int, seed: int,
               gate: str = "cnot", noise: NoiseModel | None = None) -> RunResult:
     """Sample n steps of the step circuit from a stationary start.
 
-    Returns the output trace plus, for every step, the memory ket that
-    entered it: encoded causal states in quantum mode, logical basis states
-    in classical mode.  That ket record is the tomography ensemble.
+    Returns the output trace plus the memory ensemble: the kets prepared
+    for each state (encoded causal states in quantum mode, logical basis
+    states in classical mode) and how many steps entered in state 1.  That
+    ensemble is what tomography measures.
     Outputs follow the two-state chain with the circuit's per-state emission
     probabilities, one uniform per step: stepping classical_step or noiseless
     quantum_step on the same generator gives them bit for bit.
@@ -290,14 +297,14 @@ def run_trace(machine: CausalMachine, mode: str, n: int, seed: int,
 
     if mode == "classical":
         p1 = (machine.p_right, 1.0 - machine.p_left)
-        preps = np.eye(2, dtype=complex)
+        kets = (qmath.KET0, qmath.KET1)
     else:
         model = quantum_causal_states(machine)
         p1 = _quantum_emission_probs(model, gate, noise.lam)
-        preps = np.array([model.ket0.amplitudes, model.ket1.amplitudes])
+        kets = (model.ket0, model.ket1)
     w0, _ = stationary_distribution(machine)
     path = _sample_path(p1, n, make_rng(seed), w0=w0)
 
     outputs = path[1:]
     trace = Trace(outputs=outputs, states=outputs.copy(), seed=int(seed))
-    return RunResult(trace=trace, memory_kets=preps[path[:-1]])
+    return RunResult(trace=trace, ones=int(np.count_nonzero(path[:-1])), kets=kets)

@@ -4,16 +4,13 @@ Subcommands: sweep (symmetric parameter scan), asym (one asymmetric point
 with noise-on columns), simulate (trace vs exact block laws, self-testing),
 tomo (tomography of one run's memory ensemble).  Every CSV starts with a
 '#' comment recording the full configuration and seed; identical
-configuration and seed give byte-identical output.  Sweep points run in
-worker processes; QSTOCH_THREADS caps the parallelism.
+configuration and seed give byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -28,6 +25,7 @@ from .stats import block_law_check
 from .tomo import entropy_with_error, reconstruct_rho, simulate_counts
 
 MAX_CHECK_BLOCK_LEN = 4
+MAX_SWEEP_POINTS = 10_001
 _NAN = float("nan")
 
 # reported reference values for the p_right=0.9, p_left=0.3 demonstration,
@@ -102,12 +100,6 @@ def _open_out(path: str | None):
     return open(path, "w", encoding="utf-8", newline="")
 
 
-def _worker_count(n_tasks: int) -> int:
-    env = os.environ.get("QSTOCH_THREADS")
-    workers = int(env) if env else (os.cpu_count() or 1)
-    return max(1, min(workers, n_tasks))
-
-
 # ---------------------------------------------------------------------------
 # shared simulation pieces
 # ---------------------------------------------------------------------------
@@ -116,18 +108,17 @@ def _simulated_entropies(machine: CausalMachine, steps: int, shots: int, gate: s
                          noise: NoiseModel, base_seed: int) -> tuple[float, float, float]:
     """(classical entropy, quantum entropy, quantum one-sigma) via tomography."""
     run_c = run_trace(machine, "classical", steps, seed=2 * base_seed)
-    counts_c = simulate_counts(run_c.memory_kets, shots, make_rng(base_seed, 2))
+    counts_c = simulate_counts(run_c.density(), shots, make_rng(base_seed, 2))
     ent_c = von_neumann_entropy(reconstruct_rho(counts_c))
 
     run_q = run_trace(machine, "quantum", steps, seed=2 * base_seed + 1,
                       gate=gate, noise=noise)
     rng_q = make_rng(base_seed, 3)
-    result = entropy_with_error(simulate_counts(run_q.memory_kets, shots, rng_q), rng_q)
+    result = entropy_with_error(simulate_counts(run_q.density(), shots, rng_q), rng_q)
     return ent_c, result.entropy, result.entropy_std
 
 
-def _sweep_point(payload) -> dict:
-    index, p, gate, steps, shots, lam, master_seed = payload
+def _sweep_point(index: int, p: float, args) -> dict:
     row = {"p": p}
     if p == 0.0:
         # frozen chain: theory columns use the uniform-start convention for
@@ -139,9 +130,9 @@ def _sweep_point(payload) -> dict:
     machine = CausalMachine(p, p)
     row["c_classical_theory"] = classical_complexity(machine)
     row["c_quantum_theory"] = quantum_complexity(machine)
-    base = xor_seed(master_seed, index)
-    ent_c, ent_q, std_q = _simulated_entropies(machine, steps, shots, gate,
-                                               NoiseModel(lam=lam), base)
+    base = xor_seed(args.seed, index)
+    ent_c, ent_q, std_q = _simulated_entropies(machine, args.steps, args.shots, args.gate,
+                                               NoiseModel(lam=args.noise_lambda), base)
     row.update(c_classical_sim=ent_c, c_quantum_sim=ent_q, c_quantum_sim_std=std_q)
     return row
 
@@ -166,14 +157,7 @@ def cmd_sweep(args) -> int:
         grid.append(round(p, 12))
         i += 1
         p = args.p_min + i * args.p_step
-    payloads = [(idx, p, args.gate, args.steps, args.shots, args.noise_lambda, args.seed)
-                for idx, p in enumerate(grid)]
-    workers = _worker_count(len(payloads))
-    if workers == 1:
-        rows = [_sweep_point(item) for item in payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_point, payloads))
+    rows = [_sweep_point(index, p, args) for index, p in enumerate(grid)]
     config = {"p_min": args.p_min, "p_max": args.p_max, "p_step": args.p_step,
               "gate": args.gate, "steps": args.steps, "shots": args.shots,
               "lambda": args.noise_lambda, "seed": args.seed}
@@ -208,7 +192,7 @@ def cmd_asym(args) -> int:
                           gate=cfg.gate, noise=NoiseModel(lam=lam))
     rng_noisy = make_rng(cfg.seed, 5)
     noisy = entropy_with_error(
-        simulate_counts(run_noisy.memory_kets, cfg.shots_per_basis, rng_noisy), rng_noisy)
+        simulate_counts(run_noisy.density(), cfg.shots_per_basis, rng_noisy), rng_noisy)
     row.update(c_quantum_noisy_sim=noisy.entropy, c_quantum_noisy_sim_std=noisy.entropy_std)
     row.update(dict(ASYM_REFERENCE))
 
@@ -261,7 +245,7 @@ def cmd_tomo(args) -> int:
     run = run_trace(machine, cfg.mode, cfg.steps, seed=cfg.seed,
                     gate=cfg.gate, noise=cfg.noise())
     rng = make_rng(cfg.seed, 1)
-    counts = simulate_counts(run.memory_kets, cfg.shots_per_basis, rng)
+    counts = simulate_counts(run.density(), cfg.shots_per_basis, rng)
     result = entropy_with_error(counts, rng)
 
     if cfg.mode == "quantum":
@@ -369,6 +353,10 @@ def main(argv=None) -> int:
         valid = (0.0 <= args.p_min <= args.p_max <= 1.0) and args.p_step > 0.0
         if not valid:
             parser.error(f"invalid grid: [{args.p_min}, {args.p_max}] step {args.p_step}")
+        # counted as cmd_sweep steps the grid, not built: a tiny step must
+        # fail before any list exists
+        if (args.p_max - args.p_min + 1e-12) // args.p_step + 1.0 > MAX_SWEEP_POINTS:
+            parser.error(f"grid step {args.p_step} gives more than {MAX_SWEEP_POINTS} points")
     try:
         return args.func(args)
     except ValueError as exc:

@@ -288,17 +288,43 @@ def _sample_path(p1: tuple[float, float], n: int, rng: np.random.Generator,
     emits 1 iff its uniform is below p1[state], and that bit is the next
     state.  Returns the state entering the first kept step, then n bits.
     Uniforms come in fixed-size blocks: same stream, bounded temporaries.
+
+    Each step maps {0, 1} -> {0, 1} by a constant, the identity or negation,
+    so a block resolves as a prefix scan over those maps: a uniform outside
+    the band [lo, hi) between the two probabilities sets the state to
+    (u < lo) whatever it was; inside, the state stays (p1[0] < p1[1]) or
+    flips (p1[0] > p1[1]).
     """
     state = start if start is not None else (0 if rng.random() < w0 else 1)
+    lo, hi = min(p1), max(p1)
+    flips = p1[0] > p1[1]
     steps = burn_in + n
     path = np.empty(steps + 1, dtype=np.int8)
     path[0] = state
-    for lo in range(0, steps, _DRAW_BLOCK):
-        bits = rng.random(min(_DRAW_BLOCK, steps - lo)).tolist()
-        for k, u in enumerate(bits):
-            state = 1 if u < p1[state] else 0
-            bits[k] = state
-        path[lo + 1:lo + 1 + len(bits)] = bits
+    for first in range(0, steps, _DRAW_BLOCK):
+        u = rng.random(min(_DRAW_BLOCK, steps - first))
+        m = u.shape[0]
+        reset = (u < lo) | (u >= hi)
+        # values[j] is the state set by step j (values[0]: the carried state);
+        # last[k] is the latest step <= k that set it
+        values = np.empty(m + 1, dtype=np.int8)
+        values[0] = state
+        np.less(u, lo, out=values[1:])
+        last = np.arange(1, m + 1, dtype=np.int32)
+        last *= reset
+        np.maximum.accumulate(last, out=last)
+        bits = path[first + 1:first + 1 + m]
+        if flips:
+            # the flips since that step are the parity difference of the
+            # prefix flip counts; reset steps carry no flip
+            parity = np.zeros(m + 1, dtype=np.int8)
+            np.logical_not(reset, out=parity[1:])
+            np.bitwise_xor.accumulate(parity, out=parity)
+            np.bitwise_xor(values[last], parity[1:], out=bits)
+            bits ^= parity[last]
+        else:
+            np.take(values, last, out=bits)
+        state = int(bits[-1])
     return path[burn_in:]
 
 

@@ -2,7 +2,7 @@
 
 All stochastic code draws from a Philox (counter-based) generator, so a
 stream is fully determined by its integer seed path and never depends on how
-concurrent work is scheduled.  Sweep workers derive their seed as
+concurrent work is scheduled.  Each sweep point derives its seed as
 ``seed XOR grid_index``; see the cli module.
 """
 
@@ -17,5 +17,5 @@ def make_rng(seed: int, *stream: int) -> np.random.Generator:
 
 
 def xor_seed(seed: int, index: int) -> int:
-    """Per-grid-point seed used by sweep workers."""
+    """Per-grid-point seed of the sweep."""
     return int(seed) ^ int(index)

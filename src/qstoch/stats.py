@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .process import CausalMachine, block_distribution
+from .process import MAX_BLOCK_LEN, CausalMachine, block_distribution
+
+_COUNT_CHUNK = 1 << 16    # windows coded and counted at a time
 
 
 @dataclass(frozen=True)
@@ -33,15 +35,27 @@ class BlockLawCheck:
 
 
 def disjoint_block_counts(outputs: np.ndarray, block_len: int) -> np.ndarray:
-    """Counts of the 2**L possible blocks over consecutive disjoint windows."""
-    bits = np.asarray(outputs, dtype=np.int64)
+    """Counts of the 2**L possible blocks over consecutive disjoint windows.
+
+    Windows are coded (first bit most significant) and counted a fixed-size
+    chunk at a time, so temporaries stay bounded however long the trace.
+    """
+    if not (1 <= block_len <= MAX_BLOCK_LEN):
+        raise ValueError(f"block length must be in [1, {MAX_BLOCK_LEN}], got {block_len!r}")
+    bits = np.asarray(outputs)
     n_blocks = bits.shape[0] // block_len
     if n_blocks == 0:
         raise ValueError(f"trace too short for blocks of length {block_len}")
     windows = bits[: n_blocks * block_len].reshape(n_blocks, block_len)
-    weights = 1 << np.arange(block_len - 1, -1, -1)     # first bit most significant
-    codes = windows @ weights
-    return np.bincount(codes, minlength=2 ** block_len)
+    counts = np.zeros(2 ** block_len, dtype=np.int64)
+    for first in range(0, n_blocks, _COUNT_CHUNK):
+        chunk = windows[first:first + _COUNT_CHUNK]
+        codes = np.zeros(chunk.shape[0], dtype=np.uint16)     # L <= MAX_BLOCK_LEN fits
+        for column in chunk.T:
+            codes <<= 1
+            codes |= column.astype(np.uint16)
+        counts += np.bincount(codes, minlength=2 ** block_len)
+    return counts
 
 
 def conditional_block_probs(machine: CausalMachine, block_len: int) -> np.ndarray:

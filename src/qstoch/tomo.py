@@ -131,23 +131,23 @@ def entropy_with_error(counts: TomographyCounts, rng: np.random.Generator,
 
     Counts are resampled binomially at the observed per-basis rates;
     entropy of a near-pure reconstruction is biased upward and reported
-    as is.
+    as is.  A reconstructed qubit has eigenvalues (1 +- |r|) / 2 for its
+    projected Bloch radius |r|, so every round's entropy is the binary
+    entropy h((1 + min(|r|, 1)) / 2), evaluated for all rounds at once.
     """
     if bootstrap_rounds < MIN_BOOTSTRAP:
         raise ValueError(f"bootstrap_rounds must be >= {MIN_BOOTSTRAP}")
-    entropy = qmath.von_neumann_entropy(reconstruct_rho(counts))
+    rho_hat = reconstruct_rho(counts)
+    entropy = qmath.von_neumann_entropy(rho_hat)
 
     n = counts.shots_per_basis
-    rates = [plus / n for plus, _ in (counts.x, counts.y, counts.z)]
-    resampled = [rng.binomial(n, rate, size=bootstrap_rounds) for rate in rates]
-    boot = np.empty(bootstrap_rounds)
-    for i in range(bootstrap_rounds):
-        sample = TomographyCounts(
-            shots_per_basis=n,
-            x=(int(resampled[0][i]), n - int(resampled[0][i])),
-            y=(int(resampled[1][i]), n - int(resampled[1][i])),
-            z=(int(resampled[2][i]), n - int(resampled[2][i])),
-        )
-        boot[i] = qmath.von_neumann_entropy(reconstruct_rho(sample))
-    return TomographyResult(rho_hat=reconstruct_rho(counts), entropy=entropy,
+    rates = np.array([plus / n for plus, _ in (counts.x, counts.y, counts.z)])
+    plus = rng.binomial(n, rates[:, np.newaxis], size=(3, bootstrap_rounds))
+    radius = np.minimum(np.linalg.norm((2 * plus - n) / n, axis=0), 1.0)
+    # smaller eigenvalue of each round's reconstruction, zeroed below the
+    # threshold von_neumann_entropy applies
+    low = (1.0 - radius) / 2.0
+    low = np.where(low < qmath.EIG_ZERO, 0.0, low)
+    boot = -(low * np.log2(np.where(low > 0.0, low, 1.0)) + (1.0 - low) * np.log2(1.0 - low))
+    return TomographyResult(rho_hat=rho_hat, entropy=entropy,
                             entropy_std=float(boot.std(ddof=1)), raw=counts)

@@ -188,7 +188,7 @@ def test_criterion_09_noise_reproduction():
     run = run_trace(machine, "quantum", 100_000, seed=901, noise=noise)
     rng = make_rng(902)
     # 1e7 shots per basis resolve the small noise-induced uplift
-    result = entropy_with_error(simulate_counts(run.memory_kets, 10_000_000, rng), rng)
+    result = entropy_with_error(simulate_counts(run.density(), 10_000_000, rng), rng)
     print(f"  noisy tomographic entropy {result.entropy:.5f} "
           f"(ideal {ideal:.5f}, measured reference 0.19)")
     assert result.entropy > ideal

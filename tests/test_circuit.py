@@ -238,7 +238,9 @@ class TestRunTrace:
         a = run_trace(machine, "quantum", 2000, seed=71)
         b = run_trace(machine, "quantum", 2000, seed=71)
         assert np.array_equal(a.trace.outputs, b.trace.outputs)
-        assert np.array_equal(a.memory_kets, b.memory_kets)
+        assert a.ones == b.ones
+        for ket_a, ket_b in zip(a.kets, b.kets):
+            assert np.array_equal(ket_a.amplitudes, ket_b.amplitudes)
 
     def test_quantum_two_block_law(self):
         machine = CausalMachine(0.8, 0.8)
@@ -265,19 +267,30 @@ class TestRunTrace:
         machine = CausalMachine(0.9, 0.3)
         model = quantum_causal_states(machine)
         run = run_trace(machine, "quantum", 5000, seed=77)
-        kets = np.vstack([model.ket0.amplitudes, model.ket1.amplitudes])
-        matches = np.abs(run.memory_kets @ kets.conj().T)
-        labels = matches.argmax(axis=1)
-        np.testing.assert_allclose(matches[np.arange(len(labels)), labels], 1.0,
-                                   atol=1e-12)
-        # encoded state of step j is the output bit of step j-1
-        np.testing.assert_array_equal(labels[1:], run.trace.outputs[:-1])
+        for got, encoded in zip(run.kets, (model.ket0, model.ket1)):
+            assert abs(np.vdot(got.amplitudes, encoded.amplitudes)) == pytest.approx(
+                1.0, abs=1e-12)
+        # encoded state of step j is the output bit of step j-1, and step 0
+        # enters in the single start state
+        assert run.ones - int(run.trace.outputs[:-1].sum()) in (0, 1)
+
+    @pytest.mark.parametrize("mode", ["classical", "quantum"])
+    def test_density_equals_per_step_ket_average(self, mode):
+        machine = CausalMachine(0.9, 0.3)
+        run = run_trace(machine, mode, 20_000, seed=79)
+        # rebuild the per-step ket array: step j enters in the state step
+        # j - 1 emitted, step 0 in the start state
+        start = run.ones - int(run.trace.outputs[:-1].sum())
+        entering = np.concatenate([[start], run.trace.outputs[:-1]])
+        kets = np.array([ket.amplitudes for ket in run.kets])[entering]
+        reference = np.einsum("ni,nj->ij", kets, kets.conj()) / len(kets)
+        np.testing.assert_allclose(run.density().entries, reference, rtol=0, atol=1e-12)
 
     def test_classical_ensemble_holds_logical_states(self):
         machine = CausalMachine(0.8, 0.8)
         run = run_trace(machine, "classical", 5000, seed=78)
-        probs = np.abs(run.memory_kets) ** 2
-        assert np.all((probs > 1 - 1e-12).sum(axis=1) == 1)
+        probs = np.abs([ket.amplitudes for ket in run.kets]) ** 2
+        np.testing.assert_array_equal(probs > 1 - 1e-12, np.eye(2, dtype=bool))
 
     def test_block_law_error_shrinks_with_trace_length(self):
         for machine in (CausalMachine(0.8, 0.8), CausalMachine(0.9, 0.3)):
@@ -305,7 +318,7 @@ class TestRunTrace:
         run = run_trace(CausalMachine(0.8, 0.8), "quantum", 10, seed=80)
         assert isinstance(run, RunResult)
         with pytest.raises(ValueError):
-            run.memory_kets[0, 0] = 1.0
+            run.kets[0].amplitudes[0] = 1.0
 
 
 ORACLE_MACHINES = [CausalMachine(0.9, 0.3), CausalMachine(0.8, 0.8), CausalMachine(0.3, 0.9)]
@@ -333,6 +346,15 @@ def step_oracle(machine, mode, gate, n, seed):
     return outputs, kets
 
 
+def assert_same_ensemble(run, kets):
+    """Every per-step oracle ket is one of the run's two prepared kets, and
+    the run's state-1 count is how many steps entered with the second."""
+    prepared = np.array([ket.amplitudes for ket in run.kets])
+    is_one = np.all(kets == prepared[1], axis=1)
+    assert np.all(is_one | np.all(kets == prepared[0], axis=1))
+    assert run.ones == int(is_one.sum())
+
+
 class TestTraceMatchesStepOracle:
     @pytest.mark.parametrize("gate", ["cnot", "cu"])
     @pytest.mark.parametrize("machine", ORACLE_MACHINES, ids=ORACLE_IDS)
@@ -340,14 +362,14 @@ class TestTraceMatchesStepOracle:
         run = run_trace(machine, "quantum", 3000, seed=85, gate=gate)
         outputs, kets = step_oracle(machine, "quantum", gate, 3000, seed=85)
         np.testing.assert_array_equal(run.trace.outputs, outputs)
-        np.testing.assert_array_equal(run.memory_kets, kets)
+        assert_same_ensemble(run, kets)
 
     @pytest.mark.parametrize("machine", ORACLE_MACHINES, ids=ORACLE_IDS)
     def test_classical_pathwise(self, machine):
         run = run_trace(machine, "classical", 3000, seed=86)
         outputs, kets = step_oracle(machine, "classical", "cnot", 3000, seed=86)
         np.testing.assert_array_equal(run.trace.outputs, outputs)
-        np.testing.assert_array_equal(run.memory_kets, kets)
+        assert_same_ensemble(run, kets)
 
     @pytest.mark.parametrize("gate", ["cnot", "cu"])
     def test_noisy_emission_law_is_exact_channel_average(self, gate):

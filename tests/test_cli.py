@@ -2,6 +2,7 @@
 
 import pytest
 
+from qstoch import cli
 from qstoch.cli import ExperimentConfig, main
 
 
@@ -41,13 +42,6 @@ class TestSweep:
         _, second = run_cli(FAST_SWEEP, tmp_path, "b.csv")
         assert first == second
 
-    def test_worker_count_does_not_change_output(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("QSTOCH_THREADS", "1")
-        _, serial = run_cli(FAST_SWEEP, tmp_path, "serial.csv")
-        monkeypatch.setenv("QSTOCH_THREADS", "2")
-        _, parallel = run_cli(FAST_SWEEP, tmp_path, "parallel.csv")
-        assert serial == parallel
-
     def test_boundary_point_uses_conventions(self, tmp_path):
         args = ["sweep", "--p-min", "0.0", "--p-max", "0.0", "--p-step", "0.1",
                 "--steps", "100", "--shots", "100"]
@@ -86,6 +80,26 @@ class TestSweep:
         with pytest.raises(SystemExit) as err:
             main(["sweep", "--p-min", "0.5", "--p-max", "0.1"])
         assert err.value.code == 2
+
+    def test_oversized_grid_refused_before_building(self, monkeypatch):
+        # 10^9 points: refused from the point count while parsing; the sweep
+        # itself, which builds the grid, must never start
+        def build_grid(args):
+            raise AssertionError("sweep started on an oversized grid")
+        monkeypatch.setattr(cli, "cmd_sweep", build_grid)
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", "--p-step", "1e-9"])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("step, allowed", [("1e-4", True), ("0.9999e-4", False)])
+    def test_grid_cap_boundary(self, monkeypatch, step, allowed):
+        # [0, 1] at step 1e-4 is exactly the largest grid allowed
+        monkeypatch.setattr(cli, "cmd_sweep", lambda args: 0)
+        if allowed:
+            assert main(["sweep", "--p-step", step]) == 0
+        else:
+            with pytest.raises(SystemExit):
+                main(["sweep", "--p-step", step])
 
 
 class TestAsym:

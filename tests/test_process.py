@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qstoch.process import (
     CausalMachine,
@@ -22,6 +24,8 @@ from qstoch.process import (
     two_switch_block_distribution,
     two_switch_stationary,
     two_switch_step,
+    _DRAW_BLOCK,
+    _sample_path,
 )
 from qstoch.seeding import make_rng
 
@@ -317,6 +321,47 @@ class TestSampleSequence:
     def test_trace_invariant_enforced(self):
         with pytest.raises(ValueError):
             Trace(outputs=np.array([0, 1]), states=np.array([1, 1]), seed=0)
+
+
+def step_loop_path(p1, n, rng, w0=None, start=None, burn_in=0):
+    """Per-step reference for _sample_path on the same stream layout: one
+    start uniform unless forced, then uniforms in _DRAW_BLOCK blocks, and a
+    step enters state 1 iff its uniform is below p1[state]."""
+    state = start if start is not None else (0 if rng.random() < w0 else 1)
+    steps = burn_in + n
+    path = np.empty(steps + 1, dtype=np.int8)
+    path[0] = state
+    for first in range(0, steps, _DRAW_BLOCK):
+        for k, u in enumerate(rng.random(min(_DRAW_BLOCK, steps - first))):
+            state = 1 if u < p1[state] else 0
+            path[first + 1 + k] = state
+    return path[burn_in:]
+
+
+EDGE_OR_ANY = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+class TestSamplePathScan:
+    @settings(max_examples=20, deadline=None)
+    @given(p_right=EDGE_OR_ANY, p_left=EDGE_OR_ANY, tie=st.booleans(),
+           n=st.sampled_from([65535, 65536, 65537]),
+           start=st.sampled_from([None, 0, 1]), w0=st.floats(0.0, 1.0),
+           burn_in=st.sampled_from([0, 3]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_scan_equals_step_loop(self, p_right, p_left, tie, n, start, w0,
+                                   burn_in, seed):
+        # p1 = (P(1|0), P(1|1)); a tie makes both states emit alike
+        p1 = (p_right, p_right if tie else 1.0 - p_left)
+        kwargs = dict(w0=w0, start=start, burn_in=burn_in)
+        got = _sample_path(p1, n, make_rng(seed), **kwargs)
+        want = step_loop_path(p1, n, make_rng(seed), **kwargs)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("p1", [(0.9, 0.7), (0.3, 0.1), (0.0, 1.0), (1.0, 0.0),
+                                    (0.4, 0.4)])
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_short_paths(self, p1, n):
+        got = _sample_path(p1, n, make_rng(12), w0=0.5)
+        np.testing.assert_array_equal(got, step_loop_path(p1, n, make_rng(12), w0=0.5))
 
 
 class TestSwitchConfig:

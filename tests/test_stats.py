@@ -19,9 +19,25 @@ class TestDisjointBlockCounts:
         counts = disjoint_block_counts(outputs, 2)
         np.testing.assert_array_equal(counts, [0, 1, 1, 1])
 
+    @pytest.mark.parametrize("block_len", range(1, 13))
+    def test_equals_whole_trace_formula(self, block_len):
+        # longer than one counting chunk of windows at every block length
+        outputs = np.random.default_rng(5).integers(0, 2, 800_011).astype(np.int8)
+        n_blocks = len(outputs) // block_len
+        windows = outputs[: n_blocks * block_len].astype(np.int64).reshape(n_blocks, block_len)
+        codes = windows @ (1 << np.arange(block_len - 1, -1, -1))
+        np.testing.assert_array_equal(disjoint_block_counts(outputs, block_len),
+                                      np.bincount(codes, minlength=2 ** block_len))
+
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             disjoint_block_counts(np.array([1, 0]), 3)
+
+    @pytest.mark.parametrize("block_len", [0, 13])
+    def test_block_length_out_of_range_rejected(self, block_len):
+        # codes are 16-bit: a longer block would wrap instead of counting
+        with pytest.raises(ValueError):
+            disjoint_block_counts(np.zeros(100, dtype=np.int8), block_len)
 
 
 class TestConditionalBlockProbs:

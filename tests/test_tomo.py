@@ -129,6 +129,23 @@ class TestEntropyWithError:
               f"(construction value {ideal:.4f}, published theory figure 0.12)")
         assert abs(result.entropy - ideal) < 3 * result.entropy_std
 
+    @pytest.mark.parametrize("plus", [(9000, 5000, 5000), (10_000, 5000, 5000),
+                                      (7000, 4000, 6000), (9999, 5000, 5000),
+                                      (5000, 5000, 5000), (9900, 100, 5000)])
+    def test_bootstrap_equals_per_round_reconstruction(self, plus):
+        shots, rounds = 10_000, 200
+        counts = TomographyCounts(shots, *[(k, shots - k) for k in plus])
+        # per-round reference: the same binomial draws, then one full
+        # reconstruction and eigen-entropy per round
+        rng = make_rng(90)
+        draws = [rng.binomial(shots, k / shots, size=rounds) for k in plus]
+        boot = [von_neumann_entropy(reconstruct_rho(TomographyCounts(
+                    shots, *[(int(d[i]), shots - int(d[i])) for d in draws])))
+                for i in range(rounds)]
+        result = entropy_with_error(counts, make_rng(90), bootstrap_rounds=rounds)
+        assert result.entropy_std == pytest.approx(np.std(boot, ddof=1), rel=0, abs=1e-12)
+        assert result.entropy == von_neumann_entropy(reconstruct_rho(counts))
+
     def test_bootstrap_rounds_validated(self):
         counts = TomographyCounts(100, x=(50, 50), y=(50, 50), z=(50, 50))
         with pytest.raises(ValueError):
