@@ -51,6 +51,8 @@ from .circuit import (
     measure_qubit,
     quantum_step,
     run_trace,
+    sampled_machine,
+    trace_blocks,
 )
 from .tomo import (
     TomographyCounts,

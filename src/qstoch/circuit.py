@@ -15,13 +15,14 @@ two-state chain, whose emission probabilities average the exact channel.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import qmath
-from .process import CausalMachine, Trace, _sample_path, stationary_distribution
+from .process import CausalMachine, _sample_blocks, stationary_distribution
 from .qmodel import QuantumModel, construct_cu, quantum_causal_states
 from .qmath import DensityMatrix, Ket
 from .seeding import make_rng
@@ -72,20 +73,21 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Trace of an n-step run plus the sufficient statistic of its memory.
+    """The sufficient statistic of an n-step run's memory.
 
     Every step enters with one of two prepared kets, the encoding of the
     causal state it starts from, so the memory ensemble is fixed by how many
-    steps entered in state 1.
+    steps entered in state 1.  The outputs themselves are not kept: stream
+    them with trace_blocks.
     """
 
-    trace: Trace
+    steps: int
     ones: int                   # steps whose entering state was 1
     kets: tuple[Ket, Ket]       # the prepared memory of state 0 and state 1
 
     def density(self) -> DensityMatrix:
         """Average memory state over the steps: (n0 P0 + n1 P1) / n."""
-        n = len(self.trace)
+        n = self.steps
         return qmath.mixture([(n - self.ones) / n, self.ones / n], self.kets)
 
 
@@ -274,37 +276,77 @@ def _quantum_emission_probs(model: QuantumModel, gate: str,
     return probs[0], probs[1]
 
 
-def run_trace(machine: CausalMachine, mode: str, n: int, seed: int,
-              gate: str = "cnot", noise: NoiseModel | None = None) -> RunResult:
-    """Sample n steps of the step circuit from a stationary start.
+def _emission_law(machine: CausalMachine, mode: str, gate: str,
+                  noise: NoiseModel | None) -> tuple[tuple[float, float], tuple[Ket, Ket]]:
+    """Checked mode and gate, then (P(1|0), P(1|1)) and the prepared kets.
 
-    Returns the output trace plus the memory ensemble: the kets prepared
-    for each state (encoded causal states in quantum mode, logical basis
-    states in classical mode) and how many steps entered in state 1.  That
-    ensemble is what tomography measures.
-    Outputs follow the two-state chain with the circuit's per-state emission
-    probabilities, one uniform per step: stepping classical_step or noiseless
-    quantum_step on the same generator gives them bit for bit.
-    Reproducible for a fixed seed.
+    Classical steps prepare the logical basis states and emit with the
+    machine's own law (noise does not act on them); quantum steps prepare
+    the encoded causal states and emit with the circuit's channel-averaged
+    law.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if gate not in GATES:
         raise ValueError(f"gate must be one of {GATES}, got {gate!r}")
+    if mode == "classical":
+        return (machine.p_right, 1.0 - machine.p_left), (qmath.KET0, qmath.KET1)
+    model = quantum_causal_states(machine)
+    lam = noise.lam if noise is not None else 0.0
+    return _quantum_emission_probs(model, gate, lam), (model.ket0, model.ket1)
+
+
+def _blocks(machine: CausalMachine, p1: tuple[float, float], n: int,
+            seed: int) -> Iterator[tuple[int, np.ndarray]]:
     if n < 1:
         raise ValueError(f"step count must be >= 1, got {n!r}")
-    noise = noise or NoiseModel()
-
-    if mode == "classical":
-        p1 = (machine.p_right, 1.0 - machine.p_left)
-        kets = (qmath.KET0, qmath.KET1)
-    else:
-        model = quantum_causal_states(machine)
-        p1 = _quantum_emission_probs(model, gate, noise.lam)
-        kets = (model.ket0, model.ket1)
     w0, _ = stationary_distribution(machine)
-    path = _sample_path(p1, n, make_rng(seed), w0=w0)
+    return _sample_blocks(p1, n, make_rng(seed), w0=w0)
 
-    outputs = path[1:]
-    trace = Trace(outputs=outputs, states=outputs.copy(), seed=int(seed))
-    return RunResult(trace=trace, ones=int(np.count_nonzero(path[:-1])), kets=kets)
+
+def sampled_machine(machine: CausalMachine, mode: str, gate: str = "cnot",
+                    noise: NoiseModel | None = None) -> CausalMachine:
+    """The two-state chain a run of this circuit samples.
+
+    Its 0 -> 1 probability is the circuit's P(1|0) and its 1 -> 0
+    probability is 1 - P(1|1): the machine itself up to rounding without
+    noise, the channel-averaged machine with it.
+    """
+    p1, _ = _emission_law(machine, mode, gate, noise)
+    return CausalMachine(min(max(p1[0], 0.0), 1.0), min(max(1.0 - p1[1], 0.0), 1.0))
+
+
+def trace_blocks(machine: CausalMachine, mode: str, n: int, seed: int,
+                 gate: str = "cnot",
+                 noise: NoiseModel | None = None) -> Iterator[tuple[int, np.ndarray]]:
+    """The outputs of run_trace with the same arguments, streamed.
+
+    Yields (the state entering the block's first step, the block's int8
+    output bits) for consecutive blocks of at most 65536 steps, so a trace
+    of any length is read in bounded memory.  The arguments are checked
+    here, before the first block is drawn.
+    """
+    p1, _ = _emission_law(machine, mode, gate, noise)
+    return _blocks(machine, p1, n, seed)
+
+
+def run_trace(machine: CausalMachine, mode: str, n: int, seed: int,
+              gate: str = "cnot", noise: NoiseModel | None = None) -> RunResult:
+    """Sample n steps of the step circuit from a stationary start.
+
+    Returns the memory ensemble: the kets prepared for each state (encoded
+    causal states in quantum mode, logical basis states in classical mode)
+    and how many steps entered in state 1.  That ensemble is what
+    tomography measures.
+    Outputs follow the two-state chain with the circuit's per-state emission
+    probabilities, one uniform per step: stepping classical_step or noiseless
+    quantum_step on the same generator gives them bit for bit, and
+    trace_blocks streams them.  The count is summed block by block, so
+    memory stays bounded however large n is.
+    Reproducible for a fixed seed.
+    """
+    p1, kets = _emission_law(machine, mode, gate, noise)
+    # step j enters in the state step j - 1 emitted, step 0 in the start state
+    ones = sum(entering + int(np.count_nonzero(bits[:-1]))
+               for entering, bits in _blocks(machine, p1, n, seed))
+    return RunResult(steps=n, ones=ones, kets=kets)

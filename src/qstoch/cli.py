@@ -16,12 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import GATES, MODES, NoiseModel, calibrate_noise, run_trace
+from .circuit import (GATES, MODES, NoiseModel, calibrate_noise, run_trace,
+                      sampled_machine, trace_blocks)
 from .process import CausalMachine, classical_complexity, stationary_distribution
 from .qmath import DensityMatrix, trace_distance, von_neumann_entropy
 from .qmodel import quantum_causal_states, quantum_complexity, steady_state_rho
 from .seeding import make_rng, xor_seed
-from .stats import block_law_check
+from .stats import block_law_check, stream_block_counts
 from .tomo import entropy_with_error, reconstruct_rho, simulate_counts
 
 MAX_CHECK_BLOCK_LEN = 4
@@ -209,14 +210,17 @@ SIMULATE_HEADER = ["L", "block", "count", "freq", "prob", "tv", "tv_bound", "ok"
 
 def cmd_simulate(args) -> int:
     cfg = _config_from(args)
-    run = run_trace(cfg.machine(), cfg.mode, cfg.steps, seed=cfg.seed,
-                    gate=cfg.gate, noise=cfg.noise())
+    blocks = trace_blocks(cfg.machine(), cfg.mode, cfg.steps, cfg.seed,
+                          gate=cfg.gate, noise=cfg.noise())
+    # the trace is checked against the chain it was sampled from: with gate
+    # noise, the channel-averaged machine
+    law = sampled_machine(cfg.machine(), cfg.mode, cfg.gate, cfg.noise())
+    block_lens = range(1, min(MAX_CHECK_BLOCK_LEN, cfg.steps) + 1)
+    tallies = stream_block_counts((bits for _, bits in blocks), block_lens)
     rows = []
     all_ok = True
-    for block_len in range(1, MAX_CHECK_BLOCK_LEN + 1):
-        if block_len > cfg.steps:
-            break
-        check = block_law_check(cfg.machine(), run.trace.outputs, block_len)
+    for block_len, counts in zip(block_lens, tallies):
+        check = block_law_check(law, None, block_len, counts=counts)
         all_ok = all_ok and check.passed
         for code in range(2 ** block_len):
             rows.append({"L": block_len, "block": format(code, f"0{block_len}b"),

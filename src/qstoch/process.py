@@ -17,6 +17,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,7 @@ MERGE_TOL = 1e-12   # |1 - p_right - p_left| below this collapses the two states
 
 MAX_BLOCK_LEN = 12
 MAX_HALF_WINDOW = 6
-_DRAW_BLOCK = 1 << 16     # uniforms per block in _sample_path
+_DRAW_BLOCK = 1 << 16     # uniforms per block in _sample_blocks
 
 
 class ReducibleChainError(ValueError):
@@ -279,15 +280,17 @@ def excess_entropy(machine: CausalMachine, half_window: int) -> float:
     return max(2.0 * h_half - h_full, 0.0)
 
 
-def _sample_path(p1: tuple[float, float], n: int, rng: np.random.Generator,
-                 w0: float | None = None, start: int | None = None,
-                 burn_in: int = 0) -> np.ndarray:
-    """Int8 state path of the chain that emits 1 from state s w.p. p1[s].
+def _sample_blocks(p1: tuple[float, float], n: int, rng: np.random.Generator,
+                   w0: float | None = None, start: int | None = None,
+                   burn_in: int = 0) -> Iterator[tuple[int, np.ndarray]]:
+    """The chain that emits 1 from state s w.p. p1[s], block by block.
 
     A start not forced is drawn with one uniform (0 iff below w0); each step
     emits 1 iff its uniform is below p1[state], and that bit is the next
-    state.  Returns the state entering the first kept step, then n bits.
-    Uniforms come in fixed-size blocks: same stream, bounded temporaries.
+    state.  Uniforms come in _DRAW_BLOCK blocks, and each block yields (the
+    state entering its first kept step, its kept int8 bits): the n kept
+    steps arrive in order, burn-in steps are drawn but never yielded, and
+    nothing of length n is built.
 
     Each step maps {0, 1} -> {0, 1} by a constant, the identity or negation,
     so a block resolves as a prefix scan over those maps: a uniform outside
@@ -299,8 +302,6 @@ def _sample_path(p1: tuple[float, float], n: int, rng: np.random.Generator,
     lo, hi = min(p1), max(p1)
     flips = p1[0] > p1[1]
     steps = burn_in + n
-    path = np.empty(steps + 1, dtype=np.int8)
-    path[0] = state
     for first in range(0, steps, _DRAW_BLOCK):
         u = rng.random(min(_DRAW_BLOCK, steps - first))
         m = u.shape[0]
@@ -313,19 +314,20 @@ def _sample_path(p1: tuple[float, float], n: int, rng: np.random.Generator,
         last = np.arange(1, m + 1, dtype=np.int32)
         last *= reset
         np.maximum.accumulate(last, out=last)
-        bits = path[first + 1:first + 1 + m]
         if flips:
             # the flips since that step are the parity difference of the
             # prefix flip counts; reset steps carry no flip
             parity = np.zeros(m + 1, dtype=np.int8)
             np.logical_not(reset, out=parity[1:])
             np.bitwise_xor.accumulate(parity, out=parity)
-            np.bitwise_xor(values[last], parity[1:], out=bits)
+            bits = np.bitwise_xor(values[last], parity[1:])
             bits ^= parity[last]
         else:
-            np.take(values, last, out=bits)
+            bits = values[last]
+        skip = max(burn_in - first, 0)
+        if skip < m:
+            yield (state if skip == 0 else int(bits[skip - 1])), bits[skip:]
         state = int(bits[-1])
-    return path[burn_in:]
 
 
 def sample_sequence(machine: CausalMachine, n: int, seed: int,
@@ -346,6 +348,7 @@ def sample_sequence(machine: CausalMachine, n: int, seed: int,
         w0, _ = stationary_distribution(machine)
     elif start not in (0, 1):
         raise ValueError(f"start state must be 0 or 1, got {start!r}")
-    path = _sample_path((machine.p_right, 1.0 - machine.p_left), n, make_rng(seed),
-                        w0=w0, start=start, burn_in=burn_in)
-    return Trace(outputs=path[1:], states=path[1:].copy(), seed=int(seed))
+    blocks = _sample_blocks((machine.p_right, 1.0 - machine.p_left), n, make_rng(seed),
+                            w0=w0, start=start, burn_in=burn_in)
+    outputs = np.concatenate([bits for _, bits in blocks])
+    return Trace(outputs=outputs, states=outputs, seed=int(seed))

@@ -9,6 +9,7 @@ plain multinomial values; an n-sigma test then keeps its nominal meaning.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,27 +35,49 @@ class BlockLawCheck:
     passed: bool
 
 
-def disjoint_block_counts(outputs: np.ndarray, block_len: int) -> np.ndarray:
+def disjoint_block_counts(outputs, block_len: int) -> np.ndarray:
     """Counts of the 2**L possible blocks over consecutive disjoint windows.
 
-    Windows are coded (first bit most significant) and counted a fixed-size
-    chunk at a time, so temporaries stay bounded however long the trace.
+    outputs is a bit array, or an iterable of bit arrays read in order as
+    one trace (see stream_block_counts); a plain array is the one-chunk case.
     """
-    if not (1 <= block_len <= MAX_BLOCK_LEN):
-        raise ValueError(f"block length must be in [1, {MAX_BLOCK_LEN}], got {block_len!r}")
-    bits = np.asarray(outputs)
-    n_blocks = bits.shape[0] // block_len
-    if n_blocks == 0:
-        raise ValueError(f"trace too short for blocks of length {block_len}")
-    windows = bits[: n_blocks * block_len].reshape(n_blocks, block_len)
-    counts = np.zeros(2 ** block_len, dtype=np.int64)
-    for first in range(0, n_blocks, _COUNT_CHUNK):
-        chunk = windows[first:first + _COUNT_CHUNK]
-        codes = np.zeros(chunk.shape[0], dtype=np.uint16)     # L <= MAX_BLOCK_LEN fits
-        for column in chunk.T:
-            codes <<= 1
-            codes |= column.astype(np.uint16)
-        counts += np.bincount(codes, minlength=2 ** block_len)
+    chunks = (outputs,) if isinstance(outputs, np.ndarray) else outputs
+    counts, = stream_block_counts(chunks, (block_len,))
+    return counts
+
+
+def stream_block_counts(chunks: Iterable, block_lens: Sequence[int]) -> list[np.ndarray]:
+    """Disjoint-window block counts at several lengths, in one pass over a
+    trace that arrives in chunks.
+
+    A window cut by a chunk boundary is completed from the next chunk: the
+    bits after a chunk's last whole window (fewer than L) are carried over,
+    so the counts are those of the concatenated trace.  Windows are coded
+    (first bit most significant) and counted a fixed-size chunk at a time,
+    so temporaries stay bounded however long the trace.
+    """
+    for block_len in block_lens:
+        if not (1 <= block_len <= MAX_BLOCK_LEN):
+            raise ValueError(f"block length must be in [1, {MAX_BLOCK_LEN}], got {block_len!r}")
+    counts = [np.zeros(2 ** block_len, dtype=np.int64) for block_len in block_lens]
+    carries = [np.empty(0, dtype=np.int8) for _ in block_lens]
+    for chunk in chunks:
+        chunk = np.asarray(chunk).reshape(-1)
+        for i, block_len in enumerate(block_lens):
+            bits = np.concatenate([carries[i], chunk]) if carries[i].size else chunk
+            n_blocks = bits.shape[0] // block_len
+            windows = bits[: n_blocks * block_len].reshape(n_blocks, block_len)
+            for first in range(0, n_blocks, _COUNT_CHUNK):
+                part = windows[first:first + _COUNT_CHUNK]
+                codes = np.zeros(part.shape[0], dtype=np.uint16)    # L <= MAX_BLOCK_LEN fits
+                for column in part.T:
+                    codes <<= 1
+                    codes |= column.astype(np.uint16)
+                counts[i] += np.bincount(codes, minlength=2 ** block_len)
+            carries[i] = bits[n_blocks * block_len:].copy()
+    for block_len, tally in zip(block_lens, counts):
+        if tally.sum() == 0:
+            raise ValueError(f"trace too short for blocks of length {block_len}")
     return counts
 
 
@@ -106,10 +129,19 @@ def block_count_sigma(machine: CausalMachine, block_len: int, n_blocks: int) -> 
     return np.sqrt(np.maximum(var, 0.0))
 
 
-def block_law_check(machine: CausalMachine, outputs: np.ndarray, block_len: int,
-                    n_sigma: float = 4.0) -> BlockLawCheck:
-    """n-sigma per-cell test of empirical disjoint-block counts vs the exact law."""
-    counts = disjoint_block_counts(outputs, block_len)
+def block_law_check(machine: CausalMachine, outputs, block_len: int,
+                    n_sigma: float = 4.0, *, counts: np.ndarray | None = None) -> BlockLawCheck:
+    """n-sigma per-cell test of empirical disjoint-block counts vs the exact law.
+
+    The counts are those of outputs (a bit array or an iterable of chunks,
+    as for disjoint_block_counts), unless they are passed already tallied,
+    e.g. by one stream_block_counts pass over several lengths; outputs is
+    then not read.
+    """
+    if counts is None:
+        counts = disjoint_block_counts(outputs, block_len)
+    elif np.shape(counts) != (2 ** block_len,):
+        raise ValueError(f"need 2**{block_len} block counts, got shape {np.shape(counts)}")
     m = int(counts.sum())
     probs = block_distribution(machine, block_len)
     sigma = block_count_sigma(machine, block_len, m)

@@ -59,9 +59,8 @@ class TomographyResult:
 def ensemble_density(ensemble) -> DensityMatrix:
     """Average state of an ensemble of prepared kets.
 
-    Accepts a DensityMatrix (returned as is), a single Ket, an (n, 2) array
-    of ket amplitudes with equal weights, a sequence of Kets, or a sequence
-    of (weight, Ket) pairs.
+    Accepts a DensityMatrix (returned as is), a single Ket, a sequence of
+    Kets with equal weights, or a sequence of (weight, Ket) pairs.
     """
     if isinstance(ensemble, DensityMatrix):
         if ensemble.dim != 2:
@@ -69,13 +68,6 @@ def ensemble_density(ensemble) -> DensityMatrix:
         return ensemble
     if isinstance(ensemble, Ket):
         return ensemble.projector()
-    if isinstance(ensemble, np.ndarray):
-        if ensemble.ndim != 2 or ensemble.shape[1] != 2 or ensemble.shape[0] == 0:
-            raise ValueError(f"ket array must have shape (n, 2), got {ensemble.shape}")
-        rho = np.einsum("ni,nj->ij", ensemble, ensemble.conj()) / ensemble.shape[0]
-        rho = 0.5 * (rho + rho.conj().T)
-        rho /= np.trace(rho).real      # shave accumulation error over large ensembles
-        return DensityMatrix(rho)
     members = list(ensemble)
     if not members:
         raise ValueError("ensemble is empty")

@@ -1,6 +1,8 @@
 """Step circuits: measurement collapse, stepping, noise, calibration, traces."""
 
 import itertools
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,9 +22,12 @@ from qstoch.circuit import (
     noisy_bell_average,
     quantum_step,
     run_trace,
+    sampled_machine,
     to_mixing_rate,
+    trace_blocks,
     _quantum_emission_probs,
 )
+from qstoch.cli import main
 from qstoch.process import CausalMachine, stationary_distribution
 from qstoch.qmath import DensityMatrix, Ket, fidelity, tensor, trace_distance
 from qstoch.qmodel import construct_cu, quantum_causal_states
@@ -232,36 +237,40 @@ class TestCalibrateNoise:
         assert all(b < a for a, b in zip(values, values[1:]))
 
 
+def trace_outputs(*args, **kwargs):
+    """The whole output trace of a run, concatenated from trace_blocks."""
+    return np.concatenate([bits for _, bits in trace_blocks(*args, **kwargs)])
+
+
 class TestRunTrace:
     def test_seed_determinism(self):
         machine = CausalMachine(0.9, 0.3)
         a = run_trace(machine, "quantum", 2000, seed=71)
         b = run_trace(machine, "quantum", 2000, seed=71)
-        assert np.array_equal(a.trace.outputs, b.trace.outputs)
+        assert np.array_equal(trace_outputs(machine, "quantum", 2000, seed=71),
+                              trace_outputs(machine, "quantum", 2000, seed=71))
         assert a.ones == b.ones
         for ket_a, ket_b in zip(a.kets, b.kets):
             assert np.array_equal(ket_a.amplitudes, ket_b.amplitudes)
 
     def test_quantum_two_block_law(self):
         machine = CausalMachine(0.8, 0.8)
-        run = run_trace(machine, "quantum", 100_000, seed=72)
-        assert block_law_check(machine, run.trace.outputs, 2).passed
+        outputs = trace_outputs(machine, "quantum", 100_000, seed=72)
+        assert block_law_check(machine, outputs, 2).passed
 
     def test_classical_matches_quantum_blocks(self):
         machine = CausalMachine(0.8, 0.8)
-        qu = run_trace(machine, "quantum", 100_000, seed=73)
-        cl = run_trace(machine, "classical", 100_000, seed=74)
+        qu = trace_outputs(machine, "quantum", 100_000, seed=73)
+        cl = trace_outputs(machine, "classical", 100_000, seed=74)
         for block_len in range(1, 5):
-            assert two_sample_block_check(machine, qu.trace.outputs,
-                                          cl.trace.outputs, block_len)
+            assert two_sample_block_check(machine, qu, cl, block_len)
 
     def test_cnot_and_cu_statistics_agree(self):
         machine = CausalMachine(0.9, 0.3)
-        a = run_trace(machine, "quantum", 100_000, seed=75, gate="cnot")
-        b = run_trace(machine, "quantum", 100_000, seed=76, gate="cu")
+        a = trace_outputs(machine, "quantum", 100_000, seed=75, gate="cnot")
+        b = trace_outputs(machine, "quantum", 100_000, seed=76, gate="cu")
         for block_len in range(1, 5):
-            assert two_sample_block_check(machine, a.trace.outputs,
-                                          b.trace.outputs, block_len)
+            assert two_sample_block_check(machine, a, b, block_len)
 
     def test_noiseless_ensemble_holds_encoded_states(self):
         machine = CausalMachine(0.9, 0.3)
@@ -272,16 +281,18 @@ class TestRunTrace:
                 1.0, abs=1e-12)
         # encoded state of step j is the output bit of step j-1, and step 0
         # enters in the single start state
-        assert run.ones - int(run.trace.outputs[:-1].sum()) in (0, 1)
+        outputs = trace_outputs(machine, "quantum", 5000, seed=77)
+        assert run.ones - int(outputs[:-1].sum()) in (0, 1)
 
     @pytest.mark.parametrize("mode", ["classical", "quantum"])
     def test_density_equals_per_step_ket_average(self, mode):
         machine = CausalMachine(0.9, 0.3)
         run = run_trace(machine, mode, 20_000, seed=79)
+        blocks = list(trace_blocks(machine, mode, 20_000, seed=79))
+        outputs = np.concatenate([bits for _, bits in blocks])
         # rebuild the per-step ket array: step j enters in the state step
         # j - 1 emitted, step 0 in the start state
-        start = run.ones - int(run.trace.outputs[:-1].sum())
-        entering = np.concatenate([[start], run.trace.outputs[:-1]])
+        entering = np.concatenate([[blocks[0][0]], outputs[:-1]])
         kets = np.array([ket.amplitudes for ket in run.kets])[entering]
         reference = np.einsum("ni,nj->ij", kets, kets.conj()) / len(kets)
         np.testing.assert_allclose(run.density().entries, reference, rtol=0, atol=1e-12)
@@ -296,8 +307,8 @@ class TestRunTrace:
         for machine in (CausalMachine(0.8, 0.8), CausalMachine(0.9, 0.3)):
             tvs = []
             for n in (1_000, 100_000):
-                run = run_trace(machine, "quantum", n, seed=81)
-                check = block_law_check(machine, run.trace.outputs, 3)
+                outputs = trace_outputs(machine, "quantum", n, seed=81)
+                check = block_law_check(machine, outputs, 3)
                 assert check.passed
                 tvs.append(check.tv)
             # two decades of steps must shrink the empirical-law error
@@ -309,6 +320,13 @@ class TestRunTrace:
             run_trace(machine, "hybrid", 10, seed=1)
         with pytest.raises(ValueError):
             run_trace(machine, "quantum", 0, seed=1)
+        # the stream checks them when it is made, before any block is drawn
+        with pytest.raises(ValueError):
+            trace_blocks(machine, "hybrid", 10, seed=1)
+        with pytest.raises(ValueError):
+            trace_blocks(machine, "quantum", 10, seed=1, gate="cz")
+        with pytest.raises(ValueError):
+            trace_blocks(machine, "quantum", 0, seed=1)
 
     def test_noise_model_validated(self):
         with pytest.raises(ValueError):
@@ -319,6 +337,47 @@ class TestRunTrace:
         assert isinstance(run, RunResult)
         with pytest.raises(ValueError):
             run.kets[0].amplitudes[0] = 1.0
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes tracemalloc sees (numpy buffers included) while fn runs,
+    above what was already allocated when it started."""
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    """A run holds a few draw blocks of temporaries, never the trace: the
+    peak stays under a fixed bound and does not grow with the step count."""
+
+    BOUND = 3_000_000
+
+    @staticmethod
+    def run(n):
+        run_trace(CausalMachine(0.8, 0.8), "classical", n, seed=1)
+
+    @staticmethod
+    def simulate(n):
+        args = ["simulate", "--p", "0.8", "--mode", "classical", "--steps", str(n),
+                "--seed", "1", "--out", os.devnull]
+        assert main(args) == 0
+
+    @pytest.mark.parametrize("work", ["run", "simulate"])
+    def test_peak_is_flat_in_steps(self, work):
+        fn = getattr(self, work)
+        fn(10)      # one-time set-up (caches, first allocations) out of the way
+        short = traced_peak(lambda: fn(200_000))
+        long = traced_peak(lambda: fn(2_000_000))
+        assert long < self.BOUND
+        assert long <= short + 65_536
 
 
 ORACLE_MACHINES = [CausalMachine(0.9, 0.3), CausalMachine(0.8, 0.8), CausalMachine(0.3, 0.9)]
@@ -361,14 +420,16 @@ class TestTraceMatchesStepOracle:
     def test_quantum_pathwise(self, machine, gate):
         run = run_trace(machine, "quantum", 3000, seed=85, gate=gate)
         outputs, kets = step_oracle(machine, "quantum", gate, 3000, seed=85)
-        np.testing.assert_array_equal(run.trace.outputs, outputs)
+        np.testing.assert_array_equal(
+            trace_outputs(machine, "quantum", 3000, seed=85, gate=gate), outputs)
         assert_same_ensemble(run, kets)
 
     @pytest.mark.parametrize("machine", ORACLE_MACHINES, ids=ORACLE_IDS)
     def test_classical_pathwise(self, machine):
         run = run_trace(machine, "classical", 3000, seed=86)
         outputs, kets = step_oracle(machine, "classical", "cnot", 3000, seed=86)
-        np.testing.assert_array_equal(run.trace.outputs, outputs)
+        np.testing.assert_array_equal(trace_outputs(machine, "classical", 3000, seed=86),
+                                      outputs)
         assert_same_ensemble(run, kets)
 
     @pytest.mark.parametrize("gate", ["cnot", "cu"])
@@ -394,3 +455,16 @@ class TestTraceMatchesStepOracle:
         np.testing.assert_allclose(got, via_channel, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got, closed_form, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got, [0.884, 1 - 0.308], rtol=0, atol=1e-12)
+        sampled = sampled_machine(machine, "quantum", gate, NoiseModel(lam))
+        np.testing.assert_allclose([sampled.p_right, sampled.p_left], [0.884, 0.308],
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("mode,gate", [("classical", "cnot"), ("quantum", "cnot"),
+                                           ("quantum", "cu")])
+    @pytest.mark.parametrize("probs", [(0.9, 0.3), (1.0, 1e-12), (0.0, 1.0), (1.0, 1.0)])
+    def test_sampled_machine_without_noise_is_the_machine(self, probs, mode, gate):
+        # at (1, 1e-12) the cu circuit's P(1|0) rounds to 1 + 4e-16; the
+        # sampled machine stays a valid one
+        sampled = sampled_machine(CausalMachine(*probs), mode, gate)
+        np.testing.assert_allclose([sampled.p_right, sampled.p_left], probs,
+                                   rtol=0, atol=1e-12)

@@ -162,6 +162,19 @@ class TestSimulate:
             code, _ = run_cli(args, tmp_path, f"seed{seed}.csv")
             assert code == 0
 
+    @pytest.mark.parametrize("gate", ["cnot", "cu"])
+    def test_noisy_trace_checked_against_sampled_chain(self, tmp_path, gate):
+        # gate noise moves the chain to the channel-averaged machine
+        # (0.884, 0.308); the check uses that law, not the noiseless one
+        args = ["simulate", "--p-right", "0.9", "--p-left", "0.3", "--mode", "quantum",
+                "--gate", gate, "--lambda", "0.0375", "--steps", "100000", "--seed", "42"]
+        code, payload = run_cli(args, tmp_path, f"noisy_{gate}.csv")
+        assert code == 0
+        _, rows = parse_csv(payload)
+        assert all(row["ok"] == "1" for row in rows)
+        assert [float(row["prob"]) for row in rows if row["L"] == "1"] == pytest.approx(
+            [0.308 / 1.192, 0.884 / 1.192], abs=1e-5)
+
     def test_conflicting_probability_flags(self, tmp_path):
         code = main(["simulate", "--p", "0.5", "--p-right", "0.4",
                      "--p-left", "0.4", "--out", str(tmp_path / "x.csv")])

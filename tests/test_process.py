@@ -25,7 +25,7 @@ from qstoch.process import (
     two_switch_stationary,
     two_switch_step,
     _DRAW_BLOCK,
-    _sample_path,
+    _sample_blocks,
 )
 from qstoch.seeding import make_rng
 
@@ -323,8 +323,20 @@ class TestSampleSequence:
             Trace(outputs=np.array([0, 1]), states=np.array([1, 1]), seed=0)
 
 
+def scan_path(p1, n, rng, **kwargs):
+    """_sample_blocks concatenated into the path step_loop_path returns: the
+    state entering the first kept step, then the n bits.  Every block but
+    the last holds at most _DRAW_BLOCK steps and enters in the state the
+    block before it left."""
+    blocks = list(_sample_blocks(p1, n, rng, **kwargs))
+    for (_, before), (entering, bits) in zip(blocks, blocks[1:]):
+        assert entering == before[-1]
+    assert all(0 < len(bits) <= _DRAW_BLOCK for _, bits in blocks)
+    return np.concatenate([[blocks[0][0]], *(bits for _, bits in blocks)]).astype(np.int8)
+
+
 def step_loop_path(p1, n, rng, w0=None, start=None, burn_in=0):
-    """Per-step reference for _sample_path on the same stream layout: one
+    """Per-step reference for _sample_blocks on the same stream layout: one
     start uniform unless forced, then uniforms in _DRAW_BLOCK blocks, and a
     step enters state 1 iff its uniform is below p1[state]."""
     state = start if start is not None else (0 if rng.random() < w0 else 1)
@@ -352,7 +364,7 @@ class TestSamplePathScan:
         # p1 = (P(1|0), P(1|1)); a tie makes both states emit alike
         p1 = (p_right, p_right if tie else 1.0 - p_left)
         kwargs = dict(w0=w0, start=start, burn_in=burn_in)
-        got = _sample_path(p1, n, make_rng(seed), **kwargs)
+        got = scan_path(p1, n, make_rng(seed), **kwargs)
         want = step_loop_path(p1, n, make_rng(seed), **kwargs)
         np.testing.assert_array_equal(got, want)
 
@@ -360,8 +372,15 @@ class TestSamplePathScan:
                                     (0.4, 0.4)])
     @pytest.mark.parametrize("n", [1, 7])
     def test_short_paths(self, p1, n):
-        got = _sample_path(p1, n, make_rng(12), w0=0.5)
+        got = scan_path(p1, n, make_rng(12), w0=0.5)
         np.testing.assert_array_equal(got, step_loop_path(p1, n, make_rng(12), w0=0.5))
+
+    def test_burn_in_past_a_block(self):
+        # the whole first block is drawn and burnt; the next one starts the path
+        p1 = (0.9, 0.7)
+        kwargs = dict(w0=0.5, burn_in=_DRAW_BLOCK + 2)
+        np.testing.assert_array_equal(scan_path(p1, 5, make_rng(14), **kwargs),
+                                      step_loop_path(p1, 5, make_rng(14), **kwargs))
 
 
 class TestSwitchConfig:

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from qstoch.circuit import _quantum_emission_probs
 from qstoch.process import CausalMachine, classical_complexity, excess_entropy
 from qstoch.qmodel import (
     construct_cu,
@@ -205,3 +208,41 @@ class TestConstructCu:
     def test_unknown_control_rejected(self):
         with pytest.raises(ValueError):
             construct_cu(CausalMachine(0.9, 0.3), control="both")
+
+
+PROB = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+EDGES = [(1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (0.5, 0.5)]
+
+
+def with_edges(test):
+    for probs in EDGES:
+        test = example(p_right=probs[0], p_left=probs[1])(test)
+    return test
+
+
+class TestProperties:
+    """Over random (p_right, p_left), (0, 0) excluded: it has no unique
+    stationary law."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(p_right=PROB, p_left=PROB)
+    @with_edges
+    def test_information_sandwich(self, p_right, p_left):
+        assume((p_right, p_left) != (0.0, 0.0))
+        machine = CausalMachine(p_right, p_left)
+        cq = quantum_complexity(machine)
+        for half in range(1, 7):
+            assert excess_entropy(machine, half) <= cq + 1e-9
+        assert cq + 1e-9 <= classical_complexity(machine) + 2e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(p_right=PROB, p_left=PROB)
+    @with_edges
+    def test_cu_synthesis_is_exact(self, p_right, p_left):
+        assume((p_right, p_left) != (0.0, 0.0))
+        machine = CausalMachine(p_right, p_left)
+        cu = construct_cu(machine).cu.entries
+        np.testing.assert_allclose(cu @ cu.conj().T, np.eye(4), rtol=0, atol=1e-12)
+        # the cu step circuit emits with the machine's own law
+        got = _quantum_emission_probs(quantum_causal_states(machine), "cu", 0.0)
+        np.testing.assert_allclose(got, [p_right, 1.0 - p_left], rtol=0, atol=1e-12)

@@ -9,6 +9,7 @@ from qstoch.stats import (
     block_law_check,
     conditional_block_probs,
     disjoint_block_counts,
+    stream_block_counts,
     two_sample_block_check,
 )
 
@@ -28,6 +29,23 @@ class TestDisjointBlockCounts:
         codes = windows @ (1 << np.arange(block_len - 1, -1, -1))
         np.testing.assert_array_equal(disjoint_block_counts(outputs, block_len),
                                       np.bincount(codes, minlength=2 ** block_len))
+
+    @pytest.mark.parametrize("block_len", range(1, 13))
+    def test_chunked_equals_whole(self, block_len):
+        # chunk sizes that are not multiples of L, so windows straddle chunk
+        # boundaries, plus chunks shorter than L and an empty one
+        outputs = np.random.default_rng(6).integers(0, 2, 200_003).astype(np.int8)
+        cuts = np.cumsum([1, 0, 11, 65_537, 3, 7_919, 65_536, 5])
+        chunks = np.split(outputs, cuts)
+        np.testing.assert_array_equal(disjoint_block_counts(iter(chunks), block_len),
+                                      disjoint_block_counts(outputs, block_len))
+
+    def test_one_pass_over_several_lengths(self):
+        outputs = np.random.default_rng(7).integers(0, 2, 100_001).astype(np.int8)
+        lengths = (1, 2, 3, 4)
+        got = stream_block_counts(iter(np.array_split(outputs, 7)), lengths)
+        for block_len, counts in zip(lengths, got):
+            np.testing.assert_array_equal(counts, disjoint_block_counts(outputs, block_len))
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
@@ -112,6 +130,17 @@ class TestChecks:
         check = block_law_check(machine, other.outputs, 2)
         assert not check.passed
         assert check.tv > check.tv_bound
+
+    def test_check_from_tallied_counts(self):
+        machine = CausalMachine(0.9, 0.3)
+        trace = sample_sequence(machine, 30_000, seed=5)
+        counts = disjoint_block_counts(trace.outputs, 3)
+        from_trace = block_law_check(machine, trace.outputs, 3)
+        from_counts = block_law_check(machine, None, 3, counts=counts)
+        assert (from_counts.tv, from_counts.passed) == (from_trace.tv, from_trace.passed)
+        np.testing.assert_array_equal(from_counts.counts, from_trace.counts)
+        with pytest.raises(ValueError):
+            block_law_check(machine, None, 2, counts=counts)
 
     def test_check_fields_consistent(self):
         machine = CausalMachine(0.9, 0.3)

@@ -64,11 +64,6 @@ class TestSimulateCounts:
         np.testing.assert_allclose(rho.entries,
                                    steady_state_rho(model).entries, atol=1e-12)
 
-    def test_ket_array_form(self):
-        kets = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
-        rho = ensemble_density(kets)
-        np.testing.assert_allclose(rho.entries, np.eye(2) / 2, atol=1e-15)
-
 
 class TestReconstructRho:
     def test_balanced_counts_give_maximally_mixed(self):
