@@ -19,14 +19,12 @@ from .process import (
     IidMachine,
     ReducibleChainError,
     SwitchConfig,
-    Trace,
     block_distribution,
     classical_complexity,
     excess_entropy,
     merge_equivalent_states,
     naive_switch_entropy,
     reduce_to_causal_machine,
-    sample_sequence,
     stationary_distribution,
     two_switch_block_distribution,
     two_switch_step,

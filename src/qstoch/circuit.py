@@ -57,7 +57,6 @@ class CircuitState:
     """
 
     joint: Ket
-    step_index: int = 0
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,7 @@ def measure_qubit(state: CircuitState, which: str,
     kept = branches[outcome]
     norm = np.sqrt(np.real(np.vdot(kept, kept)))
     assert norm > 0.0, "Born rule selected a zero-norm branch"
-    return outcome, CircuitState(joint=Ket(kept / norm), step_index=state.step_index)
+    return outcome, CircuitState(joint=Ket(kept / norm))
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +206,7 @@ def apply_noise(state: CircuitState, noise: NoiseModel,
     psi = _apply_noise_raw(state.joint.amplitudes, noise.lam, rng)
     if psi is state.joint.amplitudes:
         return state
-    return CircuitState(joint=Ket(psi), step_index=state.step_index)
+    return CircuitState(joint=Ket(psi))
 
 
 # ---------------------------------------------------------------------------

@@ -220,7 +220,7 @@ def cmd_simulate(args) -> int:
     rows = []
     all_ok = True
     for block_len, counts in zip(block_lens, tallies):
-        check = block_law_check(law, None, block_len, counts=counts)
+        check = block_law_check(law, counts)
         all_ok = all_ok and check.passed
         for code in range(2 ** block_len):
             rows.append({"L": block_len, "block": format(code, f"0{block_len}b"),

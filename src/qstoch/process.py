@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qmath import shannon_entropy
-from .seeding import make_rng
 
 MERGE_TOL = 1e-12   # |1 - p_right - p_left| below this collapses the two states
 
@@ -91,31 +90,6 @@ class IidMachine:
 
     def __post_init__(self):
         _check_prob(self.p_one, "p_one")
-
-
-@dataclass(frozen=True)
-class Trace:
-    """Emitted bits plus the per-step memory-state record of one run."""
-
-    outputs: np.ndarray
-    states: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        out = np.asarray(self.outputs, dtype=np.int8)
-        st = np.asarray(self.states, dtype=np.int8)
-        if out.shape != st.shape or out.ndim != 1:
-            raise ValueError("outputs and states must be 1-d arrays of equal length")
-        # emission convention: every output bit is the destination causal state
-        if not np.array_equal(out, st):
-            raise ValueError("trace violates the emission rule (outputs != states)")
-        out.setflags(write=False)
-        st.setflags(write=False)
-        object.__setattr__(self, "outputs", out)
-        object.__setattr__(self, "states", st)
-
-    def __len__(self) -> int:
-        return self.outputs.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +220,24 @@ def classical_complexity(machine: CausalMachine | IidMachine) -> float:
     return shannon_entropy(stationary_distribution(minimal))
 
 
+def _block_tree(first: np.ndarray, t: np.ndarray, block_len: int) -> np.ndarray:
+    """Grow the law of the first bit (axis 0) into the law of 2**L blocks.
+
+    Each further bit multiplies a block's probability by the transition out
+    of the block's last bit, which is the current state; trailing axes (a
+    start state, say) ride along.
+    """
+    probs = first
+    for size in (2 ** k for k in range(1, block_len)):
+        last_bit = np.arange(size) & 1                      # = current state
+        step = t[last_bit].reshape((size, 2) + (1,) * (probs.ndim - 1))
+        nxt = np.empty((size * 2,) + probs.shape[1:])
+        nxt[0::2] = probs * step[:, 0]
+        nxt[1::2] = probs * step[:, 1]
+        probs = nxt
+    return probs
+
+
 def block_distribution(machine: CausalMachine, block_len: int) -> np.ndarray:
     """Exact law of length-L output blocks from a stationary start.
 
@@ -257,14 +249,13 @@ def block_distribution(machine: CausalMachine, block_len: int) -> np.ndarray:
         raise ValueError(f"block length must be in [1, {MAX_BLOCK_LEN}], got {block_len!r}")
     t = machine.transition_matrix()
     w = np.array(stationary_distribution(machine))
-    probs = w @ t                                           # law of the first bit
-    for size in (2 ** k for k in range(1, block_len)):
-        last_bit = np.arange(size) & 1                      # = current state
-        nxt = np.empty(size * 2)
-        nxt[0::2] = probs * t[last_bit, 0]
-        nxt[1::2] = probs * t[last_bit, 1]
-        probs = nxt
-    return probs
+    return _block_tree(w @ t, t, block_len)                 # w @ t: law of the first bit
+
+
+def conditional_block_probs(machine: CausalMachine, block_len: int) -> np.ndarray:
+    """cond[b, s] = probability of emitting block b from current state s."""
+    t = machine.transition_matrix()
+    return _block_tree(t.T, t, block_len)
 
 
 def excess_entropy(machine: CausalMachine, half_window: int) -> float:
@@ -281,16 +272,14 @@ def excess_entropy(machine: CausalMachine, half_window: int) -> float:
 
 
 def _sample_blocks(p1: tuple[float, float], n: int, rng: np.random.Generator,
-                   w0: float | None = None, start: int | None = None,
-                   burn_in: int = 0) -> Iterator[tuple[int, np.ndarray]]:
+                   w0: float) -> Iterator[tuple[int, np.ndarray]]:
     """The chain that emits 1 from state s w.p. p1[s], block by block.
 
-    A start not forced is drawn with one uniform (0 iff below w0); each step
+    The start state is drawn with one uniform (0 iff below w0); each step
     emits 1 iff its uniform is below p1[state], and that bit is the next
     state.  Uniforms come in _DRAW_BLOCK blocks, and each block yields (the
-    state entering its first kept step, its kept int8 bits): the n kept
-    steps arrive in order, burn-in steps are drawn but never yielded, and
-    nothing of length n is built.
+    state entering its first step, its int8 bits): the n steps arrive in
+    order and nothing of length n is built.
 
     Each step maps {0, 1} -> {0, 1} by a constant, the identity or negation,
     so a block resolves as a prefix scan over those maps: a uniform outside
@@ -298,12 +287,11 @@ def _sample_blocks(p1: tuple[float, float], n: int, rng: np.random.Generator,
     (u < lo) whatever it was; inside, the state stays (p1[0] < p1[1]) or
     flips (p1[0] > p1[1]).
     """
-    state = start if start is not None else (0 if rng.random() < w0 else 1)
+    state = 0 if rng.random() < w0 else 1
     lo, hi = min(p1), max(p1)
     flips = p1[0] > p1[1]
-    steps = burn_in + n
-    for first in range(0, steps, _DRAW_BLOCK):
-        u = rng.random(min(_DRAW_BLOCK, steps - first))
+    for first in range(0, n, _DRAW_BLOCK):
+        u = rng.random(min(_DRAW_BLOCK, n - first))
         m = u.shape[0]
         reset = (u < lo) | (u >= hi)
         # values[j] is the state set by step j (values[0]: the carried state);
@@ -324,31 +312,6 @@ def _sample_blocks(p1: tuple[float, float], n: int, rng: np.random.Generator,
             bits ^= parity[last]
         else:
             bits = values[last]
-        skip = max(burn_in - first, 0)
-        if skip < m:
-            yield (state if skip == 0 else int(bits[skip - 1])), bits[skip:]
+        yield state, bits
         state = int(bits[-1])
 
-
-def sample_sequence(machine: CausalMachine, n: int, seed: int,
-                    start: int | None = None, burn_in: int = 0) -> Trace:
-    """Sample an n-step output trace, reproducible for a fixed seed.
-
-    The initial state is drawn from the stationary distribution unless a
-    start state is forced (needed e.g. for reducible parameter choices).
-    burn_in extra steps may be discarded first; the default relies on the
-    exact stationary draw instead.
-    """
-    if n < 1:
-        raise ValueError(f"sequence length must be >= 1, got {n!r}")
-    if burn_in < 0:
-        raise ValueError(f"burn_in must be >= 0, got {burn_in!r}")
-    w0 = None
-    if start is None:
-        w0, _ = stationary_distribution(machine)
-    elif start not in (0, 1):
-        raise ValueError(f"start state must be 0 or 1, got {start!r}")
-    blocks = _sample_blocks((machine.p_right, 1.0 - machine.p_left), n, make_rng(seed),
-                            w0=w0, start=start, burn_in=burn_in)
-    outputs = np.concatenate([bits for _, bits in blocks])
-    return Trace(outputs=outputs, states=outputs, seed=int(seed))

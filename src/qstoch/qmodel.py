@@ -77,19 +77,16 @@ def _bloch_angle(ket: Ket) -> float:
 
 
 @lru_cache(maxsize=None)
-def construct_cu(machine: CausalMachine, control: str = "model") -> StepGates:
+def construct_cu(machine: CausalMachine) -> StepGates:
     """Synthesize (v, u, cu) with u = v X v-dagger and u ket0 = ket1.
 
     For real-amplitude kets at polar angles a0, a1, the rotation angle
     theta = (a0 + a1 - pi) / 2 makes u the reflection exchanging them; the
     smallest non-negative exact solution is returned (it lies in [0, pi)
     whenever p_right >= p_left).  In the symmetric case theta = 0, so v is
-    the identity and u the plain bit flip.  By default the model qubit
-    (first tensor factor) controls and the meter is the target; pass
-    control="meter" to swap the assignment.
+    the identity and u the plain bit flip.  The model qubit (first tensor
+    factor) controls and the meter is the target.
     """
-    if control not in ("model", "meter"):
-        raise ValueError(f"control must be 'model' or 'meter', got {control!r}")
     model = quantum_causal_states(machine)
     theta = (_bloch_angle(model.ket0) + _bloch_angle(model.ket1) - np.pi) / 2.0
     theta %= 2.0 * np.pi
@@ -105,9 +102,5 @@ def construct_cu(machine: CausalMachine, control: str = "model") -> StepGates:
 
     proj0 = np.diag([1.0, 0.0]).astype(complex)
     proj1 = np.diag([0.0, 1.0]).astype(complex)
-    eye = np.eye(2, dtype=complex)
-    if control == "model":
-        cu = np.kron(proj0, eye) + np.kron(proj1, u)
-    else:
-        cu = np.kron(eye, proj0) + np.kron(u, proj1)
+    cu = np.kron(proj0, np.eye(2, dtype=complex)) + np.kron(proj1, u)
     return StepGates(v=v, u=Unitary(u), cu=Unitary(cu))

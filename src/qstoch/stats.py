@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .process import MAX_BLOCK_LEN, CausalMachine, block_distribution
+from .process import MAX_BLOCK_LEN, CausalMachine, block_distribution, conditional_block_probs
 
 _COUNT_CHUNK = 1 << 16    # windows coded and counted at a time
 
@@ -35,14 +35,10 @@ class BlockLawCheck:
     passed: bool
 
 
-def disjoint_block_counts(outputs, block_len: int) -> np.ndarray:
-    """Counts of the 2**L possible blocks over consecutive disjoint windows.
-
-    outputs is a bit array, or an iterable of bit arrays read in order as
-    one trace (see stream_block_counts); a plain array is the one-chunk case.
-    """
-    chunks = (outputs,) if isinstance(outputs, np.ndarray) else outputs
-    counts, = stream_block_counts(chunks, (block_len,))
+def disjoint_block_counts(outputs: np.ndarray, block_len: int) -> np.ndarray:
+    """Counts of the 2**L possible blocks over consecutive disjoint windows
+    of a bit array; a trace in chunks goes to stream_block_counts."""
+    counts, = stream_block_counts((outputs,), (block_len,))
     return counts
 
 
@@ -81,21 +77,6 @@ def stream_block_counts(chunks: Iterable, block_lens: Sequence[int]) -> list[np.
     return counts
 
 
-def conditional_block_probs(machine: CausalMachine, block_len: int) -> np.ndarray:
-    """cond[b, s] = probability of emitting block b from current state s."""
-    t = machine.transition_matrix()
-    cond = t.T.copy()
-    size = 2
-    for _ in range(block_len - 1):
-        last = np.arange(size) & 1
-        nxt = np.empty((size * 2, 2))
-        nxt[0::2] = cond * t[last, 0][:, np.newaxis]
-        nxt[1::2] = cond * t[last, 1][:, np.newaxis]
-        cond = nxt
-        size *= 2
-    return cond
-
-
 def _lag_weight_sum(m: int, r: float) -> float:
     """sum_{k=1}^{m-1} (m - k) r^(k-1), for r in [-1, 1].
 
@@ -129,20 +110,22 @@ def block_count_sigma(machine: CausalMachine, block_len: int, n_blocks: int) -> 
     return np.sqrt(np.maximum(var, 0.0))
 
 
-def block_law_check(machine: CausalMachine, outputs, block_len: int,
-                    n_sigma: float = 4.0, *, counts: np.ndarray | None = None) -> BlockLawCheck:
-    """n-sigma per-cell test of empirical disjoint-block counts vs the exact law.
+def block_law_check(machine: CausalMachine, counts: np.ndarray,
+                    n_sigma: float = 4.0) -> BlockLawCheck:
+    """n-sigma per-cell test of disjoint-block counts vs the exact law.
 
-    The counts are those of outputs (a bit array or an iterable of chunks,
-    as for disjoint_block_counts), unless they are passed already tallied,
-    e.g. by one stream_block_counts pass over several lengths; outputs is
-    then not read.
+    counts holds the tallies of all 2**L blocks (disjoint_block_counts, or
+    stream_block_counts for several lengths at once); L is read off its size.
     """
-    if counts is None:
-        counts = disjoint_block_counts(outputs, block_len)
-    elif np.shape(counts) != (2 ** block_len,):
-        raise ValueError(f"need 2**{block_len} block counts, got shape {np.shape(counts)}")
+    counts = np.asarray(counts)
+    block_len = counts.size.bit_length() - 1
+    if (counts.ndim != 1 or not (1 <= block_len <= MAX_BLOCK_LEN)
+            or counts.size != 2 ** block_len):
+        raise ValueError(f"need 2**L block counts with L in [1, {MAX_BLOCK_LEN}], "
+                         f"got shape {counts.shape}")
     m = int(counts.sum())
+    if m < 1:
+        raise ValueError("no blocks counted")
     probs = block_distribution(machine, block_len)
     sigma = block_count_sigma(machine, block_len, m)
     dev = np.abs(counts - m * probs)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmath
-from .qmath import DensityMatrix, Ket
+from .qmath import DensityMatrix
 
 MIN_BOOTSTRAP = 100
 
@@ -56,38 +56,26 @@ class TomographyResult:
             raise ValueError("entropy_std must be >= 0")
 
 
-def ensemble_density(ensemble) -> DensityMatrix:
-    """Average state of an ensemble of prepared kets.
-
-    Accepts a DensityMatrix (returned as is), a single Ket, a sequence of
-    Kets with equal weights, or a sequence of (weight, Ket) pairs.
-    """
-    if isinstance(ensemble, DensityMatrix):
-        if ensemble.dim != 2:
-            raise ValueError("tomography handles single-qubit states only")
-        return ensemble
-    if isinstance(ensemble, Ket):
-        return ensemble.projector()
-    members = list(ensemble)
-    if not members:
-        raise ValueError("ensemble is empty")
-    if isinstance(members[0], Ket):
-        weights = np.full(len(members), 1.0 / len(members))
-        return qmath.mixture(weights, members)
-    weights, kets = zip(*members)
-    return qmath.mixture(np.asarray(weights, dtype=float), kets)
+def ensemble_density(rho: DensityMatrix) -> DensityMatrix:
+    """The memory state tomography measures: a single-qubit DensityMatrix,
+    returned as is once checked (RunResult.density() gives a run's)."""
+    if not isinstance(rho, DensityMatrix):
+        raise TypeError(f"tomography takes a DensityMatrix, got {type(rho).__name__}")
+    if rho.dim != 2:
+        raise ValueError("tomography handles single-qubit states only")
+    return rho
 
 
-def simulate_counts(ensemble, shots_per_basis: int,
+def simulate_counts(rho: DensityMatrix, shots_per_basis: int,
                     rng: np.random.Generator) -> TomographyCounts:
-    """Binomial Pauli-basis counts at the ensemble's exact expectation values."""
+    """Binomial Pauli-basis counts at the state's exact expectation values."""
     if shots_per_basis < 1:
         raise ValueError("shots_per_basis must be >= 1")
-    rho = ensemble_density(ensemble).entries
+    m = ensemble_density(rho).entries
     expectations = (
-        2.0 * rho[0, 1].real,                    # X
-        -2.0 * rho[0, 1].imag,                   # Y
-        (rho[0, 0] - rho[1, 1]).real,            # Z
+        2.0 * m[0, 1].real,                      # X
+        -2.0 * m[0, 1].imag,                     # Y
+        (m[0, 0] - m[1, 1]).real,                # Z
     )
     pairs = []
     for r in expectations:
@@ -98,23 +86,25 @@ def simulate_counts(ensemble, shots_per_basis: int,
                             x=pairs[0], y=pairs[1], z=pairs[2])
 
 
-def reconstruct_rho(counts: TomographyCounts) -> DensityMatrix:
-    """Linear inversion with physicality projection.
+def _radius_entropy(radius):
+    """Entropy of a qubit of Bloch radius |r| <= 1: h((1 + |r|) / 2), with
+    the smaller eigenvalue zeroed below the threshold von_neumann_entropy
+    applies.  Elementwise over an array of radii."""
+    low = (1.0 - radius) / 2.0
+    low = np.where(low < qmath.EIG_ZERO, 0.0, low)
+    return -(low * np.log2(np.where(low > 0.0, low, 1.0)) + (1.0 - low) * np.log2(1.0 - low))
 
-    The Bloch vector r = (n+ - n-) / N is projected radially onto the unit
-    ball if sampling noise pushed it outside; eigenvalues are then clipped
-    to [0, 1] and renormalized.
-    """
+
+def reconstruct_rho(counts: TomographyCounts) -> DensityMatrix:
+    """Linear inversion with physicality projection: (I + r.sigma) / 2 for
+    the projected Bloch vector r, whose eigenvalues (1 +- |r|) / 2 lie in
+    [0, 1] once |r| <= 1."""
     r = counts.bloch_vector()
     radius = float(np.linalg.norm(r))
     if radius > 1.0:
         r = r / radius
-    rho = 0.5 * (np.eye(2, dtype=complex)
-                 + r[0] * qmath.PAULI_X + r[1] * qmath.PAULI_Y + r[2] * qmath.PAULI_Z)
-    vals, vecs = qmath.eig_hermitian(rho)
-    vals = np.clip(vals, 0.0, 1.0)
-    vals = vals / vals.sum()
-    return DensityMatrix((vecs * vals) @ vecs.conj().T)
+    return DensityMatrix(0.5 * (np.eye(2, dtype=complex) + r[0] * qmath.PAULI_X
+                                + r[1] * qmath.PAULI_Y + r[2] * qmath.PAULI_Z))
 
 
 def entropy_with_error(counts: TomographyCounts, rng: np.random.Generator,
@@ -123,23 +113,19 @@ def entropy_with_error(counts: TomographyCounts, rng: np.random.Generator,
 
     Counts are resampled binomially at the observed per-basis rates;
     entropy of a near-pure reconstruction is biased upward and reported
-    as is.  A reconstructed qubit has eigenvalues (1 +- |r|) / 2 for its
-    projected Bloch radius |r|, so every round's entropy is the binary
-    entropy h((1 + min(|r|, 1)) / 2), evaluated for all rounds at once.
+    as is.  The reconstruction and every bootstrap round take the binary
+    entropy h((1 + min(|r|, 1)) / 2) of their Bloch radius, the rounds all
+    at once.
     """
     if bootstrap_rounds < MIN_BOOTSTRAP:
         raise ValueError(f"bootstrap_rounds must be >= {MIN_BOOTSTRAP}")
-    rho_hat = reconstruct_rho(counts)
-    entropy = qmath.von_neumann_entropy(rho_hat)
+    radius = min(float(np.linalg.norm(counts.bloch_vector())), 1.0)
+    entropy = max(0.0, float(_radius_entropy(radius)))
 
     n = counts.shots_per_basis
     rates = np.array([plus / n for plus, _ in (counts.x, counts.y, counts.z)])
     plus = rng.binomial(n, rates[:, np.newaxis], size=(3, bootstrap_rounds))
     radius = np.minimum(np.linalg.norm((2 * plus - n) / n, axis=0), 1.0)
-    # smaller eigenvalue of each round's reconstruction, zeroed below the
-    # threshold von_neumann_entropy applies
-    low = (1.0 - radius) / 2.0
-    low = np.where(low < qmath.EIG_ZERO, 0.0, low)
-    boot = -(low * np.log2(np.where(low > 0.0, low, 1.0)) + (1.0 - low) * np.log2(1.0 - low))
-    return TomographyResult(rho_hat=rho_hat, entropy=entropy,
+    boot = _radius_entropy(radius)
+    return TomographyResult(rho_hat=reconstruct_rho(counts), entropy=entropy,
                             entropy_std=float(boot.std(ddof=1)), raw=counts)

@@ -16,7 +16,6 @@ from qstoch.circuit import (
     bell_state,
     calibrate_noise,
     run_trace,
-    trace_blocks,
 )
 from qstoch.cli import main
 from qstoch.process import (
@@ -30,8 +29,10 @@ from qstoch.process import (
 from qstoch.qmath import trace_distance
 from qstoch.qmodel import construct_cu, quantum_causal_states, quantum_complexity, steady_state_rho
 from qstoch.seeding import make_rng
-from qstoch.stats import block_law_check, two_sample_block_check
+from qstoch.stats import block_law_check, disjoint_block_counts, two_sample_block_check
 from qstoch.tomo import entropy_with_error, reconstruct_rho, simulate_counts
+
+from conftest import trace_outputs
 
 SYMMETRIC_GRID = [round(p, 10) for p in np.linspace(0.1, 0.9, 9)]
 ASYM_GRID = [(round(pr, 10), round(pl, 10))
@@ -50,11 +51,6 @@ def criterion(number, description):
             print(f"PASS criterion {number:2d}: {description}")
         return wrapper
     return decorate
-
-
-def trace_outputs(*args, **kwargs):
-    """The whole output trace of a run, concatenated from trace_blocks."""
-    return np.concatenate([bits for _, bits in trace_blocks(*args, **kwargs)])
 
 
 def spectrum_entropy(vals):
@@ -138,7 +134,7 @@ def test_criterion_06_circuit_faithfulness():
         for mode in ("classical", "quantum"):
             outputs = trace_outputs(machine, mode, 100_000, seed=600 + seed_offset)
             for block_len in range(1, 5):
-                check = block_law_check(machine, outputs, block_len)
+                check = block_law_check(machine, disjoint_block_counts(outputs, block_len))
                 assert check.passed, (machine, mode, block_len)
 
 

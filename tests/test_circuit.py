@@ -32,7 +32,9 @@ from qstoch.process import CausalMachine, stationary_distribution
 from qstoch.qmath import DensityMatrix, Ket, fidelity, tensor, trace_distance
 from qstoch.qmodel import construct_cu, quantum_causal_states
 from qstoch.seeding import make_rng
-from qstoch.stats import block_law_check, two_sample_block_check
+from qstoch.stats import block_law_check, disjoint_block_counts, two_sample_block_check
+
+from conftest import trace_outputs
 
 
 def kraus_average_oracle(rho, lam):
@@ -237,11 +239,6 @@ class TestCalibrateNoise:
         assert all(b < a for a, b in zip(values, values[1:]))
 
 
-def trace_outputs(*args, **kwargs):
-    """The whole output trace of a run, concatenated from trace_blocks."""
-    return np.concatenate([bits for _, bits in trace_blocks(*args, **kwargs)])
-
-
 class TestRunTrace:
     def test_seed_determinism(self):
         machine = CausalMachine(0.9, 0.3)
@@ -256,7 +253,7 @@ class TestRunTrace:
     def test_quantum_two_block_law(self):
         machine = CausalMachine(0.8, 0.8)
         outputs = trace_outputs(machine, "quantum", 100_000, seed=72)
-        assert block_law_check(machine, outputs, 2).passed
+        assert block_law_check(machine, disjoint_block_counts(outputs, 2)).passed
 
     def test_classical_matches_quantum_blocks(self):
         machine = CausalMachine(0.8, 0.8)
@@ -308,7 +305,7 @@ class TestRunTrace:
             tvs = []
             for n in (1_000, 100_000):
                 outputs = trace_outputs(machine, "quantum", n, seed=81)
-                check = block_law_check(machine, outputs, 3)
+                check = block_law_check(machine, disjoint_block_counts(outputs, 3))
                 assert check.passed
                 tvs.append(check.tv)
             # two decades of steps must shrink the empirical-law error

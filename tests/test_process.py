@@ -7,19 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qstoch.circuit import trace_blocks
 from qstoch.process import (
     CausalMachine,
     IidMachine,
     ReducibleChainError,
     SwitchConfig,
-    Trace,
     block_distribution,
     classical_complexity,
     excess_entropy,
     merge_equivalent_states,
     naive_switch_entropy,
     reduce_to_causal_machine,
-    sample_sequence,
     stationary_distribution,
     two_switch_block_distribution,
     two_switch_stationary,
@@ -28,6 +27,8 @@ from qstoch.process import (
     _sample_blocks,
 )
 from qstoch.seeding import make_rng
+
+from conftest import trace_outputs
 
 
 def binary_entropy(p):
@@ -282,33 +283,21 @@ class TestExcessEntropy:
             excess_entropy(CausalMachine(0.5, 0.5), 7)
 
 
-class TestSampleSequence:
-    def test_frozen_chain_from_forced_start(self):
-        trace = sample_sequence(CausalMachine(0.0, 0.0), 10, seed=1, start=0)
-        assert np.all(trace.outputs == 0)
-
+class TestClassicalTrace:
     def test_reducible_without_start_rejected(self):
+        # the stream checks the chain when it is made, before any block is drawn
         with pytest.raises(ReducibleChainError):
-            sample_sequence(CausalMachine(0.0, 0.0), 10, seed=1)
+            trace_blocks(CausalMachine(0.0, 0.0), "classical", 10, seed=1)
 
     def test_seed_determinism(self):
-        a = sample_sequence(CausalMachine(0.8, 0.8), 500, seed=9)
-        b = sample_sequence(CausalMachine(0.8, 0.8), 500, seed=9)
-        assert np.array_equal(a.outputs, b.outputs)
-        assert np.array_equal(a.states, b.states)
-
-    def test_burn_in_discards_prefix(self):
-        machine = CausalMachine(0.8, 0.8)
-        plain = sample_sequence(machine, 200, seed=10)
-        burned = sample_sequence(machine, 150, seed=10, burn_in=50)
-        assert np.array_equal(burned.outputs, plain.outputs[50:])
-        with pytest.raises(ValueError):
-            sample_sequence(machine, 10, seed=10, burn_in=-1)
+        a = trace_outputs(CausalMachine(0.8, 0.8), "classical", 500, seed=9)
+        b = trace_outputs(CausalMachine(0.8, 0.8), "classical", 500, seed=9)
+        assert np.array_equal(a, b)
 
     def test_two_block_frequencies_within_4_sigma(self):
         machine = CausalMachine(0.8, 0.8)
-        trace = sample_sequence(machine, 100_000, seed=13)
-        pairs = trace.outputs[: 2 * (len(trace) // 2)].reshape(-1, 2)
+        outputs = trace_outputs(machine, "classical", 100_000, seed=13)
+        pairs = outputs[: 2 * (len(outputs) // 2)].reshape(-1, 2)
         codes = pairs[:, 0] * 2 + pairs[:, 1]
         counts = np.bincount(codes, minlength=4)
         m = counts.sum()
@@ -318,36 +307,30 @@ class TestSampleSequence:
         sigma = np.sqrt(m * probs * (1 - probs))
         assert np.all(np.abs(counts - m * probs) <= 4 * sigma)
 
-    def test_trace_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            Trace(outputs=np.array([0, 1]), states=np.array([1, 1]), seed=0)
 
-
-def scan_path(p1, n, rng, **kwargs):
+def scan_path(p1, n, rng, w0):
     """_sample_blocks concatenated into the path step_loop_path returns: the
-    state entering the first kept step, then the n bits.  Every block but
-    the last holds at most _DRAW_BLOCK steps and enters in the state the
-    block before it left."""
-    blocks = list(_sample_blocks(p1, n, rng, **kwargs))
+    start state, then the n bits.  Every block holds at most _DRAW_BLOCK
+    steps and enters in the state the block before it left."""
+    blocks = list(_sample_blocks(p1, n, rng, w0))
     for (_, before), (entering, bits) in zip(blocks, blocks[1:]):
         assert entering == before[-1]
     assert all(0 < len(bits) <= _DRAW_BLOCK for _, bits in blocks)
     return np.concatenate([[blocks[0][0]], *(bits for _, bits in blocks)]).astype(np.int8)
 
 
-def step_loop_path(p1, n, rng, w0=None, start=None, burn_in=0):
+def step_loop_path(p1, n, rng, w0):
     """Per-step reference for _sample_blocks on the same stream layout: one
-    start uniform unless forced, then uniforms in _DRAW_BLOCK blocks, and a
-    step enters state 1 iff its uniform is below p1[state]."""
-    state = start if start is not None else (0 if rng.random() < w0 else 1)
-    steps = burn_in + n
-    path = np.empty(steps + 1, dtype=np.int8)
+    start uniform, then uniforms in _DRAW_BLOCK blocks, and a step enters
+    state 1 iff its uniform is below p1[state]."""
+    state = 0 if rng.random() < w0 else 1
+    path = np.empty(n + 1, dtype=np.int8)
     path[0] = state
-    for first in range(0, steps, _DRAW_BLOCK):
-        for k, u in enumerate(rng.random(min(_DRAW_BLOCK, steps - first))):
+    for first in range(0, n, _DRAW_BLOCK):
+        for k, u in enumerate(rng.random(min(_DRAW_BLOCK, n - first))):
             state = 1 if u < p1[state] else 0
             path[first + 1 + k] = state
-    return path[burn_in:]
+    return path
 
 
 EDGE_OR_ANY = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
@@ -356,16 +339,14 @@ EDGE_OR_ANY = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 class TestSamplePathScan:
     @settings(max_examples=20, deadline=None)
     @given(p_right=EDGE_OR_ANY, p_left=EDGE_OR_ANY, tie=st.booleans(),
-           n=st.sampled_from([65535, 65536, 65537]),
-           start=st.sampled_from([None, 0, 1]), w0=st.floats(0.0, 1.0),
-           burn_in=st.sampled_from([0, 3]), seed=st.integers(0, 2 ** 32 - 1))
-    def test_scan_equals_step_loop(self, p_right, p_left, tie, n, start, w0,
-                                   burn_in, seed):
-        # p1 = (P(1|0), P(1|1)); a tie makes both states emit alike
+           n=st.sampled_from([65535, 65536, 65537]), w0=EDGE_OR_ANY,
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_scan_equals_step_loop(self, p_right, p_left, tie, n, w0, seed):
+        # p1 = (P(1|0), P(1|1)); a tie makes both states emit alike; w0 of
+        # 0 or 1 pins the start state
         p1 = (p_right, p_right if tie else 1.0 - p_left)
-        kwargs = dict(w0=w0, start=start, burn_in=burn_in)
-        got = scan_path(p1, n, make_rng(seed), **kwargs)
-        want = step_loop_path(p1, n, make_rng(seed), **kwargs)
+        got = scan_path(p1, n, make_rng(seed), w0)
+        want = step_loop_path(p1, n, make_rng(seed), w0)
         np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("p1", [(0.9, 0.7), (0.3, 0.1), (0.0, 1.0), (1.0, 0.0),
@@ -374,13 +355,6 @@ class TestSamplePathScan:
     def test_short_paths(self, p1, n):
         got = scan_path(p1, n, make_rng(12), w0=0.5)
         np.testing.assert_array_equal(got, step_loop_path(p1, n, make_rng(12), w0=0.5))
-
-    def test_burn_in_past_a_block(self):
-        # the whole first block is drawn and burnt; the next one starts the path
-        p1 = (0.9, 0.7)
-        kwargs = dict(w0=0.5, burn_in=_DRAW_BLOCK + 2)
-        np.testing.assert_array_equal(scan_path(p1, 5, make_rng(14), **kwargs),
-                                      step_loop_path(p1, 5, make_rng(14), **kwargs))
 
 
 class TestSwitchConfig:

@@ -199,16 +199,6 @@ class TestConstructCu:
         np.testing.assert_allclose(cu[2:, 2:], ops.u.entries, atol=1e-15)
         np.testing.assert_allclose(cu[:2, 2:], 0, atol=1e-15)
 
-    def test_meter_as_control_variant(self):
-        ops = construct_cu(CausalMachine(0.9, 0.3), control="meter")
-        cu = ops.cu.entries
-        np.testing.assert_allclose(cu[0::2, 0::2], np.eye(2), atol=1e-15)
-        np.testing.assert_allclose(cu[1::2, 1::2], ops.u.entries, atol=1e-15)
-
-    def test_unknown_control_rejected(self):
-        with pytest.raises(ValueError):
-            construct_cu(CausalMachine(0.9, 0.3), control="both")
-
 
 PROB = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 EDGES = [(1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (0.5, 0.5)]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qstoch.process import CausalMachine, block_distribution, sample_sequence
+from qstoch.process import CausalMachine, block_distribution
 from qstoch.stats import (
     block_count_sigma,
     block_law_check,
@@ -12,6 +12,8 @@ from qstoch.stats import (
     stream_block_counts,
     two_sample_block_check,
 )
+
+from conftest import trace_outputs
 
 
 class TestDisjointBlockCounts:
@@ -37,8 +39,8 @@ class TestDisjointBlockCounts:
         outputs = np.random.default_rng(6).integers(0, 2, 200_003).astype(np.int8)
         cuts = np.cumsum([1, 0, 11, 65_537, 3, 7_919, 65_536, 5])
         chunks = np.split(outputs, cuts)
-        np.testing.assert_array_equal(disjoint_block_counts(iter(chunks), block_len),
-                                      disjoint_block_counts(outputs, block_len))
+        counts, = stream_block_counts(iter(chunks), (block_len,))
+        np.testing.assert_array_equal(counts, disjoint_block_counts(outputs, block_len))
 
     def test_one_pass_over_several_lengths(self):
         outputs = np.random.default_rng(7).integers(0, 2, 100_001).astype(np.int8)
@@ -81,8 +83,8 @@ class TestBlockCountSigma:
         reps = 3000
         all_counts = np.empty((reps, 2 ** block_len))
         for i in range(reps):
-            trace = sample_sequence(machine, n_steps, seed=10_000 + i)
-            all_counts[i] = disjoint_block_counts(trace.outputs, block_len)
+            outputs = trace_outputs(machine, "classical", n_steps, seed=10_000 + i)
+            all_counts[i] = disjoint_block_counts(outputs, block_len)
         empirical = all_counts.std(axis=0, ddof=1)
         predicted = block_count_sigma(machine, block_len, m)
         np.testing.assert_allclose(empirical, predicted, rtol=0.12)
@@ -99,9 +101,9 @@ class TestBlockCountSigma:
 
     def test_period_two_trace_passes_check(self):
         machine = CausalMachine(1.0, 1.0)
-        trace = sample_sequence(machine, 50_000, seed=77)
+        outputs = trace_outputs(machine, "classical", 50_000, seed=77)
         for block_len in (1, 2, 3, 4):
-            assert block_law_check(machine, trace.outputs, block_len).passed
+            assert block_law_check(machine, disjoint_block_counts(outputs, block_len)).passed
 
     def test_nearly_frozen_machine_is_finite(self):
         sigma = block_count_sigma(CausalMachine(1e-6, 1e-6), 2, 10_000)
@@ -119,33 +121,39 @@ class TestBlockCountSigma:
 class TestChecks:
     def test_matching_traces_pass(self):
         machine = CausalMachine(0.8, 0.8)
-        a = sample_sequence(machine, 40_000, seed=1)
-        b = sample_sequence(machine, 40_000, seed=2)
+        a = trace_outputs(machine, "classical", 40_000, seed=1)
+        b = trace_outputs(machine, "classical", 40_000, seed=2)
         for block_len in (1, 2, 3):
-            assert two_sample_block_check(machine, a.outputs, b.outputs, block_len)
+            assert two_sample_block_check(machine, a, b, block_len)
 
     def test_mismatched_law_detected(self):
         machine = CausalMachine(0.8, 0.8)
-        other = sample_sequence(CausalMachine(0.6, 0.6), 40_000, seed=3)
-        check = block_law_check(machine, other.outputs, 2)
+        other = trace_outputs(CausalMachine(0.6, 0.6), "classical", 40_000, seed=3)
+        check = block_law_check(machine, disjoint_block_counts(other, 2))
         assert not check.passed
         assert check.tv > check.tv_bound
 
     def test_check_from_tallied_counts(self):
         machine = CausalMachine(0.9, 0.3)
-        trace = sample_sequence(machine, 30_000, seed=5)
-        counts = disjoint_block_counts(trace.outputs, 3)
-        from_trace = block_law_check(machine, trace.outputs, 3)
-        from_counts = block_law_check(machine, None, 3, counts=counts)
-        assert (from_counts.tv, from_counts.passed) == (from_trace.tv, from_trace.passed)
-        np.testing.assert_array_equal(from_counts.counts, from_trace.counts)
-        with pytest.raises(ValueError):
-            block_law_check(machine, None, 2, counts=counts)
+        counts = disjoint_block_counts(trace_outputs(machine, "classical", 30_000, seed=5), 3)
+        check = block_law_check(machine, counts)
+        assert (check.block_len, check.n_blocks) == (3, 10_000)
+        np.testing.assert_array_equal(check.counts, counts)
+
+    @pytest.mark.parametrize("size", [1, 3, 8192])
+    def test_counts_not_of_a_block_length_rejected(self, size):
+        # 2**L cells for L in [1, 12]: 8192 = 2**13 is one length too long
+        with pytest.raises(ValueError, match="block counts"):
+            block_law_check(CausalMachine(0.9, 0.3), np.ones(size, dtype=np.int64))
+
+    def test_empty_counts_rejected(self):
+        with pytest.raises(ValueError, match="no blocks"):
+            block_law_check(CausalMachine(0.9, 0.3), np.zeros(4, dtype=np.int64))
 
     def test_check_fields_consistent(self):
         machine = CausalMachine(0.9, 0.3)
-        trace = sample_sequence(machine, 30_000, seed=4)
-        check = block_law_check(machine, trace.outputs, 3)
+        outputs = trace_outputs(machine, "classical", 30_000, seed=4)
+        check = block_law_check(machine, disjoint_block_counts(outputs, 3))
         assert check.passed
         assert check.counts.sum() == check.n_blocks
         assert abs(check.freqs.sum() - 1.0) < 1e-12

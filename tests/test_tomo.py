@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qstoch.process import CausalMachine
-from qstoch.qmath import DensityMatrix, Ket, trace_distance, von_neumann_entropy
+from qstoch.qmath import DensityMatrix, Ket, mixture, trace_distance, von_neumann_entropy
 from qstoch.qmodel import quantum_causal_states, quantum_complexity, steady_state_rho
 from qstoch.seeding import make_rng
 from qstoch.tomo import (
@@ -41,7 +41,7 @@ class TestSimulateCounts:
         model = quantum_causal_states(machine)
         rng = make_rng(82)
         shots = 10_000
-        counts = simulate_counts([model.ket0, model.ket1], shots, rng)
+        counts = simulate_counts(mixture([0.5, 0.5], [model.ket0, model.ket1]), shots, rng)
         rx = (counts.x[0] - counts.x[1]) / shots
         rz = (counts.z[0] - counts.z[1]) / shots
         assert abs(rx - 0.8) < 4 * np.sqrt((1 - 0.64) / shots)
@@ -49,20 +49,18 @@ class TestSimulateCounts:
 
     def test_pure_logical_state_deterministic_z(self):
         rng = make_rng(83)
-        counts = simulate_counts(Ket([1.0, 0.0]), 10_000, rng)
+        counts = simulate_counts(Ket([1.0, 0.0]).projector(), 10_000, rng)
         assert counts.z == (10_000, 0)
 
-    def test_empty_ensemble_rejected(self):
+    def test_only_a_single_qubit_density_matrix_accepted(self):
+        ket = Ket([1.0, 0.0])
+        rho = ket.projector()
+        assert ensemble_density(rho) is rho
+        for other in (ket, [ket, ket], [(1.0, ket)], []):
+            with pytest.raises(TypeError):
+                simulate_counts(other, 100, make_rng(0))
         with pytest.raises(ValueError):
-            simulate_counts([], 100, make_rng(0))
-
-    def test_weighted_ensemble_form(self):
-        machine = CausalMachine(0.9, 0.3)
-        model = quantum_causal_states(machine)
-        weighted = [(0.25, model.ket0), (0.75, model.ket1)]
-        rho = ensemble_density(weighted)
-        np.testing.assert_allclose(rho.entries,
-                                   steady_state_rho(model).entries, atol=1e-12)
+            ensemble_density(DensityMatrix(np.eye(4) / 4))
 
 
 class TestReconstructRho:
@@ -116,13 +114,19 @@ class TestEntropyWithError:
         machine = CausalMachine(0.9, 0.3)
         model = quantum_causal_states(machine)
         rng = make_rng(85)
-        counts = simulate_counts([(0.25, model.ket0), (0.75, model.ket1)],
+        counts = simulate_counts(mixture([0.25, 0.75], (model.ket0, model.ket1)),
                                  10_000, rng)
         result = entropy_with_error(counts, rng)
         ideal = quantum_complexity(machine)
         print(f"tomographic entropy {result.entropy:.4f} +/- {result.entropy_std:.4f} "
               f"(construction value {ideal:.4f}, published theory figure 0.12)")
         assert abs(result.entropy - ideal) < 3 * result.entropy_std
+
+    def test_projected_pure_counts_read_zero(self):
+        # |r| = sqrt(3) projects onto the sphere: a pure state, entropy 0
+        # exactly, not eigensolver dust
+        counts = TomographyCounts(10, x=(10, 0), y=(10, 0), z=(10, 0))
+        assert entropy_with_error(counts, make_rng(0)).entropy == 0.0
 
     @pytest.mark.parametrize("plus", [(9000, 5000, 5000), (10_000, 5000, 5000),
                                       (7000, 4000, 6000), (9999, 5000, 5000),
@@ -182,9 +186,9 @@ class TestEstimatorBehaviour:
 
     def test_upward_bias_near_pure_states(self):
         # quantified, not corrected: pure-state entropy estimates sit above 0
-        ket = Ket([np.sqrt(0.5), np.sqrt(0.5)])
+        rho = Ket([np.sqrt(0.5), np.sqrt(0.5)]).projector()
         rng = make_rng(89)
-        estimates = [entropy_with_error(simulate_counts(ket, 10_000, rng), rng).entropy
+        estimates = [entropy_with_error(simulate_counts(rho, 10_000, rng), rng).entropy
                      for _ in range(50)]
         assert np.mean(estimates) >= 0.0
         assert np.mean(estimates) < 0.01
