@@ -356,6 +356,13 @@ class TestSamplePathScan:
         got = scan_path(p1, n, make_rng(12), w0=0.5)
         np.testing.assert_array_equal(got, step_loop_path(p1, n, make_rng(12), w0=0.5))
 
+    def test_frozen_chain_from_forced_start(self):
+        # CausalMachine(0, 0) never switches: p1 = (0, 1); w0 of 1 or 0 pins
+        # the start state, and the chain stays in it
+        for w0, state in ((1.0, 0), (0.0, 1)):
+            path = scan_path((0.0, 1.0), 10, make_rng(1), w0)
+            assert np.all(path == state)
+
 
 class TestSwitchConfig:
     def test_parity_labels(self):

@@ -62,6 +62,17 @@ class TestSimulateCounts:
         with pytest.raises(ValueError):
             ensemble_density(DensityMatrix(np.eye(4) / 4))
 
+    def test_empty_ensemble_rejected(self):
+        with pytest.raises(ValueError):
+            simulate_counts(mixture([], []), 100, make_rng(0))
+
+    def test_weighted_ensemble_form(self):
+        machine = CausalMachine(0.9, 0.3)
+        model = quantum_causal_states(machine)
+        rho = ensemble_density(mixture([0.25, 0.75], [model.ket0, model.ket1]))
+        np.testing.assert_allclose(rho.entries,
+                                   steady_state_rho(model).entries, atol=1e-12)
+
 
 class TestReconstructRho:
     def test_balanced_counts_give_maximally_mixed(self):
