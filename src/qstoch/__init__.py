@@ -10,7 +10,6 @@ from .qmath import (
     fidelity,
     ry,
     shannon_entropy,
-    tensor,
     trace_distance,
     von_neumann_entropy,
 )
@@ -18,16 +17,11 @@ from .process import (
     CausalMachine,
     IidMachine,
     ReducibleChainError,
-    SwitchConfig,
     block_distribution,
     classical_complexity,
     excess_entropy,
     merge_equivalent_states,
-    naive_switch_entropy,
-    reduce_to_causal_machine,
     stationary_distribution,
-    two_switch_block_distribution,
-    two_switch_step,
 )
 from .qmodel import (
     QuantumModel,
@@ -39,15 +33,9 @@ from .qmodel import (
     steady_state_rho,
 )
 from .circuit import (
-    CircuitState,
     NoiseModel,
     RunResult,
-    apply_noise,
     calibrate_noise,
-    classical_step,
-    depolarizing_average,
-    measure_qubit,
-    quantum_step,
     run_trace,
     sampled_machine,
     trace_blocks,
@@ -57,6 +45,7 @@ from .tomo import (
     TomographyResult,
     entropy_with_error,
     reconstruct_rho,
+    reconstructed_entropy,
     simulate_counts,
 )
 from .cli import ExperimentConfig

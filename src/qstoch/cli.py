@@ -19,11 +19,11 @@ import numpy as np
 from .circuit import (GATES, MODES, NoiseModel, calibrate_noise, run_trace,
                       sampled_machine, trace_blocks)
 from .process import CausalMachine, classical_complexity, stationary_distribution
-from .qmath import DensityMatrix, trace_distance, von_neumann_entropy
+from .qmath import DensityMatrix, trace_distance
 from .qmodel import quantum_causal_states, quantum_complexity, steady_state_rho
 from .seeding import make_rng, xor_seed
 from .stats import block_law_check, stream_block_counts
-from .tomo import entropy_with_error, reconstruct_rho, simulate_counts
+from .tomo import entropy_with_error, reconstructed_entropy, simulate_counts
 
 MAX_CHECK_BLOCK_LEN = 4
 MAX_SWEEP_POINTS = 10_001
@@ -110,7 +110,7 @@ def _simulated_entropies(machine: CausalMachine, steps: int, shots: int, gate: s
     """(classical entropy, quantum entropy, quantum one-sigma) via tomography."""
     run_c = run_trace(machine, "classical", steps, seed=2 * base_seed)
     counts_c = simulate_counts(run_c.density(), shots, make_rng(base_seed, 2))
-    ent_c = von_neumann_entropy(reconstruct_rho(counts_c))
+    ent_c = reconstructed_entropy(counts_c)
 
     run_q = run_trace(machine, "quantum", steps, seed=2 * base_seed + 1,
                       gate=gate, noise=noise)

@@ -1,11 +1,12 @@
-"""Two-switch stochastic process and its minimal causal-state machine.
+"""The minimal causal-state machine of the two-switch process.
 
-The ground truth is a pair of binary switches: each step one switch is picked
-at random and flipped with a probability that depends on whether the switches
-currently agree (p_right when aligned, p_left when anti-aligned); the step
-then outputs 0 if the switches agree and 1 otherwise.  Only the switch parity
-matters for the output law, so the process reduces to a two-state Markov
-machine on parity.
+The modelled process is a pair of binary switches: each step one switch is
+picked at random and flipped with a probability that depends on whether the
+switches currently agree (p_right when aligned, p_left when anti-aligned);
+the step then outputs 0 if the switches agree and 1 otherwise.  Flipping
+either switch toggles their parity, and only the parity matters for the
+output law, so the process is the two-state Markov machine on parity that
+moves 0 -> 1 with p_right and 1 -> 0 with p_left.
 
 Conventions used throughout the package:
   * causal state = parity (0 = aligned), and the emitted bit equals the
@@ -45,23 +46,6 @@ def _check_prob(p: float, name: str) -> None:
 
 
 @dataclass(frozen=True)
-class SwitchConfig:
-    """Settings of the two ground-truth switches."""
-
-    b1: int
-    b2: int
-
-    def __post_init__(self):
-        if self.b1 not in (0, 1) or self.b2 not in (0, 1):
-            raise ValueError(f"switch settings must be bits, got ({self.b1!r}, {self.b2!r})")
-
-    @property
-    def parity(self) -> int:
-        """Causal-state label: 0 when the switches agree."""
-        return self.b1 ^ self.b2
-
-
-@dataclass(frozen=True)
 class CausalMachine:
     """Two-state Markov machine on switch parity.
 
@@ -90,95 +74,6 @@ class IidMachine:
 
     def __post_init__(self):
         _check_prob(self.p_one, "p_one")
-
-
-# ---------------------------------------------------------------------------
-# ground-truth switch dynamics
-# ---------------------------------------------------------------------------
-
-def two_switch_step(cfg: SwitchConfig, machine: CausalMachine,
-                    rng: np.random.Generator) -> tuple[SwitchConfig, int]:
-    """Advance the switch pair one step; returns (new config, emitted bit).
-
-    One switch is chosen uniformly and flipped with probability p_right when
-    the switches currently agree, p_left otherwise.  Two RNG draws are
-    consumed per call regardless of outcome, keeping streams aligned.
-    """
-    flip_prob = machine.p_right if cfg.parity == 0 else machine.p_left
-    which = int(rng.integers(2))
-    do_flip = rng.random() < flip_prob
-    b1, b2 = cfg.b1, cfg.b2
-    if do_flip:
-        if which == 0:
-            b1 ^= 1
-        else:
-            b2 ^= 1
-    new_cfg = SwitchConfig(b1, b2)
-    return new_cfg, new_cfg.parity
-
-
-def reduce_to_causal_machine(p_align: float, p_anti: float | None = None) -> CausalMachine:
-    """Minimal parity machine for a two-switch process.
-
-    p_align is the flip probability when the switches agree, p_anti when they
-    disagree (defaults to p_align for the symmetric process).  Flipping either
-    switch toggles the parity, so the parity chain transitions 0 -> 1 with
-    p_align and 1 -> 0 with p_anti; length-L output block laws of the 4-state
-    switch chain and of the returned machine coincide exactly.
-    """
-    if p_anti is None:
-        p_anti = p_align
-    return CausalMachine(p_right=p_align, p_left=p_anti)
-
-
-def _emission_resolved_4state(machine: CausalMachine) -> tuple[np.ndarray, np.ndarray]:
-    """t4[x][c_next, c] for the 4-config chain; configs indexed (b1 << 1) | b2."""
-    t4 = np.zeros((2, 4, 4))
-    for c in range(4):
-        parity = ((c >> 1) & 1) ^ (c & 1)
-        p = machine.p_right if parity == 0 else machine.p_left
-        stay = 1.0 - p
-        t4[parity, c, c] += stay                       # no flip: parity unchanged
-        for flipped in (c ^ 2, c ^ 1):                 # flip b1 / flip b2
-            new_parity = ((flipped >> 1) & 1) ^ (flipped & 1)
-            t4[new_parity, flipped, c] += p / 2.0
-    return t4[0], t4[1]
-
-
-def two_switch_stationary(machine: CausalMachine) -> np.ndarray:
-    """Stationary law over the four switch configs [00, 01, 10, 11].
-
-    The dynamics are symmetric under flipping both switches, so the two
-    configs within each parity class carry equal mass; boundary cases where
-    the 4-state chain is not irreducible inherit this uniform-within-class
-    convention from the parity chain.
-    """
-    w0, w1 = stationary_distribution(machine)
-    return np.array([w0 / 2.0, w1 / 2.0, w1 / 2.0, w0 / 2.0])
-
-
-def two_switch_block_distribution(machine: CausalMachine, block_len: int) -> np.ndarray:
-    """Exact length-L output block law of the 4-state switch chain.
-
-    Computed by propagating emission-resolved 4x4 transition matrices from
-    the stationary configuration law; independent of the reduced 2-state
-    path in block_distribution.
-    """
-    if not (1 <= block_len <= MAX_BLOCK_LEN):
-        raise ValueError(f"block length must be in [1, {MAX_BLOCK_LEN}], got {block_len!r}")
-    t_emit0, t_emit1 = _emission_resolved_4state(machine)
-    vecs = two_switch_stationary(machine)[np.newaxis, :]    # (n_prefixes, 4)
-    for _ in range(block_len):
-        nxt = np.empty((vecs.shape[0] * 2, 4))
-        nxt[0::2] = vecs @ t_emit0.T
-        nxt[1::2] = vecs @ t_emit1.T
-        vecs = nxt
-    return vecs.sum(axis=1)
-
-
-def naive_switch_entropy(machine: CausalMachine) -> float:
-    """Memory cost of tracking both switches: entropy of the 4-config law."""
-    return shannon_entropy(two_switch_stationary(machine))
 
 
 # ---------------------------------------------------------------------------

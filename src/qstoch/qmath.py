@@ -2,9 +2,9 @@
 
 Everything here is deterministic and pure: entropies in bits, a closed-form
 2x2 Hermitian eigensolver (bit-reproducible across platforms), state fidelity,
-Y-axis rotations and tensor products.  Dimensions are restricted to 2 and 4;
-the composite ordering is fixed repo-wide as model (x) meter, with the model
-qubit as the most significant factor.
+trace distance, Y-axis rotations and pure-state mixtures.  Dimensions are
+restricted to 2 and 4; the composite ordering is fixed repo-wide as
+model (x) meter, with the model qubit as the most significant factor.
 """
 
 from __future__ import annotations
@@ -112,26 +112,9 @@ class Unitary:
 KET0 = Ket(np.array([1.0, 0.0]))
 KET1 = Ket(np.array([0.0, 1.0]))
 
-IDENTITY2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-def basis_ket(index: int, dim: int = 2) -> Ket:
-    amp = np.zeros(dim, dtype=complex)
-    amp[index] = 1.0
-    return Ket(amp)
-
-
-def overlap(a: Ket, b: Ket) -> complex:
-    """Inner product <a|b>."""
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
-def same_state(a: Ket, b: Ket, atol: float = ATOL_UNIT) -> bool:
-    """State equality up to global phase, via |<a|b>| = 1."""
-    return abs(abs(overlap(a, b)) - 1.0) <= atol
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +231,7 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
 
 
 # ---------------------------------------------------------------------------
-# rotations and composition
+# rotations and mixtures
 # ---------------------------------------------------------------------------
 
 def ry(theta: float) -> Unitary:
@@ -257,22 +240,6 @@ def ry(theta: float) -> Unitary:
         raise ValueError(f"rotation angle must be finite, got {theta!r}")
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
     return Unitary(np.array([[c, -s], [s, c]], dtype=complex))
-
-
-def tensor(a, b):
-    """Tensor product of two dim-2 objects; first factor is most significant.
-
-    Ket (x) Ket -> Ket, Unitary (x) Unitary -> Unitary.
-    """
-    if isinstance(a, Ket) and isinstance(b, Ket):
-        if a.dim != 2 or b.dim != 2:
-            raise ValueError("tensor factors must both have dimension 2")
-        return Ket(np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, Unitary) and isinstance(b, Unitary):
-        if a.dim != 2 or b.dim != 2:
-            raise ValueError("tensor factors must both have dimension 2")
-        return Unitary(np.kron(a.entries, b.entries))
-    raise TypeError("tensor expects two Kets or two Unitaries")
 
 
 def mixture(weights, kets) -> DensityMatrix:

@@ -1,8 +1,8 @@
 """Reproducible random streams.
 
 All stochastic code draws from a Philox (counter-based) generator, so a
-stream is fully determined by its integer seed path and never depends on how
-concurrent work is scheduled.  Each sweep point derives its seed as
+stream is fully determined by its integer seed path: the same seed gives
+the same draws on every run.  Each sweep point derives its seed as
 ``seed XOR grid_index``; see the cli module.
 """
 

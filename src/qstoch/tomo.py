@@ -107,20 +107,26 @@ def reconstruct_rho(counts: TomographyCounts) -> DensityMatrix:
                                 + r[1] * qmath.PAULI_Y + r[2] * qmath.PAULI_Z))
 
 
+def reconstructed_entropy(counts: TomographyCounts) -> float:
+    """Entropy of reconstruct_rho(counts) without building it: the binary
+    entropy h((1 + min(|r|, 1)) / 2) of the projected Bloch radius."""
+    radius = min(float(np.linalg.norm(counts.bloch_vector())), 1.0)
+    return max(0.0, float(_radius_entropy(radius)))
+
+
 def entropy_with_error(counts: TomographyCounts, rng: np.random.Generator,
                        bootstrap_rounds: int = 200) -> TomographyResult:
     """Reconstructed entropy with a one-standard-deviation parametric bootstrap.
 
     Counts are resampled binomially at the observed per-basis rates;
     entropy of a near-pure reconstruction is biased upward and reported
-    as is.  The reconstruction and every bootstrap round take the binary
-    entropy h((1 + min(|r|, 1)) / 2) of their Bloch radius, the rounds all
-    at once.
+    as is.  The reconstruction (reconstructed_entropy) and every bootstrap
+    round take the binary entropy h((1 + min(|r|, 1)) / 2) of their Bloch
+    radius, the rounds all at once.
     """
     if bootstrap_rounds < MIN_BOOTSTRAP:
         raise ValueError(f"bootstrap_rounds must be >= {MIN_BOOTSTRAP}")
-    radius = min(float(np.linalg.norm(counts.bloch_vector())), 1.0)
-    entropy = max(0.0, float(_radius_entropy(radius)))
+    entropy = reconstructed_entropy(counts)
 
     n = counts.shots_per_basis
     rates = np.array([plus / n for plus, _ in (counts.x, counts.y, counts.z)])

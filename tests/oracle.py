@@ -1,0 +1,361 @@
+"""Reference oracle: the literal step circuits and the two-switch ground truth.
+
+qstoch samples every run as the two-state chain with the closed-form
+emission law of circuit._emission_law, and works on the parity machine of
+process.  This module keeps, for the tests to compare against, what those
+abbreviate:
+  * the statevector step circuits, with Born measurement, collapse and
+    Pauli-trajectory gate noise, the exact noise channel, and the emission
+    law evaluated by running the circuit once per encoded state;
+  * the ground-truth pair of switches, stepped one draw at a time, and its
+    exact block law from the 4-configuration chain;
+  * the linear-algebra helpers only these need.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
+
+from qstoch import qmath
+from qstoch.circuit import GATES, NoiseModel
+from qstoch.process import MAX_BLOCK_LEN, CausalMachine, stationary_distribution
+from qstoch.qmath import DensityMatrix, Ket, Unitary, shannon_entropy
+from qstoch.qmodel import QuantumModel, construct_cu
+
+
+# ---------------------------------------------------------------------------
+# linear-algebra helpers
+# ---------------------------------------------------------------------------
+
+IDENTITY2 = np.eye(2, dtype=complex)
+
+
+def overlap(a: Ket, b: Ket) -> complex:
+    """Inner product <a|b>."""
+    return complex(np.vdot(a.amplitudes, b.amplitudes))
+
+
+def same_state(a: Ket, b: Ket, atol: float = qmath.ATOL_UNIT) -> bool:
+    """State equality up to global phase, via |<a|b>| = 1."""
+    return abs(abs(overlap(a, b)) - 1.0) <= atol
+
+
+def tensor(a, b):
+    """Tensor product of two dim-2 objects; first factor is most significant.
+
+    Ket (x) Ket -> Ket, Unitary (x) Unitary -> Unitary.
+    """
+    if isinstance(a, Ket) and isinstance(b, Ket):
+        if a.dim != 2 or b.dim != 2:
+            raise ValueError("tensor factors must both have dimension 2")
+        return Ket(np.kron(a.amplitudes, b.amplitudes))
+    if isinstance(a, Unitary) and isinstance(b, Unitary):
+        if a.dim != 2 or b.dim != 2:
+            raise ValueError("tensor factors must both have dimension 2")
+        return Unitary(np.kron(a.entries, b.entries))
+    raise TypeError("tensor expects two Kets or two Unitaries")
+
+
+# ---------------------------------------------------------------------------
+# step circuits
+# ---------------------------------------------------------------------------
+
+# model qubit is the first (most significant) factor and controls the meter
+CNOT4 = np.array([[1, 0, 0, 0],
+                  [0, 1, 0, 0],
+                  [0, 0, 0, 1],
+                  [0, 0, 1, 0]], dtype=complex)
+
+_SINGLE_PAULIS = (IDENTITY2, qmath.PAULI_X, qmath.PAULI_Y, qmath.PAULI_Z)
+TWO_QUBIT_PAULIS = tuple(
+    np.kron(_SINGLE_PAULIS[i], _SINGLE_PAULIS[j])
+    for i in range(4) for j in range(4) if (i, j) != (0, 0)
+)
+
+
+def bell_state() -> Ket:
+    """(|00> + |11>) / sqrt(2)."""
+    return Ket(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0))
+
+
+@dataclass(frozen=True)
+class CircuitState:
+    """Joint statevector of the step circuit.
+
+    Fresh states hold both qubits (dim 4, model (x) meter); after a
+    destructive measurement only the surviving qubit remains (dim 2).
+    """
+
+    joint: Ket
+
+
+def _born_pick(p_one: float, rng: np.random.Generator) -> int:
+    return int(rng.random() < p_one)
+
+
+def measure_qubit(state: CircuitState, which: str,
+                  rng: np.random.Generator) -> tuple[int, CircuitState]:
+    """Logical-basis measurement of one qubit of a dim-4 state.
+
+    Destructive: the outcome is Born-sampled, the measured qubit is removed,
+    and the surviving qubit is returned renormalized as a dim-2 state.
+    """
+    if state.joint.dim != 4:
+        raise ValueError("measure_qubit needs both qubits present (dim-4 state)")
+    if which not in ("model", "meter"):
+        raise ValueError(f"which must be 'model' or 'meter', got {which!r}")
+    psi = state.joint.amplitudes
+    if which == "model":
+        branches = (psi[0:2], psi[2:4])
+    else:
+        branches = (psi[0::2], psi[1::2])
+    p_one = float(np.real(np.vdot(branches[1], branches[1])))
+    outcome = _born_pick(p_one, rng)
+    kept = branches[outcome]
+    norm = np.sqrt(np.real(np.vdot(kept, kept)))
+    assert norm > 0.0, "Born rule selected a zero-norm branch"
+    return outcome, CircuitState(joint=Ket(kept / norm))
+
+
+# ---------------------------------------------------------------------------
+# single steps
+# ---------------------------------------------------------------------------
+
+def classical_step(s: int, machine: CausalMachine,
+                   rng: np.random.Generator) -> tuple[int, int]:
+    """One step of the classical bit circuit: returns (output bit, next state).
+
+    The destination state is 1 iff a uniform falls below P(1|s) (p_right
+    from state 0, 1 - p_left from state 1); it is XORed onto a fresh zero
+    meter bit, and the meter readout is both the output and the next state.
+    """
+    if s not in (0, 1):
+        raise ValueError(f"causal state must be 0 or 1, got {s!r}")
+    p_one = machine.p_right if s == 0 else 1.0 - machine.p_left
+    meter = 0 ^ int(rng.random() < p_one)
+    return meter, meter
+
+
+@lru_cache(maxsize=None)
+def _step_operators(machine: CausalMachine, gate: str):
+    """(meter input ket, entangling 4x4, pre-readout 4x4 frame or None).
+
+    The cnot path uses a plain |0> meter and no extra frame.  The cu path
+    prepares the meter in v|0> and reads it out in the v-rotated basis
+    (realized as an inverse rotation before the logical measurement); this
+    folding of the rotation into preparation and readout is what makes the
+    controlled-u statistics match the cnot ones exactly.
+    """
+    if gate == "cnot":
+        return np.array([1.0, 0.0], dtype=complex), CNOT4, None
+    ops = construct_cu(machine)
+    v = ops.v.entries
+    meter_in = v[:, 0].copy()
+    frame = np.kron(np.eye(2, dtype=complex), v.conj().T)
+    return meter_in, ops.cu.entries, frame
+
+
+def _apply_noise_raw(psi: np.ndarray, lam: float, rng: np.random.Generator) -> np.ndarray:
+    if rng.random() < lam:
+        return TWO_QUBIT_PAULIS[int(rng.integers(15))] @ psi
+    return psi
+
+
+def _meter_one_prob(psi: np.ndarray, frame) -> float:
+    """Born probability of meter readout 1 from the post-gate joint state."""
+    if frame is not None:
+        psi = frame @ psi
+    odd = psi[1::2]
+    return float(np.real(np.vdot(odd, odd)))
+
+
+def quantum_step(memory: Ket, model: QuantumModel, rng: np.random.Generator,
+                 gate: str = "cnot",
+                 noise: NoiseModel | None = None) -> tuple[int, Ket]:
+    """One quantum step: entangle, read the meter, reprepare by output bit.
+
+    The memory (dim 2) meets a fresh meter, the chosen two-qubit gate runs
+    with the model qubit as control, trajectory noise may strike, and the
+    meter is measured in the logical basis.  The collapsed model qubit is
+    discarded and the returned memory is the encoding of the output bit.
+    """
+    if memory.dim != 2:
+        raise ValueError("memory must be a single-qubit ket")
+    if gate not in GATES:
+        raise ValueError(f"gate must be one of {GATES}, got {gate!r}")
+    noise = noise or NoiseModel()
+    meter_in, gate4, frame = _step_operators(model.machine, gate)
+    psi = gate4 @ np.kron(memory.amplitudes, meter_in)
+    if noise.lam > 0.0:
+        psi = _apply_noise_raw(psi, noise.lam, rng)
+    outcome = _born_pick(_meter_one_prob(psi, frame), rng)
+    return outcome, (model.ket0, model.ket1)[outcome]
+
+
+def apply_noise(state: CircuitState, noise: NoiseModel,
+                rng: np.random.Generator) -> CircuitState:
+    """Depolarizing trajectory: with probability lam, a random non-identity
+    two-qubit Pauli hits the joint state; otherwise it passes unchanged."""
+    if state.joint.dim != 4:
+        raise ValueError("apply_noise acts on the two-qubit joint state")
+    psi = _apply_noise_raw(state.joint.amplitudes, noise.lam, rng)
+    if psi is state.joint.amplitudes:
+        return state
+    return CircuitState(joint=Ket(psi))
+
+
+def depolarizing_average(rho: DensityMatrix, lam: float) -> DensityMatrix:
+    """Exact trajectory average: (1 - lam) rho + (lam / 15) sum_P P rho P."""
+    if not (0.0 <= lam <= 1.0):
+        raise ValueError(f"lam must be in [0, 1], got {lam!r}")
+    if rho.dim != 4:
+        raise ValueError("depolarizing_average acts on two-qubit states")
+    arr = rho.entries
+    acc = np.zeros_like(arr)
+    for pauli in TWO_QUBIT_PAULIS:
+        acc += pauli @ arr @ pauli.conj().T
+    return DensityMatrix((1.0 - lam) * arr + (lam / 15.0) * acc)
+
+
+def to_mixing_rate(lam: float) -> float:
+    """Equivalent replace-with-maximally-mixed rate: 16 lam / 15."""
+    return 16.0 * lam / 15.0
+
+
+def from_mixing_rate(rate: float) -> float:
+    """Pauli-trajectory rate matching a replace-with-maximally-mixed rate."""
+    return 15.0 * rate / 16.0
+
+
+def noisy_bell_average(lam: float) -> DensityMatrix:
+    """Average state from the noisy entangler on separable Bell-prep inputs."""
+    plus = Ket(np.array([1.0, 1.0]) / np.sqrt(2.0))
+    ideal = Ket(CNOT4 @ np.kron(plus.amplitudes, np.array([1.0, 0.0], dtype=complex)))
+    return depolarizing_average(ideal.projector(), lam)
+
+
+def quantum_emission_probs(model: QuantumModel, gate: str,
+                           lam: float) -> tuple[float, float]:
+    """(P(1|0), P(1|1)) of one quantum step, noise channel averaged exactly.
+
+    Runs the circuit once per encoded state with quantum_step's Born
+    arithmetic; (1 - lam) p_I + lam / 15 sum_P p_P is the exact outcome law
+    because the memory is reprepared from the output bit.  The closed form
+    of circuit._emission_law equals it up to rounding.
+    """
+    meter_in, gate4, frame = _step_operators(model.machine, gate)
+    probs = []
+    for ket in (model.ket0, model.ket1):
+        psi = gate4 @ np.kron(ket.amplitudes, meter_in)
+        hit = sum(_meter_one_prob(pauli @ psi, frame) for pauli in TWO_QUBIT_PAULIS)
+        probs.append((1.0 - lam) * _meter_one_prob(psi, frame) + (lam / 15.0) * hit)
+    return probs[0], probs[1]
+
+
+# ---------------------------------------------------------------------------
+# two-switch ground truth
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SwitchConfig:
+    """Settings of the two ground-truth switches."""
+
+    b1: int
+    b2: int
+
+    def __post_init__(self):
+        if self.b1 not in (0, 1) or self.b2 not in (0, 1):
+            raise ValueError(f"switch settings must be bits, got ({self.b1!r}, {self.b2!r})")
+
+    @property
+    def parity(self) -> int:
+        """Causal-state label: 0 when the switches agree."""
+        return self.b1 ^ self.b2
+
+
+def two_switch_step(cfg: SwitchConfig, machine: CausalMachine,
+                    rng: np.random.Generator) -> tuple[SwitchConfig, int]:
+    """Advance the switch pair one step; returns (new config, emitted bit).
+
+    One switch is chosen uniformly and flipped with probability p_right when
+    the switches currently agree, p_left otherwise.  Two RNG draws are
+    consumed per call regardless of outcome, keeping streams aligned.
+    """
+    flip_prob = machine.p_right if cfg.parity == 0 else machine.p_left
+    which = int(rng.integers(2))
+    do_flip = rng.random() < flip_prob
+    b1, b2 = cfg.b1, cfg.b2
+    if do_flip:
+        if which == 0:
+            b1 ^= 1
+        else:
+            b2 ^= 1
+    new_cfg = SwitchConfig(b1, b2)
+    return new_cfg, new_cfg.parity
+
+
+def reduce_to_causal_machine(p_align: float, p_anti: float | None = None) -> CausalMachine:
+    """Minimal parity machine for a two-switch process.
+
+    p_align is the flip probability when the switches agree, p_anti when they
+    disagree (defaults to p_align for the symmetric process).  Flipping either
+    switch toggles the parity, so the parity chain transitions 0 -> 1 with
+    p_align and 1 -> 0 with p_anti; length-L output block laws of the 4-state
+    switch chain and of the returned machine coincide exactly.
+    """
+    if p_anti is None:
+        p_anti = p_align
+    return CausalMachine(p_right=p_align, p_left=p_anti)
+
+
+def _emission_resolved_4state(machine: CausalMachine) -> tuple[np.ndarray, np.ndarray]:
+    """t4[x][c_next, c] for the 4-config chain; configs indexed (b1 << 1) | b2."""
+    t4 = np.zeros((2, 4, 4))
+    for c in range(4):
+        parity = ((c >> 1) & 1) ^ (c & 1)
+        p = machine.p_right if parity == 0 else machine.p_left
+        stay = 1.0 - p
+        t4[parity, c, c] += stay                       # no flip: parity unchanged
+        for flipped in (c ^ 2, c ^ 1):                 # flip b1 / flip b2
+            new_parity = ((flipped >> 1) & 1) ^ (flipped & 1)
+            t4[new_parity, flipped, c] += p / 2.0
+    return t4[0], t4[1]
+
+
+def two_switch_stationary(machine: CausalMachine) -> np.ndarray:
+    """Stationary law over the four switch configs [00, 01, 10, 11].
+
+    The dynamics are symmetric under flipping both switches, so the two
+    configs within each parity class carry equal mass; boundary cases where
+    the 4-state chain is not irreducible inherit this uniform-within-class
+    convention from the parity chain.
+    """
+    w0, w1 = stationary_distribution(machine)
+    return np.array([w0 / 2.0, w1 / 2.0, w1 / 2.0, w0 / 2.0])
+
+
+def two_switch_block_distribution(machine: CausalMachine, block_len: int) -> np.ndarray:
+    """Exact length-L output block law of the 4-state switch chain.
+
+    Computed by propagating emission-resolved 4x4 transition matrices from
+    the stationary configuration law; independent of the reduced 2-state
+    path in block_distribution.
+    """
+    if not (1 <= block_len <= MAX_BLOCK_LEN):
+        raise ValueError(f"block length must be in [1, {MAX_BLOCK_LEN}], got {block_len!r}")
+    t_emit0, t_emit1 = _emission_resolved_4state(machine)
+    vecs = two_switch_stationary(machine)[np.newaxis, :]    # (n_prefixes, 4)
+    for _ in range(block_len):
+        nxt = np.empty((vecs.shape[0] * 2, 4))
+        nxt[0::2] = vecs @ t_emit0.T
+        nxt[1::2] = vecs @ t_emit1.T
+        vecs = nxt
+    return vecs.sum(axis=1)
+
+
+def naive_switch_entropy(machine: CausalMachine) -> float:
+    """Memory cost of tracking both switches: entropy of the 4-config law."""
+    return shannon_entropy(two_switch_stationary(machine))

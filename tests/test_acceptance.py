@@ -9,23 +9,9 @@ import functools
 import numpy as np
 import pytest
 
-from qstoch.circuit import (
-    CircuitState,
-    NoiseModel,
-    apply_noise,
-    bell_state,
-    calibrate_noise,
-    run_trace,
-)
+from qstoch.circuit import calibrate_noise, run_trace
 from qstoch.cli import main
-from qstoch.process import (
-    CausalMachine,
-    block_distribution,
-    classical_complexity,
-    excess_entropy,
-    naive_switch_entropy,
-    two_switch_block_distribution,
-)
+from qstoch.process import CausalMachine, block_distribution, classical_complexity, excess_entropy
 from qstoch.qmath import trace_distance
 from qstoch.qmodel import construct_cu, quantum_causal_states, quantum_complexity, steady_state_rho
 from qstoch.seeding import make_rng
@@ -33,6 +19,13 @@ from qstoch.stats import block_law_check, disjoint_block_counts, two_sample_bloc
 from qstoch.tomo import entropy_with_error, reconstruct_rho, simulate_counts
 
 from conftest import trace_outputs
+from oracle import (
+    CircuitState,
+    apply_noise,
+    bell_state,
+    naive_switch_entropy,
+    two_switch_block_distribution,
+)
 
 SYMMETRIC_GRID = [round(p, 10) for p in np.linspace(0.1, 0.9, 9)]
 ASYM_GRID = [(round(pr, 10), round(pl, 10))

@@ -6,35 +6,41 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from qstoch.circuit import (
-    CNOT4,
-    CircuitState,
     NoiseModel,
     RunResult,
-    apply_noise,
-    bell_state,
     calibrate_noise,
-    classical_step,
-    depolarizing_average,
-    from_mixing_rate,
-    measure_qubit,
-    noisy_bell_average,
-    quantum_step,
     run_trace,
     sampled_machine,
-    to_mixing_rate,
     trace_blocks,
-    _quantum_emission_probs,
+    _emission_law,
 )
 from qstoch.cli import main
 from qstoch.process import CausalMachine, stationary_distribution
-from qstoch.qmath import DensityMatrix, Ket, fidelity, tensor, trace_distance
+from qstoch.qmath import DensityMatrix, Ket, fidelity, trace_distance
 from qstoch.qmodel import construct_cu, quantum_causal_states
 from qstoch.seeding import make_rng
 from qstoch.stats import block_law_check, disjoint_block_counts, two_sample_block_check
 
 from conftest import trace_outputs
+from oracle import (
+    CNOT4,
+    CircuitState,
+    apply_noise,
+    bell_state,
+    classical_step,
+    depolarizing_average,
+    from_mixing_rate,
+    measure_qubit,
+    noisy_bell_average,
+    quantum_emission_probs,
+    quantum_step,
+    tensor,
+    to_mixing_rate,
+)
 
 
 def kraus_average_oracle(rho, lam):
@@ -448,7 +454,9 @@ class TestTraceMatchesStepOracle:
             rho = frame @ rho @ frame.conj().T
             via_channel.append(np.real(rho[1, 1] + rho[3, 3]))
         closed_form = [p + (16 * lam / 15) * (0.5 - p) for p in (0.9, 1 - 0.3)]
-        got = _quantum_emission_probs(model, gate, lam)
+        circuit = quantum_emission_probs(model, gate, lam)
+        got, _ = _emission_law(machine, "quantum", gate, NoiseModel(lam))
+        np.testing.assert_allclose(circuit, via_channel, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got, via_channel, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got, closed_form, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got, [0.884, 1 - 0.308], rtol=0, atol=1e-12)
@@ -460,8 +468,50 @@ class TestTraceMatchesStepOracle:
                                            ("quantum", "cu")])
     @pytest.mark.parametrize("probs", [(0.9, 0.3), (1.0, 1e-12), (0.0, 1.0), (1.0, 1.0)])
     def test_sampled_machine_without_noise_is_the_machine(self, probs, mode, gate):
-        # at (1, 1e-12) the cu circuit's P(1|0) rounds to 1 + 4e-16; the
-        # sampled machine stays a valid one
+        # only p_left goes through the round trip 1 - (1 - p_left); at
+        # (1, 1e-12) the cu circuit's P(1|0) is 1 + 4e-16, the closed form's 1
         sampled = sampled_machine(CausalMachine(*probs), mode, gate)
+        assert sampled.p_right == probs[0]
         np.testing.assert_allclose([sampled.p_right, sampled.p_left], probs,
-                                   rtol=0, atol=1e-12)
+                                   rtol=0, atol=1e-15)
+
+
+PROB = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+ORACLE_EDGES = [(1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1e-12), (0.5, 0.5)]
+
+
+def with_oracle_edges(test):
+    for p_right, p_left in ORACLE_EDGES:
+        for lam in (0.0, 0.0375, 1.0):
+            test = example(p_right=p_right, p_left=p_left, lam=lam)(test)
+    return test
+
+
+class TestClosedFormLaw:
+    """The closed-form emission law against the circuit it abbreviates, over
+    random machines and noise rates; (0, 0) has no stationary law."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(p_right=PROB, p_left=PROB, lam=PROB)
+    @with_oracle_edges
+    @pytest.mark.parametrize("gate", ["cnot", "cu"])
+    def test_oracle_circuit_equals_closed_form(self, gate, p_right, p_left, lam):
+        assume((p_right, p_left) != (0.0, 0.0))
+        machine = CausalMachine(p_right, p_left)
+        circuit = quantum_emission_probs(quantum_causal_states(machine), gate, lam)
+        got, _ = _emission_law(machine, "quantum", gate, NoiseModel(lam))
+        closed_form = [p + (16 * lam / 15) * (0.5 - p) for p in (p_right, 1 - p_left)]
+        np.testing.assert_allclose(got, closed_form, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(circuit, got, rtol=0, atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(p_right=PROB, p_left=PROB, lam=PROB)
+    @with_oracle_edges
+    def test_law_stays_in_unit_interval(self, p_right, p_left, lam):
+        assume((p_right, p_left) != (0.0, 0.0))
+        machine = CausalMachine(p_right, p_left)
+        for mode, gate in (("classical", "cnot"), ("quantum", "cnot"), ("quantum", "cu")):
+            p1, _ = _emission_law(machine, mode, gate, NoiseModel(lam))
+            assert all(0.0 <= p <= 1.0 for p in p1)
+            # the sampled chain is a valid machine, no clipping needed
+            sampled_machine(machine, mode, gate, NoiseModel(lam))

@@ -12,23 +12,25 @@ from qstoch.process import (
     CausalMachine,
     IidMachine,
     ReducibleChainError,
-    SwitchConfig,
     block_distribution,
     classical_complexity,
     excess_entropy,
     merge_equivalent_states,
-    naive_switch_entropy,
-    reduce_to_causal_machine,
     stationary_distribution,
-    two_switch_block_distribution,
-    two_switch_stationary,
-    two_switch_step,
     _DRAW_BLOCK,
     _sample_blocks,
 )
 from qstoch.seeding import make_rng
 
 from conftest import trace_outputs
+from oracle import (
+    SwitchConfig,
+    naive_switch_entropy,
+    reduce_to_causal_machine,
+    two_switch_block_distribution,
+    two_switch_stationary,
+    two_switch_step,
+)
 
 
 def binary_entropy(p):

