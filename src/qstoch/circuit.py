@@ -28,7 +28,6 @@ from . import qmath
 from .process import CausalMachine, _sample_blocks, stationary_distribution
 from .qmodel import quantum_causal_states
 from .qmath import DensityMatrix, Ket
-from .seeding import make_rng
 
 GATES = ("cnot", "cu")
 MODES = ("classical", "quantum")
@@ -80,63 +79,41 @@ def calibrate_noise(target_fidelity: float) -> NoiseModel:
     return NoiseModel(lam=(1.0 - target_fidelity) / 0.8)
 
 
-def _emission_law(machine: CausalMachine, mode: str, gate: str,
-                  noise: NoiseModel | None) -> tuple[tuple[float, float], tuple[Ket, Ket]]:
-    """Checked mode and gate, then (P(1|0), P(1|1)) and the prepared kets.
+def sampled_machine(machine: CausalMachine, mode: str, gate: str = "cnot",
+                    noise: NoiseModel | None = None) -> CausalMachine:
+    """The two-state chain a run of this circuit samples, mode and gate checked.
 
-    Classical steps prepare the logical basis states and emit with the
-    machine's own law (noise does not act on them); quantum steps prepare
-    the encoded causal states and emit with the same law, moved a share
-    16 lam / 15 of the way to 1/2 by the channel-averaged gate noise.  A
-    share below 2 keeps (1 - share) p + share / 2 in [0, 1] for every p.
+    Classical steps and noiseless quantum steps emit with the machine's own
+    law, so the chain is the machine itself.  Gate noise moves each quantum
+    P(1|s), and with it p_right = P(1|0) and p_left = 1 - P(1|1), a share
+    16 lam / 15 of the way to 1/2; a share below 2 keeps the result in [0, 1].
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if gate not in GATES:
         raise ValueError(f"gate must be one of {GATES}, got {gate!r}")
-    p1 = (machine.p_right, 1.0 - machine.p_left)
-    if mode == "classical":
-        return p1, (qmath.KET0, qmath.KET1)
-    model = quantum_causal_states(machine)
-    mix = 16.0 * (noise.lam if noise is not None else 0.0) / 15.0
-    return tuple(p + mix * (0.5 - p) for p in p1), (model.ket0, model.ket1)
+    lam = noise.lam if noise is not None and mode == "quantum" else 0.0
+    mix = 16.0 * lam / 15.0
+    return CausalMachine(*(p + mix * (0.5 - p) for p in (machine.p_right, machine.p_left)))
 
 
-def _blocks(machine: CausalMachine, p1: tuple[float, float], n: int,
-            seed: int) -> Iterator[tuple[int, np.ndarray]]:
-    if n < 1:
-        raise ValueError(f"step count must be >= 1, got {n!r}")
-    w0, _ = stationary_distribution(machine)
-    return _sample_blocks(p1, n, make_rng(seed), w0=w0)
-
-
-def sampled_machine(machine: CausalMachine, mode: str, gate: str = "cnot",
-                    noise: NoiseModel | None = None) -> CausalMachine:
-    """The two-state chain a run of this circuit samples.
-
-    Its 0 -> 1 probability is the circuit's P(1|0) and its 1 -> 0
-    probability is 1 - P(1|1): the machine itself (up to the rounding of
-    1 - (1 - p_left)) without noise, the channel-averaged machine with it.
-    """
-    p1, _ = _emission_law(machine, mode, gate, noise)
-    return CausalMachine(p1[0], 1.0 - p1[1])
-
-
-def trace_blocks(machine: CausalMachine, mode: str, n: int, seed: int,
-                 gate: str = "cnot",
-                 noise: NoiseModel | None = None) -> Iterator[tuple[int, np.ndarray]]:
-    """The outputs of run_trace with the same arguments, streamed.
+def trace_blocks(chain: CausalMachine, n: int,
+                 rng: np.random.Generator) -> Iterator[tuple[int, np.ndarray]]:
+    """The n outputs of the chain from a start drawn from its own stationary
+    law, streamed.
 
     Yields (the state entering the block's first step, the block's int8
     output bits) for consecutive blocks of at most 65536 steps, so a trace
-    of any length is read in bounded memory.  The arguments are checked
-    here, before the first block is drawn.
+    of any length is read in bounded memory.  n and the stationary law are
+    checked here, before the first block is drawn.
     """
-    p1, _ = _emission_law(machine, mode, gate, noise)
-    return _blocks(machine, p1, n, seed)
+    if n < 1:
+        raise ValueError(f"step count must be >= 1, got {n!r}")
+    w0, _ = stationary_distribution(chain)
+    return _sample_blocks((chain.p_right, 1.0 - chain.p_left), n, rng, w0=w0)
 
 
-def run_trace(machine: CausalMachine, mode: str, n: int, seed: int,
+def run_trace(machine: CausalMachine, mode: str, n: int, rng: np.random.Generator,
               gate: str = "cnot", noise: NoiseModel | None = None) -> RunResult:
     """Sample n steps of the step circuit from a stationary start.
 
@@ -144,14 +121,17 @@ def run_trace(machine: CausalMachine, mode: str, n: int, seed: int,
     causal states in quantum mode, logical basis states in classical mode)
     and how many steps entered in state 1.  That ensemble is what
     tomography measures.
-    Outputs follow the two-state chain with the circuit's per-state emission
-    probabilities, one uniform per step, and trace_blocks streams them.  The
-    count is summed block by block, so memory stays bounded however large n
-    is.
-    Reproducible for a fixed seed.
+    Outputs are those of trace_blocks on sampled_machine(machine, mode,
+    gate, noise), one uniform per step.  The count is summed block by block,
+    so memory stays bounded however large n is.
     """
-    p1, kets = _emission_law(machine, mode, gate, noise)
+    chain = sampled_machine(machine, mode, gate, noise)
+    if mode == "classical":
+        kets = (qmath.KET0, qmath.KET1)
+    else:
+        model = quantum_causal_states(machine)
+        kets = (model.ket0, model.ket1)
     # step j enters in the state step j - 1 emitted, step 0 in the start state
     ones = sum(entering + int(np.count_nonzero(bits[:-1]))
-               for entering, bits in _blocks(machine, p1, n, seed))
+               for entering, bits in trace_blocks(chain, n, rng))
     return RunResult(steps=n, ones=ones, kets=kets)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,9 +21,10 @@ from .circuit import (GATES, MODES, NoiseModel, calibrate_noise, run_trace,
 from .process import CausalMachine, classical_complexity, stationary_distribution
 from .qmath import DensityMatrix, trace_distance
 from .qmodel import quantum_causal_states, quantum_complexity, steady_state_rho
-from .seeding import make_rng, xor_seed
+from .seeding import BOOTSTRAP, COLUMNS, SHOTS, TRACE, make_rng
 from .stats import block_law_check, stream_block_counts
-from .tomo import entropy_with_error, reconstructed_entropy, simulate_counts
+from .tomo import (TomographyCounts, TomographyResult, entropy_with_error,
+                   reconstructed_entropy, simulate_counts)
 
 MAX_CHECK_BLOCK_LEN = 4
 MAX_SWEEP_POINTS = 10_001
@@ -105,21 +106,29 @@ def _open_out(path: str | None):
 # shared simulation pieces
 # ---------------------------------------------------------------------------
 
-def _simulated_entropies(machine: CausalMachine, steps: int, shots: int, gate: str,
-                         noise: NoiseModel, base_seed: int) -> tuple[float, float, float]:
-    """(classical entropy, quantum entropy, quantum one-sigma) via tomography."""
-    run_c = run_trace(machine, "classical", steps, seed=2 * base_seed)
-    counts_c = simulate_counts(run_c.density(), shots, make_rng(base_seed, 2))
-    ent_c = reconstructed_entropy(counts_c)
-
-    run_q = run_trace(machine, "quantum", steps, seed=2 * base_seed + 1,
-                      gate=gate, noise=noise)
-    rng_q = make_rng(base_seed, 3)
-    result = entropy_with_error(simulate_counts(run_q.density(), shots, rng_q), rng_q)
-    return ent_c, result.entropy, result.entropy_std
+def _tomographed(cfg: ExperimentConfig, point: int, column: int) -> TomographyCounts:
+    """Tomography counts of cfg's run, its trace and shots drawn from the
+    streams keyed (point, column)."""
+    run = run_trace(cfg.machine(), cfg.mode, cfg.steps,
+                    make_rng(cfg.seed, point, column, TRACE), gate=cfg.gate, noise=cfg.noise())
+    return simulate_counts(run.density(), cfg.shots_per_basis,
+                           make_rng(cfg.seed, point, column, SHOTS))
 
 
-def _sweep_point(index: int, p: float, args) -> dict:
+def _with_error(cfg: ExperimentConfig, point: int, column: int) -> TomographyResult:
+    """Entropy of _tomographed(cfg, point, column), bootstrapped from its own stream."""
+    return entropy_with_error(_tomographed(cfg, point, column),
+                              make_rng(cfg.seed, point, column, BOOTSTRAP))
+
+
+def _grid_points(args) -> float:
+    """Size of the sweep grid p_min + i p_step, i = 0, 1, ..., up to p_max
+    (1e-12 slack): a float, so a vanishing step counts to inf, not an overflow."""
+    return (args.p_max - args.p_min + 1e-12) // args.p_step + 1.0
+
+
+def _sweep_point(index: int, cfg: ExperimentConfig) -> dict:
+    p = cfg.p_right
     row = {"p": p}
     if p == 0.0:
         # frozen chain: theory columns use the uniform-start convention for
@@ -128,13 +137,13 @@ def _sweep_point(index: int, p: float, args) -> dict:
         row.update(c_classical_theory=1.0, c_quantum_theory=1.0,
                    c_classical_sim=_NAN, c_quantum_sim=_NAN, c_quantum_sim_std=_NAN)
         return row
-    machine = CausalMachine(p, p)
-    row["c_classical_theory"] = classical_complexity(machine)
-    row["c_quantum_theory"] = quantum_complexity(machine)
-    base = xor_seed(args.seed, index)
-    ent_c, ent_q, std_q = _simulated_entropies(machine, args.steps, args.shots, args.gate,
-                                               NoiseModel(lam=args.noise_lambda), base)
-    row.update(c_classical_sim=ent_c, c_quantum_sim=ent_q, c_quantum_sim_std=std_q)
+    machine = cfg.machine()
+    classical = _tomographed(replace(cfg, mode="classical"), index, COLUMNS["classical"])
+    quantum = _with_error(cfg, index, COLUMNS["quantum"])
+    row.update(c_classical_theory=classical_complexity(machine),
+               c_quantum_theory=quantum_complexity(machine),
+               c_classical_sim=reconstructed_entropy(classical),
+               c_quantum_sim=quantum.entropy, c_quantum_sim_std=quantum.entropy_std)
     return row
 
 
@@ -148,17 +157,12 @@ SWEEP_HEADER = ["p", "c_classical_theory", "c_quantum_theory",
 
 def cmd_sweep(args) -> int:
     # every grid point shares these settings: check them once, before any work
-    ExperimentConfig(p_right=args.p_min, p_left=args.p_min, gate=args.gate,
-                     steps=args.steps, shots_per_basis=args.shots,
-                     noise_lambda=args.noise_lambda, seed=args.seed)
-    grid = []
-    p = args.p_min
-    i = 0
-    while p <= args.p_max + 1e-12:
-        grid.append(round(p, 12))
-        i += 1
-        p = args.p_min + i * args.p_step
-    rows = [_sweep_point(index, p, args) for index, p in enumerate(grid)]
+    base = ExperimentConfig(p_right=args.p_min, p_left=args.p_min, gate=args.gate,
+                            steps=args.steps, shots_per_basis=args.shots,
+                            noise_lambda=args.noise_lambda, seed=args.seed)
+    grid = [round(args.p_min + i * args.p_step, 12) for i in range(int(_grid_points(args)))]
+    rows = [_sweep_point(index, replace(base, p_right=p, p_left=p))
+            for index, p in enumerate(grid)]
     config = {"p_min": args.p_min, "p_max": args.p_max, "p_step": args.p_step,
               "gate": args.gate, "steps": args.steps, "shots": args.shots,
               "lambda": args.noise_lambda, "seed": args.seed}
@@ -185,16 +189,12 @@ def cmd_asym(args) -> int:
            "c_classical_theory": classical_complexity(machine),
            "c_quantum_theory": quantum_complexity(machine),
            "noise_lambda": lam}
-    ent_c, ent_q, std_q = _simulated_entropies(machine, cfg.steps, cfg.shots_per_basis,
-                                               cfg.gate, NoiseModel(), cfg.seed)
-    row.update(c_classical_sim=ent_c, c_quantum_sim=ent_q, c_quantum_sim_std=std_q)
-
-    run_noisy = run_trace(machine, "quantum", cfg.steps, seed=2 * cfg.seed + 1,
-                          gate=cfg.gate, noise=NoiseModel(lam=lam))
-    rng_noisy = make_rng(cfg.seed, 5)
-    noisy = entropy_with_error(
-        simulate_counts(run_noisy.density(), cfg.shots_per_basis, rng_noisy), rng_noisy)
-    row.update(c_quantum_noisy_sim=noisy.entropy, c_quantum_noisy_sim_std=noisy.entropy_std)
+    classical = _tomographed(replace(cfg, mode="classical"), 0, COLUMNS["classical"])
+    ideal = _with_error(replace(cfg, noise_lambda=0.0), 0, COLUMNS["quantum"])
+    noisy = _with_error(replace(cfg, noise_lambda=lam), 0, COLUMNS["noisy"])
+    row.update(c_classical_sim=reconstructed_entropy(classical),
+               c_quantum_sim=ideal.entropy, c_quantum_sim_std=ideal.entropy_std,
+               c_quantum_noisy_sim=noisy.entropy, c_quantum_noisy_sim_std=noisy.entropy_std)
     row.update(dict(ASYM_REFERENCE))
 
     config = {"p_right": cfg.p_right, "p_left": cfg.p_left, "gate": cfg.gate,
@@ -210,11 +210,10 @@ SIMULATE_HEADER = ["L", "block", "count", "freq", "prob", "tv", "tv_bound", "ok"
 
 def cmd_simulate(args) -> int:
     cfg = _config_from(args)
-    blocks = trace_blocks(cfg.machine(), cfg.mode, cfg.steps, cfg.seed,
-                          gate=cfg.gate, noise=cfg.noise())
-    # the trace is checked against the chain it was sampled from: with gate
-    # noise, the channel-averaged machine
+    # the trace is checked against the chain it samples: with gate noise,
+    # the channel-averaged machine; its stream is the one tomo's run draws
     law = sampled_machine(cfg.machine(), cfg.mode, cfg.gate, cfg.noise())
+    blocks = trace_blocks(law, cfg.steps, make_rng(cfg.seed, 0, COLUMNS[cfg.mode], TRACE))
     block_lens = range(1, min(MAX_CHECK_BLOCK_LEN, cfg.steps) + 1)
     tallies = stream_block_counts((bits for _, bits in blocks), block_lens)
     rows = []
@@ -246,11 +245,7 @@ TOMO_HEADER = ["p_right", "p_left", "mode", "gate", "steps", "shots",
 def cmd_tomo(args) -> int:
     cfg = _config_from(args)
     machine = cfg.machine()
-    run = run_trace(machine, cfg.mode, cfg.steps, seed=cfg.seed,
-                    gate=cfg.gate, noise=cfg.noise())
-    rng = make_rng(cfg.seed, 1)
-    counts = simulate_counts(run.density(), cfg.shots_per_basis, rng)
-    result = entropy_with_error(counts, rng)
+    result = _with_error(cfg, 0, COLUMNS[cfg.mode])
 
     if cfg.mode == "quantum":
         rho_theory = steady_state_rho(quantum_causal_states(machine))
@@ -260,7 +255,7 @@ def cmd_tomo(args) -> int:
         rho_theory = DensityMatrix(np.diag(w).astype(complex))
         ent_theory = classical_complexity(machine)
 
-    bloch = counts.bloch_vector()
+    bloch = result.raw.bloch_vector()
     rho = result.rho_hat.entries
     row = {"p_right": cfg.p_right, "p_left": cfg.p_left, "mode": cfg.mode,
            "gate": cfg.gate, "steps": cfg.steps, "shots": cfg.shots_per_basis,
@@ -357,9 +352,8 @@ def main(argv=None) -> int:
         valid = (0.0 <= args.p_min <= args.p_max <= 1.0) and args.p_step > 0.0
         if not valid:
             parser.error(f"invalid grid: [{args.p_min}, {args.p_max}] step {args.p_step}")
-        # counted as cmd_sweep steps the grid, not built: a tiny step must
-        # fail before any list exists
-        if (args.p_max - args.p_min + 1e-12) // args.p_step + 1.0 > MAX_SWEEP_POINTS:
+        # counted, not built: a tiny step must fail before any list exists
+        if _grid_points(args) > MAX_SWEEP_POINTS:
             parser.error(f"grid step {args.p_step} gives more than {MAX_SWEEP_POINTS} points")
     try:
         return args.func(args)

@@ -1,21 +1,27 @@
-"""Reproducible random streams.
+"""Reproducible random streams: one seed tree.
 
-All stochastic code draws from a Philox (counter-based) generator, so a
-stream is fully determined by its integer seed path: the same seed gives
-the same draws on every run.  Each sweep point derives its seed as
-``seed XOR grid_index``; see the cli module.
+Every stream is a Philox (counter-based) generator keyed by the master seed
+and a tuple of small integers, passed to SeedSequence as its spawn key, so
+distinct (seed, key) pairs give independent streams: neither a longer key
+with zeros appended nor a seed of 2**32 or more collides with another pair.
+
+Only the cli module makes streams; the library takes Generators.  Every
+stream it draws has a key of one length, (point, column, purpose): the sweep
+grid index (0 for the one-point commands), the simulated column (COLUMNS),
+and what the stream draws (TRACE, SHOTS or BOOTSTRAP).  simulate and tomo
+key their trace alike, so at one config and seed tomo tomographs the very
+trace simulate checks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-
-def make_rng(seed: int, *stream: int) -> np.random.Generator:
-    """Generator for the given seed, optionally sub-keyed by stream indices."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed), *map(int, stream)))))
+COLUMNS = {"classical": 0, "quantum": 1, "noisy": 2}
+TRACE, SHOTS, BOOTSTRAP = 0, 1, 2
 
 
-def xor_seed(seed: int, index: int) -> int:
-    """Per-grid-point seed of the sweep."""
-    return int(seed) ^ int(index)
+def make_rng(seed: int, *key: int) -> np.random.Generator:
+    """The stream of the given seed and key."""
+    sequence = np.random.SeedSequence(int(seed), spawn_key=tuple(map(int, key)))
+    return np.random.Generator(np.random.Philox(sequence))

@@ -19,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
+from qstoch.cli import main
+
 GOLDEN = Path(__file__).with_name("golden")
 MANIFEST = GOLDEN / "manifest.json"
 REGENERATE = "PYTHONPATH=src python tests/golden.py"
@@ -53,8 +55,6 @@ for _name, _point in EDGES.items():
 
 def run(name: str, out: Path) -> tuple[int, bytes]:
     """Exit code and CSV bytes of one case, run in this process."""
-    from qstoch.cli import main
-
     code = main(CASES[name] + ["--out", str(out)])
     return code, out.read_bytes() if out.exists() else b""
 

@@ -1,7 +1,7 @@
 """Reference oracle: the literal step circuits and the two-switch ground truth.
 
 qstoch samples every run as the two-state chain with the closed-form
-emission law of circuit._emission_law, and works on the parity machine of
+emission law of circuit.sampled_machine, and works on the parity machine of
 process.  This module keeps, for the tests to compare against, what those
 abbreviate:
   * the statevector step circuits, with Born measurement, collapse and
@@ -244,7 +244,7 @@ def quantum_emission_probs(model: QuantumModel, gate: str,
     Runs the circuit once per encoded state with quantum_step's Born
     arithmetic; (1 - lam) p_I + lam / 15 sum_P p_P is the exact outcome law
     because the memory is reprepared from the output bit.  The closed form
-    of circuit._emission_law equals it up to rounding.
+    of circuit.sampled_machine equals it up to rounding.
     """
     meter_in, gate4, frame = _step_operators(model.machine, gate)
     probs = []

@@ -125,7 +125,7 @@ def test_criterion_06_circuit_faithfulness():
                 CausalMachine(0.8, 0.8), CausalMachine(0.9, 0.3)]
     for seed_offset, machine in enumerate(machines):
         for mode in ("classical", "quantum"):
-            outputs = trace_outputs(machine, mode, 100_000, seed=600 + seed_offset)
+            outputs = trace_outputs(machine, mode, 100_000, make_rng(600 + seed_offset))
             for block_len in range(1, 5):
                 check = block_law_check(machine, disjoint_block_counts(outputs, block_len))
                 assert check.passed, (machine, mode, block_len)
@@ -180,7 +180,7 @@ def test_criterion_09_noise_reproduction():
 
     machine = CausalMachine(0.9, 0.3)
     ideal = quantum_complexity(machine)
-    run = run_trace(machine, "quantum", 100_000, seed=901, noise=noise)
+    run = run_trace(machine, "quantum", 100_000, make_rng(901), noise=noise)
     rng = make_rng(902)
     # 1e7 shots per basis resolve the small noise-induced uplift
     result = entropy_with_error(simulate_counts(run.density(), 10_000_000, rng), rng)
@@ -205,8 +205,8 @@ def test_criterion_10_cu_synthesis():
         np.testing.assert_allclose(ops.u.entries, [[0, 1], [1, 0]], atol=1e-12)
         np.testing.assert_allclose(ops.v.entries, np.eye(2), atol=1e-12)
     machine = CausalMachine(0.9, 0.3)
-    with_cnot = trace_outputs(machine, "quantum", 100_000, seed=910, gate="cnot")
-    with_cu = trace_outputs(machine, "quantum", 100_000, seed=911, gate="cu")
+    with_cnot = trace_outputs(machine, "quantum", 100_000, make_rng(910), gate="cnot")
+    with_cu = trace_outputs(machine, "quantum", 100_000, make_rng(911), gate="cu")
     for block_len in range(1, 4):
         assert two_sample_block_check(machine, with_cnot, with_cu, block_len)
 

@@ -16,7 +16,6 @@ from qstoch.circuit import (
     run_trace,
     sampled_machine,
     trace_blocks,
-    _emission_law,
 )
 from qstoch.cli import main
 from qstoch.process import CausalMachine, stationary_distribution
@@ -248,50 +247,62 @@ class TestCalibrateNoise:
 class TestRunTrace:
     def test_seed_determinism(self):
         machine = CausalMachine(0.9, 0.3)
-        a = run_trace(machine, "quantum", 2000, seed=71)
-        b = run_trace(machine, "quantum", 2000, seed=71)
-        assert np.array_equal(trace_outputs(machine, "quantum", 2000, seed=71),
-                              trace_outputs(machine, "quantum", 2000, seed=71))
+        a = run_trace(machine, "quantum", 2000, make_rng(71))
+        b = run_trace(machine, "quantum", 2000, make_rng(71))
+        assert np.array_equal(trace_outputs(machine, "quantum", 2000, make_rng(71)),
+                              trace_outputs(machine, "quantum", 2000, make_rng(71)))
         assert a.ones == b.ones
         for ket_a, ket_b in zip(a.kets, b.kets):
             assert np.array_equal(ket_a.amplitudes, ket_b.amplitudes)
 
+    def test_noisy_trace_starts_from_its_own_chain(self):
+        # (0.9, 0.3) at lam = 0.0375 samples (0.884, 0.308): P(start in 0) is
+        # 0.2584 there, 0.25 for the noiseless machine; make_rng(12)'s first
+        # uniform, 0.2550, falls between the two
+        machine, noise = CausalMachine(0.9, 0.3), NoiseModel(0.0375)
+        chain = sampled_machine(machine, "quantum", noise=noise)
+        assert stationary_distribution(chain)[0] == pytest.approx(0.2584, abs=1e-4)
+        assert make_rng(12).random() == pytest.approx(0.2550, abs=1e-4)
+        (start, _), = trace_blocks(chain, 10, make_rng(12))
+        assert start == 0
+        assert run_trace(machine, "quantum", 1, make_rng(12), noise=noise).ones == 0
+
     def test_quantum_two_block_law(self):
         machine = CausalMachine(0.8, 0.8)
-        outputs = trace_outputs(machine, "quantum", 100_000, seed=72)
+        outputs = trace_outputs(machine, "quantum", 100_000, make_rng(72))
         assert block_law_check(machine, disjoint_block_counts(outputs, 2)).passed
 
     def test_classical_matches_quantum_blocks(self):
         machine = CausalMachine(0.8, 0.8)
-        qu = trace_outputs(machine, "quantum", 100_000, seed=73)
-        cl = trace_outputs(machine, "classical", 100_000, seed=74)
+        qu = trace_outputs(machine, "quantum", 100_000, make_rng(73))
+        cl = trace_outputs(machine, "classical", 100_000, make_rng(74))
         for block_len in range(1, 5):
             assert two_sample_block_check(machine, qu, cl, block_len)
 
     def test_cnot_and_cu_statistics_agree(self):
         machine = CausalMachine(0.9, 0.3)
-        a = trace_outputs(machine, "quantum", 100_000, seed=75, gate="cnot")
-        b = trace_outputs(machine, "quantum", 100_000, seed=76, gate="cu")
+        a = trace_outputs(machine, "quantum", 100_000, make_rng(75), gate="cnot")
+        b = trace_outputs(machine, "quantum", 100_000, make_rng(76), gate="cu")
         for block_len in range(1, 5):
             assert two_sample_block_check(machine, a, b, block_len)
 
     def test_noiseless_ensemble_holds_encoded_states(self):
         machine = CausalMachine(0.9, 0.3)
         model = quantum_causal_states(machine)
-        run = run_trace(machine, "quantum", 5000, seed=77)
+        run = run_trace(machine, "quantum", 5000, make_rng(77))
         for got, encoded in zip(run.kets, (model.ket0, model.ket1)):
             assert abs(np.vdot(got.amplitudes, encoded.amplitudes)) == pytest.approx(
                 1.0, abs=1e-12)
         # encoded state of step j is the output bit of step j-1, and step 0
         # enters in the single start state
-        outputs = trace_outputs(machine, "quantum", 5000, seed=77)
+        outputs = trace_outputs(machine, "quantum", 5000, make_rng(77))
         assert run.ones - int(outputs[:-1].sum()) in (0, 1)
 
     @pytest.mark.parametrize("mode", ["classical", "quantum"])
     def test_density_equals_per_step_ket_average(self, mode):
         machine = CausalMachine(0.9, 0.3)
-        run = run_trace(machine, mode, 20_000, seed=79)
-        blocks = list(trace_blocks(machine, mode, 20_000, seed=79))
+        run = run_trace(machine, mode, 20_000, make_rng(79))
+        blocks = list(trace_blocks(sampled_machine(machine, mode), 20_000, make_rng(79)))
         outputs = np.concatenate([bits for _, bits in blocks])
         # rebuild the per-step ket array: step j enters in the state step
         # j - 1 emitted, step 0 in the start state
@@ -302,7 +313,7 @@ class TestRunTrace:
 
     def test_classical_ensemble_holds_logical_states(self):
         machine = CausalMachine(0.8, 0.8)
-        run = run_trace(machine, "classical", 5000, seed=78)
+        run = run_trace(machine, "classical", 5000, make_rng(78))
         probs = np.abs([ket.amplitudes for ket in run.kets]) ** 2
         np.testing.assert_array_equal(probs > 1 - 1e-12, np.eye(2, dtype=bool))
 
@@ -310,7 +321,7 @@ class TestRunTrace:
         for machine in (CausalMachine(0.8, 0.8), CausalMachine(0.9, 0.3)):
             tvs = []
             for n in (1_000, 100_000):
-                outputs = trace_outputs(machine, "quantum", n, seed=81)
+                outputs = trace_outputs(machine, "quantum", n, make_rng(81))
                 check = block_law_check(machine, disjoint_block_counts(outputs, 3))
                 assert check.passed
                 tvs.append(check.tv)
@@ -320,23 +331,24 @@ class TestRunTrace:
     def test_argument_validation(self):
         machine = CausalMachine(0.8, 0.8)
         with pytest.raises(ValueError):
-            run_trace(machine, "hybrid", 10, seed=1)
+            run_trace(machine, "hybrid", 10, make_rng(1))
         with pytest.raises(ValueError):
-            run_trace(machine, "quantum", 0, seed=1)
-        # the stream checks them when it is made, before any block is drawn
+            run_trace(machine, "quantum", 0, make_rng(1))
+        # the chain checks mode and gate, the stream its length when it is
+        # made, before any block is drawn
         with pytest.raises(ValueError):
-            trace_blocks(machine, "hybrid", 10, seed=1)
+            sampled_machine(machine, "hybrid")
         with pytest.raises(ValueError):
-            trace_blocks(machine, "quantum", 10, seed=1, gate="cz")
+            sampled_machine(machine, "quantum", gate="cz")
         with pytest.raises(ValueError):
-            trace_blocks(machine, "quantum", 0, seed=1)
+            trace_blocks(machine, 0, make_rng(1))
 
     def test_noise_model_validated(self):
         with pytest.raises(ValueError):
             NoiseModel(lam=1.5)
 
     def test_result_kets_frozen(self):
-        run = run_trace(CausalMachine(0.8, 0.8), "quantum", 10, seed=80)
+        run = run_trace(CausalMachine(0.8, 0.8), "quantum", 10, make_rng(80))
         assert isinstance(run, RunResult)
         with pytest.raises(ValueError):
             run.kets[0].amplitudes[0] = 1.0
@@ -365,7 +377,7 @@ class TestBoundedMemory:
 
     @staticmethod
     def run(n):
-        run_trace(CausalMachine(0.8, 0.8), "classical", n, seed=1)
+        run_trace(CausalMachine(0.8, 0.8), "classical", n, make_rng(1))
 
     @staticmethod
     def simulate(n):
@@ -381,6 +393,12 @@ class TestBoundedMemory:
         long = traced_peak(lambda: fn(2_000_000))
         assert long < self.BOUND
         assert long <= short + 65_536
+
+
+def emission_law(machine, mode, gate, noise):
+    """(P(1|0), P(1|1)) of the chain sampled_machine says a run samples."""
+    chain = sampled_machine(machine, mode, gate, noise)
+    return chain.p_right, 1.0 - chain.p_left
 
 
 ORACLE_MACHINES = [CausalMachine(0.9, 0.3), CausalMachine(0.8, 0.8), CausalMachine(0.3, 0.9)]
@@ -421,17 +439,17 @@ class TestTraceMatchesStepOracle:
     @pytest.mark.parametrize("gate", ["cnot", "cu"])
     @pytest.mark.parametrize("machine", ORACLE_MACHINES, ids=ORACLE_IDS)
     def test_quantum_pathwise(self, machine, gate):
-        run = run_trace(machine, "quantum", 3000, seed=85, gate=gate)
+        run = run_trace(machine, "quantum", 3000, make_rng(85), gate=gate)
         outputs, kets = step_oracle(machine, "quantum", gate, 3000, seed=85)
         np.testing.assert_array_equal(
-            trace_outputs(machine, "quantum", 3000, seed=85, gate=gate), outputs)
+            trace_outputs(machine, "quantum", 3000, make_rng(85), gate=gate), outputs)
         assert_same_ensemble(run, kets)
 
     @pytest.mark.parametrize("machine", ORACLE_MACHINES, ids=ORACLE_IDS)
     def test_classical_pathwise(self, machine):
-        run = run_trace(machine, "classical", 3000, seed=86)
+        run = run_trace(machine, "classical", 3000, make_rng(86))
         outputs, kets = step_oracle(machine, "classical", "cnot", 3000, seed=86)
-        np.testing.assert_array_equal(trace_outputs(machine, "classical", 3000, seed=86),
+        np.testing.assert_array_equal(trace_outputs(machine, "classical", 3000, make_rng(86)),
                                       outputs)
         assert_same_ensemble(run, kets)
 
@@ -455,7 +473,7 @@ class TestTraceMatchesStepOracle:
             via_channel.append(np.real(rho[1, 1] + rho[3, 3]))
         closed_form = [p + (16 * lam / 15) * (0.5 - p) for p in (0.9, 1 - 0.3)]
         circuit = quantum_emission_probs(model, gate, lam)
-        got, _ = _emission_law(machine, "quantum", gate, NoiseModel(lam))
+        got = emission_law(machine, "quantum", gate, NoiseModel(lam))
         np.testing.assert_allclose(circuit, via_channel, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got, via_channel, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got, closed_form, rtol=0, atol=1e-12)
@@ -468,12 +486,8 @@ class TestTraceMatchesStepOracle:
                                            ("quantum", "cu")])
     @pytest.mark.parametrize("probs", [(0.9, 0.3), (1.0, 1e-12), (0.0, 1.0), (1.0, 1.0)])
     def test_sampled_machine_without_noise_is_the_machine(self, probs, mode, gate):
-        # only p_left goes through the round trip 1 - (1 - p_left); at
-        # (1, 1e-12) the cu circuit's P(1|0) is 1 + 4e-16, the closed form's 1
-        sampled = sampled_machine(CausalMachine(*probs), mode, gate)
-        assert sampled.p_right == probs[0]
-        np.testing.assert_allclose([sampled.p_right, sampled.p_left], probs,
-                                   rtol=0, atol=1e-15)
+        # exactly: simulate checks the very chain it was asked for
+        assert sampled_machine(CausalMachine(*probs), mode, gate) == CausalMachine(*probs)
 
 
 PROB = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
@@ -499,7 +513,7 @@ class TestClosedFormLaw:
         assume((p_right, p_left) != (0.0, 0.0))
         machine = CausalMachine(p_right, p_left)
         circuit = quantum_emission_probs(quantum_causal_states(machine), gate, lam)
-        got, _ = _emission_law(machine, "quantum", gate, NoiseModel(lam))
+        got = emission_law(machine, "quantum", gate, NoiseModel(lam))
         closed_form = [p + (16 * lam / 15) * (0.5 - p) for p in (p_right, 1 - p_left)]
         np.testing.assert_allclose(got, closed_form, rtol=0, atol=1e-15)
         np.testing.assert_allclose(circuit, got, rtol=0, atol=1e-12)
@@ -511,7 +525,6 @@ class TestClosedFormLaw:
         assume((p_right, p_left) != (0.0, 0.0))
         machine = CausalMachine(p_right, p_left)
         for mode, gate in (("classical", "cnot"), ("quantum", "cnot"), ("quantum", "cu")):
-            p1, _ = _emission_law(machine, mode, gate, NoiseModel(lam))
-            assert all(0.0 <= p <= 1.0 for p in p1)
             # the sampled chain is a valid machine, no clipping needed
-            sampled_machine(machine, mode, gate, NoiseModel(lam))
+            p1 = emission_law(machine, mode, gate, NoiseModel(lam))
+            assert all(0.0 <= p <= 1.0 for p in p1)

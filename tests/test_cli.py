@@ -4,6 +4,7 @@ import pytest
 
 from qstoch import cli
 from qstoch.cli import ExperimentConfig, main
+from qstoch.seeding import make_rng
 
 
 def run_cli(args, tmp_path, name):
@@ -213,6 +214,78 @@ class TestTomoCommand:
         _, first = run_cli(args, tmp_path, "t1.csv")
         _, second = run_cli(args, tmp_path, "t2.csv")
         assert first == second
+
+
+def stream_key(rng):
+    """The Philox key a generator was seeded with: equal keys, equal streams."""
+    return tuple(rng.bit_generator.state["state"]["key"].tolist())
+
+
+def record(monkeypatch, name):
+    """Replace cli.<name> by a wrapper that logs the key of the rng cli
+    passes it, as its last positional argument."""
+    keys = []
+    original = getattr(cli, name)
+
+    def wrapper(*args, **kwargs):
+        keys.append(stream_key(args[-1]))
+        return original(*args, **kwargs)
+    monkeypatch.setattr(cli, name, wrapper)
+    return keys
+
+
+SMALL = {
+    "sweep": ["sweep", "--p-min", "0.2", "--p-max", "0.4", "--p-step", "0.2",
+              "--steps", "2000", "--shots", "500"],
+    "asym": ["asym", "--p-right", "0.9", "--p-left", "0.3", "--steps", "2000",
+             "--shots", "500"],
+    "simulate": ["simulate", "--p", "0.8", "--steps", "2000"],
+    "tomo": ["tomo", "--p", "0.8", "--steps", "2000", "--shots", "500"],
+}
+
+
+class TestStreams:
+    @pytest.mark.parametrize("command", sorted(SMALL))
+    def test_every_stream_has_a_distinct_key_of_one_length(self, monkeypatch, tmp_path,
+                                                           command):
+        keys = []
+
+        def recording(seed, *key):
+            keys.append(key)
+            return make_rng(seed, *key)
+        monkeypatch.setattr(cli, "make_rng", recording)
+        assert main(SMALL[command] + ["--out", str(tmp_path / "out.csv")]) == 0
+        assert keys and {len(key) for key in keys} == {3}
+        assert len(set(keys)) == len(keys)
+
+    def test_sweeps_at_neighbouring_seeds_draw_apart(self, tmp_path):
+        # point 1 of seed 42 and point 0 of seed 43 once keyed one stream
+        common = ["--p-step", "0.1", "--steps", "20000", "--shots", "2000"]
+        cells = []
+        for seed, p_min, p_max in (("42", "0.1", "0.2"), ("43", "0", "0.1")):
+            args = ["sweep", "--seed", seed, "--p-min", p_min, "--p-max", p_max] + common
+            code, payload = run_cli(args, tmp_path, f"sweep{seed}.csv")
+            assert code == 0
+            row = next(row for row in parse_csv(payload)[1] if row["p"] == "0.1")
+            cells.append([row[c] for c in ("c_classical_sim", "c_quantum_sim",
+                                           "c_quantum_sim_std")])
+        assert cells[0] != cells[1]
+
+    def test_asym_ideal_and_noisy_runs_draw_different_traces(self, monkeypatch, tmp_path):
+        keys = record(monkeypatch, "run_trace")
+        code, _ = run_cli(SMALL["asym"], tmp_path, "asym.csv")
+        assert code == 0
+        assert len(keys) == 3 and len(set(keys)) == 3
+
+    @pytest.mark.parametrize("mode", ["classical", "quantum"])
+    def test_tomo_tomographs_the_trace_simulate_checks(self, monkeypatch, tmp_path, mode):
+        point = ["--p-right", "0.9", "--p-left", "0.3", "--mode", mode, "--steps", "3000"]
+        checked = record(monkeypatch, "trace_blocks")
+        tomographed = record(monkeypatch, "run_trace")
+        assert run_cli(["simulate"] + point, tmp_path, "sim.csv")[0] == 0
+        assert run_cli(["tomo"] + point, tmp_path, "tomo.csv")[0] == 0
+        assert len(checked) == len(tomographed) == 1
+        assert checked == tomographed
 
 
 class TestExperimentConfig:

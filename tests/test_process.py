@@ -289,16 +289,16 @@ class TestClassicalTrace:
     def test_reducible_without_start_rejected(self):
         # the stream checks the chain when it is made, before any block is drawn
         with pytest.raises(ReducibleChainError):
-            trace_blocks(CausalMachine(0.0, 0.0), "classical", 10, seed=1)
+            trace_blocks(CausalMachine(0.0, 0.0), 10, make_rng(1))
 
     def test_seed_determinism(self):
-        a = trace_outputs(CausalMachine(0.8, 0.8), "classical", 500, seed=9)
-        b = trace_outputs(CausalMachine(0.8, 0.8), "classical", 500, seed=9)
+        a = trace_outputs(CausalMachine(0.8, 0.8), "classical", 500, make_rng(9))
+        b = trace_outputs(CausalMachine(0.8, 0.8), "classical", 500, make_rng(9))
         assert np.array_equal(a, b)
 
     def test_two_block_frequencies_within_4_sigma(self):
         machine = CausalMachine(0.8, 0.8)
-        outputs = trace_outputs(machine, "classical", 100_000, seed=13)
+        outputs = trace_outputs(machine, "classical", 100_000, make_rng(13))
         pairs = outputs[: 2 * (len(outputs) // 2)].reshape(-1, 2)
         codes = pairs[:, 0] * 2 + pairs[:, 1]
         counts = np.bincount(codes, minlength=4)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qstoch.process import CausalMachine, block_distribution
+from qstoch.seeding import make_rng
 from qstoch.stats import (
     block_count_sigma,
     block_law_check,
@@ -83,7 +84,7 @@ class TestBlockCountSigma:
         reps = 3000
         all_counts = np.empty((reps, 2 ** block_len))
         for i in range(reps):
-            outputs = trace_outputs(machine, "classical", n_steps, seed=10_000 + i)
+            outputs = trace_outputs(machine, "classical", n_steps, make_rng(10_000 + i))
             all_counts[i] = disjoint_block_counts(outputs, block_len)
         empirical = all_counts.std(axis=0, ddof=1)
         predicted = block_count_sigma(machine, block_len, m)
@@ -101,7 +102,7 @@ class TestBlockCountSigma:
 
     def test_period_two_trace_passes_check(self):
         machine = CausalMachine(1.0, 1.0)
-        outputs = trace_outputs(machine, "classical", 50_000, seed=77)
+        outputs = trace_outputs(machine, "classical", 50_000, make_rng(77))
         for block_len in (1, 2, 3, 4):
             assert block_law_check(machine, disjoint_block_counts(outputs, block_len)).passed
 
@@ -121,21 +122,21 @@ class TestBlockCountSigma:
 class TestChecks:
     def test_matching_traces_pass(self):
         machine = CausalMachine(0.8, 0.8)
-        a = trace_outputs(machine, "classical", 40_000, seed=1)
-        b = trace_outputs(machine, "classical", 40_000, seed=2)
+        a = trace_outputs(machine, "classical", 40_000, make_rng(1))
+        b = trace_outputs(machine, "classical", 40_000, make_rng(2))
         for block_len in (1, 2, 3):
             assert two_sample_block_check(machine, a, b, block_len)
 
     def test_mismatched_law_detected(self):
         machine = CausalMachine(0.8, 0.8)
-        other = trace_outputs(CausalMachine(0.6, 0.6), "classical", 40_000, seed=3)
+        other = trace_outputs(CausalMachine(0.6, 0.6), "classical", 40_000, make_rng(3))
         check = block_law_check(machine, disjoint_block_counts(other, 2))
         assert not check.passed
         assert check.tv > check.tv_bound
 
     def test_check_from_tallied_counts(self):
         machine = CausalMachine(0.9, 0.3)
-        counts = disjoint_block_counts(trace_outputs(machine, "classical", 30_000, seed=5), 3)
+        counts = disjoint_block_counts(trace_outputs(machine, "classical", 30_000, make_rng(5)), 3)
         check = block_law_check(machine, counts)
         assert (check.block_len, check.n_blocks) == (3, 10_000)
         np.testing.assert_array_equal(check.counts, counts)
@@ -152,7 +153,7 @@ class TestChecks:
 
     def test_check_fields_consistent(self):
         machine = CausalMachine(0.9, 0.3)
-        outputs = trace_outputs(machine, "classical", 30_000, seed=4)
+        outputs = trace_outputs(machine, "classical", 30_000, make_rng(4))
         check = block_law_check(machine, disjoint_block_counts(outputs, 3))
         assert check.passed
         assert check.counts.sum() == check.n_blocks
