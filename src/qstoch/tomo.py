@@ -71,28 +71,13 @@ def simulate_counts(rho: DensityMatrix, shots_per_basis: int,
     """Binomial Pauli-basis counts at the state's exact expectation values."""
     if shots_per_basis < 1:
         raise ValueError("shots_per_basis must be >= 1")
-    m = ensemble_density(rho).entries
-    expectations = (
-        2.0 * m[0, 1].real,                      # X
-        -2.0 * m[0, 1].imag,                     # Y
-        (m[0, 0] - m[1, 1]).real,                # Z
-    )
     pairs = []
-    for r in expectations:
+    for r in qmath.bloch_vector(ensemble_density(rho)):
         p_plus = min(max((1.0 + r) / 2.0, 0.0), 1.0)
         plus = int(rng.binomial(shots_per_basis, p_plus))
         pairs.append((plus, shots_per_basis - plus))
     return TomographyCounts(shots_per_basis=shots_per_basis,
                             x=pairs[0], y=pairs[1], z=pairs[2])
-
-
-def _radius_entropy(radius):
-    """Entropy of a qubit of Bloch radius |r| <= 1: h((1 + |r|) / 2), with
-    the smaller eigenvalue zeroed below the threshold von_neumann_entropy
-    applies.  Elementwise over an array of radii."""
-    low = (1.0 - radius) / 2.0
-    low = np.where(low < qmath.EIG_ZERO, 0.0, low)
-    return -(low * np.log2(np.where(low > 0.0, low, 1.0)) + (1.0 - low) * np.log2(1.0 - low))
 
 
 def reconstruct_rho(counts: TomographyCounts) -> DensityMatrix:
@@ -110,8 +95,7 @@ def reconstruct_rho(counts: TomographyCounts) -> DensityMatrix:
 def reconstructed_entropy(counts: TomographyCounts) -> float:
     """Entropy of reconstruct_rho(counts) without building it: the binary
     entropy h((1 + min(|r|, 1)) / 2) of the projected Bloch radius."""
-    radius = min(float(np.linalg.norm(counts.bloch_vector())), 1.0)
-    return max(0.0, float(_radius_entropy(radius)))
+    return float(qmath.qubit_entropy(np.linalg.norm(counts.bloch_vector())))
 
 
 def entropy_with_error(counts: TomographyCounts, rng: np.random.Generator,
@@ -121,8 +105,8 @@ def entropy_with_error(counts: TomographyCounts, rng: np.random.Generator,
     Counts are resampled binomially at the observed per-basis rates;
     entropy of a near-pure reconstruction is biased upward and reported
     as is.  The reconstruction (reconstructed_entropy) and every bootstrap
-    round take the binary entropy h((1 + min(|r|, 1)) / 2) of their Bloch
-    radius, the rounds all at once.
+    round take qmath.qubit_entropy of their Bloch radius, the rounds all at
+    once.
     """
     if bootstrap_rounds < MIN_BOOTSTRAP:
         raise ValueError(f"bootstrap_rounds must be >= {MIN_BOOTSTRAP}")
@@ -131,7 +115,6 @@ def entropy_with_error(counts: TomographyCounts, rng: np.random.Generator,
     n = counts.shots_per_basis
     rates = np.array([plus / n for plus, _ in (counts.x, counts.y, counts.z)])
     plus = rng.binomial(n, rates[:, np.newaxis], size=(3, bootstrap_rounds))
-    radius = np.minimum(np.linalg.norm((2 * plus - n) / n, axis=0), 1.0)
-    boot = _radius_entropy(radius)
+    boot = qmath.qubit_entropy(np.linalg.norm((2 * plus - n) / n, axis=0))
     return TomographyResult(rho_hat=reconstruct_rho(counts), entropy=entropy,
                             entropy_std=float(boot.std(ddof=1)), raw=counts)

@@ -1,5 +1,6 @@
 """CLI subcommands, CSV schema, determinism, exit codes."""
 
+import numpy as np
 import pytest
 
 from qstoch import cli
@@ -286,6 +287,20 @@ class TestStreams:
         assert run_cli(["tomo"] + point, tmp_path, "tomo.csv")[0] == 0
         assert len(checked) == len(tomographed) == 1
         assert checked == tomographed
+
+
+class TestRunPath:
+    @pytest.mark.parametrize("args", [SMALL["sweep"], SMALL["asym"], SMALL["simulate"],
+                                      SMALL["tomo"], SMALL["tomo"] + ["--mode", "classical"]],
+                             ids=["sweep", "asym", "simulate", "tomo", "tomo-classical"])
+    def test_no_lapack_eigensolver(self, monkeypatch, tmp_path, args):
+        # every state a command builds is a qubit, read in closed form; a
+        # process's first LAPACK eigvalsh call alone costs about 0.8 MB of RSS
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("LAPACK eigensolver called on the run path")
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        assert run_cli(args, tmp_path, "out.csv")[0] == 0
 
 
 class TestExperimentConfig:

@@ -1,4 +1,4 @@
-"""Linear-algebra kernel: entropies, eigensolver, fidelity, rotations, tensors."""
+"""Linear-algebra kernel: entropies, eigenvalues, fidelity, rotations, tensors."""
 
 import numpy as np
 import pytest
@@ -10,6 +10,8 @@ from qstoch.qmath import (
     InvalidDistributionError,
     Ket,
     Unitary,
+    _hermitian_eigvals,
+    bloch_vector,
     eig_hermitian,
     fidelity,
     mixture,
@@ -22,6 +24,8 @@ from qstoch.qmath import (
 from oracle import overlap, same_state, tensor
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
+Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def random_density(rng, dim):
@@ -126,12 +130,55 @@ class TestVonNeumannEntropy:
         assert von_neumann_entropy(rho) == pytest.approx(expected, abs=1e-12)
         assert von_neumann_entropy(rho) == pytest.approx(0.4690, abs=5e-5)
 
-    @pytest.mark.parametrize("dim", [2, 4])
-    def test_entropy_bounds_random(self, dim):
+    def test_entropy_bounds_random(self):
         rng = np.random.default_rng(11)
         for _ in range(5000):
-            s = von_neumann_entropy(random_density(rng, dim))
-            assert 0.0 <= s <= np.log2(dim) + 1e-12
+            s = von_neumann_entropy(random_density(rng, 2))
+            assert 0.0 <= s <= 1.0
+
+    def test_two_qubit_state_rejected(self):
+        with pytest.raises(ValueError):
+            von_neumann_entropy(DensityMatrix(np.eye(4) / 4))
+        with pytest.raises(ValueError):
+            bloch_vector(DensityMatrix(np.eye(4) / 4))
+
+    def test_bloch_route_equals_eigen_spectrum(self):
+        # reference: the Shannon entropy of numpy's eigenvalues, those below
+        # 1e-12 counted as 0, on mixed, pure and near-pure qubits; the
+        # near-pure ones keep their smaller eigenvalue above 1e-12, where
+        # zeroing it alone would leave the larger one's dust (up to 1.4e-12)
+        rng = np.random.default_rng(12)
+        for k in range(3000):
+            rho = random_density(rng, 2)
+            if k % 3:
+                amp = rng.normal(size=2) + 1j * rng.normal(size=2)
+                pure = Ket(amp / np.linalg.norm(amp)).projector().entries
+                eps = 10.0 ** rng.uniform(-10, -1) if k % 3 == 1 else 0.0
+                rho = DensityMatrix((1 - eps) * pure + eps * rho.entries)
+            spectrum = np.linalg.eigvalsh(rho.entries)
+            expected = shannon_entropy(np.where(spectrum < 1e-12, 0.0, spectrum))
+            assert abs(von_neumann_entropy(rho) - expected) < 1e-12
+
+
+class TestBlochVector:
+    def test_pauli_expectations(self):
+        rng = np.random.default_rng(13)
+        for _ in range(100):
+            rho = random_density(rng, 2)
+            expected = [np.trace(rho.entries @ P).real for P in (X, Y, Z)]
+            np.testing.assert_allclose(bloch_vector(rho), expected, atol=1e-15)
+
+
+class TestClosedFormEigenvalues:
+    def test_equal_eigvalsh(self):
+        # random Hermitian matrices, and trace-zero differences of two states
+        # like the ones trace_distance takes
+        rng = np.random.default_rng(14)
+        for _ in range(2000):
+            for m in (random_hermitian(rng, 2),
+                      random_density(rng, 2).entries - random_density(rng, 2).entries):
+                np.testing.assert_allclose(_hermitian_eigvals(m),
+                                           np.linalg.eigvalsh(m)[::-1], rtol=0, atol=1e-12)
 
 
 class TestFidelity:

@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qstoch.process import CausalMachine, classical_complexity, excess_entropy
+from qstoch.qmath import mixture, von_neumann_entropy
 from qstoch.qmodel import (
     construct_cu,
     quantum_causal_states,
@@ -123,6 +124,31 @@ class TestQuantumComplexity:
         # evaluation of the construction gives the value below, recorded here
         print(f"quantum_complexity(0.9, 0.3) = {value:.6f} (published theory figure: 0.12)")
         assert value == pytest.approx(0.095988, abs=1e-6)
+
+    def test_equal_weight_mixture_rounds_to_published_figure(self):
+        # a hypothesis for the published 0.12 at (0.9, 0.3): the two encoded
+        # kets mixed with equal weights, not the stationary (0.25, 0.75)
+        model = quantum_causal_states(CausalMachine(0.9, 0.3))
+        value = von_neumann_entropy(mixture([0.5, 0.5], (model.ket0, model.ket1)))
+        assert value == pytest.approx(0.12151, abs=5e-6)
+        assert round(value, 2) == 0.12
+
+    def test_merged_line_is_exactly_zero(self):
+        # p_right + p_left = 1: both causal states share one ket, so the
+        # memory is pure; its entropy is 0, not rounding dust
+        for p in np.round(np.linspace(0.0, 1.0, 101), 10):
+            assert quantum_complexity(CausalMachine(p, 1.0 - p)) == 0.0
+            assert quantum_complexity(CausalMachine(1.0 - p, p)) == 0.0
+
+    def test_never_exceeds_classical_cost(self):
+        # no tolerance: the grid holds the merged line, where both costs are 0
+        grid = np.round(np.linspace(0.0, 1.0, 41), 10)
+        for pr in grid:
+            for pl in grid:
+                if pr == pl == 0.0:
+                    continue
+                machine = CausalMachine(pr, pl)
+                assert quantum_complexity(machine) <= classical_complexity(machine)
 
     def test_strict_advantage_on_open_grid(self):
         for pr in np.linspace(0.05, 0.95, 19):
