@@ -48,6 +48,5 @@ from .tomo import (
     reconstructed_entropy,
     simulate_counts,
 )
-from .cli import ExperimentConfig
 
 __version__ = "0.1.0"

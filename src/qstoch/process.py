@@ -29,7 +29,7 @@ MERGE_TOL = 1e-12   # |1 - p_right - p_left| below this collapses the two states
 
 MAX_BLOCK_LEN = 12
 MAX_HALF_WINDOW = 6
-_DRAW_BLOCK = 1 << 16     # uniforms per block in _sample_blocks
+_DRAW_BLOCK = 1 << 14     # uniforms per block in _sample_blocks: 128 KB, cache-sized
 
 
 class ReducibleChainError(ValueError):
@@ -180,33 +180,41 @@ def _sample_blocks(p1: tuple[float, float], n: int, rng: np.random.Generator,
     so a block resolves as a prefix scan over those maps: a uniform outside
     the band [lo, hi) between the two probabilities sets the state to
     (u < lo) whatever it was; inside, the state stays (p1[0] < p1[1]) or
-    flips (p1[0] > p1[1]).
+    flips (p1[0] > p1[1]).  So the state after step j (counted from 1 in
+    the block) is the one set by its latest reset step last <= j (0: the
+    state carried in), and in the flip case every step between them flips
+    it: the state is negated (j - last) & 1 times, with no parity scan.
+
+    The scratch arrays are allocated once per trace and every ufunc writes
+    into them; only the yielded bits are new, so a caller may keep blocks.
     """
     state = 0 if rng.random() < w0 else 1
     lo, hi = min(p1), max(p1)
     flips = p1[0] > p1[1]
+    size = min(_DRAW_BLOCK, n)
+    u = np.empty(size)
+    reset = np.empty(size, dtype=bool)
+    steps = np.arange(1, size + 1, dtype=np.int32)
+    last = np.empty(size, dtype=np.int32)
+    # values[j] is the state set by step j (values[0]: the carried state)
+    values = np.empty(size + 1, dtype=np.int8)
     for first in range(0, n, _DRAW_BLOCK):
-        u = rng.random(min(_DRAW_BLOCK, n - first))
-        m = u.shape[0]
-        reset = (u < lo) | (u >= hi)
-        # values[j] is the state set by step j (values[0]: the carried state);
-        # last[k] is the latest step <= k that set it
-        values = np.empty(m + 1, dtype=np.int8)
+        m = min(_DRAW_BLOCK, n - first)
+        if m < size:
+            u, reset, steps, last, values = u[:m], reset[:m], steps[:m], last[:m], values[:m + 1]
+        rng.random(out=u)
         values[0] = state
         np.less(u, lo, out=values[1:])
-        last = np.arange(1, m + 1, dtype=np.int32)
-        last *= reset
+        np.greater_equal(u, hi, out=reset)
+        np.logical_or(reset, values[1:].view(bool), out=reset)
+        # last[k] is the latest reset step <= steps[k] = k + 1
+        np.multiply(steps, reset, out=last)
         np.maximum.accumulate(last, out=last)
+        bits = np.take(values, last)
         if flips:
-            # the flips since that step are the parity difference of the
-            # prefix flip counts; reset steps carry no flip
-            parity = np.zeros(m + 1, dtype=np.int8)
-            np.logical_not(reset, out=parity[1:])
-            np.bitwise_xor.accumulate(parity, out=parity)
-            bits = np.bitwise_xor(values[last], parity[1:])
-            bits ^= parity[last]
-        else:
-            bits = values[last]
+            parity = reset.view(np.int8)        # the mask is spent: reuse it
+            np.subtract(steps, last, out=last)
+            np.bitwise_and(last, 1, out=parity, casting="unsafe")
+            bits ^= parity
         yield state, bits
         state = int(bits[-1])
-

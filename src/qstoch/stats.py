@@ -50,26 +50,37 @@ def stream_block_counts(chunks: Iterable, block_lens: Sequence[int]) -> list[np.
     bits after a chunk's last whole window (fewer than L) are carried over,
     so the counts are those of the concatenated trace.  Windows are coded
     (first bit most significant) and counted a fixed-size chunk at a time,
-    so temporaries stay bounded however long the trace.
+    so temporaries stay bounded however long the trace: column j of the
+    windows is the strided view bits[j::L], shifted into one reused uint16
+    code buffer without a copy.  L = 1 needs no codes, only the ones.
     """
     for block_len in block_lens:
         if not (1 <= block_len <= MAX_BLOCK_LEN):
             raise ValueError(f"block length must be in [1, {MAX_BLOCK_LEN}], got {block_len!r}")
     counts = [np.zeros(2 ** block_len, dtype=np.int64) for block_len in block_lens]
     carries = [np.empty(0, dtype=np.int8) for _ in block_lens]
+    codes = np.empty(0, dtype=np.uint16)     # L <= MAX_BLOCK_LEN fits; grown on demand
     for chunk in chunks:
         chunk = np.asarray(chunk).reshape(-1)
         for i, block_len in enumerate(block_lens):
+            if block_len == 1:
+                ones = np.count_nonzero(chunk)
+                counts[i] += (chunk.shape[0] - ones, ones)
+                continue
             bits = np.concatenate([carries[i], chunk]) if carries[i].size else chunk
             n_blocks = bits.shape[0] // block_len
-            windows = bits[: n_blocks * block_len].reshape(n_blocks, block_len)
+            need = min(n_blocks, _COUNT_CHUNK)
+            if codes.shape[0] < need:
+                codes = np.empty(need, dtype=np.uint16)
             for first in range(0, n_blocks, _COUNT_CHUNK):
-                part = windows[first:first + _COUNT_CHUNK]
-                codes = np.zeros(part.shape[0], dtype=np.uint16)    # L <= MAX_BLOCK_LEN fits
-                for column in part.T:
-                    codes <<= 1
-                    codes |= column.astype(np.uint16)
-                counts[i] += np.bincount(codes, minlength=2 ** block_len)
+                stop = min(first + _COUNT_CHUNK, n_blocks)
+                windows = bits[first * block_len: stop * block_len]
+                part = codes[: stop - first]
+                np.copyto(part, windows[::block_len], casting="unsafe")
+                for j in range(1, block_len):
+                    part <<= 1
+                    np.bitwise_or(part, windows[j::block_len], out=part, casting="unsafe")
+                counts[i] += np.bincount(part, minlength=2 ** block_len)
             carries[i] = bits[n_blocks * block_len:].copy()
     for block_len, tally in zip(block_lens, counts):
         if tally.sum() == 0:

@@ -40,7 +40,7 @@ CASES = {
     "readme-tomo": ["tomo", "--p", "0.8", "--steps", "100000", "--shots", "10000"],
     "asym-cu": ["asym", "--p-right", "0.9", "--p-left", "0.3", "--gate", "cu"],
     "asym-lambda": ["asym", "--p-right", "0.9", "--p-left", "0.3", "--lambda", "0.0375"],
-    # step counts on both sides of the 65 536-step draw block
+    # step counts that end 3 steps into a 16 384-step draw block
     "simulate-noisy-65539": ["simulate", *NOISY, "--steps", "65539"],
     "simulate-noisy-131075": ["simulate", *NOISY, "--steps", "131075"],
     "simulate-classical-65539": ["simulate", "--p", "0.8", "--mode", "classical",

@@ -1,5 +1,10 @@
 """CLI subcommands, CSV schema, determinism, exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -301,6 +306,18 @@ class TestRunPath:
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         assert run_cli(args, tmp_path, "out.csv")[0] == 0
+
+    def test_module_run_with_warnings_as_errors(self):
+        # `python -m qstoch.cli` imports the package first; were qstoch to
+        # import .cli itself, runpy would warn that the module is already
+        # loaded, and -W error turns that into exit 1 before parsing
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "qstoch.cli", "--help"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "simulate" in proc.stdout
 
 
 class TestExperimentConfig:

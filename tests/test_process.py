@@ -341,7 +341,8 @@ EDGE_OR_ANY = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 class TestSamplePathScan:
     @settings(max_examples=20, deadline=None)
     @given(p_right=EDGE_OR_ANY, p_left=EDGE_OR_ANY, tie=st.booleans(),
-           n=st.sampled_from([65535, 65536, 65537]), w0=EDGE_OR_ANY,
+           n=st.sampled_from([_DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 1,
+                              2 * _DRAW_BLOCK + 3]), w0=EDGE_OR_ANY,
            seed=st.integers(0, 2 ** 32 - 1))
     def test_scan_equals_step_loop(self, p_right, p_left, tie, n, w0, seed):
         # p1 = (P(1|0), P(1|1)); a tie makes both states emit alike; w0 of
@@ -357,6 +358,22 @@ class TestSamplePathScan:
     def test_short_paths(self, p1, n):
         got = scan_path(p1, n, make_rng(12), w0=0.5)
         np.testing.assert_array_equal(got, step_loop_path(p1, n, make_rng(12), w0=0.5))
+
+    @pytest.mark.parametrize("p1", [(0.9, 0.3), (0.3, 0.9)])   # flips and stays
+    def test_kept_blocks_are_not_reused(self, p1):
+        # the sampler reuses its scratch arrays; the bits it yields must be
+        # fresh, so blocks a caller keeps survive the draws after them
+        n = 3 * _DRAW_BLOCK + 5
+        kept = []
+        for _, bits in _sample_blocks(p1, n, make_rng(21), 0.5):
+            kept.append((bits, bits.copy()))
+        assert len(kept) == 4
+        for bits, snapshot in kept:
+            np.testing.assert_array_equal(bits, snapshot)
+        for (a, _), (b, _) in itertools.combinations(kept, 2):
+            assert not np.shares_memory(a, b)
+        np.testing.assert_array_equal(np.concatenate([bits for bits, _ in kept]),
+                                      step_loop_path(p1, n, make_rng(21), 0.5)[1:])
 
     def test_frozen_chain_from_forced_start(self):
         # CausalMachine(0, 0) never switches: p1 = (0, 1); w0 of 1 or 0 pins

@@ -61,6 +61,59 @@ class TestDisjointBlockCounts:
             disjoint_block_counts(np.zeros(100, dtype=np.int8), block_len)
 
 
+def column_loop_counts(chunks, block_len):
+    """Reference tally: the column-by-column coding loop, one copy per column.
+
+    The carried bits are prepended to each chunk, its whole windows reshaped
+    into rows, and each window column cast to uint16 and shifted into the
+    codes, first bit most significant.
+    """
+    counts = np.zeros(2 ** block_len, dtype=np.int64)
+    carry = np.empty(0, dtype=np.int8)
+    for chunk in chunks:
+        bits = np.concatenate([carry, np.asarray(chunk).reshape(-1)])
+        n_blocks = bits.shape[0] // block_len
+        windows = bits[: n_blocks * block_len].reshape(n_blocks, block_len)
+        codes = np.zeros(n_blocks, dtype=np.uint16)
+        for column in windows.T:
+            codes <<= 1
+            codes |= column.astype(np.uint16)
+        counts += np.bincount(codes, minlength=2 ** block_len)
+        carry = bits[n_blocks * block_len:]
+    return counts
+
+
+@pytest.fixture(scope="module")
+def long_trace():
+    """A 2M-step trace of an asymmetric chain, one whole array."""
+    return trace_outputs(CausalMachine(0.9, 0.3), "classical", 2_000_000, make_rng(31))
+
+
+class TestTallyOracle:
+    """stream_block_counts codes windows from strided views into one reused
+    buffer; it must count exactly what the column loop counts."""
+
+    @pytest.mark.parametrize("block_len", range(1, 13))
+    @pytest.mark.parametrize("multiples", [True, False], ids=["multiple-of-L", "ragged"])
+    def test_chunked_stream_equals_column_loop(self, block_len, multiples):
+        outputs = np.random.default_rng(40 + block_len).integers(0, 2, 150_001).astype(np.int8)
+        if multiples:
+            sizes = [block_len * k for k in (1, 0, 3, 2_000, 0, 9_001)]
+        else:
+            # chunks shorter than L (1 and L - 1), empty ones, and sizes
+            # that leave a window straddling the boundary
+            sizes = [1, 0, block_len - 1, block_len + 1, 0, 7_919, 65_537, 3]
+        chunks = np.split(outputs, np.cumsum(sizes))
+        got, = stream_block_counts(iter(chunks), (block_len,))
+        np.testing.assert_array_equal(got, column_loop_counts(chunks, block_len))
+
+    @pytest.mark.parametrize("block_len", range(1, 13))
+    def test_whole_long_trace_equals_column_loop(self, long_trace, block_len):
+        # one array of 2M steps: many _COUNT_CHUNK runs of windows
+        np.testing.assert_array_equal(disjoint_block_counts(long_trace, block_len),
+                                      column_loop_counts([long_trace], block_len))
+
+
 class TestConditionalBlockProbs:
     def test_rows_sum_to_one_per_start_state(self):
         cond = conditional_block_probs(CausalMachine(0.9, 0.3), 4)
