@@ -33,7 +33,6 @@ from .qmodel import (
     steady_state_rho,
 )
 from .circuit import (
-    NoiseModel,
     RunResult,
     calibrate_noise,
     run_trace,

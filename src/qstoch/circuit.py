@@ -12,9 +12,10 @@ Gate noise: with probability lam one of the 15 non-identity two-qubit Paulis
 (uniform) strikes right after the entangling gate.  Averaging a state over
 all 16 Paulis gives I/4 (the Pauli twirl), and I/4 reads 1 on the meter
 with probability 1/2 in any frame, so noise moves each P(1|s) = p to
-p + (16 lam / 15)(1/2 - p) whatever the gate.  Traces sample that chain
-directly; the literal statevector steps and Pauli trajectories are the
-reference oracle in tests/oracle.py.
+p + (16 lam / 15)(1/2 - p) whatever the gate, so no function here takes one
+(GATES names the circuits a configuration records).  Traces sample that
+chain directly; the literal statevector steps of either gate and the Pauli
+trajectories are the reference oracle in tests/oracle.py.
 """
 
 from __future__ import annotations
@@ -31,17 +32,6 @@ from .qmath import DensityMatrix, Ket
 
 GATES = ("cnot", "cu")
 MODES = ("classical", "quantum")
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Depolarizing trajectory rate: per-gate probability of a random Pauli."""
-
-    lam: float = 0.0
-
-    def __post_init__(self):
-        if not (0.0 <= self.lam <= 1.0):
-            raise ValueError(f"lam must be in [0, 1], got {self.lam!r}")
 
 
 @dataclass(frozen=True)
@@ -68,32 +58,31 @@ class RunResult:
 # noise calibration and trace runs
 # ---------------------------------------------------------------------------
 
-def calibrate_noise(target_fidelity: float) -> NoiseModel:
-    """Trajectory rate whose exact channel average hits a Bell fidelity target.
+def calibrate_noise(target_fidelity: float) -> float:
+    """Trajectory rate lam whose channel average hits a Bell fidelity target.
 
     Closed form of that average: F = 1 - (3/4)(16/15) lam = 1 - 0.8 lam.
     Targets below 0.25 are rejected as unachievable.
     """
     if not (0.25 <= target_fidelity <= 1.0):
         raise ValueError(f"target fidelity must be in [0.25, 1], got {target_fidelity!r}")
-    return NoiseModel(lam=(1.0 - target_fidelity) / 0.8)
+    return (1.0 - target_fidelity) / 0.8
 
 
-def sampled_machine(machine: CausalMachine, mode: str, gate: str = "cnot",
-                    noise: NoiseModel | None = None) -> CausalMachine:
-    """The two-state chain a run of this circuit samples, mode and gate checked.
+def sampled_machine(machine: CausalMachine, mode: str, lam: float = 0.0) -> CausalMachine:
+    """The two-state chain a run of this circuit samples, mode and lam checked.
 
     Classical steps and noiseless quantum steps emit with the machine's own
-    law, so the chain is the machine itself.  Gate noise moves each quantum
-    P(1|s), and with it p_right = P(1|0) and p_left = 1 - P(1|1), a share
-    16 lam / 15 of the way to 1/2; a share below 2 keeps the result in [0, 1].
+    law, so the chain is the machine itself.  Gate noise at trajectory rate
+    lam in [0, 1] moves each quantum P(1|s), and with it p_right = P(1|0) and
+    p_left = 1 - P(1|1), a share 16 lam / 15 of the way to 1/2 whichever gate
+    the step uses; a share below 2 keeps the result in [0, 1].
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if gate not in GATES:
-        raise ValueError(f"gate must be one of {GATES}, got {gate!r}")
-    lam = noise.lam if noise is not None and mode == "quantum" else 0.0
-    mix = 16.0 * lam / 15.0
+    if not (0.0 <= lam <= 1.0):
+        raise ValueError(f"lam must be in [0, 1], got {lam!r}")
+    mix = 16.0 * lam / 15.0 if mode == "quantum" else 0.0
     return CausalMachine(*(p + mix * (0.5 - p) for p in (machine.p_right, machine.p_left)))
 
 
@@ -115,7 +104,7 @@ def trace_blocks(chain: CausalMachine, n: int,
 
 
 def run_trace(machine: CausalMachine, mode: str, n: int, rng: np.random.Generator,
-              gate: str = "cnot", noise: NoiseModel | None = None) -> RunResult:
+              lam: float = 0.0) -> RunResult:
     """Sample n steps of the step circuit from a stationary start.
 
     Returns the memory ensemble: the kets prepared for each state (encoded
@@ -123,10 +112,10 @@ def run_trace(machine: CausalMachine, mode: str, n: int, rng: np.random.Generato
     and how many steps entered in state 1.  That ensemble is what
     tomography measures.
     Outputs are those of trace_blocks on sampled_machine(machine, mode,
-    gate, noise), one uniform per step.  The count is summed block by block,
-    so memory stays bounded however large n is.
+    lam), one uniform per step.  The count is summed block by block, so
+    memory stays bounded however large n is.
     """
-    chain = sampled_machine(machine, mode, gate, noise)
+    chain = sampled_machine(machine, mode, lam)
     if mode == "classical":
         kets = (qmath.KET0, qmath.KET1)
     else:

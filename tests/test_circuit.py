@@ -10,7 +10,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qstoch.circuit import (
-    NoiseModel,
     RunResult,
     calibrate_noise,
     run_trace,
@@ -24,7 +23,7 @@ from qstoch.qmodel import construct_cu, quantum_causal_states
 from qstoch.seeding import make_rng
 from qstoch.stats import block_law_check, disjoint_block_counts, two_sample_block_check
 
-from conftest import trace_outputs
+from conftest import chain_outputs, trace_outputs
 from oracle import (
     CNOT4,
     CircuitState,
@@ -32,6 +31,7 @@ from oracle import (
     bell_state,
     classical_step,
     depolarizing_average,
+    emission_chain,
     from_mixing_rate,
     measure_qubit,
     noisy_bell_average,
@@ -171,7 +171,7 @@ class TestQuantumStep:
 class TestApplyNoise:
     def test_zero_rate_is_identity(self):
         state = CircuitState(bell_state())
-        out = apply_noise(state, NoiseModel(lam=0.0), make_rng(61))
+        out = apply_noise(state, 0.0, make_rng(61))
         assert out is state
 
     def test_full_rate_average_matches_kraus_oracle(self):
@@ -182,7 +182,7 @@ class TestApplyNoise:
         acc = np.zeros((4, 4), dtype=complex)
         n = 60_000
         for _ in range(n):
-            psi = apply_noise(state, NoiseModel(lam=1.0), rng).joint.amplitudes
+            psi = apply_noise(state, 1.0, rng).joint.amplitudes
             acc += np.outer(psi, psi.conj())
         averaged = DensityMatrix(acc / n)
         oracle = DensityMatrix(kraus_average_oracle(rho_in, 1.0))
@@ -203,7 +203,7 @@ class TestApplyNoise:
         n = 100_000
         hits = 0.0
         for _ in range(n):
-            psi = apply_noise(state, NoiseModel(lam=lam), rng).joint.amplitudes
+            psi = apply_noise(state, lam, rng).joint.amplitudes
             hits += abs(np.vdot(bell.amplitudes, psi)) ** 2
         exact = fidelity(depolarizing_average(bell.projector(), lam), bell)
         sigma = np.sqrt(exact * (1 - exact) / n)
@@ -216,18 +216,18 @@ class TestApplyNoise:
 
 class TestCalibrateNoise:
     def test_perfect_gate(self):
-        assert calibrate_noise(1.0).lam == pytest.approx(0.0, abs=1e-12)
+        assert calibrate_noise(1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_benchmark_target(self):
         # closed form under this Pauli convention: F = 1 - (3/4)(16/15) lam
-        lam = calibrate_noise(0.97).lam
+        lam = calibrate_noise(0.97)
         assert lam == pytest.approx(0.03 / 0.8, abs=1e-10)
         assert fidelity(noisy_bell_average(lam), bell_state()) == pytest.approx(0.97, abs=1e-12)
 
     def test_maximally_mixed_target(self):
         # fidelity 0.25 needs the full replace-with-maximally-mixed channel,
         # which is trajectory rate 15/16 in the 15-Pauli parameterization
-        lam = calibrate_noise(0.25).lam
+        lam = calibrate_noise(0.25)
         assert lam == pytest.approx(15 / 16, abs=1e-10)
         assert to_mixing_rate(lam) == pytest.approx(1.0, abs=1e-10)
 
@@ -259,13 +259,13 @@ class TestRunTrace:
         # (0.9, 0.3) at lam = 0.0375 samples (0.884, 0.308): P(start in 0) is
         # 0.2584 there, 0.25 for the noiseless machine; make_rng(12)'s first
         # uniform, 0.2550, falls between the two
-        machine, noise = CausalMachine(0.9, 0.3), NoiseModel(0.0375)
-        chain = sampled_machine(machine, "quantum", noise=noise)
+        machine, lam = CausalMachine(0.9, 0.3), 0.0375
+        chain = sampled_machine(machine, "quantum", lam)
         assert stationary_distribution(chain)[0] == pytest.approx(0.2584, abs=1e-4)
         assert make_rng(12).random() == pytest.approx(0.2550, abs=1e-4)
         (start, _), = trace_blocks(chain, 10, make_rng(12))
         assert start == 0
-        assert run_trace(machine, "quantum", 1, make_rng(12), noise=noise).ones == 0
+        assert run_trace(machine, "quantum", 1, make_rng(12), lam).ones == 0
 
     def test_quantum_two_block_law(self):
         machine = CausalMachine(0.8, 0.8)
@@ -280,9 +280,10 @@ class TestRunTrace:
             assert two_sample_block_check(machine, qu, cl, block_len)
 
     def test_cnot_and_cu_statistics_agree(self):
+        # each trace samples the law its gate's literal circuit gives
         machine = CausalMachine(0.9, 0.3)
-        a = trace_outputs(machine, "quantum", 100_000, make_rng(75), gate="cnot")
-        b = trace_outputs(machine, "quantum", 100_000, make_rng(76), gate="cu")
+        a = chain_outputs(emission_chain(machine, "cnot"), 100_000, make_rng(75))
+        b = chain_outputs(emission_chain(machine, "cu"), 100_000, make_rng(76))
         for block_len in range(1, 5):
             assert two_sample_block_check(machine, a, b, block_len)
 
@@ -334,18 +335,17 @@ class TestRunTrace:
             run_trace(machine, "hybrid", 10, make_rng(1))
         with pytest.raises(ValueError):
             run_trace(machine, "quantum", 0, make_rng(1))
-        # the chain checks mode and gate, the stream its length when it is
+        # the chain checks mode and lam, the stream its length when it is
         # made, before any block is drawn
         with pytest.raises(ValueError):
             sampled_machine(machine, "hybrid")
         with pytest.raises(ValueError):
-            sampled_machine(machine, "quantum", gate="cz")
-        with pytest.raises(ValueError):
             trace_blocks(machine, 0, make_rng(1))
 
-    def test_noise_model_validated(self):
-        with pytest.raises(ValueError):
-            NoiseModel(lam=1.5)
+    @pytest.mark.parametrize("lam", [-0.1, 1.5, float("nan")])
+    def test_noise_rate_validated(self, lam):
+        with pytest.raises(ValueError, match="lam"):
+            sampled_machine(CausalMachine(0.8, 0.8), "quantum", lam)
 
     def test_result_kets_frozen(self):
         run = run_trace(CausalMachine(0.8, 0.8), "quantum", 10, make_rng(80))
@@ -395,9 +395,9 @@ class TestBoundedMemory:
         assert long <= short + 65_536
 
 
-def emission_law(machine, mode, gate, noise):
+def emission_law(machine, mode, lam):
     """(P(1|0), P(1|1)) of the chain sampled_machine says a run samples."""
-    chain = sampled_machine(machine, mode, gate, noise)
+    chain = sampled_machine(machine, mode, lam)
     return chain.p_right, 1.0 - chain.p_left
 
 
@@ -439,10 +439,11 @@ class TestTraceMatchesStepOracle:
     @pytest.mark.parametrize("gate", ["cnot", "cu"])
     @pytest.mark.parametrize("machine", ORACLE_MACHINES, ids=ORACLE_IDS)
     def test_quantum_pathwise(self, machine, gate):
-        run = run_trace(machine, "quantum", 3000, make_rng(85), gate=gate)
+        # one library trace for both gates, each gate's circuit stepped against it
+        run = run_trace(machine, "quantum", 3000, make_rng(85))
         outputs, kets = step_oracle(machine, "quantum", gate, 3000, seed=85)
         np.testing.assert_array_equal(
-            trace_outputs(machine, "quantum", 3000, make_rng(85), gate=gate), outputs)
+            trace_outputs(machine, "quantum", 3000, make_rng(85)), outputs)
         assert_same_ensemble(run, kets)
 
     @pytest.mark.parametrize("machine", ORACLE_MACHINES, ids=ORACLE_IDS)
@@ -473,12 +474,12 @@ class TestTraceMatchesStepOracle:
             via_channel.append(np.real(rho[1, 1] + rho[3, 3]))
         closed_form = [p + (16 * lam / 15) * (0.5 - p) for p in (0.9, 1 - 0.3)]
         circuit = quantum_emission_probs(model, gate, lam)
-        got = emission_law(machine, "quantum", gate, NoiseModel(lam))
+        got = emission_law(machine, "quantum", lam)
         np.testing.assert_allclose(circuit, via_channel, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got, via_channel, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got, closed_form, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got, [0.884, 1 - 0.308], rtol=0, atol=1e-12)
-        sampled = sampled_machine(machine, "quantum", gate, NoiseModel(lam))
+        sampled = sampled_machine(machine, "quantum", lam)
         np.testing.assert_allclose([sampled.p_right, sampled.p_left], [0.884, 0.308],
                                    rtol=0, atol=1e-12)
 
@@ -486,8 +487,15 @@ class TestTraceMatchesStepOracle:
                                            ("quantum", "cu")])
     @pytest.mark.parametrize("probs", [(0.9, 0.3), (1.0, 1e-12), (0.0, 1.0), (1.0, 1.0)])
     def test_sampled_machine_without_noise_is_the_machine(self, probs, mode, gate):
-        # exactly: simulate checks the very chain it was asked for
-        assert sampled_machine(CausalMachine(*probs), mode, gate) == CausalMachine(*probs)
+        # exactly: simulate checks the very chain it was asked for, and each
+        # gate's noiseless circuit emits with that law
+        machine = CausalMachine(*probs)
+        assert sampled_machine(machine, mode) == machine
+        if mode == "quantum":
+            np.testing.assert_allclose(emission_law(machine, mode, 0.0),
+                                       quantum_emission_probs(quantum_causal_states(machine),
+                                                              gate, 0.0),
+                                       rtol=0, atol=1e-12)
 
 
 PROB = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
@@ -502,7 +510,7 @@ def with_oracle_edges(test):
 
 
 class TestClosedFormLaw:
-    """The closed-form emission law against the circuit it abbreviates, over
+    """Each gate's circuit against the one closed-form emission law, over
     random machines and noise rates; (0, 0) has no stationary law."""
 
     @settings(max_examples=100, deadline=None)
@@ -513,7 +521,7 @@ class TestClosedFormLaw:
         assume((p_right, p_left) != (0.0, 0.0))
         machine = CausalMachine(p_right, p_left)
         circuit = quantum_emission_probs(quantum_causal_states(machine), gate, lam)
-        got = emission_law(machine, "quantum", gate, NoiseModel(lam))
+        got = emission_law(machine, "quantum", lam)
         closed_form = [p + (16 * lam / 15) * (0.5 - p) for p in (p_right, 1 - p_left)]
         np.testing.assert_allclose(got, closed_form, rtol=0, atol=1e-15)
         np.testing.assert_allclose(circuit, got, rtol=0, atol=1e-12)
@@ -524,7 +532,7 @@ class TestClosedFormLaw:
     def test_law_stays_in_unit_interval(self, p_right, p_left, lam):
         assume((p_right, p_left) != (0.0, 0.0))
         machine = CausalMachine(p_right, p_left)
-        for mode, gate in (("classical", "cnot"), ("quantum", "cnot"), ("quantum", "cu")):
+        for mode in ("classical", "quantum"):
             # the sampled chain is a valid machine, no clipping needed
-            p1 = emission_law(machine, mode, gate, NoiseModel(lam))
+            p1 = emission_law(machine, mode, lam)
             assert all(0.0 <= p <= 1.0 for p in p1)

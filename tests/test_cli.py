@@ -110,6 +110,11 @@ class TestSweep:
 
 
 class TestAsym:
+    def test_unknown_gate_is_usage_error(self):
+        with pytest.raises(SystemExit) as err:
+            main(["asym", "--p-right", "0.9", "--p-left", "0.3", "--gate", "x"])
+        assert err.value.code == 2
+
     def test_reference_annotations_present(self, tmp_path):
         args = ["asym", "--p-right", "0.9", "--p-left", "0.3",
                 "--steps", "1500", "--shots", "800", "--seed", "7"]
@@ -335,3 +340,6 @@ class TestExperimentConfig:
             ExperimentConfig(p_right=0.8, p_left=0.8, mode="both")
         with pytest.raises(ValueError):
             ExperimentConfig(p_right=0.8, p_left=0.8, noise_lambda=2.0)
+        # the library takes no gate: the configuration is where it is checked
+        with pytest.raises(ValueError):
+            ExperimentConfig(p_right=0.8, p_left=0.8, gate="x")

@@ -25,6 +25,7 @@ from qstoch.seeding import make_rng
 from conftest import trace_outputs
 from oracle import (
     SwitchConfig,
+    block_excess_entropy,
     naive_switch_entropy,
     reduce_to_causal_machine,
     two_switch_block_distribution,
@@ -260,29 +261,35 @@ class TestBlockDistribution:
 
 class TestExcessEntropy:
     def test_iid_has_no_memory(self):
-        for half in range(1, 7):
-            assert excess_entropy(CausalMachine(0.5, 0.5), half) == pytest.approx(0.0, abs=1e-12)
+        assert excess_entropy(CausalMachine(0.5, 0.5)) == pytest.approx(0.0, abs=1e-12)
 
     def test_one_step_window(self):
         expected = 1.0 - binary_entropy(0.8)
-        assert excess_entropy(CausalMachine(0.8, 0.8), 1) == pytest.approx(expected, abs=1e-12)
-        assert excess_entropy(CausalMachine(0.8, 0.8), 1) == pytest.approx(0.2781, abs=5e-5)
+        assert excess_entropy(CausalMachine(0.8, 0.8)) == pytest.approx(expected, abs=1e-12)
+        assert excess_entropy(CausalMachine(0.8, 0.8)) == pytest.approx(0.2781, abs=5e-5)
+        assert excess_entropy(CausalMachine(0.9, 0.3)) == pytest.approx(0.0331, abs=5e-5)
 
     def test_nondecreasing_in_window(self):
-        values = [excess_entropy(CausalMachine(0.8, 0.8), half) for half in range(1, 7)]
+        values = [block_excess_entropy(CausalMachine(0.8, 0.8), half) for half in range(1, 7)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+
+    def test_block_route_equals_closed_form(self):
+        # every window gives I(X_0; X_1): the outputs are a Markov chain's states
+        grid = [p / 10 for p in range(11)]
+        machines = [(pr, pl) for pr in grid for pl in grid if (pr, pl) != (0.0, 0.0)]
+        machines += [(0.3, 0.7), (0.25, 0.75), (1e-12, 1.0 - 1e-12)]   # the merged line
+        for probs in machines:
+            machine = CausalMachine(*probs)
+            closed_form = excess_entropy(machine)
+            for half in range(1, 7):
+                assert block_excess_entropy(machine, half) == pytest.approx(closed_form,
+                                                                            abs=1e-12)
 
     def test_bounded_by_classical_complexity(self):
         for pr in np.linspace(0.1, 0.9, 5):
             for pl in np.linspace(0.1, 0.9, 5):
                 machine = CausalMachine(pr, pl)
-                upper = classical_complexity(machine)
-                for half in range(1, 7):
-                    assert excess_entropy(machine, half) <= upper + 1e-9
-
-    def test_window_bounds(self):
-        with pytest.raises(ValueError):
-            excess_entropy(CausalMachine(0.5, 0.5), 7)
+                assert excess_entropy(machine) <= classical_complexity(machine) + 1e-9
 
 
 class TestClassicalTrace:

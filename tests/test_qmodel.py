@@ -170,8 +170,7 @@ class TestQuantumComplexity:
                 cq = quantum_complexity(machine)
                 cc = classical_complexity(machine)
                 assert cq <= cc + 1e-9
-                for half in range(1, 7):
-                    assert excess_entropy(machine, half) <= cq + 1e-9
+                assert excess_entropy(machine) <= cq + 1e-9
 
     def test_continuity_under_refinement(self):
         # max jump between neighbours shrinks roughly with the grid step
@@ -248,8 +247,7 @@ class TestProperties:
         assume((p_right, p_left) != (0.0, 0.0))
         machine = CausalMachine(p_right, p_left)
         cq = quantum_complexity(machine)
-        for half in range(1, 7):
-            assert excess_entropy(machine, half) <= cq + 1e-9
+        assert excess_entropy(machine) <= cq + 1e-9
         assert cq + 1e-9 <= classical_complexity(machine) + 2e-9
 
     @settings(max_examples=200, deadline=None)

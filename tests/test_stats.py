@@ -90,8 +90,7 @@ def long_trace():
 
 
 class TestTallyOracle:
-    """stream_block_counts codes windows from strided views into one reused
-    buffer; it must count exactly what the column loop counts."""
+    """stream_block_counts must count exactly what the column loop counts."""
 
     @pytest.mark.parametrize("block_len", range(1, 13))
     @pytest.mark.parametrize("multiples", [True, False], ids=["multiple-of-L", "ragged"])
@@ -112,6 +111,33 @@ class TestTallyOracle:
         # one array of 2M steps: many _COUNT_CHUNK runs of windows
         np.testing.assert_array_equal(disjoint_block_counts(long_trace, block_len),
                                       column_loop_counts([long_trace], block_len))
+
+
+class TestCommonWindowTally:
+    """Several lengths come from one tally in windows of their lcm."""
+
+    @pytest.mark.parametrize("lengths", [(1, 2, 3, 4), (2, 3), (4, 6, 12), (1, 12)],
+                             ids=["1-2-3-4", "2-3", "4-6-12", "1-12"])
+    def test_several_lengths_equal_column_loop(self, lengths):
+        # one tally in windows of lcm(lengths) bits, ragged chunks that cut
+        # those windows, and a tail shorter than one of them
+        outputs = np.random.default_rng(60).integers(0, 2, 150_007).astype(np.int8)
+        sizes = [1, 0, 5, 13, 0, 7_919, 65_537, 3]
+        chunks = np.split(outputs, np.cumsum(sizes))
+        got = stream_block_counts(iter(chunks), lengths)
+        for block_len, counts in zip(lengths, got):
+            np.testing.assert_array_equal(counts, column_loop_counts(chunks, block_len))
+
+    def test_common_window_too_wide_rejected_before_reading(self):
+        consumed = []
+
+        def chunks():
+            for chunk in (np.zeros(35, dtype=np.int8),) * 2:
+                consumed.append(chunk)
+                yield chunk
+        with pytest.raises(ValueError, match="lcm 35"):
+            stream_block_counts(chunks(), (5, 7))
+        assert consumed == []
 
 
 class TestConditionalBlockProbs:
