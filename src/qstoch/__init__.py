@@ -28,6 +28,7 @@ from .qmodel import (
     StepGates,
     SynthesisError,
     construct_cu,
+    depolarized_complexity,
     quantum_causal_states,
     quantum_complexity,
     steady_state_rho,

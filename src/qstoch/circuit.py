@@ -21,7 +21,7 @@ trajectories are the reference oracle in tests/oracle.py.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +34,7 @@ GATES = ("cnot", "cu")
 MODES = ("classical", "quantum")
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     """The sufficient statistic of an n-step run's memory.
 
     Every step enters with one of two prepared kets, the encoding of the

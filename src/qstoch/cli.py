@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import namedtuple
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,34 +41,36 @@ ASYM_REFERENCE = (
 )
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(namedtuple("ExperimentConfig", "p_right p_left mode gate steps "
+                                  "shots_per_basis noise_lambda seed")):
     """One fully specified simulation/tomography experiment."""
 
-    p_right: float
-    p_left: float
-    mode: str = "quantum"
-    gate: str = "cnot"
-    steps: int = 100_000
-    shots_per_basis: int = 10_000
-    noise_lambda: float = 0.0
-    seed: int = 42
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("p_right", "p_left", "noise_lambda"):
-            value = getattr(self, name)
+    def __new__(cls, p_right: float, p_left: float, mode: str = "quantum",
+                gate: str = "cnot", steps: int = 100_000, shots_per_basis: int = 10_000,
+                noise_lambda: float = 0.0, seed: int = 42):
+        for name, value in (("p_right", p_right), ("p_left", p_left),
+                            ("noise_lambda", noise_lambda)):
             if not (0.0 <= value <= 1.0):
                 raise ValueError(f"{name} must be in [0, 1], got {value!r}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps!r}")
-        if self.shots_per_basis < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots_per_basis!r}")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.gate not in GATES:
-            raise ValueError(f"gate must be one of {GATES}, got {self.gate!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
+        if steps < 1:
+            raise ValueError(f"steps must be >= 1, got {steps!r}")
+        if shots_per_basis < 1:
+            raise ValueError(f"shots must be >= 1, got {shots_per_basis!r}")
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        if gate not in GATES:
+            raise ValueError(f"gate must be one of {GATES}, got {gate!r}")
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed!r}")
+        return super().__new__(cls, p_right, p_left, mode, gate, steps, shots_per_basis,
+                               noise_lambda, seed)
+
+    @classmethod
+    def _make(cls, iterable) -> "ExperimentConfig":
+        # namedtuple's _make, and _replace through it, skip __new__ and its checks
+        return cls(*iterable)
 
     def machine(self) -> CausalMachine:
         return CausalMachine(self.p_right, self.p_left)
@@ -134,7 +136,7 @@ def _sweep_point(index: int, cfg: ExperimentConfig) -> dict:
                    c_classical_sim=_NAN, c_quantum_sim=_NAN, c_quantum_sim_std=_NAN)
         return row
     machine = cfg.machine()
-    classical = _tomographed(replace(cfg, mode="classical"), index, COLUMNS["classical"])
+    classical = _tomographed(cfg._replace(mode="classical"), index, COLUMNS["classical"])
     quantum = _with_error(cfg, index, COLUMNS["quantum"])
     row.update(c_classical_theory=classical_complexity(machine),
                c_quantum_theory=quantum_complexity(machine),
@@ -157,7 +159,7 @@ def cmd_sweep(args) -> int:
                             steps=args.steps, shots_per_basis=args.shots,
                             noise_lambda=args.noise_lambda, seed=args.seed)
     grid = [round(args.p_min + i * args.p_step, 12) for i in range(int(_grid_points(args)))]
-    rows = [_sweep_point(index, replace(base, p_right=p, p_left=p))
+    rows = [_sweep_point(index, base._replace(p_right=p, p_left=p))
             for index, p in enumerate(grid)]
     config = {"p_min": args.p_min, "p_max": args.p_max, "p_step": args.p_step,
               "gate": args.gate, "steps": args.steps, "shots": args.shots,
@@ -185,9 +187,9 @@ def cmd_asym(args) -> int:
            "c_classical_theory": classical_complexity(machine),
            "c_quantum_theory": quantum_complexity(machine),
            "noise_lambda": lam}
-    classical = _tomographed(replace(cfg, mode="classical"), 0, COLUMNS["classical"])
-    ideal = _with_error(replace(cfg, noise_lambda=0.0), 0, COLUMNS["quantum"])
-    noisy = _with_error(replace(cfg, noise_lambda=lam), 0, COLUMNS["noisy"])
+    classical = _tomographed(cfg._replace(mode="classical"), 0, COLUMNS["classical"])
+    ideal = _with_error(cfg._replace(noise_lambda=0.0), 0, COLUMNS["quantum"])
+    noisy = _with_error(cfg._replace(noise_lambda=lam), 0, COLUMNS["noisy"])
     row.update(c_classical_sim=reconstructed_entropy(classical),
                c_quantum_sim=ideal.entropy, c_quantum_sim_std=ideal.entropy_std,
                c_quantum_noisy_sim=noisy.entropy, c_quantum_noisy_sim_std=noisy.entropy_std)

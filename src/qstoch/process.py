@@ -19,8 +19,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,20 +45,19 @@ def _check_prob(p: float, name: str) -> None:
         raise ValueError(f"{name} must be in [0, 1], got {p!r}")
 
 
-@dataclass(frozen=True)
-class CausalMachine:
+class CausalMachine(namedtuple("CausalMachine", "p_right p_left")):
     """Two-state Markov machine on switch parity.
 
     p_right is the 0 -> 1 transition probability, p_left the 1 -> 0 one.
     The symmetric process of the main demonstration has p_right == p_left.
     """
 
-    p_right: float
-    p_left: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_prob(self.p_right, "p_right")
-        _check_prob(self.p_left, "p_left")
+    def __new__(cls, p_right: float, p_left: float):
+        _check_prob(p_right, "p_right")
+        _check_prob(p_left, "p_left")
+        return super().__new__(cls, p_right, p_left)
 
     def transition_matrix(self) -> np.ndarray:
         """t[s, x] = probability of moving from state s to state x."""
@@ -66,14 +65,14 @@ class CausalMachine:
                          [self.p_left, 1.0 - self.p_left]])
 
 
-@dataclass(frozen=True)
-class IidMachine:
+class IidMachine(namedtuple("IidMachine", "p_one")):
     """Degenerate single-state machine: outputs are iid Bernoulli(p_one)."""
 
-    p_one: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_prob(self.p_one, "p_one")
+    def __new__(cls, p_one: float):
+        _check_prob(p_one, "p_one")
+        return super().__new__(cls, p_one)
 
 
 # ---------------------------------------------------------------------------

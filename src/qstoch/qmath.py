@@ -11,7 +11,7 @@ qubit as the most significant factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -28,7 +28,8 @@ class InvalidDistributionError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# domain types
+# domain types: immutable named tuples whose __new__ runs the checks; every
+# CLI process imports them, so they generate and exec no methods at import
 # ---------------------------------------------------------------------------
 
 def _as_complex(values, name: str) -> np.ndarray:
@@ -38,21 +39,20 @@ def _as_complex(values, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class Ket:
+class Ket(namedtuple("Ket", "amplitudes")):
     """Unit-norm complex amplitude vector over 1 or 2 qubits."""
 
-    amplitudes: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        amp = _as_complex(self.amplitudes, "amplitudes")
+    def __new__(cls, amplitudes):
+        amp = _as_complex(amplitudes, "amplitudes")
         if amp.ndim != 1 or amp.shape[0] not in _DIMS:
             raise ValueError(f"ket must have dimension 2 or 4, got shape {amp.shape}")
         norm_sq = float(np.real(np.vdot(amp, amp)))
         if abs(norm_sq - 1.0) > ATOL_UNIT:
             raise ValueError(f"ket is not normalized: sum |a|^2 = {norm_sq!r}")
         amp.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amp)
+        return super().__new__(cls, amp)
 
     @property
     def dim(self) -> int:
@@ -65,14 +65,13 @@ class Ket:
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
+class DensityMatrix(namedtuple("DensityMatrix", "entries")):
     """Hermitian, unit-trace, positive-semidefinite matrix (dim 2 or 4)."""
 
-    entries: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        m = _as_complex(self.entries, "entries")
+    def __new__(cls, entries):
+        m = _as_complex(entries, "entries")
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in _DIMS:
             raise ValueError(f"density matrix must be 2x2 or 4x4, got shape {m.shape}")
         if not np.allclose(m, m.conj().T, rtol=0.0, atol=ATOL_UNIT):
@@ -83,27 +82,26 @@ class DensityMatrix:
         if float(_hermitian_eigvals(m).min()) < -ATOL_PSD:
             raise ValueError("density matrix is not positive semidefinite")
         m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
+        return super().__new__(cls, m)
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
-class Unitary:
+class Unitary(namedtuple("Unitary", "entries")):
     """Unitary matrix of dimension 2 or 4."""
 
-    entries: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        m = _as_complex(self.entries, "entries")
+    def __new__(cls, entries):
+        m = _as_complex(entries, "entries")
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in _DIMS:
             raise ValueError(f"unitary must be 2x2 or 4x4, got shape {m.shape}")
         if not np.allclose(m @ m.conj().T, np.eye(m.shape[0]), rtol=0.0, atol=ATOL_UNIT):
             raise ValueError("matrix is not unitary")
         m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
+        return super().__new__(cls, m)
 
     @property
     def dim(self) -> int:

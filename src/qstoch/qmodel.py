@@ -10,7 +10,6 @@ the asymmetric circuit, built from a Y-axis rotation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -27,8 +26,7 @@ class SynthesisError(RuntimeError):
     """No Y-rotation maps ket0 onto ket1; cannot happen for a valid machine."""
 
 
-@dataclass(frozen=True)
-class QuantumModel:
+class QuantumModel(NamedTuple):
     """Causal machine together with its qubit encoding and equilibrium law."""
 
     machine: CausalMachine
@@ -69,6 +67,16 @@ def steady_state_rho(model: QuantumModel) -> DensityMatrix:
 def quantum_complexity(machine: CausalMachine) -> float:
     """Entropy (bits) of the steady-state memory; never exceeds the classical cost."""
     return qmath.von_neumann_entropy(steady_state_rho(quantum_causal_states(machine)))
+
+
+def depolarized_complexity(machine: CausalMachine, eps: float) -> float:
+    """Steady-memory entropy (bits) under a model depolarizing channel of rate
+    eps in [0, 1], which scales the Bloch radius |r| by 1 - eps: the binary
+    entropy h((1 + (1 - eps)|r|) / 2), quantum_complexity at eps = 0."""
+    if not (0.0 <= eps <= 1.0):
+        raise ValueError(f"eps must be in [0, 1], got {eps!r}")
+    rho = steady_state_rho(quantum_causal_states(machine))
+    return float(qmath.qubit_entropy((1.0 - eps) * np.linalg.norm(qmath.bloch_vector(rho))))
 
 
 def _bloch_angle(ket: Ket) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,8 +22,7 @@ _COUNT_CHUNK = 1 << 16    # windows coded and counted at a time
 N_SIGMA = 4.0             # per-cell tolerance of every check, in exact standard deviations
 
 
-@dataclass(frozen=True)
-class BlockLawCheck:
+class BlockLawCheck(NamedTuple):
     """Per-cell comparison of disjoint-block counts with the exact law."""
 
     block_len: int

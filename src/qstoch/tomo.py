@@ -9,7 +9,7 @@ observed rates, one standard deviation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -19,41 +19,35 @@ from .qmath import DensityMatrix
 MIN_BOOTSTRAP = 100
 
 
-@dataclass(frozen=True)
-class TomographyCounts:
+class TomographyCounts(namedtuple("TomographyCounts", "shots_per_basis x y z")):
     """(plus, minus) outcome counts for each Pauli measurement basis."""
 
-    shots_per_basis: int
-    x: tuple[int, int]
-    y: tuple[int, int]
-    z: tuple[int, int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.shots_per_basis < 1:
+    def __new__(cls, shots_per_basis: int, x: tuple, y: tuple, z: tuple):
+        if shots_per_basis < 1:
             raise ValueError("shots_per_basis must be >= 1")
-        for name in ("x", "y", "z"):
-            plus, minus = getattr(self, name)
-            if plus < 0 or minus < 0 or plus + minus != self.shots_per_basis:
+        for name, (plus, minus) in zip("xyz", (x, y, z)):
+            if plus < 0 or minus < 0 or plus + minus != shots_per_basis:
                 raise ValueError(f"{name} counts {(plus, minus)!r} do not total "
-                                 f"{self.shots_per_basis}")
+                                 f"{shots_per_basis}")
+        return super().__new__(cls, shots_per_basis, x, y, z)
 
     def bloch_vector(self) -> np.ndarray:
         n = self.shots_per_basis
         return np.array([(p - m) / n for p, m in (self.x, self.y, self.z)])
 
 
-@dataclass(frozen=True)
-class TomographyResult:
-    rho_hat: DensityMatrix
-    entropy: float
-    entropy_std: float
-    raw: TomographyCounts
+class TomographyResult(namedtuple("TomographyResult", "rho_hat entropy entropy_std raw")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (-1e-9 <= self.entropy <= 1.0 + 1e-9):
-            raise ValueError(f"single-qubit entropy out of range: {self.entropy!r}")
-        if self.entropy_std < 0.0:
+    def __new__(cls, rho_hat: DensityMatrix, entropy: float, entropy_std: float,
+                raw: TomographyCounts):
+        if not (-1e-9 <= entropy <= 1.0 + 1e-9):
+            raise ValueError(f"single-qubit entropy out of range: {entropy!r}")
+        if entropy_std < 0.0:
             raise ValueError("entropy_std must be >= 0")
+        return super().__new__(cls, rho_hat, entropy, entropy_std, raw)
 
 
 def ensemble_density(rho: DensityMatrix) -> DensityMatrix:

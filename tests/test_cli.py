@@ -299,6 +299,15 @@ class TestStreams:
         assert checked == tomographed
 
 
+def run_python(args):
+    """Run a fresh interpreter with this checkout's qstoch on its path."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
 class TestRunPath:
     @pytest.mark.parametrize("args", [SMALL["sweep"], SMALL["asym"], SMALL["simulate"],
                                       SMALL["tomo"], SMALL["tomo"] + ["--mode", "classical"]],
@@ -316,13 +325,27 @@ class TestRunPath:
         # `python -m qstoch.cli` imports the package first; were qstoch to
         # import .cli itself, runpy would warn that the module is already
         # loaded, and -W error turns that into exit 1 before parsing
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-W", "error", "-m", "qstoch.cli", "--help"],
-                              env=env, capture_output=True, text=True, timeout=60)
+        proc = run_python(["-W", "error", "-m", "qstoch.cli", "--help"])
         assert proc.returncode == 0, proc.stderr
         assert "simulate" in proc.stdout
+
+    def test_cli_import_loads_every_layer_and_no_dataclasses(self):
+        # every CLI process pays qstoch's import: its records generate no
+        # code (dataclasses compiles methods with exec).  The traced benchmark
+        # replay reads each layer from sys.modules right after importing cli,
+        # so none may be loaded lazily.
+        layers = ("qmath", "process", "qmodel", "circuit", "tomo", "stats")
+        proc = run_python(["-c", "import sys, numpy, numpy.random, argparse\n"
+                                 "print('dataclasses' in sys.modules)\n"
+                                 "import qstoch.cli\n"
+                                 "print(' '.join(sorted(sys.modules)))"])
+        assert proc.returncode == 0, proc.stderr
+        preloaded, modules = proc.stdout.splitlines()
+        if preloaded == "True":
+            pytest.skip("numpy itself imports dataclasses")
+        modules = modules.split()
+        assert "dataclasses" not in modules
+        assert all(f"qstoch.{layer}" in modules for layer in layers)
 
 
 class TestExperimentConfig:

@@ -9,6 +9,7 @@ from qstoch.process import CausalMachine, classical_complexity, excess_entropy
 from qstoch.qmath import mixture, von_neumann_entropy
 from qstoch.qmodel import (
     construct_cu,
+    depolarized_complexity,
     quantum_causal_states,
     quantum_complexity,
     steady_state_rho,
@@ -181,6 +182,33 @@ class TestQuantumComplexity:
             jumps[step] = max(abs(b - a) for a, b in zip(vals, vals[1:]))
         assert jumps[1e-3] < jumps[1e-2]
         assert jumps[1e-4] < jumps[1e-3]
+
+
+class TestDepolarizedComplexity:
+    def test_no_noise_is_quantum_complexity(self):
+        for machine in (CausalMachine(0.9, 0.3), CausalMachine(0.8, 0.8),
+                        CausalMachine(0.3, 0.7), CausalMachine(1.0, 0.0)):
+            assert depolarized_complexity(machine, 0.0) == quantum_complexity(machine)
+
+    @pytest.mark.parametrize("eps, entropy", [(0.0344, 0.1900), (0.0081, 0.1201), (1.0, 1.0)])
+    def test_rates_behind_the_reported_figures(self, eps, entropy):
+        # the measured 0.19 and the published theory 0.12 at (0.9, 0.3)
+        assert depolarized_complexity(CausalMachine(0.9, 0.3), eps) == pytest.approx(
+            entropy, abs=5e-5)
+
+    @pytest.mark.parametrize("eps", [0.01, 0.2, 0.7])
+    def test_matches_depolarized_eigen_oracle(self, eps):
+        machine = CausalMachine(0.9, 0.3)
+        model = quantum_causal_states(machine)
+        rho = mixture(model.stationary, (model.ket0, model.ket1)).entries
+        noisy = (1.0 - eps) * rho + eps * np.eye(2) / 2.0
+        assert depolarized_complexity(machine, eps) == pytest.approx(
+            entropy_of_spectrum(np.linalg.eigvalsh(noisy)), abs=1e-12)
+
+    @pytest.mark.parametrize("eps", [-0.01, 1.01, float("nan")])
+    def test_rate_outside_unit_interval_rejected(self, eps):
+        with pytest.raises(ValueError):
+            depolarized_complexity(CausalMachine(0.9, 0.3), eps)
 
 
 class TestConstructCu:

@@ -1,0 +1,88 @@
+"""Record semantics: every record is an immutable named tuple, and a record
+with checks runs them in its constructor."""
+
+import numpy as np
+import pytest
+
+from qstoch.circuit import run_trace
+from qstoch.cli import ExperimentConfig
+from qstoch.process import CausalMachine, IidMachine, block_distribution
+from qstoch.qmath import DensityMatrix, Ket, Unitary
+from qstoch.qmodel import construct_cu, quantum_causal_states
+from qstoch.seeding import make_rng
+from qstoch.stats import block_law_check
+from qstoch.tomo import TomographyCounts, TomographyResult
+
+MACHINE = CausalMachine(0.9, 0.3)
+COUNTS = TomographyCounts(10, (5, 5), (4, 6), (10, 0))
+RHO = DensityMatrix(np.eye(2) / 2)
+CONFIG = ExperimentConfig(p_right=0.8, p_left=0.8)
+
+BAD_RECORDS = {
+    "Ket": lambda: Ket([1.0, 1.0]),
+    "DensityMatrix": lambda: DensityMatrix(np.eye(2)),
+    "Unitary": lambda: Unitary([[1.0, 1.0], [0.0, 1.0]]),
+    "CausalMachine": lambda: CausalMachine(1.5, 0.3),
+    "IidMachine": lambda: IidMachine(-0.1),
+    "TomographyCounts": lambda: TomographyCounts(10, (5, 5), (5, 4), (10, 0)),
+    "TomographyResult": lambda: TomographyResult(RHO, 1.5, 0.0, COUNTS),
+    "ExperimentConfig": lambda: ExperimentConfig(p_right=1.5, p_left=0.8),
+}
+
+
+def all_records():
+    """One valid instance of every record type."""
+    counts = np.round(1000 * block_distribution(MACHINE, 2)).astype(np.int64)
+    return [Ket([1.0, 0.0]), RHO, Unitary(np.eye(2)), MACHINE, IidMachine(0.5),
+            quantum_causal_states(MACHINE), run_trace(MACHINE, "quantum", 10, make_rng(0)),
+            COUNTS, TomographyResult(RHO, 1.0, 0.0, COUNTS),
+            block_law_check(MACHINE, counts), CONFIG]
+
+
+@pytest.mark.parametrize("build", BAD_RECORDS.values(), ids=BAD_RECORDS.keys())
+def test_constructor_checks_value(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+@pytest.mark.parametrize("change", [{"p_right": 1.5}, {"steps": 0}, {"mode": "x"},
+                                    {"gate": "x"}, {"noise_lambda": -0.1},
+                                    {"shots_per_basis": 0}, {"seed": -1}],
+                         ids=lambda change: next(iter(change)))
+def test_derived_config_is_checked(change):
+    # the CLI derives every per-column and per-point config with _replace
+    with pytest.raises(ValueError):
+        CONFIG._replace(**change)
+    with pytest.raises(ValueError):
+        ExperimentConfig._make({**CONFIG._asdict(), **change}.values())
+
+
+def test_derived_config_keeps_other_fields():
+    derived = CONFIG._replace(mode="classical", noise_lambda=0.5)
+    assert type(derived) is ExperimentConfig
+    assert derived == ExperimentConfig(p_right=0.8, p_left=0.8, mode="classical",
+                                       noise_lambda=0.5)
+    with pytest.raises(ValueError, match="unexpected field"):
+        CONFIG._replace(lam=0.5)
+
+
+@pytest.mark.parametrize("record", all_records(), ids=lambda record: type(record).__name__)
+def test_records_are_immutable(record):
+    name = record._fields[0]
+    value = getattr(record, name)
+    with pytest.raises(AttributeError):
+        setattr(record, name, value)
+    with pytest.raises(AttributeError):
+        record.note = "extra"
+
+
+def test_construct_cu_cache_hits_for_equal_machines():
+    first = construct_cu(CausalMachine(0.9, 0.3))
+    hits = construct_cu.cache_info().hits
+    assert construct_cu(CausalMachine(0.9, 0.3)) is first
+    assert construct_cu.cache_info().hits == hits + 1
+
+
+def test_machine_repr_names_its_fields():
+    # SynthesisError's message shows the machine through its repr
+    assert repr(CausalMachine(0.9, 0.3)) == "CausalMachine(p_right=0.9, p_left=0.3)"
