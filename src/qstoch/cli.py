@@ -10,6 +10,8 @@ configuration and seed give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import sys
 from collections import namedtuple
 from contextlib import nullcontext
@@ -358,6 +360,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"qstoch: error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        # freeze the heap at exit so the interpreter's shutdown collections
+        # skip it (not os._exit: atexit handlers and stdio flushes still run)
+        atexit.unregister(gc.freeze)
+        atexit.register(gc.freeze)
 
 
 if __name__ == "__main__":

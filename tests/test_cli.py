@@ -299,13 +299,16 @@ class TestStreams:
         assert checked == tomographed
 
 
-def run_python(args):
-    """Run a fresh interpreter with this checkout's qstoch on its path."""
+def run_python(args, text=True, unset=()):
+    """Run a fresh interpreter with this checkout's qstoch on its path, its
+    stdout and stderr pipes; `unset` names variables it does not inherit."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for name in unset:
+        env.pop(name, None)
     return subprocess.run([sys.executable, *args], env=env, capture_output=True,
-                          text=True, timeout=60)
+                          text=text, timeout=60)
 
 
 class TestRunPath:
@@ -346,6 +349,62 @@ class TestRunPath:
         modules = modules.split()
         assert "dataclasses" not in modules
         assert all(f"qstoch.{layer}" in modules for layer in layers)
+
+
+# prints the freeze count from an atexit handler registered before qstoch's
+REPORT_FREEZE = ("import atexit, gc\n"
+                 "atexit.register(lambda: print('frozen', gc.get_freeze_count()))\n")
+BAD_ASYM = ["asym", "--p-right", "1.5", "--p-left", "0.3"]
+
+
+class TestExit:
+    """main freezes the heap at exit, so the interpreter's shutdown collections
+    skip it, while every atexit handler and stdio flush still runs."""
+
+    @pytest.mark.parametrize("argv, code", [(SMALL["asym"], 0), (BAD_ASYM, 2)],
+                             ids=["ok", "bad-input"])
+    def test_main_freezes_heap_before_earlier_handlers(self, tmp_path, argv, code):
+        argv = argv + ["--out", str(tmp_path / "out.csv")]
+        proc = run_python(["-c", REPORT_FREEZE + "from qstoch.cli import main\n"
+                                                 f"print('code', main({argv!r}))\n"])
+        assert proc.returncode == 0, proc.stderr
+        returned, frozen = proc.stdout.splitlines()
+        assert returned == f"code {code}"
+        assert frozen.startswith("frozen ") and int(frozen.split()[1]) > 0
+
+    def test_import_alone_freezes_nothing(self):
+        proc = run_python(["-c", REPORT_FREEZE + "import qstoch.cli\n"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "frozen 0\n"
+
+    def test_repeated_main_freezes_once(self, tmp_path):
+        # counts calls, not atexit._ncallbacks(): CPython counts every
+        # registration there, an unregistered one too
+        argv = SMALL["simulate"] + ["--out", str(tmp_path / "out.csv")]
+        proc = run_python(["-c", "import gc\nfreeze = gc.freeze\n"
+                                 "def counted():\n    print('freeze')\n    freeze()\n"
+                                 "gc.freeze = counted\nfrom qstoch.cli import main\n"
+                                 f"main({argv!r})\nmain({argv!r})\n"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "freeze\n"
+
+    @pytest.mark.parametrize("command", ["asym", "tomo"])
+    def test_piped_stdout_is_flushed_at_exit(self, tmp_path, command):
+        # block-buffered stdout (no PYTHONUNBUFFERED, a pipe) reaches the
+        # parent whole: an os._exit shortcut would drop it
+        proc = run_python(["-m", "qstoch.cli", *SMALL[command]], text=False,
+                          unset=("PYTHONUNBUFFERED",))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == run_cli(SMALL[command], tmp_path, "out.csv")[1]
+
+    @pytest.mark.parametrize("argv", [BAD_ASYM, ["tomo", "--p", "1.5"]],
+                             ids=["asym", "tomo"])
+    def test_exit_code_2_reaches_parent(self, argv):
+        proc = run_python(["-m", "qstoch.cli", *argv], text=False,
+                          unset=("PYTHONUNBUFFERED",))
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(b"qstoch: error: ")
 
 
 class TestExperimentConfig:
