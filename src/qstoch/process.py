@@ -142,8 +142,8 @@ def block_distribution(machine: CausalMachine, block_len: int) -> np.ndarray:
     if not (1 <= block_len <= MAX_BLOCK_LEN):
         raise ValueError(f"block length must be in [1, {MAX_BLOCK_LEN}], got {block_len!r}")
     t = machine.transition_matrix()
-    w = np.array(stationary_distribution(machine))
-    return _block_tree(w @ t, t, block_len)                 # w @ t: law of the first bit
+    w0, w1 = stationary_distribution(machine)
+    return _block_tree(w0 * t[0] + w1 * t[1], t, block_len)  # law of the first bit
 
 
 def conditional_block_probs(machine: CausalMachine, block_len: int) -> np.ndarray:

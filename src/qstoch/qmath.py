@@ -3,14 +3,19 @@
 Everything here is deterministic and pure: entropies in bits, state
 fidelity, trace distance, Y-axis rotations and pure-state mixtures.  A
 qubit's entropy lives here once, as the binary entropy of its Bloch radius
-(bloch_vector, qubit_entropy): the theory columns and every tomographed
-entropy take that route.  Dimensions are restricted to 2 and 4; the
+(bloch_vector, bloch_radius, qubit_entropy): the theory columns and every
+tomographed entropy take that route.  A CLI run calls neither LAPACK nor
+BLAS: eigenvalues, norms and the Hermiticity check are closed forms and
+elementwise arithmetic, because a process's first call of such a kernel maps
+its code in, from about 0.06 MB of resident memory for a BLAS dot product to
+0.8 MB for an eigensolver.  Dimensions are restricted to 2 and 4; the
 composite ordering is fixed repo-wide as model (x) meter, with the model
 qubit as the most significant factor.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
 import numpy as np
@@ -48,7 +53,7 @@ class Ket(namedtuple("Ket", "amplitudes")):
         amp = _as_complex(amplitudes, "amplitudes")
         if amp.ndim != 1 or amp.shape[0] not in _DIMS:
             raise ValueError(f"ket must have dimension 2 or 4, got shape {amp.shape}")
-        norm_sq = float(np.real(np.vdot(amp, amp)))
+        norm_sq = float((amp.real ** 2 + amp.imag ** 2).sum())
         if abs(norm_sq - 1.0) > ATOL_UNIT:
             raise ValueError(f"ket is not normalized: sum |a|^2 = {norm_sq!r}")
         amp.setflags(write=False)
@@ -74,7 +79,11 @@ class DensityMatrix(namedtuple("DensityMatrix", "entries")):
         m = _as_complex(entries, "entries")
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in _DIMS:
             raise ValueError(f"density matrix must be 2x2 or 4x4, got shape {m.shape}")
-        if not np.allclose(m, m.conj().T, rtol=0.0, atol=ATOL_UNIT):
+        # abs and max, the loops the Hermiticity check runs anyway, and not
+        # np.isfinite, whose first call maps in about 0.08 MB of code
+        if not np.abs(m).max() < math.inf:
+            raise ValueError("density matrix has a non-finite entry")
+        if np.abs(m - m.conj().T).max() > ATOL_UNIT:
             raise ValueError("density matrix is not Hermitian")
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > ATOL_UNIT:
@@ -124,10 +133,10 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 def _hermitian_eigvals(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of a 2x2 or 4x4 Hermitian matrix, descending order.
 
-    The 2x2 case is the closed form mean +- hypot((a - c) / 2, |b|), not
-    LAPACK: every state the CLI builds is a qubit, and a process's first
-    eigvalsh call alone costs about 0.8 MB of resident memory (768 kB with
-    numpy 2.4.6 on x86-64 Linux), some 1.5-2% of a whole asym run's peak.
+    The 2x2 case is the closed form mean +- hypot((a - c) / 2, |b|), neither
+    LAPACK nor BLAS: every state the CLI builds is a qubit, and a process's
+    first eigvalsh call alone costs about 0.8 MB of resident memory (768 kB
+    with numpy 2.4.6 on x86-64 Linux), some 1.5-2% of a whole asym run's peak.
     """
     if m.shape[0] == 2:
         a, c = m[0, 0].real, m[1, 1].real
@@ -157,6 +166,14 @@ def bloch_vector(rho: DensityMatrix) -> np.ndarray:
         raise ValueError(f"the Bloch vector is defined for a qubit, got dim {rho.dim}")
     m = rho.entries
     return np.array([2.0 * m[0, 1].real, -2.0 * m[0, 1].imag, (m[0, 0] - m[1, 1]).real])
+
+
+def bloch_radius(r) -> float:
+    """Length |r| of a Bloch vector (x, y, z): sqrt(x*x + y*y + z*z), summed
+    in that order, so it equals np.sqrt(np.sum(v * v, axis=0)) on the columns
+    of a (3, n) array bit for bit; not np.linalg.norm, a BLAS dot product."""
+    x, y, z = map(float, r)
+    return math.sqrt(x * x + y * y + z * z)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +213,7 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
     Raises ValueError for a two-qubit state.
     """
-    return float(qubit_entropy(np.linalg.norm(bloch_vector(rho))))
+    return float(qubit_entropy(bloch_radius(bloch_vector(rho))))
 
 
 def fidelity(rho: DensityMatrix, target: Ket) -> float:

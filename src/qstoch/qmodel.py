@@ -76,7 +76,7 @@ def depolarized_complexity(machine: CausalMachine, eps: float) -> float:
     if not (0.0 <= eps <= 1.0):
         raise ValueError(f"eps must be in [0, 1], got {eps!r}")
     rho = steady_state_rho(quantum_causal_states(machine))
-    return float(qmath.qubit_entropy((1.0 - eps) * np.linalg.norm(qmath.bloch_vector(rho))))
+    return float(qmath.qubit_entropy((1.0 - eps) * qmath.bloch_radius(qmath.bloch_vector(rho))))
 
 
 def _bloch_angle(ket: Ket) -> float:

@@ -79,7 +79,7 @@ def reconstruct_rho(counts: TomographyCounts) -> DensityMatrix:
     the projected Bloch vector r, whose eigenvalues (1 +- |r|) / 2 lie in
     [0, 1] once |r| <= 1."""
     r = counts.bloch_vector()
-    radius = float(np.linalg.norm(r))
+    radius = qmath.bloch_radius(r)
     if radius > 1.0:
         r = r / radius
     return DensityMatrix(0.5 * (np.eye(2, dtype=complex) + r[0] * qmath.PAULI_X
@@ -89,7 +89,7 @@ def reconstruct_rho(counts: TomographyCounts) -> DensityMatrix:
 def reconstructed_entropy(counts: TomographyCounts) -> float:
     """Entropy of reconstruct_rho(counts) without building it: the binary
     entropy h((1 + min(|r|, 1)) / 2) of the projected Bloch radius."""
-    return float(qmath.qubit_entropy(np.linalg.norm(counts.bloch_vector())))
+    return float(qmath.qubit_entropy(qmath.bloch_radius(counts.bloch_vector())))
 
 
 def entropy_with_error(counts: TomographyCounts, rng: np.random.Generator,
@@ -109,6 +109,7 @@ def entropy_with_error(counts: TomographyCounts, rng: np.random.Generator,
     n = counts.shots_per_basis
     rates = np.array([plus / n for plus, _ in (counts.x, counts.y, counts.z)])
     plus = rng.binomial(n, rates[:, np.newaxis], size=(3, bootstrap_rounds))
-    boot = qmath.qubit_entropy(np.linalg.norm((2 * plus - n) / n, axis=0))
+    r = (2 * plus - n) / n                                  # one Bloch vector per column
+    boot = qmath.qubit_entropy(np.sqrt(np.sum(r * r, axis=0)))
     return TomographyResult(rho_hat=reconstruct_rho(counts), entropy=entropy,
                             entropy_std=float(boot.std(ddof=1)), raw=counts)

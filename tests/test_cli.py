@@ -1,5 +1,6 @@
 """CLI subcommands, CSV schema, determinism, exit codes."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -311,18 +312,56 @@ def run_python(args, text=True, unset=()):
                           text=text, timeout=60)
 
 
+# every command shape the benchmark runs, at small sizes
+RUN_PATH = pytest.mark.parametrize(
+    "args", [SMALL["sweep"], SMALL["asym"], SMALL["simulate"], SMALL["tomo"],
+             SMALL["tomo"] + ["--mode", "classical"]],
+    ids=["sweep", "asym", "simulate", "tomo", "tomo-classical"])
+
+# the one matrix product a command runs: stats codes int8 bit windows by
+# their int16 place values, an integer loop that calls no BLAS kernel
+INTEGER_MATMUL = {("stats", "stream_block_counts")}
+
+
+def refusing(what):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError(f"{what} called on the run path")
+    return refuse
+
+
+def matmul_sites(layer):
+    """(layer, function) of each @ in a qstoch module, once per function."""
+    tree = ast.parse(Path(cli.__file__).with_name(f"{layer}.py").read_text())
+    return {(layer, func.name) for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef)
+            for node in ast.walk(func)
+            if isinstance(getattr(node, "op", None), ast.MatMult)}
+
+
 class TestRunPath:
-    @pytest.mark.parametrize("args", [SMALL["sweep"], SMALL["asym"], SMALL["simulate"],
-                                      SMALL["tomo"], SMALL["tomo"] + ["--mode", "classical"]],
-                             ids=["sweep", "asym", "simulate", "tomo", "tomo-classical"])
+    @RUN_PATH
     def test_no_lapack_eigensolver(self, monkeypatch, tmp_path, args):
         # every state a command builds is a qubit, read in closed form; a
         # process's first LAPACK eigvalsh call alone costs about 0.8 MB of RSS
-        def refuse(*_args, **_kwargs):
-            raise AssertionError("LAPACK eigensolver called on the run path")
-        monkeypatch.setattr(np.linalg, "eigh", refuse)
-        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refusing("LAPACK eigensolver"))
+        monkeypatch.setattr(np.linalg, "eigvalsh", refusing("LAPACK eigensolver"))
         assert run_cli(args, tmp_path, "out.csv")[0] == 0
+
+    @RUN_PATH
+    def test_no_blas_kernel_or_allclose(self, monkeypatch, tmp_path, args):
+        # norms, Hermiticity and the first-bit law are plain elementwise
+        # arithmetic: the first call of a BLAS kernel or of np.allclose maps
+        # its code pages in, 0.06-0.13 MB of RSS each
+        for name in ("dot", "vdot", "inner", "allclose"):
+            monkeypatch.setattr(np, name, refusing(f"np.{name}"))
+        monkeypatch.setattr(np.linalg, "norm", refusing("np.linalg.norm"))
+        assert run_cli(args, tmp_path, "out.csv")[0] == 0
+
+    def test_no_matrix_product_operator(self):
+        # a monkeypatch cannot catch @, so the modules a command runs are read
+        sites = set().union(*map(matmul_sites, ("circuit", "process", "tomo", "cli",
+                                                "stats")))
+        assert sites == INTEGER_MATMUL
 
     def test_module_run_with_warnings_as_errors(self):
         # `python -m qstoch.cli` imports the package first; were qstoch to
