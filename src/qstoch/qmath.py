@@ -1,16 +1,16 @@
-"""Complex linear algebra for one and two qubits.
+"""Complex linear algebra for one qubit.
 
 Everything here is deterministic and pure: entropies in bits, state
-fidelity, trace distance, Y-axis rotations and pure-state mixtures.  A
-qubit's entropy lives here once, as the binary entropy of its Bloch radius
-(bloch_vector, bloch_radius, qubit_entropy): the theory columns and every
-tomographed entropy take that route.  A CLI run calls neither LAPACK nor
-BLAS: eigenvalues, norms and the Hermiticity check are closed forms and
+fidelity, trace distance, Y-axis rotations and pure-state mixtures.  Every
+state and gate has dimension 2; the two-qubit step circuit, its composite
+ordering and its Bell fidelity live in the test oracle.  A qubit's entropy
+lives here once, as the binary entropy of its Bloch radius (bloch_vector,
+bloch_radius, qubit_entropy): the theory columns and every tomographed
+entropy take that route.  A CLI run calls neither LAPACK nor BLAS:
+eigenvalues, norms and the Hermiticity check are closed forms and
 elementwise arithmetic, because a process's first call of such a kernel maps
 its code in, from about 0.06 MB of resident memory for a BLAS dot product to
-0.8 MB for an eigensolver.  Dimensions are restricted to 2 and 4; the
-composite ordering is fixed repo-wide as model (x) meter, with the model
-qubit as the most significant factor.
+0.8 MB for an eigensolver.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ ATOL_PSD = 1e-10       # most negative eigenvalue tolerated in a density matrix
 ATOL_DIST = 1e-9       # probability vectors must sum to 1 within this
 EIG_ZERO = 1e-12       # a qubit eigenvalue below this counts as 0 in entropies
 
-_DIMS = (2, 4)
-
 
 class InvalidDistributionError(ValueError):
     """Raised when a probability vector has negative mass or wrong total."""
@@ -37,31 +35,26 @@ class InvalidDistributionError(ValueError):
 # CLI process imports them, so they generate and exec no methods at import
 # ---------------------------------------------------------------------------
 
-def _as_complex(values, name: str) -> np.ndarray:
+def _as_qubit(values, what: str, shape: tuple) -> np.ndarray:
+    """values as a complex array of a qubit's shape, (2,) or (2, 2)."""
     arr = np.array(values, dtype=complex)
-    if arr.ndim == 0:
-        raise ValueError(f"{name} must be array-like")
+    if arr.shape != shape:
+        raise ValueError(f"{what} must have shape {shape}, got {arr.shape}")
     return arr
 
 
 class Ket(namedtuple("Ket", "amplitudes")):
-    """Unit-norm complex amplitude vector over 1 or 2 qubits."""
+    """Unit-norm complex amplitude vector of a qubit."""
 
     __slots__ = ()
 
     def __new__(cls, amplitudes):
-        amp = _as_complex(amplitudes, "amplitudes")
-        if amp.ndim != 1 or amp.shape[0] not in _DIMS:
-            raise ValueError(f"ket must have dimension 2 or 4, got shape {amp.shape}")
+        amp = _as_qubit(amplitudes, "ket", (2,))
         norm_sq = float((amp.real ** 2 + amp.imag ** 2).sum())
         if abs(norm_sq - 1.0) > ATOL_UNIT:
             raise ValueError(f"ket is not normalized: sum |a|^2 = {norm_sq!r}")
         amp.setflags(write=False)
         return super().__new__(cls, amp)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[0]
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
@@ -71,14 +64,12 @@ class Ket(namedtuple("Ket", "amplitudes")):
 
 
 class DensityMatrix(namedtuple("DensityMatrix", "entries")):
-    """Hermitian, unit-trace, positive-semidefinite matrix (dim 2 or 4)."""
+    """Hermitian, unit-trace, positive-semidefinite 2x2 matrix."""
 
     __slots__ = ()
 
     def __new__(cls, entries):
-        m = _as_complex(entries, "entries")
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in _DIMS:
-            raise ValueError(f"density matrix must be 2x2 or 4x4, got shape {m.shape}")
+        m = _as_qubit(entries, "density matrix", (2, 2))
         # abs and max, the loops the Hermiticity check runs anyway, and not
         # np.isfinite, whose first call maps in about 0.08 MB of code
         if not np.abs(m).max() < math.inf:
@@ -93,28 +84,18 @@ class DensityMatrix(namedtuple("DensityMatrix", "entries")):
         m.setflags(write=False)
         return super().__new__(cls, m)
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
 
 class Unitary(namedtuple("Unitary", "entries")):
-    """Unitary matrix of dimension 2 or 4."""
+    """Unitary 2x2 matrix."""
 
     __slots__ = ()
 
     def __new__(cls, entries):
-        m = _as_complex(entries, "entries")
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in _DIMS:
-            raise ValueError(f"unitary must be 2x2 or 4x4, got shape {m.shape}")
-        if not np.allclose(m @ m.conj().T, np.eye(m.shape[0]), rtol=0.0, atol=ATOL_UNIT):
+        m = _as_qubit(entries, "unitary", (2, 2))
+        if not np.allclose(m @ m.conj().T, np.eye(2), rtol=0.0, atol=ATOL_UNIT):
             raise ValueError("matrix is not unitary")
         m.setflags(write=False)
         return super().__new__(cls, m)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
 
 # logical basis kets and single-qubit operators
@@ -131,29 +112,25 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 # ---------------------------------------------------------------------------
 
 def _hermitian_eigvals(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a 2x2 or 4x4 Hermitian matrix, descending order.
+    """Eigenvalues of a 2x2 Hermitian matrix, descending order.
 
-    The 2x2 case is the closed form mean +- hypot((a - c) / 2, |b|), neither
-    LAPACK nor BLAS: every state the CLI builds is a qubit, and a process's
-    first eigvalsh call alone costs about 0.8 MB of resident memory (768 kB
-    with numpy 2.4.6 on x86-64 Linux), some 1.5-2% of a whole asym run's peak.
+    The closed form mean +- hypot((a - c) / 2, |b|), neither LAPACK nor
+    BLAS: a process's first call of a LAPACK eigensolver alone costs about
+    0.8 MB of resident memory (768 kB with numpy 2.4.6 on x86-64 Linux),
+    some 1.5-2% of a whole asym run's peak.
     """
-    if m.shape[0] == 2:
-        a, c = m[0, 0].real, m[1, 1].real
-        mean, disc = 0.5 * (a + c), np.hypot(0.5 * (a - c), abs(m[0, 1]))
-        return np.array([mean + disc, mean - disc])
-    return np.linalg.eigvalsh(m)[::-1]
+    a, c = m[0, 0].real, m[1, 1].real
+    mean, disc = 0.5 * (a + c), np.hypot(0.5 * (a - c), abs(m[0, 1]))
+    return np.array([mean + disc, mean - disc])
 
 
 def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and orthonormal eigenvectors of a Hermitian matrix.
 
-    Accepts a DensityMatrix or a raw 2x2 / 4x4 array and defers to numpy's
+    Accepts a DensityMatrix or a raw 2x2 array and defers to numpy's
     symmetric solver.  Eigenvectors are returned as matrix columns.
     """
-    arr = m.entries if isinstance(m, DensityMatrix) else _as_complex(m, "matrix")
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] not in _DIMS:
-        raise ValueError(f"expected a 2x2 or 4x4 matrix, got shape {arr.shape}")
+    arr = m.entries if isinstance(m, DensityMatrix) else _as_qubit(m, "matrix", (2, 2))
     if not np.allclose(arr, arr.conj().T, rtol=0.0, atol=ATOL_UNIT):
         raise ValueError("matrix is not Hermitian")
     vals, vecs = np.linalg.eigh(arr)
@@ -162,8 +139,6 @@ def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
 
 def bloch_vector(rho: DensityMatrix) -> np.ndarray:
     """Pauli expectations (<X>, <Y>, <Z>) of a single-qubit state."""
-    if rho.dim != 2:
-        raise ValueError(f"the Bloch vector is defined for a qubit, got dim {rho.dim}")
     m = rho.entries
     return np.array([2.0 * m[0, 1].real, -2.0 * m[0, 1].imag, (m[0, 0] - m[1, 1]).real])
 
@@ -209,17 +184,12 @@ def qubit_entropy(radius):
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """-Tr(rho log2 rho) of a qubit: qubit_entropy of its Bloch radius.
-
-    Raises ValueError for a two-qubit state.
-    """
+    """-Tr(rho log2 rho) of a qubit: qubit_entropy of its Bloch radius."""
     return float(qubit_entropy(bloch_radius(bloch_vector(rho))))
 
 
 def fidelity(rho: DensityMatrix, target: Ket) -> float:
     """State fidelity <target| rho |target> with a pure target."""
-    if rho.dim != target.dim:
-        raise ValueError(f"dimension mismatch: rho dim {rho.dim}, target dim {target.dim}")
     t = target.amplitudes
     val = complex(np.vdot(t, rho.entries @ t))
     if abs(val.imag) > ATOL_UNIT:
@@ -229,8 +199,6 @@ def fidelity(rho: DensityMatrix, target: Ket) -> float:
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     """Half the trace norm of (a - b)."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     return 0.5 * float(np.abs(_hermitian_eigvals(a.entries - b.entries)).sum())
 
 
@@ -251,7 +219,7 @@ def mixture(weights, kets) -> DensityMatrix:
     w = np.asarray(weights, dtype=float)
     if np.any(w < 0) or abs(w.sum() - 1.0) > ATOL_DIST:
         raise InvalidDistributionError(f"mixture weights must be a distribution, got {w!r}")
-    rho = np.zeros((kets[0].dim, kets[0].dim), dtype=complex)
+    rho = np.zeros((2, 2), dtype=complex)
     for wi, ki in zip(w, kets):
         rho += wi * np.outer(ki.amplitudes, ki.amplitudes.conj())
     return DensityMatrix(rho)

@@ -4,8 +4,8 @@ Each causal state s gets a real-amplitude ket: state 0 encodes its transition
 law as (sqrt(1 - p_right), sqrt(p_right)), state 1 as
 (sqrt(p_left), sqrt(1 - p_left)).  The kets are generally non-orthogonal,
 which is what pushes the steady-state memory entropy below the classical
-stationary entropy.  Also synthesized here: the controlled step operator for
-the asymmetric circuit, built from a Y-axis rotation.
+stationary entropy.  Also synthesized here: the qubit operators of the
+asymmetric circuit's controlled-u step, built from a Y-axis rotation.
 """
 
 from __future__ import annotations
@@ -36,18 +36,16 @@ class QuantumModel(NamedTuple):
 
 
 class StepGates(NamedTuple):
-    """Operators for one asymmetric circuit step.
+    """Qubit operators for one asymmetric circuit step.
 
     v:  Y-rotation defining the frame in which ket0 and ket1 are mirror
         images under a bit flip.
-    u:  involution with u ket0 = ket1 (exactly, not just up to phase).
-    cu: two-qubit gate applying u on the target conditioned on the control
-        qubit's logical |1> component.
+    u:  involution with u ket0 = ket1 (exactly, not just up to phase), the
+        gate the step applies to the meter when the model qubit reads 1.
     """
 
     v: Unitary
     u: Unitary
-    cu: Unitary
 
 
 def quantum_causal_states(machine: CausalMachine) -> QuantumModel:
@@ -86,14 +84,13 @@ def _bloch_angle(ket: Ket) -> float:
 
 @lru_cache(maxsize=None)
 def construct_cu(machine: CausalMachine) -> StepGates:
-    """Synthesize (v, u, cu) with u = v X v-dagger and u ket0 = ket1.
+    """Synthesize (v, u) with u = v X v-dagger and u ket0 = ket1.
 
     For real-amplitude kets at polar angles a0, a1, the rotation angle
     theta = (a0 + a1 - pi) / 2 makes u the reflection exchanging them; the
     smallest non-negative exact solution is returned (it lies in [0, pi)
     whenever p_right >= p_left).  In the symmetric case theta = 0, so v is
-    the identity and u the plain bit flip.  The model qubit (first tensor
-    factor) controls and the meter is the target.
+    the identity and u the plain bit flip.
     """
     model = quantum_causal_states(machine)
     theta = (_bloch_angle(model.ket0) + _bloch_angle(model.ket1) - np.pi) / 2.0
@@ -107,8 +104,4 @@ def construct_cu(machine: CausalMachine) -> StepGates:
         raise SynthesisError(f"u ket0 differs from ket1 by {err!r} at {machine!r}")
     if np.linalg.norm(u @ u - np.eye(2)) > SYNTH_TOL:
         raise SynthesisError(f"synthesized u is not an involution at {machine!r}")
-
-    proj0 = np.diag([1.0, 0.0]).astype(complex)
-    proj1 = np.diag([0.0, 1.0]).astype(complex)
-    cu = np.kron(proj0, np.eye(2, dtype=complex)) + np.kron(proj1, u)
-    return StepGates(v=v, u=Unitary(u), cu=Unitary(cu))
+    return StepGates(v=v, u=Unitary(u))

@@ -36,13 +36,6 @@ class BlockLawCheck(NamedTuple):
     passed: bool
 
 
-def disjoint_block_counts(outputs: np.ndarray, block_len: int) -> np.ndarray:
-    """Counts of the 2**L possible blocks over consecutive disjoint windows
-    of a bit array; a trace in chunks goes to stream_block_counts."""
-    counts, = stream_block_counts((outputs,), (block_len,))
-    return counts
-
-
 def stream_block_counts(chunks: Iterable, block_lens: Sequence[int]) -> list[np.ndarray]:
     """Disjoint-window block counts at several lengths, in one pass over a
     trace that arrives in chunks.
@@ -119,8 +112,8 @@ def block_count_sigma(machine: CausalMachine, block_len: int, n_blocks: int) -> 
 def block_law_check(machine: CausalMachine, counts: np.ndarray) -> BlockLawCheck:
     """N_SIGMA per-cell test of disjoint-block counts vs the exact law.
 
-    counts holds the tallies of all 2**L blocks (disjoint_block_counts, or
-    stream_block_counts for several lengths at once); L is read off its size.
+    counts holds the tallies of all 2**L blocks (one length of
+    stream_block_counts); L is read off its size.
     """
     counts = np.asarray(counts)
     block_len = counts.size.bit_length() - 1
@@ -143,15 +136,3 @@ def block_law_check(machine: CausalMachine, counts: np.ndarray) -> BlockLawCheck
     return BlockLawCheck(block_len=block_len, n_blocks=m, counts=counts,
                          freqs=freqs, probs=probs, count_sigma=sigma,
                          tv=tv, tv_bound=tv_bound, passed=ok)
-
-
-def two_sample_block_check(machine: CausalMachine, outputs_a: np.ndarray,
-                           outputs_b: np.ndarray, block_len: int) -> bool:
-    """N_SIGMA consistency of two trace block laws for the same machine."""
-    ca = disjoint_block_counts(outputs_a, block_len)
-    cb = disjoint_block_counts(outputs_b, block_len)
-    ma, mb = int(ca.sum()), int(cb.sum())
-    sa = block_count_sigma(machine, block_len, ma) / ma
-    sb = block_count_sigma(machine, block_len, mb) / mb
-    diff = np.abs(ca / ma - cb / mb)
-    return bool(np.all(diff <= N_SIGMA * np.hypot(sa, sb) + 1e-12))

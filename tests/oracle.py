@@ -9,8 +9,14 @@ abbreviate:
     law evaluated by running the circuit once per encoded state;
   * the ground-truth pair of switches, stepped one draw at a time, and its
     exact block law from the 4-configuration chain;
-  * the block route 2 H_L - H_2L to the excess entropy;
+  * the block route 2 H_L - H_2L to the excess entropy, and block counts
+    and a two-sample block-law check of whole bit arrays;
   * the linear-algebra helpers only these need.
+
+qstoch's states and gates are qubits.  Two-qubit objects exist only here,
+as plain numpy arrays ordered model (x) meter: the model qubit is the first,
+most significant tensor factor and controls the entangling gate, and the
+meter is its target.
 """
 
 from __future__ import annotations
@@ -24,8 +30,9 @@ from qstoch import qmath
 from qstoch.circuit import GATES
 from qstoch.process import (MAX_BLOCK_LEN, CausalMachine, block_distribution,
                             stationary_distribution)
-from qstoch.qmath import DensityMatrix, Ket, Unitary, shannon_entropy
+from qstoch.qmath import Ket, Unitary, shannon_entropy
 from qstoch.qmodel import QuantumModel, construct_cu, quantum_causal_states
+from qstoch.stats import N_SIGMA, block_count_sigma, stream_block_counts
 
 
 # ---------------------------------------------------------------------------
@@ -45,20 +52,28 @@ def same_state(a: Ket, b: Ket, atol: float = qmath.ATOL_UNIT) -> bool:
     return abs(abs(overlap(a, b)) - 1.0) <= atol
 
 
-def tensor(a, b):
-    """Tensor product of two dim-2 objects; first factor is most significant.
+def tensor(a, b) -> np.ndarray:
+    """Tensor product of two qubit objects; first factor is most significant.
 
-    Ket (x) Ket -> Ket, Unitary (x) Unitary -> Unitary.
+    Ket (x) Ket -> 4 amplitudes, Unitary (x) Unitary -> 4x4 matrix.
     """
     if isinstance(a, Ket) and isinstance(b, Ket):
-        if a.dim != 2 or b.dim != 2:
-            raise ValueError("tensor factors must both have dimension 2")
-        return Ket(np.kron(a.amplitudes, b.amplitudes))
+        return np.kron(a.amplitudes, b.amplitudes)
     if isinstance(a, Unitary) and isinstance(b, Unitary):
-        if a.dim != 2 or b.dim != 2:
-            raise ValueError("tensor factors must both have dimension 2")
-        return Unitary(np.kron(a.entries, b.entries))
+        return np.kron(a.entries, b.entries)
     raise TypeError("tensor expects two Kets or two Unitaries")
+
+
+def projector(psi: np.ndarray) -> np.ndarray:
+    """Density matrix |psi><psi| of a pure state's amplitudes."""
+    return np.outer(psi, psi.conj())
+
+
+def controlled(u: Unitary) -> np.ndarray:
+    """4x4 gate applying u to the meter when the model qubit reads |1>:
+    |0><0| (x) I + |1><1| (x) u."""
+    return (np.kron(np.diag([1.0, 0.0]), IDENTITY2)
+            + np.kron(np.diag([0.0, 1.0]), u.entries))
 
 
 # ---------------------------------------------------------------------------
@@ -78,20 +93,26 @@ TWO_QUBIT_PAULIS = tuple(
 )
 
 
-def bell_state() -> Ket:
+def bell_state() -> np.ndarray:
     """(|00> + |11>) / sqrt(2)."""
-    return Ket(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0))
+    return np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
+
+
+def bell_fidelity(rho: np.ndarray) -> float:
+    """Fidelity <bell| rho |bell> of a 4x4 two-qubit density matrix."""
+    bell = bell_state()
+    return float(np.vdot(bell, rho @ bell).real)
 
 
 @dataclass(frozen=True)
 class CircuitState:
-    """Joint statevector of the step circuit.
+    """Joint statevector amplitudes of the step circuit.
 
-    Fresh states hold both qubits (dim 4, model (x) meter); after a
-    destructive measurement only the surviving qubit remains (dim 2).
+    Fresh states hold both qubits (4 amplitudes, model (x) meter); after a
+    destructive measurement only the surviving qubit remains (2 amplitudes).
     """
 
-    joint: Ket
+    joint: np.ndarray
 
 
 def _born_pick(p_one: float, rng: np.random.Generator) -> int:
@@ -100,16 +121,16 @@ def _born_pick(p_one: float, rng: np.random.Generator) -> int:
 
 def measure_qubit(state: CircuitState, which: str,
                   rng: np.random.Generator) -> tuple[int, CircuitState]:
-    """Logical-basis measurement of one qubit of a dim-4 state.
+    """Logical-basis measurement of one qubit of a two-qubit state.
 
     Destructive: the outcome is Born-sampled, the measured qubit is removed,
-    and the surviving qubit is returned renormalized as a dim-2 state.
+    and the surviving qubit is returned renormalized as a one-qubit state.
     """
-    if state.joint.dim != 4:
-        raise ValueError("measure_qubit needs both qubits present (dim-4 state)")
+    if state.joint.shape != (4,):
+        raise ValueError("measure_qubit needs both qubits present (4 amplitudes)")
     if which not in ("model", "meter"):
         raise ValueError(f"which must be 'model' or 'meter', got {which!r}")
-    psi = state.joint.amplitudes
+    psi = state.joint
     if which == "model":
         branches = (psi[0:2], psi[2:4])
     else:
@@ -119,7 +140,7 @@ def measure_qubit(state: CircuitState, which: str,
     kept = branches[outcome]
     norm = np.sqrt(np.real(np.vdot(kept, kept)))
     assert norm > 0.0, "Born rule selected a zero-norm branch"
-    return outcome, CircuitState(joint=Ket(kept / norm))
+    return outcome, CircuitState(joint=kept / norm)
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +177,8 @@ def _step_operators(machine: CausalMachine, gate: str):
     ops = construct_cu(machine)
     v = ops.v.entries
     meter_in = v[:, 0].copy()
-    frame = np.kron(np.eye(2, dtype=complex), v.conj().T)
-    return meter_in, ops.cu.entries, frame
+    frame = np.kron(IDENTITY2, v.conj().T)
+    return meter_in, controlled(ops.u), frame
 
 
 def _apply_noise_raw(psi: np.ndarray, lam: float, rng: np.random.Generator) -> np.ndarray:
@@ -178,14 +199,12 @@ def quantum_step(memory: Ket, model: QuantumModel, rng: np.random.Generator,
                  gate: str = "cnot", lam: float = 0.0) -> tuple[int, Ket]:
     """One quantum step: entangle, read the meter, reprepare by output bit.
 
-    The memory (dim 2) meets a fresh meter, the chosen two-qubit gate runs
+    The memory qubit meets a fresh meter, the chosen two-qubit gate runs
     with the model qubit as control, trajectory noise may strike (a Pauli
     with probability lam), and the meter is measured in the logical basis.
     The collapsed model qubit is discarded and the returned memory is the
     encoding of the output bit.
     """
-    if memory.dim != 2:
-        raise ValueError("memory must be a single-qubit ket")
     if gate not in GATES:
         raise ValueError(f"gate must be one of {GATES}, got {gate!r}")
     meter_in, gate4, frame = _step_operators(model.machine, gate)
@@ -200,25 +219,23 @@ def apply_noise(state: CircuitState, lam: float,
                 rng: np.random.Generator) -> CircuitState:
     """Depolarizing trajectory: with probability lam, a random non-identity
     two-qubit Pauli hits the joint state; otherwise it passes unchanged."""
-    if state.joint.dim != 4:
+    if state.joint.shape != (4,):
         raise ValueError("apply_noise acts on the two-qubit joint state")
-    psi = _apply_noise_raw(state.joint.amplitudes, lam, rng)
-    if psi is state.joint.amplitudes:
+    psi = _apply_noise_raw(state.joint, lam, rng)
+    if psi is state.joint:
         return state
-    return CircuitState(joint=Ket(psi))
+    return CircuitState(joint=psi)
 
 
-def depolarizing_average(rho: DensityMatrix, lam: float) -> DensityMatrix:
-    """Exact trajectory average: (1 - lam) rho + (lam / 15) sum_P P rho P."""
+def depolarizing_average(rho: np.ndarray, lam: float) -> np.ndarray:
+    """Exact trajectory average of a 4x4 two-qubit density matrix:
+    (1 - lam) rho + (lam / 15) sum_P P rho P."""
     if not (0.0 <= lam <= 1.0):
         raise ValueError(f"lam must be in [0, 1], got {lam!r}")
-    if rho.dim != 4:
+    if rho.shape != (4, 4):
         raise ValueError("depolarizing_average acts on two-qubit states")
-    arr = rho.entries
-    acc = np.zeros_like(arr)
-    for pauli in TWO_QUBIT_PAULIS:
-        acc += pauli @ arr @ pauli.conj().T
-    return DensityMatrix((1.0 - lam) * arr + (lam / 15.0) * acc)
+    acc = sum(pauli @ rho @ pauli.conj().T for pauli in TWO_QUBIT_PAULIS)
+    return (1.0 - lam) * rho + (lam / 15.0) * acc
 
 
 def to_mixing_rate(lam: float) -> float:
@@ -231,11 +248,11 @@ def from_mixing_rate(rate: float) -> float:
     return 15.0 * rate / 16.0
 
 
-def noisy_bell_average(lam: float) -> DensityMatrix:
+def noisy_bell_average(lam: float) -> np.ndarray:
     """Average state from the noisy entangler on separable Bell-prep inputs."""
-    plus = Ket(np.array([1.0, 1.0]) / np.sqrt(2.0))
-    ideal = Ket(CNOT4 @ np.kron(plus.amplitudes, np.array([1.0, 0.0], dtype=complex)))
-    return depolarizing_average(ideal.projector(), lam)
+    plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
+    ideal = CNOT4 @ np.kron(plus, np.array([1.0, 0.0], dtype=complex))
+    return depolarizing_average(projector(ideal), lam)
 
 
 def quantum_emission_probs(model: QuantumModel, gate: str,
@@ -376,3 +393,26 @@ def block_excess_entropy(machine: CausalMachine, half_window: int) -> float:
 def naive_switch_entropy(machine: CausalMachine) -> float:
     """Memory cost of tracking both switches: entropy of the 4-config law."""
     return shannon_entropy(two_switch_stationary(machine))
+
+
+# ---------------------------------------------------------------------------
+# block counts of a whole bit array
+# ---------------------------------------------------------------------------
+
+def disjoint_block_counts(outputs: np.ndarray, block_len: int) -> np.ndarray:
+    """Counts of the 2**L possible blocks over consecutive disjoint windows
+    of a bit array, by stats.stream_block_counts."""
+    counts, = stream_block_counts((outputs,), (block_len,))
+    return counts
+
+
+def two_sample_block_check(machine: CausalMachine, outputs_a: np.ndarray,
+                           outputs_b: np.ndarray, block_len: int) -> bool:
+    """N_SIGMA consistency of two trace block laws for the same machine."""
+    ca = disjoint_block_counts(outputs_a, block_len)
+    cb = disjoint_block_counts(outputs_b, block_len)
+    ma, mb = int(ca.sum()), int(cb.sum())
+    sa = block_count_sigma(machine, block_len, ma) / ma
+    sb = block_count_sigma(machine, block_len, mb) / mb
+    diff = np.abs(ca / ma - cb / mb)
+    return bool(np.all(diff <= N_SIGMA * np.hypot(sa, sb) + 1e-12))

@@ -18,27 +18,32 @@ from qstoch.circuit import (
 )
 from qstoch.cli import main
 from qstoch.process import CausalMachine, stationary_distribution
-from qstoch.qmath import DensityMatrix, Ket, fidelity, trace_distance
+from qstoch.qmath import Ket
 from qstoch.qmodel import construct_cu, quantum_causal_states
 from qstoch.seeding import make_rng
-from qstoch.stats import block_law_check, disjoint_block_counts, two_sample_block_check
+from qstoch.stats import block_law_check
 
 from conftest import chain_outputs, trace_outputs
 from oracle import (
     CNOT4,
     CircuitState,
     apply_noise,
+    bell_fidelity,
     bell_state,
     classical_step,
+    controlled,
     depolarizing_average,
+    disjoint_block_counts,
     emission_chain,
     from_mixing_rate,
     measure_qubit,
     noisy_bell_average,
+    projector,
     quantum_emission_probs,
     quantum_step,
     tensor,
     to_mixing_rate,
+    two_sample_block_check,
 )
 
 
@@ -68,12 +73,12 @@ class TestMeasureQubit:
         for _ in range(n):
             outcome, collapsed = measure_qubit(CircuitState(joint), "model", rng)
             ones += outcome
-            assert collapsed.joint.dim == 2
+            assert collapsed.joint.shape == (2,)
         sigma = np.sqrt(0.25 / n)
         assert abs(ones / n - 0.5) < 3 * sigma
 
     def test_entangled_meter_statistics_and_collapse(self):
-        joint = Ket([np.sqrt(0.2), 0.0, 0.0, np.sqrt(0.8)])
+        joint = np.array([np.sqrt(0.2), 0.0, 0.0, np.sqrt(0.8)], dtype=complex)
         rng = make_rng(32)
         n = 20_000
         ones = 0
@@ -81,21 +86,20 @@ class TestMeasureQubit:
             outcome, collapsed = measure_qubit(CircuitState(joint), "meter", rng)
             ones += outcome
             expected = [0.0, 1.0] if outcome else [1.0, 0.0]
-            np.testing.assert_allclose(collapsed.joint.probabilities(), expected,
-                                       atol=1e-12)
+            np.testing.assert_allclose(np.abs(collapsed.joint) ** 2, expected, atol=1e-12)
         sigma = np.sqrt(0.8 * 0.2 / n)
         assert abs(ones / n - 0.8) < 3 * sigma
 
     def test_deterministic_branch(self):
-        joint = Ket([1.0, 0.0, 0.0, 0.0])
+        joint = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
         rng = make_rng(33)
         outcome, collapsed = measure_qubit(CircuitState(joint), "meter", rng)
         assert outcome == 0
-        np.testing.assert_allclose(collapsed.joint.amplitudes, [1, 0], atol=1e-15)
+        np.testing.assert_allclose(collapsed.joint, [1, 0], atol=1e-15)
 
     def test_single_qubit_state_rejected(self):
         with pytest.raises(ValueError):
-            measure_qubit(CircuitState(Ket([1.0, 0.0])), "meter", make_rng(0))
+            measure_qubit(CircuitState(np.array([1.0, 0.0])), "meter", make_rng(0))
 
 
 class TestClassicalStep:
@@ -153,14 +157,13 @@ class TestQuantumStep:
     def test_collapse_leaves_logical_state_on_model(self):
         # before the discard, the model qubit must have collapsed to |x>
         model = quantum_causal_states(CausalMachine(0.8, 0.8))
-        joint = Ket(CNOT4 @ tensor(model.ket0, Ket([1.0, 0.0])).amplitudes)
+        joint = CNOT4 @ tensor(model.ket0, Ket([1.0, 0.0]))
         rng = make_rng(55)
         for _ in range(50):
             outcome, collapsed = measure_qubit(CircuitState(joint), "meter", rng)
             expected = np.zeros(2)
             expected[outcome] = 1.0
-            np.testing.assert_allclose(collapsed.joint.probabilities(), expected,
-                                       atol=1e-12)
+            np.testing.assert_allclose(np.abs(collapsed.joint) ** 2, expected, atol=1e-12)
 
     def test_gate_validated(self):
         model = quantum_causal_states(CausalMachine(0.8, 0.8))
@@ -176,24 +179,22 @@ class TestApplyNoise:
 
     def test_full_rate_average_matches_kraus_oracle(self):
         bell = bell_state()
-        rho_in = bell.projector().entries
         rng = make_rng(62)
         state = CircuitState(bell)
         acc = np.zeros((4, 4), dtype=complex)
         n = 60_000
         for _ in range(n):
-            psi = apply_noise(state, 1.0, rng).joint.amplitudes
+            psi = apply_noise(state, 1.0, rng).joint
             acc += np.outer(psi, psi.conj())
-        averaged = DensityMatrix(acc / n)
-        oracle = DensityMatrix(kraus_average_oracle(rho_in, 1.0))
-        assert trace_distance(averaged, oracle) < 0.02
+        difference = acc / n - kraus_average_oracle(projector(bell), 1.0)
+        # trace distance: half the sum of the difference's singular values
+        assert 0.5 * np.linalg.norm(difference, "nuc") < 0.02
 
     def test_exact_channel_matches_kraus_oracle(self):
-        bell_rho = bell_state().projector()
+        bell_rho = projector(bell_state())
         for lam in (0.0, 0.04, 0.3, 1.0):
-            got = depolarizing_average(bell_rho, lam).entries
-            np.testing.assert_allclose(got, kraus_average_oracle(bell_rho.entries, lam),
-                                       atol=1e-14)
+            got = depolarizing_average(bell_rho, lam)
+            np.testing.assert_allclose(got, kraus_average_oracle(bell_rho, lam), atol=1e-14)
 
     def test_monte_carlo_bell_fidelity_near_exact(self):
         lam = 0.04
@@ -203,9 +204,9 @@ class TestApplyNoise:
         n = 100_000
         hits = 0.0
         for _ in range(n):
-            psi = apply_noise(state, lam, rng).joint.amplitudes
-            hits += abs(np.vdot(bell.amplitudes, psi)) ** 2
-        exact = fidelity(depolarizing_average(bell.projector(), lam), bell)
+            psi = apply_noise(state, lam, rng).joint
+            hits += abs(np.vdot(bell, psi)) ** 2
+        exact = bell_fidelity(depolarizing_average(projector(bell), lam))
         sigma = np.sqrt(exact * (1 - exact) / n)
         assert abs(hits / n - exact) < 4 * sigma
 
@@ -222,7 +223,7 @@ class TestCalibrateNoise:
         # closed form under this Pauli convention: F = 1 - (3/4)(16/15) lam
         lam = calibrate_noise(0.97)
         assert lam == pytest.approx(0.03 / 0.8, abs=1e-10)
-        assert fidelity(noisy_bell_average(lam), bell_state()) == pytest.approx(0.97, abs=1e-12)
+        assert bell_fidelity(noisy_bell_average(lam)) == pytest.approx(0.97, abs=1e-12)
 
     def test_maximally_mixed_target(self):
         # fidelity 0.25 needs the full replace-with-maximally-mixed channel,
@@ -238,9 +239,8 @@ class TestCalibrateNoise:
             calibrate_noise(1.1)
 
     def test_fidelity_strictly_decreasing_in_rate(self):
-        bell = bell_state()
         grid = np.linspace(0.0, 1.0, 21)
-        values = [fidelity(noisy_bell_average(lam), bell) for lam in grid]
+        values = [bell_fidelity(noisy_bell_average(lam)) for lam in grid]
         assert all(b < a for a, b in zip(values, values[1:]))
 
 
@@ -464,12 +464,12 @@ class TestTraceMatchesStepOracle:
         else:
             ops = construct_cu(machine)
             v = ops.v.entries
-            meter_in, gate4 = v[:, 0], ops.cu.entries
+            meter_in, gate4 = v[:, 0], controlled(ops.u)
             frame = np.kron(np.eye(2), v.conj().T)
         via_channel = []
         for ket in (model.ket0, model.ket1):
-            joint = Ket(gate4 @ np.kron(ket.amplitudes, meter_in))
-            rho = depolarizing_average(joint.projector(), lam).entries
+            joint = gate4 @ np.kron(ket.amplitudes, meter_in)
+            rho = depolarizing_average(projector(joint), lam)
             rho = frame @ rho @ frame.conj().T
             via_channel.append(np.real(rho[1, 1] + rho[3, 3]))
         closed_form = [p + (16 * lam / 15) * (0.5 - p) for p in (0.9, 1 - 0.3)]

@@ -1,6 +1,7 @@
 """CLI subcommands, CSV schema, determinism, exit codes."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -329,13 +330,38 @@ def refusing(what):
     return refuse
 
 
+def module_tree(layer):
+    return ast.parse(Path(cli.__file__).with_name(f"{layer}.py").read_text())
+
+
 def matmul_sites(layer):
     """(layer, function) of each @ in a qstoch module, once per function."""
-    tree = ast.parse(Path(cli.__file__).with_name(f"{layer}.py").read_text())
-    return {(layer, func.name) for func in ast.walk(tree)
+    return {(layer, func.name) for func in ast.walk(module_tree(layer))
             if isinstance(func, ast.FunctionDef)
             for node in ast.walk(func)
             if isinstance(getattr(node, "op", None), ast.MatMult)}
+
+
+# numpy functions only a two-qubit object needs
+TWO_QUBIT_KERNELS = {"kron", "eigh", "eigvalsh"}
+
+
+def two_qubit_kernel_sites(layer):
+    """(layer, innermost enclosing function or None, name) of each reference
+    to a TWO_QUBIT_KERNELS function in a qstoch module, however imported."""
+    tree = module_tree(layer)
+    owner = {}
+    for func in ast.walk(tree):     # breadth first: inner functions overwrite
+        if isinstance(func, ast.FunctionDef):
+            owner.update(dict.fromkeys(ast.walk(func), func.name))
+    sites = set()
+    for node in ast.walk(tree):
+        name = getattr(node, "attr", None) or getattr(node, "id", None)
+        if isinstance(node, ast.alias):
+            name = node.name
+        if name in TWO_QUBIT_KERNELS:
+            sites.add((layer, owner.get(node), name))
+    return sites
 
 
 class TestRunPath:
@@ -388,6 +414,28 @@ class TestRunPath:
         modules = modules.split()
         assert "dataclasses" not in modules
         assert all(f"qstoch.{layer}" in modules for layer in layers)
+
+
+class TestLayout:
+    def test_benchmark_layers_resolve(self):
+        # the traced benchmark replay wraps each LAYERS name where its qstoch
+        # module binds it; read the table without importing the benchmark
+        replay = Path(__file__).resolve().parents[1] / "perfbench" / "replay.py"
+        layers, = (ast.literal_eval(node.value) for node in ast.parse(replay.read_text()).body
+                   if isinstance(node, ast.Assign)
+                   and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"])
+        missing = [f"{module}.{name}" for module, names in layers.items()
+                   for name in names
+                   if not hasattr(importlib.import_module(f"qstoch.{module}"), name)]
+        assert layers and not missing
+
+    def test_library_is_qubit_only(self):
+        # two-qubit states and gates live in the test oracle; the library's
+        # one eigensolver is the one eig_hermitian defers to
+        layers = [path.stem for path in Path(cli.__file__).parent.glob("*.py")]
+        assert "qmath" in layers
+        sites = set().union(*map(two_qubit_kernel_sites, layers))
+        assert sites == {("qmath", "eig_hermitian", "eigh")}
 
 
 # prints the freeze count from an atexit handler registered before qstoch's

