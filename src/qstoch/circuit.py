@@ -91,7 +91,7 @@ def trace_blocks(chain: CausalMachine, n: int,
     law, streamed.
 
     Yields (the state entering the block's first step, the block's int8
-    output bits) for consecutive blocks of at most 16384 steps, so a trace
+    output bits) for consecutive blocks of at most 8192 steps, so a trace
     of any length is read in bounded memory.  Each block is a new array, so
     a caller may keep it.  n and the stationary law are checked here, before
     the first block is drawn.

@@ -29,7 +29,8 @@ from .qmath import shannon_entropy
 MERGE_TOL = 1e-12   # |1 - p_right - p_left| below this collapses the two states
 
 MAX_BLOCK_LEN = 12
-_DRAW_BLOCK = 1 << 14     # uniforms per block in _sample_blocks: 128 KB, cache-sized
+_DRAW_BLOCK = 1 << 13     # uniforms per block in _sample_blocks: 64 KB, cache-sized
+_KEY = np.int16           # _sample_blocks' fill keys, up to 2 * _DRAW_BLOCK + 1
 
 
 class ReducibleChainError(ValueError):
@@ -177,44 +178,40 @@ def _sample_blocks(p1: tuple[float, float], n: int, rng: np.random.Generator,
     order and nothing of length n is built.
 
     Each step maps {0, 1} -> {0, 1} by a constant, the identity or negation,
-    so a block resolves as a prefix scan over those maps: a uniform outside
-    the band [lo, hi) between the two probabilities sets the state to
-    (u < lo) whatever it was; inside, the state stays (p1[0] < p1[1]) or
-    flips (p1[0] > p1[1]).  So the state after step j (counted from 1 in
-    the block) is the one set by its latest reset step last <= j (0: the
-    state carried in), and in the flip case every step between them flips
-    it: the state is negated (j - last) & 1 times, with no parity scan.
+    so a block resolves as one forward fill: a uniform outside the band
+    [lo, hi) between the two probabilities sets the state to w = (u < lo)
+    whatever it was; inside, the state stays (p1[0] < p1[1]) or flips
+    (p1[0] > p1[1]).  Such a reset at step j (from 1 in the block; 0 is the
+    state carried in) keys 2j + (w ^ alt_j), alt_j = j & 1 if the band flips
+    and 0 if it keeps; a running maximum carries the latest key forward, and
+    step k's bit is (key ^ alt_k) & 1: w, negated once per flip since.
 
     The scratch arrays are allocated once per trace and every ufunc writes
     into them; only the yielded bits are new, so a caller may keep blocks.
     """
     state = 0 if rng.random() < w0 else 1
     lo, hi = min(p1), max(p1)
-    flips = p1[0] > p1[1]
     size = min(_DRAW_BLOCK, n)
     u = np.empty(size)
+    below = np.empty(size, dtype=bool)
     reset = np.empty(size, dtype=bool)
-    steps = np.arange(1, size + 1, dtype=np.int32)
-    last = np.empty(size, dtype=np.int32)
-    # values[j] is the state set by step j (values[0]: the carried state)
-    values = np.empty(size + 1, dtype=np.int8)
+    # ramp[k] = 2j + alt_j for step j = k + 1, so its low bit is alt_j
+    ramp = np.arange(2, 2 * size + 2, 2, dtype=_KEY)
+    ramp[::2] += p1[0] > p1[1]
+    key = np.empty(size, dtype=_KEY)
     for first in range(0, n, _DRAW_BLOCK):
         m = min(_DRAW_BLOCK, n - first)
         if m < size:
-            u, reset, steps, last, values = u[:m], reset[:m], steps[:m], last[:m], values[:m + 1]
+            u, below, reset, ramp, key = u[:m], below[:m], reset[:m], ramp[:m], key[:m]
         rng.random(out=u)
-        values[0] = state
-        np.less(u, lo, out=values[1:])
+        np.less(u, lo, out=below)
         np.greater_equal(u, hi, out=reset)
-        np.logical_or(reset, values[1:].view(bool), out=reset)
-        # last[k] is the latest reset step <= steps[k] = k + 1
-        np.multiply(steps, reset, out=last)
-        np.maximum.accumulate(last, out=last)
-        bits = np.take(values, last)
-        if flips:
-            parity = reset.view(np.int8)        # the mask is spent: reuse it
-            np.subtract(steps, last, out=last)
-            np.bitwise_and(last, 1, out=parity, casting="unsafe")
-            bits ^= parity
+        np.logical_or(reset, below, out=reset)
+        np.bitwise_xor(ramp, below, out=key)
+        np.multiply(key, reset, out=key)
+        key[0] = max(key[0], state)       # no reset at step 1: the carried state
+        np.maximum.accumulate(key, out=key)
+        np.bitwise_xor(key, ramp, out=key)
+        bits = np.bitwise_and(key, 1, dtype=np.int8, casting="unsafe")
         yield state, bits
         state = int(bits[-1])

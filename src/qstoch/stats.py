@@ -42,7 +42,7 @@ def stream_block_counts(chunks: Iterable, block_lens: Sequence[int]) -> list[np.
 
     The trace is tallied once, in windows of W = lcm(block_lens) <= 12 bits,
     a window cut by a chunk boundary completed from the next chunk.  Each is
-    coded (first bit most significant) by one product with its place values,
+    coded (first bit most significant) by summing its bits' place values,
     a bounded number of windows at a time.  A W-window is W / L L-windows, so
     the counts at length L are the summed marginals of the 2**W tally shaped
     (2**L,) * (W / L), plus the L-windows of the bits after the last W-window.
@@ -60,7 +60,8 @@ def stream_block_counts(chunks: Iterable, block_lens: Sequence[int]) -> list[np.
         n_windows = bits.shape[0] // width
         for first in range(0, n_windows, _COUNT_CHUNK):
             stop = min(first + _COUNT_CHUNK, n_windows)
-            codes = bits[first * width: stop * width].reshape(-1, width) @ place
+            windows = bits[first * width: stop * width].reshape(-1, width)
+            codes = (windows * place).sum(axis=1, dtype=np.int16)
             tally += np.bincount(codes, minlength=2 ** width)
         carry = bits[n_windows * width:].copy()
     counts = []
@@ -68,7 +69,8 @@ def stream_block_counts(chunks: Iterable, block_lens: Sequence[int]) -> list[np.
         parts = width // block_len
         cells = tally.reshape((2 ** block_len,) * parts)
         tail = carry[: carry.shape[0] // block_len * block_len].reshape(-1, block_len)
-        tally_l = np.bincount(tail @ place[width - block_len:], minlength=2 ** block_len)
+        codes = (tail * place[width - block_len:]).sum(axis=1, dtype=np.int16)
+        tally_l = np.bincount(codes, minlength=2 ** block_len)
         tally_l += sum(cells.sum(axis=tuple(set(range(parts)) - {j})) for j in range(parts))
         if tally_l.sum() == 0:
             raise ValueError(f"trace too short for blocks of length {block_len}")

@@ -40,13 +40,16 @@ CASES = {
     "readme-tomo": ["tomo", "--p", "0.8", "--steps", "100000", "--shots", "10000"],
     "asym-cu": ["asym", "--p-right", "0.9", "--p-left", "0.3", "--gate", "cu"],
     "asym-lambda": ["asym", "--p-right", "0.9", "--p-left", "0.3", "--lambda", "0.0375"],
-    # step counts that end 3 steps into a 16 384-step draw block
+    # step counts that end 3 steps into an 8 192-step draw block
     "simulate-noisy-65539": ["simulate", *NOISY, "--steps", "65539"],
     "simulate-noisy-131075": ["simulate", *NOISY, "--steps", "131075"],
     "simulate-classical-65539": ["simulate", "--p", "0.8", "--mode", "classical",
                                  "--steps", "65539"],
     "tomo-classical-131075": ["tomo", "--p", "0.8", "--mode", "classical",
                               "--steps", "131075"],
+    # p_right + p_left < 1: the band between the two emission laws keeps the state
+    "simulate-persistent-65539": ["simulate", "--p", "0.2", "--mode", "classical",
+                                  "--steps", "65539"],
 }
 for _name, _point in EDGES.items():
     CASES[f"edge-{_name}-simulate"] = ["simulate", *_point, "--steps", "65539"]

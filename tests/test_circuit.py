@@ -373,7 +373,7 @@ class TestBoundedMemory:
     """A run holds a few draw blocks of temporaries, never the trace: the
     peak stays under a fixed bound and does not grow with the step count."""
 
-    BOUND = 1_000_000
+    BOUND = 500_000
 
     @staticmethod
     def run(n):

@@ -319,10 +319,6 @@ RUN_PATH = pytest.mark.parametrize(
              SMALL["tomo"] + ["--mode", "classical"]],
     ids=["sweep", "asym", "simulate", "tomo", "tomo-classical"])
 
-# the one matrix product a command runs: stats codes int8 bit windows by
-# their int16 place values, an integer loop that calls no BLAS kernel
-INTEGER_MATMUL = {("stats", "stream_block_counts")}
-
 
 def refusing(what):
     def refuse(*_args, **_kwargs):
@@ -387,7 +383,7 @@ class TestRunPath:
         # a monkeypatch cannot catch @, so the modules a command runs are read
         sites = set().union(*map(matmul_sites, ("circuit", "process", "tomo", "cli",
                                                 "stats")))
-        assert sites == INTEGER_MATMUL
+        assert sites == set()
 
     def test_module_run_with_warnings_as_errors(self):
         # `python -m qstoch.cli` imports the package first; were qstoch to

@@ -18,6 +18,7 @@ from qstoch.process import (
     merge_equivalent_states,
     stationary_distribution,
     _DRAW_BLOCK,
+    _KEY,
     _sample_blocks,
 )
 from qstoch.seeding import make_rng
@@ -345,6 +346,25 @@ def step_loop_path(p1, n, rng, w0):
 EDGE_OR_ANY = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 
+class ScriptedUniforms:
+    """A stand-in Generator that hands out a fixed list of uniforms in order,
+    one at a time, as an array of a given size, or into an out= buffer."""
+
+    def __init__(self, uniforms):
+        self.uniforms = np.asarray(uniforms, dtype=float)
+        self.used = 0
+
+    def random(self, size=None, out=None):
+        count = out.shape[0] if out is not None else size or 1
+        got = self.uniforms[self.used: self.used + count]
+        assert got.shape[0] == count, "script ran out of uniforms"
+        self.used += count
+        if out is not None:
+            out[...] = got
+            return out
+        return float(got[0]) if size is None else got.copy()
+
+
 class TestSamplePathScan:
     @settings(max_examples=20, deadline=None)
     @given(p_right=EDGE_OR_ANY, p_left=EDGE_OR_ANY, tie=st.booleans(),
@@ -381,6 +401,29 @@ class TestSamplePathScan:
             assert not np.shares_memory(a, b)
         np.testing.assert_array_equal(np.concatenate([bits for bits, _ in kept]),
                                       step_loop_path(p1, n, make_rng(21), 0.5)[1:])
+
+    def test_key_dtype_holds_the_largest_key(self):
+        # reset step j of a block keys 2j + 1 at most, j <= _DRAW_BLOCK
+        assert 2 * _DRAW_BLOCK + 1 <= np.iinfo(_KEY).max
+
+    @pytest.mark.parametrize("p1", [(0.9, 0.3), (0.3, 0.9)], ids=["flips", "keeps"])
+    @pytest.mark.parametrize("last", [0.1, 0.95], ids=["sets-1", "sets-0"])
+    @pytest.mark.parametrize("start", [0.2, 0.7], ids=["from-0", "from-1"])
+    def test_only_reset_on_a_blocks_last_step(self, p1, last, start):
+        # every uniform but one lies in the band [0.3, 0.9), so the state is
+        # carried (and kept or flipped) through the first block until its
+        # last step resets it: that step writes the block's largest key,
+        # 2 * _DRAW_BLOCK + (w ^ alt), and the next block starts from its bit
+        n = _DRAW_BLOCK + 5
+        uniforms = np.full(n + 1, 0.5)
+        uniforms[0] = start
+        uniforms[_DRAW_BLOCK] = last
+        blocks = list(_sample_blocks(p1, n, ScriptedUniforms(uniforms), 0.5))
+        want = step_loop_path(p1, n, ScriptedUniforms(uniforms), 0.5)
+        assert [len(bits) for _, bits in blocks] == [_DRAW_BLOCK, 5]
+        assert [entering for entering, _ in blocks] == [want[0], want[_DRAW_BLOCK]]
+        assert want[_DRAW_BLOCK] == (last < 0.3)
+        np.testing.assert_array_equal(np.concatenate([bits for _, bits in blocks]), want[1:])
 
     def test_frozen_chain_from_forced_start(self):
         # CausalMachine(0, 0) never switches: p1 = (0, 1); w0 of 1 or 0 pins
