@@ -5,29 +5,20 @@ from .qmath import (
     DensityMatrix,
     InvalidDistributionError,
     Ket,
-    Unitary,
-    eig_hermitian,
-    fidelity,
-    ry,
     shannon_entropy,
     trace_distance,
     von_neumann_entropy,
 )
 from .process import (
     CausalMachine,
-    IidMachine,
     ReducibleChainError,
     block_distribution,
     classical_complexity,
     excess_entropy,
-    merge_equivalent_states,
     stationary_distribution,
 )
 from .qmodel import (
     QuantumModel,
-    StepGates,
-    SynthesisError,
-    construct_cu,
     depolarized_complexity,
     quantum_causal_states,
     quantum_complexity,

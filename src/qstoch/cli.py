@@ -29,6 +29,7 @@ from .tomo import (TomographyCounts, TomographyResult, entropy_with_error,
 
 MAX_CHECK_BLOCK_LEN = 4
 MAX_SWEEP_POINTS = 10_001
+MAX_SHOTS = 2 ** 63 - 1     # the largest n numpy's binomial draw takes
 _NAN = float("nan")
 
 # reported reference values for the p_right=0.9, p_left=0.3 demonstration,
@@ -58,8 +59,8 @@ class ExperimentConfig(namedtuple("ExperimentConfig", "p_right p_left mode gate 
                 raise ValueError(f"{name} must be in [0, 1], got {value!r}")
         if steps < 1:
             raise ValueError(f"steps must be >= 1, got {steps!r}")
-        if shots_per_basis < 1:
-            raise ValueError(f"shots must be >= 1, got {shots_per_basis!r}")
+        if not 1 <= shots_per_basis <= MAX_SHOTS:
+            raise ValueError(f"shots must be in [1, {MAX_SHOTS}], got {shots_per_basis!r}")
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         if gate not in GATES:
@@ -243,7 +244,7 @@ TOMO_HEADER = ["p_right", "p_left", "mode", "gate", "steps", "shots",
 
 
 def cmd_tomo(args) -> int:
-    cfg = _config_from(args)
+    cfg = _config_from(args)._replace(shots_per_basis=args.shots)
     machine = cfg.machine()
     result = _with_error(cfg, 0, COLUMNS[cfg.mode])
 
@@ -287,9 +288,10 @@ def _config_from(args) -> ExperimentConfig:
         if args.p_right is None or args.p_left is None:
             raise ValueError("give either --p or both --p-right and --p-left")
         p_right, p_left = args.p_right, args.p_left
+    if args.mode == "classical" and args.noise_lambda > 0.0:
+        raise ValueError("--lambda is gate noise, and --mode classical runs no gate")
     return ExperimentConfig(p_right=p_right, p_left=p_left, mode=args.mode,
                             gate=args.gate, steps=args.steps,
-                            shots_per_basis=args.shots,
                             noise_lambda=args.noise_lambda, seed=args.seed)
 
 
@@ -297,8 +299,6 @@ def _add_common(sub, with_mode: bool) -> None:
     sub.add_argument("--gate", choices=GATES, default="cnot",
                      help="entangling gate, recorded in the CSV (both give one law)")
     sub.add_argument("--steps", type=int, default=100_000, help="trace length")
-    sub.add_argument("--shots", type=int, default=10_000,
-                     help="tomography shots per Pauli basis")
     sub.add_argument("--lambda", dest="noise_lambda", type=float, default=0.0,
                      help="two-qubit depolarizing trajectory probability")
     sub.add_argument("--seed", type=int, default=42, help="master RNG seed")
@@ -342,6 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
     tomo = subs.add_parser("tomo", help="tomograph one run's memory ensemble")
     _add_common(tomo, with_mode=True)
     tomo.set_defaults(func=cmd_tomo)
+    for sub in (sweep, asym, tomo):     # simulate tomographs nothing
+        sub.add_argument("--shots", type=int, default=10_000,
+                         help="tomography shots per Pauli basis")
     return parser
 
 

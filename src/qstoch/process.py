@@ -41,11 +41,6 @@ class ReducibleChainError(ValueError):
 # domain types
 # ---------------------------------------------------------------------------
 
-def _check_prob(p: float, name: str) -> None:
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"{name} must be in [0, 1], got {p!r}")
-
-
 class CausalMachine(namedtuple("CausalMachine", "p_right p_left")):
     """Two-state Markov machine on switch parity.
 
@@ -56,8 +51,9 @@ class CausalMachine(namedtuple("CausalMachine", "p_right p_left")):
     __slots__ = ()
 
     def __new__(cls, p_right: float, p_left: float):
-        _check_prob(p_right, "p_right")
-        _check_prob(p_left, "p_left")
+        for name, p in (("p_right", p_right), ("p_left", p_left)):
+            if not (0.0 <= p <= 1.0):
+                raise ValueError(f"{name} must be in [0, 1], got {p!r}")
         return super().__new__(cls, p_right, p_left)
 
     def transition_matrix(self) -> np.ndarray:
@@ -66,32 +62,18 @@ class CausalMachine(namedtuple("CausalMachine", "p_right p_left")):
                          [self.p_left, 1.0 - self.p_left]])
 
 
-class IidMachine(namedtuple("IidMachine", "p_one")):
-    """Degenerate single-state machine: outputs are iid Bernoulli(p_one)."""
-
-    __slots__ = ()
-
-    def __new__(cls, p_one: float):
-        _check_prob(p_one, "p_one")
-        return super().__new__(cls, p_one)
-
-
 # ---------------------------------------------------------------------------
 # causal-machine analysis
 # ---------------------------------------------------------------------------
 
-def merge_equivalent_states(machine: CausalMachine | IidMachine) -> CausalMachine | IidMachine:
-    """Collapse the two states when their output laws coincide.
+def states_merge(machine: CausalMachine) -> bool:
+    """Whether the two causal states emit alike, so one state suffices.
 
     State 0 emits 1 with probability p_right, state 1 with 1 - p_left; the
-    laws agree exactly when p_right + p_left = 1 (within 1e-12), in which
-    case the process is iid and a single state suffices.  Idempotent.
+    laws agree when p_right + p_left = 1 (within MERGE_TOL), and there the
+    outputs are iid.
     """
-    if isinstance(machine, IidMachine):
-        return machine
-    if abs(1.0 - machine.p_right - machine.p_left) <= MERGE_TOL:
-        return IidMachine(p_one=machine.p_right)
-    return machine
+    return abs(1.0 - machine.p_right - machine.p_left) <= MERGE_TOL
 
 
 def stationary_distribution(machine: CausalMachine) -> tuple[float, float]:
@@ -107,12 +89,12 @@ def stationary_distribution(machine: CausalMachine) -> tuple[float, float]:
     return machine.p_left / total, machine.p_right / total
 
 
-def classical_complexity(machine: CausalMachine | IidMachine) -> float:
-    """Entropy (bits) of the stationary causal-state law of the minimal machine."""
-    minimal = merge_equivalent_states(machine)
-    if isinstance(minimal, IidMachine):
+def classical_complexity(machine: CausalMachine) -> float:
+    """Entropy (bits) of the stationary causal-state law of the minimal
+    machine: 0 where the states merge, since one state needs no memory."""
+    if states_merge(machine):
         return 0.0
-    return shannon_entropy(stationary_distribution(minimal))
+    return shannon_entropy(stationary_distribution(machine))
 
 
 def _block_tree(first: np.ndarray, t: np.ndarray, block_len: int) -> np.ndarray:

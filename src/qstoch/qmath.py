@@ -1,8 +1,8 @@
 """Complex linear algebra for one qubit.
 
 Everything here is deterministic and pure: entropies in bits, state
-fidelity, trace distance, Y-axis rotations and pure-state mixtures.  Every
-state and gate has dimension 2; the two-qubit step circuit, its composite
+fidelity, trace distance and pure-state mixtures.  Every state and
+operator has dimension 2; the two-qubit step circuit, its composite
 ordering and its Bell fidelity live in the test oracle.  A qubit's entropy
 lives here once, as the binary entropy of its Bloch radius (bloch_vector,
 bloch_radius, qubit_entropy): the theory columns and every tomographed
@@ -20,7 +20,7 @@ from collections import namedtuple
 
 import numpy as np
 
-ATOL_UNIT = 1e-12      # normalization / hermiticity / unitarity tolerance
+ATOL_UNIT = 1e-12      # normalization / hermiticity tolerance
 ATOL_PSD = 1e-10       # most negative eigenvalue tolerated in a density matrix
 ATOL_DIST = 1e-9       # probability vectors must sum to 1 within this
 EIG_ZERO = 1e-12       # a qubit eigenvalue below this counts as 0 in entropies
@@ -81,19 +81,6 @@ class DensityMatrix(namedtuple("DensityMatrix", "entries")):
             raise ValueError(f"density matrix trace is {tr!r}, expected 1")
         if float(_hermitian_eigvals(m).min()) < -ATOL_PSD:
             raise ValueError("density matrix is not positive semidefinite")
-        m.setflags(write=False)
-        return super().__new__(cls, m)
-
-
-class Unitary(namedtuple("Unitary", "entries")):
-    """Unitary 2x2 matrix."""
-
-    __slots__ = ()
-
-    def __new__(cls, entries):
-        m = _as_qubit(entries, "unitary", (2, 2))
-        if not np.allclose(m @ m.conj().T, np.eye(2), rtol=0.0, atol=ATOL_UNIT):
-            raise ValueError("matrix is not unitary")
         m.setflags(write=False)
         return super().__new__(cls, m)
 
@@ -203,16 +190,8 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
 
 
 # ---------------------------------------------------------------------------
-# rotations and mixtures
+# mixtures
 # ---------------------------------------------------------------------------
-
-def ry(theta: float) -> Unitary:
-    """Rotation about the Bloch Y-axis: |0> -> cos(t/2)|0> + sin(t/2)|1>."""
-    if not np.isfinite(theta):
-        raise ValueError(f"rotation angle must be finite, got {theta!r}")
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    return Unitary(np.array([[c, -s], [s, c]], dtype=complex))
-
 
 def mixture(weights, kets) -> DensityMatrix:
     """Weighted mixture of pure states: sum_i w_i |k_i><k_i|."""

@@ -4,8 +4,8 @@ Each causal state s gets a real-amplitude ket: state 0 encodes its transition
 law as (sqrt(1 - p_right), sqrt(p_right)), state 1 as
 (sqrt(p_left), sqrt(1 - p_left)).  The kets are generally non-orthogonal,
 which is what pushes the steady-state memory entropy below the classical
-stationary entropy.  Also synthesized here: the qubit operators of the
-asymmetric circuit's controlled-u step, built from a Y-axis rotation.
+stationary entropy.  Also synthesized here: the 2x2 qubit operators of the
+asymmetric circuit's controlled-u step.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import qmath
-from .qmath import DensityMatrix, Ket, Unitary
+from .qmath import DensityMatrix, Ket
 from .process import CausalMachine, stationary_distribution
 
 SYNTH_TOL = 1e-12
@@ -36,7 +36,7 @@ class QuantumModel(NamedTuple):
 
 
 class StepGates(NamedTuple):
-    """Qubit operators for one asymmetric circuit step.
+    """Qubit operators for one asymmetric circuit step, as read-only arrays.
 
     v:  Y-rotation defining the frame in which ket0 and ket1 are mirror
         images under a bit flip.
@@ -44,8 +44,8 @@ class StepGates(NamedTuple):
         gate the step applies to the meter when the model qubit reads 1.
     """
 
-    v: Unitary
-    u: Unitary
+    v: np.ndarray
+    u: np.ndarray
 
 
 def quantum_causal_states(machine: CausalMachine) -> QuantumModel:
@@ -95,13 +95,15 @@ def construct_cu(machine: CausalMachine) -> StepGates:
     model = quantum_causal_states(machine)
     theta = (_bloch_angle(model.ket0) + _bloch_angle(model.ket1) - np.pi) / 2.0
     theta %= 2.0 * np.pi
-    v = qmath.ry(theta)
-    x = qmath.PAULI_X
-    u = v.entries @ x @ v.entries.conj().T
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    v = np.array([[c, -s], [s, c]], dtype=complex)    # |0> -> cos(t/2)|0> + sin(t/2)|1>
+    u = v @ qmath.PAULI_X @ v.conj().T
 
     err = np.linalg.norm(u @ model.ket0.amplitudes - model.ket1.amplitudes)
     if err > SYNTH_TOL:
         raise SynthesisError(f"u ket0 differs from ket1 by {err!r} at {machine!r}")
     if np.linalg.norm(u @ u - np.eye(2)) > SYNTH_TOL:
         raise SynthesisError(f"synthesized u is not an involution at {machine!r}")
-    return StepGates(v=v, u=Unitary(u))
+    v.setflags(write=False)
+    u.setflags(write=False)
+    return StepGates(v=v, u=u)

@@ -30,7 +30,7 @@ from qstoch import qmath
 from qstoch.circuit import GATES
 from qstoch.process import (MAX_BLOCK_LEN, CausalMachine, block_distribution,
                             stationary_distribution)
-from qstoch.qmath import Ket, Unitary, shannon_entropy
+from qstoch.qmath import Ket, shannon_entropy
 from qstoch.qmodel import QuantumModel, construct_cu, quantum_causal_states
 from qstoch.stats import N_SIGMA, block_count_sigma, stream_block_counts
 
@@ -55,13 +55,13 @@ def same_state(a: Ket, b: Ket, atol: float = qmath.ATOL_UNIT) -> bool:
 def tensor(a, b) -> np.ndarray:
     """Tensor product of two qubit objects; first factor is most significant.
 
-    Ket (x) Ket -> 4 amplitudes, Unitary (x) Unitary -> 4x4 matrix.
+    Ket (x) Ket -> 4 amplitudes, 2x2 array (x) 2x2 array -> 4x4 matrix.
     """
     if isinstance(a, Ket) and isinstance(b, Ket):
         return np.kron(a.amplitudes, b.amplitudes)
-    if isinstance(a, Unitary) and isinstance(b, Unitary):
-        return np.kron(a.entries, b.entries)
-    raise TypeError("tensor expects two Kets or two Unitaries")
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        return np.kron(a, b)
+    raise TypeError("tensor expects two Kets or two operator arrays")
 
 
 def projector(psi: np.ndarray) -> np.ndarray:
@@ -69,11 +69,11 @@ def projector(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def controlled(u: Unitary) -> np.ndarray:
+def controlled(u: np.ndarray) -> np.ndarray:
     """4x4 gate applying u to the meter when the model qubit reads |1>:
     |0><0| (x) I + |1><1| (x) u."""
     return (np.kron(np.diag([1.0, 0.0]), IDENTITY2)
-            + np.kron(np.diag([0.0, 1.0]), u.entries))
+            + np.kron(np.diag([0.0, 1.0]), u))
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +175,7 @@ def _step_operators(machine: CausalMachine, gate: str):
     if gate == "cnot":
         return np.array([1.0, 0.0], dtype=complex), CNOT4, None
     ops = construct_cu(machine)
-    v = ops.v.entries
+    v = ops.v
     meter_in = v[:, 0].copy()
     frame = np.kron(IDENTITY2, v.conj().T)
     return meter_in, controlled(ops.u), frame

@@ -463,7 +463,7 @@ class TestTraceMatchesStepOracle:
             meter_in, gate4, frame = np.array([1.0, 0.0]), CNOT4, np.eye(4)
         else:
             ops = construct_cu(machine)
-            v = ops.v.entries
+            v = ops.v
             meter_in, gate4 = v[:, 0], controlled(ops.u)
             frame = np.kron(np.eye(2), v.conj().T)
         via_channel = []

@@ -79,8 +79,10 @@ class TestSweep:
         ["--seed", "-1"],
         ["--steps", "0"],
         ["--shots", "0"],
-    ], ids=["frozen-grid-seed", "seed", "steps", "shots"])
-    def test_invalid_config_rejected_before_work(self, tmp_path, bad):
+        ["--shots", str(2 ** 63)],
+    ], ids=["frozen-grid-seed", "seed", "steps", "shots", "shots-overflow"])
+    def test_invalid_config_rejected_before_work(self, monkeypatch, tmp_path, bad):
+        monkeypatch.setattr(cli, "make_rng", refusing("a stream"))
         out = tmp_path / "bad.csv"
         assert main(FAST_SWEEP + bad + ["--out", str(out)]) == 2
         assert not out.exists()
@@ -198,6 +200,21 @@ class TestSimulate:
         code = main(["simulate", "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    def test_shots_is_usage_error(self):
+        # simulate tomographs nothing, so it takes no shot count
+        with pytest.raises(SystemExit) as err:
+            main(["simulate", "--p", "0.8", "--steps", "2000", "--shots", "10"])
+        assert err.value.code == 2
+
+    def test_lambda_with_classical_mode_rejected_before_work(self, monkeypatch, tmp_path):
+        # a classical trace runs no gate, so a noise rate would be recorded
+        # in the CSV comment and touch nothing else
+        monkeypatch.setattr(cli, "make_rng", refusing("a stream"))
+        out = tmp_path / "x.csv"
+        assert main(SMALL["simulate"] + ["--mode", "classical", "--lambda", "0.5",
+                                         "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestTomoCommand:
     def test_quantum_report(self, tmp_path):
@@ -220,6 +237,25 @@ class TestTomoCommand:
         _, rows = parse_csv(payload)
         assert float(rows[0]["entropy_theory"]) == 1.0
         assert float(rows[0]["entropy"]) > 0.99
+
+    @pytest.mark.parametrize("bad", [
+        ["--shots", "0"],
+        ["--shots", str(2 ** 63)],
+        ["--mode", "classical", "--lambda", "0.1"],
+    ], ids=["shots", "shots-overflow", "classical-lambda"])
+    def test_invalid_config_rejected_before_work(self, monkeypatch, tmp_path, bad):
+        # 2**63 shots is one more than numpy's binomial draw takes
+        monkeypatch.setattr(cli, "make_rng", refusing("a stream"))
+        out = tmp_path / "bad.csv"
+        assert main(SMALL["tomo"] + bad + ["--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_largest_shot_count_runs(self, tmp_path):
+        args = ["tomo", "--p", "0.8", "--steps", "2000", "--shots", str(2 ** 63 - 1)]
+        code, payload = run_cli(args, tmp_path, "max.csv")
+        assert code == 0
+        _, rows = parse_csv(payload)
+        assert int(rows[0]["shots"]) == 2 ** 63 - 1
 
     def test_determinism(self, tmp_path):
         args = ["tomo", "--p-right", "0.9", "--p-left", "0.3",

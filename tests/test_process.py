@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from qstoch.circuit import trace_blocks
 from qstoch.process import (
     CausalMachine,
-    IidMachine,
+    MERGE_TOL,
     ReducibleChainError,
     block_distribution,
     classical_complexity,
     excess_entropy,
-    merge_equivalent_states,
     stationary_distribution,
+    states_merge,
     _DRAW_BLOCK,
     _KEY,
     _sample_blocks,
@@ -157,24 +157,21 @@ class TestReduction:
 
 class TestMerge:
     def test_fair_coin_merges(self):
-        merged = merge_equivalent_states(CausalMachine(0.5, 0.5))
-        assert isinstance(merged, IidMachine)
-        assert merged.p_one == 0.5
+        assert states_merge(CausalMachine(0.5, 0.5))
 
     def test_complementary_probabilities_merge(self):
         # both states emit 1 with probability 0.7
-        merged = merge_equivalent_states(CausalMachine(0.7, 0.3))
-        assert isinstance(merged, IidMachine)
-        assert merged.p_one == pytest.approx(0.7, abs=1e-15)
+        assert states_merge(CausalMachine(0.7, 0.3))
 
     def test_distinct_states_kept(self):
-        machine = CausalMachine(0.9, 0.3)
-        assert merge_equivalent_states(machine) is machine
+        assert not states_merge(CausalMachine(0.9, 0.3))
 
-    def test_idempotent(self):
-        for machine in (CausalMachine(0.7, 0.3), CausalMachine(0.9, 0.3)):
-            once = merge_equivalent_states(machine)
-            assert merge_equivalent_states(once) == once
+    @pytest.mark.parametrize("offset, merged", [(0.5 * MERGE_TOL, True), (2 * MERGE_TOL, False)],
+                             ids=["inside", "outside"])
+    def test_merge_tolerance(self, offset, merged):
+        machine = CausalMachine(0.7 + offset, 0.3)
+        assert states_merge(machine) is merged
+        assert (classical_complexity(machine) == 0.0) is merged
 
 
 class TestStationary:

@@ -1,4 +1,4 @@
-"""Linear-algebra kernel: entropies, eigenvalues, fidelity, rotations, tensors."""
+"""Linear-algebra kernel: entropies, eigenvalues, fidelity, tensors."""
 
 import math
 from decimal import Decimal, localcontext
@@ -15,14 +15,12 @@ from qstoch.qmath import (
     DensityMatrix,
     InvalidDistributionError,
     Ket,
-    Unitary,
     _hermitian_eigvals,
     bloch_radius,
     bloch_vector,
     eig_hermitian,
     fidelity,
     mixture,
-    ry,
     shannon_entropy,
     trace_distance,
     von_neumann_entropy,
@@ -234,33 +232,13 @@ class TestBellFidelity:
         assert bell_fidelity(rho) == pytest.approx(0.97, abs=1e-12)
 
 
-class TestRy:
-    def test_zero_angle_is_identity(self):
-        np.testing.assert_allclose(ry(0.0).entries, np.eye(2), atol=1e-15)
-
-    def test_pi_maps_zero_to_one(self):
-        flipped = Ket(ry(np.pi).entries @ KET0.amplitudes)
-        np.testing.assert_allclose(flipped.probabilities(), [0.0, 1.0], atol=1e-15)
-
-    def test_angle_prepares_square_root_amplitudes(self):
-        for p in np.linspace(0.0, 1.0, 21):
-            theta = 2.0 * np.arctan2(np.sqrt(p), np.sqrt(1.0 - p))
-            ket = Ket(ry(theta).entries @ KET0.amplitudes)
-            np.testing.assert_allclose(ket.amplitudes.real,
-                                       [np.sqrt(1.0 - p), np.sqrt(p)], atol=1e-12)
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            ry(float("inf"))
-
-
 class TestTensor:
     def test_basis_kets(self):
         joint = tensor(KET0, KET0)
         np.testing.assert_allclose(joint, [1, 0, 0, 0], atol=1e-15)
 
     def test_flip_on_first_factor(self):
-        xi = tensor(Unitary(X), Unitary(np.eye(2, dtype=complex)))
+        xi = tensor(X, np.eye(2, dtype=complex))
         out = xi @ tensor(KET0, KET0)
         np.testing.assert_allclose(out, [0, 0, 1, 0], atol=1e-15)
 
@@ -270,16 +248,20 @@ class TestTensor:
         np.testing.assert_allclose(joint, [np.sqrt(0.2), 0, np.sqrt(0.8), 0], atol=1e-15)
 
     def test_unitarity_preserved_by_composition_and_tensor(self):
+        def rotation(theta):        # exp(-i theta Y / 2)
+            return np.cos(theta / 2) * np.eye(2) - 1j * np.sin(theta / 2) * Y
+
         rng = np.random.default_rng(23)
         for _ in range(50):
-            a, b = ry(rng.uniform(0, 2 * np.pi)), ry(rng.uniform(0, 2 * np.pi))
-            composed = Unitary(a.entries @ b.entries)     # constructor checks unitarity
+            a, b = rotation(rng.uniform(0, 2 * np.pi)), rotation(rng.uniform(0, 2 * np.pi))
+            composed = a @ b
+            np.testing.assert_allclose(composed @ composed.conj().T, np.eye(2), atol=1e-12)
             big = tensor(composed, a)
             np.testing.assert_allclose(big @ big.conj().T, np.eye(4), atol=1e-12)
 
     def test_mixed_kinds_rejected(self):
         with pytest.raises(TypeError):
-            tensor(KET0, ry(0.3))
+            tensor(KET0, X)
 
 
 class TestDomainTypes:
@@ -292,9 +274,8 @@ class TestDomainTypes:
             Ket([1.0, 0.0, 0.0])
 
     @pytest.mark.parametrize("build, value", [
-        (Ket, np.eye(4)[0]), (DensityMatrix, np.eye(4) / 4), (Unitary, np.eye(4)),
-        (eig_hermitian, np.eye(4) / 4),
-    ], ids=["Ket", "DensityMatrix", "Unitary", "eig_hermitian"])
+        (Ket, np.eye(4)[0]), (DensityMatrix, np.eye(4) / 4), (eig_hermitian, np.eye(4) / 4),
+    ], ids=["Ket", "DensityMatrix", "eig_hermitian"])
     def test_two_qubit_input_rejected(self, build, value):
         # valid two-qubit objects: only their dimension is wrong
         with pytest.raises(ValueError, match="shape"):
@@ -334,10 +315,6 @@ class TestDomainTypes:
     def test_density_matrix_positivity(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([1.5, -0.5]))
-
-    def test_unitary_checked(self):
-        with pytest.raises(ValueError):
-            Unitary(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
     def test_global_phase_comparison(self):
         ket = Ket([np.sqrt(0.3), np.sqrt(0.7)])

@@ -6,8 +6,8 @@ import pytest
 
 from qstoch.circuit import run_trace
 from qstoch.cli import ExperimentConfig
-from qstoch.process import CausalMachine, IidMachine, block_distribution
-from qstoch.qmath import DensityMatrix, Ket, Unitary
+from qstoch.process import CausalMachine, block_distribution
+from qstoch.qmath import DensityMatrix, Ket
 from qstoch.qmodel import construct_cu, quantum_causal_states
 from qstoch.seeding import make_rng
 from qstoch.stats import block_law_check
@@ -21,9 +21,7 @@ CONFIG = ExperimentConfig(p_right=0.8, p_left=0.8)
 BAD_RECORDS = {
     "Ket": lambda: Ket([1.0, 1.0]),
     "DensityMatrix": lambda: DensityMatrix(np.eye(2)),
-    "Unitary": lambda: Unitary([[1.0, 1.0], [0.0, 1.0]]),
     "CausalMachine": lambda: CausalMachine(1.5, 0.3),
-    "IidMachine": lambda: IidMachine(-0.1),
     "TomographyCounts": lambda: TomographyCounts(10, (5, 5), (5, 4), (10, 0)),
     "TomographyResult": lambda: TomographyResult(RHO, 1.5, 0.0, COUNTS),
     "ExperimentConfig": lambda: ExperimentConfig(p_right=1.5, p_left=0.8),
@@ -33,8 +31,8 @@ BAD_RECORDS = {
 def all_records():
     """One valid instance of every record type."""
     counts = np.round(1000 * block_distribution(MACHINE, 2)).astype(np.int64)
-    return [Ket([1.0, 0.0]), RHO, Unitary(np.eye(2)), MACHINE, IidMachine(0.5),
-            quantum_causal_states(MACHINE), run_trace(MACHINE, "quantum", 10, make_rng(0)),
+    return [Ket([1.0, 0.0]), RHO, MACHINE, quantum_causal_states(MACHINE), construct_cu(MACHINE),
+            run_trace(MACHINE, "quantum", 10, make_rng(0)),
             COUNTS, TomographyResult(RHO, 1.0, 0.0, COUNTS),
             block_law_check(MACHINE, counts), CONFIG]
 
