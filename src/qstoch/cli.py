@@ -2,9 +2,10 @@
 
 Subcommands: sweep (symmetric parameter scan), asym (one asymmetric point
 with noise-on columns), simulate (trace vs exact block laws, self-testing),
-tomo (tomography of one run's memory ensemble).  Every CSV starts with a
-'#' comment recording the full configuration and seed; identical
-configuration and seed give byte-identical output.
+tomo (tomography of one run's memory ensemble).  Each returns its
+settings, rows and verdict, and main alone writes the CSV and sets the exit
+code.  Every CSV starts with a '#' comment recording the full configuration
+and seed; identical configuration and seed give byte-identical output.
 """
 
 from __future__ import annotations
@@ -24,12 +25,11 @@ from .qmath import DensityMatrix, trace_distance
 from .qmodel import quantum_causal_states, quantum_complexity, steady_state_rho
 from .seeding import BOOTSTRAP, COLUMNS, SHOTS, TRACE, make_rng
 from .stats import block_law_check, stream_block_counts
-from .tomo import (TomographyCounts, TomographyResult, entropy_with_error,
+from .tomo import (MAX_SHOTS, TomographyCounts, TomographyResult, entropy_with_error,
                    reconstructed_entropy, simulate_counts)
 
 MAX_CHECK_BLOCK_LEN = 4
 MAX_SWEEP_POINTS = 10_001
-MAX_SHOTS = 2 ** 63 - 1     # the largest n numpy's binomial draw takes
 _NAN = float("nan")
 
 # reported reference values for the p_right=0.9, p_left=0.3 demonstration,
@@ -89,18 +89,28 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(stream, command: str, config: dict, header: list[str], rows) -> None:
-    settings = " ".join(f"{key}={_fmt(val)}" for key, val in config.items())
-    stream.write(f"# qstoch {command} {settings}\n")
-    stream.write(",".join(header) + "\n")
-    for row in rows:
-        stream.write(",".join(_fmt(row[col]) for col in header) + "\n")
+# the comment line records these ExperimentConfig fields under their flag names
+_RECORDED_AS = {"shots_per_basis": "shots", "noise_lambda": "lambda"}
 
 
-def _open_out(path: str | None):
-    if path is None or path == "-":
-        return nullcontext(sys.stdout)
-    return open(path, "w", encoding="utf-8", newline="")
+def _settings(cfg: ExperimentConfig, drop: tuple = (), **first) -> dict:
+    """The comment line's settings: `first`, then cfg's fields but `drop`."""
+    settings = dict(first)
+    for key, value in cfg._asdict().items():
+        if key not in drop:
+            settings[_RECORDED_AS.get(key, key)] = value
+    return settings
+
+
+def _write_csv(path, command: str, settings: dict, header: list[str], rows) -> None:
+    out = (nullcontext(sys.stdout) if path in (None, "-")
+           else open(path, "w", encoding="utf-8", newline=""))
+    with out as stream:
+        line = " ".join(f"{key}={_fmt(val)}" for key, val in settings.items())
+        stream.write(f"# qstoch {command} {line}\n")
+        stream.write(",".join(header) + "\n")
+        for row in rows:
+            stream.write(",".join(_fmt(row[col]) for col in header) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -149,14 +159,14 @@ def _sweep_point(index: int, cfg: ExperimentConfig) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (settings, rows, ok) and writes nothing
 # ---------------------------------------------------------------------------
 
 SWEEP_HEADER = ["p", "c_classical_theory", "c_quantum_theory",
                 "c_classical_sim", "c_quantum_sim", "c_quantum_sim_std"]
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple:
     # every grid point shares these settings: check them once, before any work
     base = ExperimentConfig(p_right=args.p_min, p_left=args.p_min, gate=args.gate,
                             steps=args.steps, shots_per_basis=args.shots,
@@ -164,12 +174,9 @@ def cmd_sweep(args) -> int:
     grid = [round(args.p_min + i * args.p_step, 12) for i in range(int(_grid_points(args)))]
     rows = [_sweep_point(index, base._replace(p_right=p, p_left=p))
             for index, p in enumerate(grid)]
-    config = {"p_min": args.p_min, "p_max": args.p_max, "p_step": args.p_step,
-              "gate": args.gate, "steps": args.steps, "shots": args.shots,
-              "lambda": args.noise_lambda, "seed": args.seed}
-    with _open_out(args.out) as stream:
-        _write_csv(stream, "sweep", config, SWEEP_HEADER, rows)
-    return 0
+    settings = _settings(base, ("p_right", "p_left", "mode"), p_min=args.p_min,
+                         p_max=args.p_max, p_step=args.p_step)
+    return settings, rows, True
 
 
 ASYM_HEADER = (["p_right", "p_left", "c_classical_theory", "c_quantum_theory",
@@ -178,7 +185,7 @@ ASYM_HEADER = (["p_right", "p_left", "c_classical_theory", "c_quantum_theory",
                + [name for name, _ in ASYM_REFERENCE])
 
 
-def cmd_asym(args) -> int:
+def cmd_asym(args) -> tuple:
     cfg = ExperimentConfig(p_right=args.p_right, p_left=args.p_left, gate=args.gate,
                            steps=args.steps, shots_per_basis=args.shots,
                            noise_lambda=args.noise_lambda, seed=args.seed)
@@ -197,19 +204,13 @@ def cmd_asym(args) -> int:
                c_quantum_sim=ideal.entropy, c_quantum_sim_std=ideal.entropy_std,
                c_quantum_noisy_sim=noisy.entropy, c_quantum_noisy_sim_std=noisy.entropy_std)
     row.update(dict(ASYM_REFERENCE))
-
-    config = {"p_right": cfg.p_right, "p_left": cfg.p_left, "gate": cfg.gate,
-              "steps": cfg.steps, "shots": cfg.shots_per_basis,
-              "lambda": cfg.noise_lambda, "seed": cfg.seed}
-    with _open_out(args.out) as stream:
-        _write_csv(stream, "asym", config, ASYM_HEADER, [row])
-    return 0
+    return _settings(cfg, ("mode",)), [row], True
 
 
 SIMULATE_HEADER = ["L", "block", "count", "freq", "prob", "tv", "tv_bound", "ok"]
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple:
     cfg = _config_from(args)
     # the trace is checked against the chain it samples: with gate noise,
     # the channel-averaged machine; its stream is the one tomo's run draws
@@ -218,10 +219,10 @@ def cmd_simulate(args) -> int:
     block_lens = range(1, min(MAX_CHECK_BLOCK_LEN, cfg.steps) + 1)
     tallies = stream_block_counts((bits for _, bits in blocks), block_lens)
     rows = []
-    all_ok = True
+    ok = True
     for block_len, counts in zip(block_lens, tallies):
         check = block_law_check(law, counts)
-        all_ok = all_ok and check.passed
+        ok = ok and check.passed
         for code in range(2 ** block_len):
             rows.append({"L": block_len, "block": format(code, f"0{block_len}b"),
                          "count": int(check.counts[code]),
@@ -229,12 +230,7 @@ def cmd_simulate(args) -> int:
                          "prob": float(check.probs[code]),
                          "tv": check.tv, "tv_bound": check.tv_bound,
                          "ok": int(check.passed)})
-    config = {"p_right": cfg.p_right, "p_left": cfg.p_left, "mode": cfg.mode,
-              "gate": cfg.gate, "steps": cfg.steps, "lambda": cfg.noise_lambda,
-              "seed": cfg.seed}
-    with _open_out(args.out) as stream:
-        _write_csv(stream, "simulate", config, SIMULATE_HEADER, rows)
-    return 0 if all_ok else 1
+    return _settings(cfg, ("shots_per_basis",)), rows, ok
 
 
 TOMO_HEADER = ["p_right", "p_left", "mode", "gate", "steps", "shots",
@@ -243,7 +239,7 @@ TOMO_HEADER = ["p_right", "p_left", "mode", "gate", "steps", "shots",
                "entropy_theory", "trace_dist_theory"]
 
 
-def cmd_tomo(args) -> int:
+def cmd_tomo(args) -> tuple:
     cfg = _config_from(args)._replace(shots_per_basis=args.shots)
     machine = cfg.machine()
     result = _with_error(cfg, 0, COLUMNS[cfg.mode])
@@ -267,12 +263,7 @@ def cmd_tomo(args) -> int:
            "rho01_im": float(rho[0, 1].imag), "rho11_re": float(rho[1, 1].real),
            "entropy_theory": ent_theory,
            "trace_dist_theory": trace_distance(result.rho_hat, rho_theory)}
-    config = {"p_right": cfg.p_right, "p_left": cfg.p_left, "mode": cfg.mode,
-              "gate": cfg.gate, "steps": cfg.steps, "shots": cfg.shots_per_basis,
-              "lambda": cfg.noise_lambda, "seed": cfg.seed}
-    with _open_out(args.out) as stream:
-        _write_csv(stream, "tomo", config, TOMO_HEADER, [row])
-    return 0
+    return _settings(cfg), [row], True
 
 
 # ---------------------------------------------------------------------------
@@ -326,22 +317,22 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--p-max", type=float, default=1.0)
     sweep.add_argument("--p-step", type=float, default=0.1)
     _add_common(sweep, with_mode=False)
-    sweep.set_defaults(func=cmd_sweep)
+    sweep.set_defaults(func=cmd_sweep, header=SWEEP_HEADER)
 
     asym = subs.add_parser("asym", help="one asymmetric parameter point with noise")
     asym.add_argument("--p-right", type=float, required=True)
     asym.add_argument("--p-left", type=float, required=True)
     _add_common(asym, with_mode=False)
-    asym.set_defaults(func=cmd_asym)
+    asym.set_defaults(func=cmd_asym, header=ASYM_HEADER)
 
     simulate = subs.add_parser("simulate",
                                help="check trace block laws against exact ones")
     _add_common(simulate, with_mode=True)
-    simulate.set_defaults(func=cmd_simulate)
+    simulate.set_defaults(func=cmd_simulate, header=SIMULATE_HEADER)
 
     tomo = subs.add_parser("tomo", help="tomograph one run's memory ensemble")
     _add_common(tomo, with_mode=True)
-    tomo.set_defaults(func=cmd_tomo)
+    tomo.set_defaults(func=cmd_tomo, header=TOMO_HEADER)
     for sub in (sweep, asym, tomo):     # simulate tomographs nothing
         sub.add_argument("--shots", type=int, default=10_000,
                          help="tomography shots per Pauli basis")
@@ -349,23 +340,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "p_min", None) is not None:
-        valid = (0.0 <= args.p_min <= args.p_max <= 1.0) and args.p_step > 0.0
-        if not valid:
-            parser.error(f"invalid grid: [{args.p_min}, {args.p_max}] step {args.p_step}")
-        # counted, not built: a tiny step must fail before any list exists
-        if _grid_points(args) > MAX_SWEEP_POINTS:
-            parser.error(f"grid step {args.p_step} gives more than {MAX_SWEEP_POINTS} points")
+    """Run one subcommand, write its CSV, and return 0, or 1 if its check
+    failed; bad input returns 2, and a usage error exits 2, before any work."""
     try:
-        return args.func(args)
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if args.command == "sweep":
+            if not (0.0 <= args.p_min <= args.p_max <= 1.0 and args.p_step > 0.0):
+                parser.error(f"invalid grid: [{args.p_min}, {args.p_max}] step {args.p_step}")
+            # counted, not built: a tiny step must fail before any list exists
+            if _grid_points(args) > MAX_SWEEP_POINTS:
+                parser.error(f"grid step {args.p_step} gives more than {MAX_SWEEP_POINTS} points")
+        settings, rows, ok = args.func(args)
+        _write_csv(args.out, args.command, settings, args.header, rows)
+        return 0 if ok else 1
     except ValueError as exc:
         print(f"qstoch: error: {exc}", file=sys.stderr)
         return 2
     finally:
-        # freeze the heap at exit so the interpreter's shutdown collections
-        # skip it (not os._exit: atexit handlers and stdio flushes still run)
+        # freeze the heap at every exit, a usage error's too, so the
+        # interpreter's shutdown collections skip it (not os._exit: atexit
+        # handlers and stdio flushes still run)
         atexit.unregister(gc.freeze)
         atexit.register(gc.freeze)
 

@@ -56,9 +56,6 @@ class Ket(namedtuple("Ket", "amplitudes")):
         amp.setflags(write=False)
         return super().__new__(cls, amp)
 
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
     def projector(self) -> "DensityMatrix":
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
 

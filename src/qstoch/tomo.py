@@ -17,6 +17,13 @@ from . import qmath
 from .qmath import DensityMatrix
 
 MIN_BOOTSTRAP = 100
+MAX_SHOTS = 2 ** 63 - 1     # the largest n numpy's binomial draw takes
+
+
+def _check_shots(shots_per_basis: int) -> None:
+    if not 1 <= shots_per_basis <= MAX_SHOTS:
+        raise ValueError(f"shots_per_basis must be in [1, {MAX_SHOTS}], "
+                         f"got {shots_per_basis!r}")
 
 
 class TomographyCounts(namedtuple("TomographyCounts", "shots_per_basis x y z")):
@@ -25,8 +32,7 @@ class TomographyCounts(namedtuple("TomographyCounts", "shots_per_basis x y z")):
     __slots__ = ()
 
     def __new__(cls, shots_per_basis: int, x: tuple, y: tuple, z: tuple):
-        if shots_per_basis < 1:
-            raise ValueError("shots_per_basis must be >= 1")
+        _check_shots(shots_per_basis)
         for name, (plus, minus) in zip("xyz", (x, y, z)):
             if plus < 0 or minus < 0 or plus + minus != shots_per_basis:
                 raise ValueError(f"{name} counts {(plus, minus)!r} do not total "
@@ -61,8 +67,7 @@ def ensemble_density(rho: DensityMatrix) -> DensityMatrix:
 def simulate_counts(rho: DensityMatrix, shots_per_basis: int,
                     rng: np.random.Generator) -> TomographyCounts:
     """Binomial Pauli-basis counts at the state's exact expectation values."""
-    if shots_per_basis < 1:
-        raise ValueError("shots_per_basis must be >= 1")
+    _check_shots(shots_per_basis)
     pairs = []
     for r in qmath.bloch_vector(ensemble_density(rho)):
         p_plus = min(max((1.0 + r) / 2.0, 0.0), 1.0)

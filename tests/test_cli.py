@@ -105,7 +105,7 @@ class TestSweep:
     @pytest.mark.parametrize("step, allowed", [("1e-4", True), ("0.9999e-4", False)])
     def test_grid_cap_boundary(self, monkeypatch, step, allowed):
         # [0, 1] at step 1e-4 is exactly the largest grid allowed
-        monkeypatch.setattr(cli, "cmd_sweep", lambda args: 0)
+        monkeypatch.setattr(cli, "cmd_sweep", lambda args: ({}, [], True))
         if allowed:
             assert main(["sweep", "--p-step", step]) == 0
         else:
@@ -263,6 +263,16 @@ class TestTomoCommand:
         _, first = run_cli(args, tmp_path, "t1.csv")
         _, second = run_cli(args, tmp_path, "t2.csv")
         assert first == second
+
+    def test_failed_check_writes_csv_and_exits_1(self, monkeypatch, tmp_path):
+        # main alone writes and sets the exit code: a command's failed
+        # verdict still leaves its CSV, as simulate's failed check does
+        row = dict.fromkeys(cli.TOMO_HEADER, 0)
+        monkeypatch.setattr(cli, "cmd_tomo", lambda args: ({"seed": args.seed}, [row], False))
+        code, payload = run_cli(SMALL["tomo"], tmp_path, "failed.csv")
+        assert code == 1
+        assert payload.decode() == ("# qstoch tomo seed=42\n" + ",".join(cli.TOMO_HEADER)
+                                    + "\n" + ",".join(["0"] * len(cli.TOMO_HEADER)) + "\n")
 
 
 def stream_key(rng):
@@ -474,18 +484,23 @@ class TestLayout:
 REPORT_FREEZE = ("import atexit, gc\n"
                  "atexit.register(lambda: print('frozen', gc.get_freeze_count()))\n")
 BAD_ASYM = ["asym", "--p-right", "1.5", "--p-left", "0.3"]
+# main's return value, or the code of the SystemExit a usage error raises
+CALL_MAIN = ("from qstoch.cli import main\n"
+             "try:\n    code = main(ARGV)\nexcept SystemExit as exc:\n    code = exc.code\n"
+             "print('code', code)\n")
 
 
 class TestExit:
     """main freezes the heap at exit, so the interpreter's shutdown collections
     skip it, while every atexit handler and stdio flush still runs."""
 
-    @pytest.mark.parametrize("argv, code", [(SMALL["asym"], 0), (BAD_ASYM, 2)],
-                             ids=["ok", "bad-input"])
+    @pytest.mark.parametrize("argv, code", [(SMALL["asym"], 0), (BAD_ASYM, 2),
+                                            (SMALL["simulate"] + ["--shots", "10"], 2)],
+                             ids=["ok", "bad-input", "usage-error"])
     def test_main_freezes_heap_before_earlier_handlers(self, tmp_path, argv, code):
+        # a usage error exits from parse_args, inside main's try, and freezes too
         argv = argv + ["--out", str(tmp_path / "out.csv")]
-        proc = run_python(["-c", REPORT_FREEZE + "from qstoch.cli import main\n"
-                                                 f"print('code', main({argv!r}))\n"])
+        proc = run_python(["-c", REPORT_FREEZE + f"ARGV = {argv!r}\n" + CALL_MAIN])
         assert proc.returncode == 0, proc.stderr
         returned, frozen = proc.stdout.splitlines()
         assert returned == f"code {code}"

@@ -8,6 +8,7 @@ from qstoch.qmath import DensityMatrix, Ket, mixture, trace_distance, von_neuman
 from qstoch.qmodel import quantum_causal_states, quantum_complexity, steady_state_rho
 from qstoch.seeding import make_rng
 from qstoch.tomo import (
+    MAX_SHOTS,
     TomographyCounts,
     ensemble_density,
     entropy_with_error,
@@ -60,6 +61,19 @@ class TestSimulateCounts:
         for other in (ket, [ket, ket], [(1.0, ket)], []):
             with pytest.raises(TypeError):
                 simulate_counts(other, 100, make_rng(0))
+
+    def test_shots_past_binomial_range_rejected(self):
+        # numpy's binomial takes n up to 2**63 - 1 and overflows past it
+        rho = DensityMatrix(np.eye(2) / 2)
+        with pytest.raises(ValueError, match="shots_per_basis"):
+            simulate_counts(rho, MAX_SHOTS + 1, make_rng(0))
+        assert sum(simulate_counts(rho, MAX_SHOTS, make_rng(0)).z) == MAX_SHOTS
+
+    def test_counts_past_binomial_range_rejected(self):
+        n = MAX_SHOTS + 1
+        with pytest.raises(ValueError, match="shots_per_basis"):
+            TomographyCounts(n, (n, 0), (n, 0), (n, 0))
+        assert TomographyCounts(MAX_SHOTS, *[(MAX_SHOTS, 0)] * 3).shots_per_basis == MAX_SHOTS
 
     def test_empty_ensemble_rejected(self):
         with pytest.raises(ValueError):
