@@ -2,9 +2,7 @@
 classically and with non-orthogonal qubit encodings, at desk scale."""
 
 from .qmath import (
-    DensityMatrix,
     InvalidDistributionError,
-    Ket,
     shannon_entropy,
     trace_distance,
     von_neumann_entropy,

@@ -25,32 +25,27 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import qmath
 from .process import CausalMachine, _sample_blocks, stationary_distribution
+from .qmath import bloch
 from .qmodel import quantum_causal_states
-from .qmath import DensityMatrix, Ket
 
 GATES = ("cnot", "cu")
 MODES = ("classical", "quantum")
+LOGICAL = (bloch(0.0, 0.0, 1.0), bloch(0.0, 0.0, -1.0))     # |0> and |1>
 
 
 class RunResult(NamedTuple):
     """The sufficient statistic of an n-step run's memory.
 
-    Every step enters with one of two prepared kets, the encoding of the
+    Every step enters with one of two prepared states, the encoding of the
     causal state it starts from, so the memory ensemble is fixed by how many
-    steps entered in state 1.  The outputs themselves are not kept: stream
-    them with trace_blocks.
+    steps entered in state 1 (tomo.ensemble_density mixes them).  The
+    outputs themselves are not kept: stream them with trace_blocks.
     """
 
     steps: int
     ones: int                   # steps whose entering state was 1
-    kets: tuple[Ket, Ket]       # the prepared memory of state 0 and state 1
-
-    def density(self) -> DensityMatrix:
-        """Average memory state over the steps: (n0 P0 + n1 P1) / n."""
-        n = self.steps
-        return qmath.mixture([(n - self.ones) / n, self.ones / n], self.kets)
+    vectors: tuple              # Bloch vectors prepared for state 0 and state 1
 
 
 # ---------------------------------------------------------------------------
@@ -106,21 +101,21 @@ def run_trace(machine: CausalMachine, mode: str, n: int, rng: np.random.Generato
               lam: float = 0.0) -> RunResult:
     """Sample n steps of the step circuit from a stationary start.
 
-    Returns the memory ensemble: the kets prepared for each state (encoded
-    causal states in quantum mode, logical basis states in classical mode)
-    and how many steps entered in state 1.  That ensemble is what
-    tomography measures.
+    Returns the memory ensemble: the Bloch vectors prepared for each state
+    (encoded causal states in quantum mode, logical basis states in
+    classical mode) and how many steps entered in state 1.  That ensemble
+    is what tomography measures.
     Outputs are those of trace_blocks on sampled_machine(machine, mode,
     lam), one uniform per step.  The count is summed block by block, so
     memory stays bounded however large n is.
     """
     chain = sampled_machine(machine, mode, lam)
     if mode == "classical":
-        kets = (qmath.KET0, qmath.KET1)
+        vectors = LOGICAL
     else:
         model = quantum_causal_states(machine)
-        kets = (model.ket0, model.ket1)
+        vectors = (model.r0, model.r1)
     # step j enters in the state step j - 1 emitted, step 0 in the start state
     ones = sum(entering + int(np.count_nonzero(bits[:-1]))
                for entering, bits in trace_blocks(chain, n, rng))
-    return RunResult(steps=n, ones=ones, kets=kets)
+    return RunResult(steps=n, ones=ones, vectors=vectors)

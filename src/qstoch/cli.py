@@ -13,20 +13,19 @@ from __future__ import annotations
 import argparse
 import atexit
 import gc
+import os
 import sys
 from collections import namedtuple
 from contextlib import nullcontext
 
-import numpy as np
-
 from .circuit import GATES, MODES, calibrate_noise, run_trace, sampled_machine, trace_blocks
 from .process import CausalMachine, classical_complexity, stationary_distribution
-from .qmath import DensityMatrix, trace_distance
+from .qmath import bloch, trace_distance
 from .qmodel import quantum_causal_states, quantum_complexity, steady_state_rho
 from .seeding import BOOTSTRAP, COLUMNS, SHOTS, TRACE, make_rng
 from .stats import block_law_check, stream_block_counts
-from .tomo import (MAX_SHOTS, TomographyCounts, TomographyResult, entropy_with_error,
-                   reconstructed_entropy, simulate_counts)
+from .tomo import (MAX_SHOTS, TomographyCounts, TomographyResult, ensemble_density,
+                   entropy_with_error, reconstruct_rho, reconstructed_entropy, simulate_counts)
 
 MAX_CHECK_BLOCK_LEN = 4
 MAX_SWEEP_POINTS = 10_001
@@ -102,6 +101,22 @@ def _settings(cfg: ExperimentConfig, drop: tuple = (), **first) -> dict:
     return settings
 
 
+def _check_writable(path) -> None:
+    """Refuse an --out file that cannot be opened for writing, before any
+    work; the probe leaves no file behind that was not there already."""
+    if path in (None, "-"):
+        return
+    existed = os.path.lexists(path)
+    if existed and not (os.path.isfile(path) or os.path.isdir(path)):
+        return      # a FIFO or device: opening it once more would signal its reader
+    try:
+        open(path, "ab").close()
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {path}: {exc.strerror}") from None
+    if not existed:
+        os.remove(path)
+
+
 def _write_csv(path, command: str, settings: dict, header: list[str], rows) -> None:
     out = (nullcontext(sys.stdout) if path in (None, "-")
            else open(path, "w", encoding="utf-8", newline=""))
@@ -111,6 +126,7 @@ def _write_csv(path, command: str, settings: dict, header: list[str], rows) -> N
         stream.write(",".join(header) + "\n")
         for row in rows:
             stream.write(",".join(_fmt(row[col]) for col in header) + "\n")
+        stream.flush()      # a closed pipe raises here, inside main, not at exit
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +138,7 @@ def _tomographed(cfg: ExperimentConfig, point: int, column: int) -> TomographyCo
     streams keyed (point, column)."""
     run = run_trace(cfg.machine(), cfg.mode, cfg.steps,
                     make_rng(cfg.seed, point, column, TRACE), lam=cfg.noise_lambda)
-    return simulate_counts(run.density(), cfg.shots_per_basis,
+    return simulate_counts(ensemble_density(run), cfg.shots_per_basis,
                            make_rng(cfg.seed, point, column, SHOTS))
 
 
@@ -245,24 +261,27 @@ def cmd_tomo(args) -> tuple:
     result = _with_error(cfg, 0, COLUMNS[cfg.mode])
 
     if cfg.mode == "quantum":
-        rho_theory = steady_state_rho(quantum_causal_states(machine))
+        r_theory = steady_state_rho(quantum_causal_states(machine))
         ent_theory = quantum_complexity(machine)
     else:
-        w = stationary_distribution(machine)
-        rho_theory = DensityMatrix(np.diag(w).astype(complex))
+        w0, w1 = stationary_distribution(machine)
+        r_theory = bloch(0.0, 0.0, w0 - w1)
         ent_theory = classical_complexity(machine)
 
-    bloch = result.raw.bloch_vector()
-    rho = result.rho_hat.entries
+    measured = result.raw.bloch_vector()
+    r_hat = reconstruct_rho(result.raw)
+    x, y, z = map(float, r_hat)
+    # rho = (I + r.sigma) / 2 of the projected vector; its imaginary
+    # off-diagonal reads +0, not -0, where y is 0
     row = {"p_right": cfg.p_right, "p_left": cfg.p_left, "mode": cfg.mode,
            "gate": cfg.gate, "steps": cfg.steps, "shots": cfg.shots_per_basis,
            "entropy": result.entropy, "entropy_std": result.entropy_std,
-           "bloch_x": float(bloch[0]), "bloch_y": float(bloch[1]),
-           "bloch_z": float(bloch[2]),
-           "rho00_re": float(rho[0, 0].real), "rho01_re": float(rho[0, 1].real),
-           "rho01_im": float(rho[0, 1].imag), "rho11_re": float(rho[1, 1].real),
+           "bloch_x": float(measured[0]), "bloch_y": float(measured[1]),
+           "bloch_z": float(measured[2]),
+           "rho00_re": (1.0 + z) / 2.0, "rho01_re": x / 2.0,
+           "rho01_im": 0.0 - y / 2.0, "rho11_re": (1.0 - z) / 2.0,
            "entropy_theory": ent_theory,
-           "trace_dist_theory": trace_distance(result.rho_hat, rho_theory)}
+           "trace_dist_theory": trace_distance(r_hat, r_theory)}
     return _settings(cfg), [row], True
 
 
@@ -341,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand, write its CSV, and return 0, or 1 if its check
-    failed; bad input returns 2, and a usage error exits 2, before any work."""
+    failed; bad input (an --out that cannot be written too) returns 2, and a
+    usage error exits 2, before any work.  A closed stdout returns 141."""
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
@@ -351,8 +371,17 @@ def main(argv=None) -> int:
             # counted, not built: a tiny step must fail before any list exists
             if _grid_points(args) > MAX_SWEEP_POINTS:
                 parser.error(f"grid step {args.p_step} gives more than {MAX_SWEEP_POINTS} points")
+        _check_writable(args.out)
         settings, rows, ok = args.func(args)
-        _write_csv(args.out, args.command, settings, args.header, rows)
+        try:
+            _write_csv(args.out, args.command, settings, args.header, rows)
+        except BrokenPipeError:
+            # stdout's reader is gone: send what is still buffered to
+            # devnull, so the exit flush is quiet, and return the code of a
+            # process SIGPIPE ends (128 + 13), which no shell reads as a
+            # failed check
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 141
         return 0 if ok else 1
     except ValueError as exc:
         print(f"qstoch: error: {exc}", file=sys.stderr)

@@ -1,27 +1,25 @@
-"""Complex linear algebra for one qubit.
+"""One-qubit states as Bloch vectors.
 
-Everything here is deterministic and pure: entropies in bits, state
-fidelity, trace distance and pure-state mixtures.  Every state and
-operator has dimension 2; the two-qubit step circuit, its composite
-ordering and its Bell fidelity live in the test oracle.  A qubit's entropy
-lives here once, as the binary entropy of its Bloch radius (bloch_vector,
-bloch_radius, qubit_entropy): the theory columns and every tomographed
-entropy take that route.  A CLI run calls neither LAPACK nor BLAS:
-eigenvalues, norms and the Hermiticity check are closed forms and
-elementwise arithmetic, because a process's first call of such a kernel maps
-its code in, from about 0.06 MB of resident memory for a BLAS dot product to
-0.8 MB for an eigensolver.
+Every single-qubit state is a read-only float array r = (x, y, z), the
+Pauli expectations of rho = (I + r.sigma) / 2: a pure state has |r| = 1,
+a mixture is the weighted sum of its parts' vectors, the entropy in bits is
+the binary entropy of the radius (bloch_radius, qubit_entropy), and the
+trace distance of two states is half the distance of their vectors.  The
+kets, density matrices and Pauli matrices these stand for live in the test
+oracle, the reference the vectors are checked against.  A CLI run calls
+neither LAPACK nor BLAS: a process's first call of such a kernel maps its
+code in, from about 0.06 MB of resident memory for a BLAS dot product to
+0.8 MB for an eigensolver; eig_hermitian, the one eigensolver here, is off
+the run path.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 
 import numpy as np
 
 ATOL_UNIT = 1e-12      # normalization / hermiticity tolerance
-ATOL_PSD = 1e-10       # most negative eigenvalue tolerated in a density matrix
 ATOL_DIST = 1e-9       # probability vectors must sum to 1 within this
 EIG_ZERO = 1e-12       # a qubit eigenvalue below this counts as 0 in entropies
 
@@ -30,101 +28,11 @@ class InvalidDistributionError(ValueError):
     """Raised when a probability vector has negative mass or wrong total."""
 
 
-# ---------------------------------------------------------------------------
-# domain types: immutable named tuples whose __new__ runs the checks; every
-# CLI process imports them, so they generate and exec no methods at import
-# ---------------------------------------------------------------------------
-
-def _as_qubit(values, what: str, shape: tuple) -> np.ndarray:
-    """values as a complex array of a qubit's shape, (2,) or (2, 2)."""
-    arr = np.array(values, dtype=complex)
-    if arr.shape != shape:
-        raise ValueError(f"{what} must have shape {shape}, got {arr.shape}")
-    return arr
-
-
-class Ket(namedtuple("Ket", "amplitudes")):
-    """Unit-norm complex amplitude vector of a qubit."""
-
-    __slots__ = ()
-
-    def __new__(cls, amplitudes):
-        amp = _as_qubit(amplitudes, "ket", (2,))
-        norm_sq = float((amp.real ** 2 + amp.imag ** 2).sum())
-        if abs(norm_sq - 1.0) > ATOL_UNIT:
-            raise ValueError(f"ket is not normalized: sum |a|^2 = {norm_sq!r}")
-        amp.setflags(write=False)
-        return super().__new__(cls, amp)
-
-    def projector(self) -> "DensityMatrix":
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
-
-
-class DensityMatrix(namedtuple("DensityMatrix", "entries")):
-    """Hermitian, unit-trace, positive-semidefinite 2x2 matrix."""
-
-    __slots__ = ()
-
-    def __new__(cls, entries):
-        m = _as_qubit(entries, "density matrix", (2, 2))
-        # abs and max, the loops the Hermiticity check runs anyway, and not
-        # np.isfinite, whose first call maps in about 0.08 MB of code
-        if not np.abs(m).max() < math.inf:
-            raise ValueError("density matrix has a non-finite entry")
-        if np.abs(m - m.conj().T).max() > ATOL_UNIT:
-            raise ValueError("density matrix is not Hermitian")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > ATOL_UNIT:
-            raise ValueError(f"density matrix trace is {tr!r}, expected 1")
-        if float(_hermitian_eigvals(m).min()) < -ATOL_PSD:
-            raise ValueError("density matrix is not positive semidefinite")
-        m.setflags(write=False)
-        return super().__new__(cls, m)
-
-
-# logical basis kets and single-qubit operators
-KET0 = Ket(np.array([1.0, 0.0]))
-KET1 = Ket(np.array([0.0, 1.0]))
-
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-# ---------------------------------------------------------------------------
-# eigenvalues and the Bloch vector
-# ---------------------------------------------------------------------------
-
-def _hermitian_eigvals(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a 2x2 Hermitian matrix, descending order.
-
-    The closed form mean +- hypot((a - c) / 2, |b|), neither LAPACK nor
-    BLAS: a process's first call of a LAPACK eigensolver alone costs about
-    0.8 MB of resident memory (768 kB with numpy 2.4.6 on x86-64 Linux),
-    some 1.5-2% of a whole asym run's peak.
-    """
-    a, c = m[0, 0].real, m[1, 1].real
-    mean, disc = 0.5 * (a + c), np.hypot(0.5 * (a - c), abs(m[0, 1]))
-    return np.array([mean + disc, mean - disc])
-
-
-def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and orthonormal eigenvectors of a Hermitian matrix.
-
-    Accepts a DensityMatrix or a raw 2x2 array and defers to numpy's
-    symmetric solver.  Eigenvectors are returned as matrix columns.
-    """
-    arr = m.entries if isinstance(m, DensityMatrix) else _as_qubit(m, "matrix", (2, 2))
-    if not np.allclose(arr, arr.conj().T, rtol=0.0, atol=ATOL_UNIT):
-        raise ValueError("matrix is not Hermitian")
-    vals, vecs = np.linalg.eigh(arr)
-    return vals[::-1], np.ascontiguousarray(vecs[:, ::-1])
-
-
-def bloch_vector(rho: DensityMatrix) -> np.ndarray:
-    """Pauli expectations (<X>, <Y>, <Z>) of a single-qubit state."""
-    m = rho.entries
-    return np.array([2.0 * m[0, 1].real, -2.0 * m[0, 1].imag, (m[0, 0] - m[1, 1]).real])
+def bloch(x, y, z) -> np.ndarray:
+    """The read-only Bloch vector (x, y, z) of a qubit state."""
+    r = np.array([x, y, z], dtype=float)
+    r.setflags(write=False)
+    return r
 
 
 def bloch_radius(r) -> float:
@@ -135,8 +43,21 @@ def bloch_radius(r) -> float:
     return math.sqrt(x * x + y * y + z * z)
 
 
+def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (descending) and orthonormal eigenvectors of a 2x2
+    Hermitian array, from numpy's symmetric solver; eigenvectors are the
+    returned matrix's columns."""
+    arr = np.array(m, dtype=complex)
+    if arr.shape != (2, 2):
+        raise ValueError(f"matrix must have shape (2, 2), got {arr.shape}")
+    if not np.allclose(arr, arr.conj().T, rtol=0.0, atol=ATOL_UNIT):
+        raise ValueError("matrix is not Hermitian")
+    vals, vecs = np.linalg.eigh(arr)
+    return vals[::-1], np.ascontiguousarray(vecs[:, ::-1])
+
+
 # ---------------------------------------------------------------------------
-# entropies and fidelity
+# entropies, fidelity and distance
 # ---------------------------------------------------------------------------
 
 def shannon_entropy(dist) -> float:
@@ -167,35 +88,28 @@ def qubit_entropy(radius):
     return 0.0 - low * np.log2(np.where(low > 0.0, low, 1.0)) - (1.0 - low) * np.log2(1.0 - low)
 
 
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """-Tr(rho log2 rho) of a qubit: qubit_entropy of its Bloch radius."""
-    return float(qubit_entropy(bloch_radius(bloch_vector(rho))))
+def von_neumann_entropy(r) -> float:
+    """-Tr(rho log2 rho) of the qubit with Bloch vector r: qubit_entropy of |r|."""
+    return float(qubit_entropy(bloch_radius(r)))
 
 
-def fidelity(rho: DensityMatrix, target: Ket) -> float:
-    """State fidelity <target| rho |target> with a pure target."""
-    t = target.amplitudes
-    val = complex(np.vdot(t, rho.entries @ t))
-    if abs(val.imag) > ATOL_UNIT:
-        raise ValueError(f"fidelity came out complex: {val!r}")
-    return float(val.real)
+def fidelity(r, target) -> float:
+    """State fidelity <t| rho |t> = (1 + r.t) / 2 with a pure target t."""
+    if abs(bloch_radius(target) - 1.0) > ATOL_UNIT:
+        raise ValueError(f"fidelity needs a pure target, got |t| = {bloch_radius(target)!r}")
+    x, y, z = map(float, r)
+    tx, ty, tz = map(float, target)
+    return (1.0 + (x * tx + y * ty + z * tz)) / 2.0
 
 
-def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Half the trace norm of (a - b)."""
-    return 0.5 * float(np.abs(_hermitian_eigvals(a.entries - b.entries)).sum())
+def trace_distance(a, b) -> float:
+    """Half the trace norm of rho_a - rho_b: |r_a - r_b| / 2."""
+    return bloch_radius(np.subtract(a, b)) / 2.0
 
 
-# ---------------------------------------------------------------------------
-# mixtures
-# ---------------------------------------------------------------------------
-
-def mixture(weights, kets) -> DensityMatrix:
-    """Weighted mixture of pure states: sum_i w_i |k_i><k_i|."""
+def mixture(weights, vectors) -> np.ndarray:
+    """Weighted mixture of qubit states: sum_i w_i r_i."""
     w = np.asarray(weights, dtype=float)
     if np.any(w < 0) or abs(w.sum() - 1.0) > ATOL_DIST:
         raise InvalidDistributionError(f"mixture weights must be a distribution, got {w!r}")
-    rho = np.zeros((2, 2), dtype=complex)
-    for wi, ki in zip(w, kets):
-        rho += wi * np.outer(ki.amplitudes, ki.amplitudes.conj())
-    return DensityMatrix(rho)
+    return bloch(*sum(wi * np.asarray(ri, dtype=float) for wi, ri in zip(w, vectors)))

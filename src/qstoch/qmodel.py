@@ -1,11 +1,12 @@
 """Qubit encoding of the causal states and its memory cost.
 
 Each causal state s gets a real-amplitude ket: state 0 encodes its transition
-law as (sqrt(1 - p_right), sqrt(p_right)), state 1 as
-(sqrt(p_left), sqrt(1 - p_left)).  The kets are generally non-orthogonal,
-which is what pushes the steady-state memory entropy below the classical
-stationary entropy.  Also synthesized here: the 2x2 qubit operators of the
-asymmetric circuit's controlled-u step.
+law as (a, b) = (sqrt(1 - p_right), sqrt(p_right)), state 1 as
+(sqrt(p_left), sqrt(1 - p_left)).  The model holds each ket as its Bloch
+vector (2ab, 0, a^2 - b^2).  The kets are generally non-orthogonal, which is
+what pushes the steady-state memory entropy below the classical stationary
+entropy.  Also synthesized here: the 2x2 qubit operators of the asymmetric
+circuit's controlled-u step.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import qmath
-from .qmath import DensityMatrix, Ket
 from .process import CausalMachine, stationary_distribution
 
 SYNTH_TOL = 1e-12
@@ -27,11 +27,11 @@ class SynthesisError(RuntimeError):
 
 
 class QuantumModel(NamedTuple):
-    """Causal machine together with its qubit encoding and equilibrium law."""
+    """Causal machine together with its encoded states and equilibrium law."""
 
     machine: CausalMachine
-    ket0: Ket
-    ket1: Ket
+    r0: np.ndarray              # Bloch vector of state 0's ket
+    r1: np.ndarray              # Bloch vector of state 1's ket
     stationary: tuple[float, float]
 
 
@@ -48,18 +48,22 @@ class StepGates(NamedTuple):
     u: np.ndarray
 
 
-def quantum_causal_states(machine: CausalMachine) -> QuantumModel:
-    """Encode both causal states as real non-negative amplitude kets."""
+def _amplitudes(machine: CausalMachine) -> tuple[tuple[float, float], ...]:
+    """Real amplitudes (a, b) of the kets encoding state 0 and state 1."""
     pr, pl = machine.p_right, machine.p_left
-    ket0 = Ket(np.array([np.sqrt(1.0 - pr), np.sqrt(pr)], dtype=complex))
-    ket1 = Ket(np.array([np.sqrt(pl), np.sqrt(1.0 - pl)], dtype=complex))
-    return QuantumModel(machine=machine, ket0=ket0, ket1=ket1,
+    return (np.sqrt(1.0 - pr), np.sqrt(pr)), (np.sqrt(pl), np.sqrt(1.0 - pl))
+
+
+def quantum_causal_states(machine: CausalMachine) -> QuantumModel:
+    """Encode both causal states as the Bloch vectors of their kets."""
+    r0, r1 = (qmath.bloch(2.0 * (a * b), 0.0, a * a - b * b) for a, b in _amplitudes(machine))
+    return QuantumModel(machine=machine, r0=r0, r1=r1,
                         stationary=stationary_distribution(machine))
 
 
-def steady_state_rho(model: QuantumModel) -> DensityMatrix:
-    """Memory state averaged over the equilibrium causal-state law."""
-    return qmath.mixture(model.stationary, (model.ket0, model.ket1))
+def steady_state_rho(model: QuantumModel) -> np.ndarray:
+    """Bloch vector of the memory averaged over the equilibrium causal-state law."""
+    return qmath.mixture(model.stationary, (model.r0, model.r1))
 
 
 def quantum_complexity(machine: CausalMachine) -> float:
@@ -73,33 +77,30 @@ def depolarized_complexity(machine: CausalMachine, eps: float) -> float:
     entropy h((1 + (1 - eps)|r|) / 2), quantum_complexity at eps = 0."""
     if not (0.0 <= eps <= 1.0):
         raise ValueError(f"eps must be in [0, 1], got {eps!r}")
-    rho = steady_state_rho(quantum_causal_states(machine))
-    return float(qmath.qubit_entropy((1.0 - eps) * qmath.bloch_radius(qmath.bloch_vector(rho))))
-
-
-def _bloch_angle(ket: Ket) -> float:
-    """Polar angle of a real-amplitude ket: amplitudes (cos a/2, sin a/2)."""
-    return 2.0 * np.arctan2(ket.amplitudes[1].real, ket.amplitudes[0].real)
+    r = steady_state_rho(quantum_causal_states(machine))
+    return float(qmath.qubit_entropy((1.0 - eps) * qmath.bloch_radius(r)))
 
 
 @lru_cache(maxsize=None)
 def construct_cu(machine: CausalMachine) -> StepGates:
     """Synthesize (v, u) with u = v X v-dagger and u ket0 = ket1.
 
-    For real-amplitude kets at polar angles a0, a1, the rotation angle
-    theta = (a0 + a1 - pi) / 2 makes u the reflection exchanging them; the
-    smallest non-negative exact solution is returned (it lies in [0, pi)
-    whenever p_right >= p_left).  In the symmetric case theta = 0, so v is
-    the identity and u the plain bit flip.
+    A real-amplitude ket (cos a/2, sin a/2) has Bloch vector (sin a, 0,
+    cos a), so its polar angle is atan2(x, z).  For kets at angles a0, a1,
+    the rotation angle theta = (a0 + a1 - pi) / 2 makes u the reflection
+    exchanging them; the smallest non-negative exact solution is returned
+    (it lies in [0, pi) whenever p_right >= p_left).  In the symmetric case
+    theta = 0, so v is the identity and u the plain bit flip.
     """
     model = quantum_causal_states(machine)
-    theta = (_bloch_angle(model.ket0) + _bloch_angle(model.ket1) - np.pi) / 2.0
+    theta = (sum(np.arctan2(r[0], r[2]) for r in (model.r0, model.r1)) - np.pi) / 2.0
     theta %= 2.0 * np.pi
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
     v = np.array([[c, -s], [s, c]], dtype=complex)    # |0> -> cos(t/2)|0> + sin(t/2)|1>
-    u = v @ qmath.PAULI_X @ v.conj().T
+    u = v @ np.array([[0, 1], [1, 0]], dtype=complex) @ v.conj().T
 
-    err = np.linalg.norm(u @ model.ket0.amplitudes - model.ket1.amplitudes)
+    ket0, ket1 = map(np.array, _amplitudes(machine))
+    err = np.linalg.norm(u @ ket0 - ket1)
     if err > SYNTH_TOL:
         raise SynthesisError(f"u ket0 differs from ket1 by {err!r} at {machine!r}")
     if np.linalg.norm(u @ u - np.eye(2)) > SYNTH_TOL:

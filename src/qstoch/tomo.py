@@ -14,7 +14,6 @@ from collections import namedtuple
 import numpy as np
 
 from . import qmath
-from .qmath import DensityMatrix
 
 MIN_BOOTSTRAP = 100
 MAX_SHOTS = 2 ** 63 - 1     # the largest n numpy's binomial draw takes
@@ -44,54 +43,52 @@ class TomographyCounts(namedtuple("TomographyCounts", "shots_per_basis x y z")):
         return np.array([(p - m) / n for p, m in (self.x, self.y, self.z)])
 
 
-class TomographyResult(namedtuple("TomographyResult", "rho_hat entropy entropy_std raw")):
+class TomographyResult(namedtuple("TomographyResult", "entropy entropy_std raw")):
     __slots__ = ()
 
-    def __new__(cls, rho_hat: DensityMatrix, entropy: float, entropy_std: float,
-                raw: TomographyCounts):
+    def __new__(cls, entropy: float, entropy_std: float, raw: TomographyCounts):
         if not (-1e-9 <= entropy <= 1.0 + 1e-9):
             raise ValueError(f"single-qubit entropy out of range: {entropy!r}")
         if entropy_std < 0.0:
             raise ValueError("entropy_std must be >= 0")
-        return super().__new__(cls, rho_hat, entropy, entropy_std, raw)
+        return super().__new__(cls, entropy, entropy_std, raw)
 
 
-def ensemble_density(rho: DensityMatrix) -> DensityMatrix:
-    """The memory state tomography measures: a single-qubit DensityMatrix,
-    returned as is once checked (RunResult.density() gives a run's)."""
-    if not isinstance(rho, DensityMatrix):
-        raise TypeError(f"tomography takes a DensityMatrix, got {type(rho).__name__}")
-    return rho
+def ensemble_density(run) -> np.ndarray:
+    """The memory state tomography measures: the Bloch vector of a
+    circuit.RunResult's steps, (n0 r0 + n1 r1) / n."""
+    n = run.steps
+    return qmath.mixture(((n - run.ones) / n, run.ones / n), run.vectors)
 
 
-def simulate_counts(rho: DensityMatrix, shots_per_basis: int,
-                    rng: np.random.Generator) -> TomographyCounts:
-    """Binomial Pauli-basis counts at the state's exact expectation values."""
+def simulate_counts(r, shots_per_basis: int, rng: np.random.Generator) -> TomographyCounts:
+    """Binomial Pauli-basis counts at the exact expectation values (x, y, z)
+    of the state with Bloch vector r."""
     _check_shots(shots_per_basis)
+    r = np.asarray(r, dtype=float)
+    if r.shape != (3,):
+        raise ValueError(f"a Bloch vector has shape (3,), got {r.shape}")
     pairs = []
-    for r in qmath.bloch_vector(ensemble_density(rho)):
-        p_plus = min(max((1.0 + r) / 2.0, 0.0), 1.0)
+    for c in r:
+        p_plus = min(max((1.0 + c) / 2.0, 0.0), 1.0)
         plus = int(rng.binomial(shots_per_basis, p_plus))
         pairs.append((plus, shots_per_basis - plus))
     return TomographyCounts(shots_per_basis=shots_per_basis,
                             x=pairs[0], y=pairs[1], z=pairs[2])
 
 
-def reconstruct_rho(counts: TomographyCounts) -> DensityMatrix:
-    """Linear inversion with physicality projection: (I + r.sigma) / 2 for
-    the projected Bloch vector r, whose eigenvalues (1 +- |r|) / 2 lie in
-    [0, 1] once |r| <= 1."""
+def reconstruct_rho(counts: TomographyCounts) -> np.ndarray:
+    """Linear inversion with physicality projection: the measured Bloch
+    vector, scaled radially back onto the unit sphere if it lies outside,
+    so the state's eigenvalues (1 +- |r|) / 2 lie in [0, 1]."""
     r = counts.bloch_vector()
     radius = qmath.bloch_radius(r)
-    if radius > 1.0:
-        r = r / radius
-    return DensityMatrix(0.5 * (np.eye(2, dtype=complex) + r[0] * qmath.PAULI_X
-                                + r[1] * qmath.PAULI_Y + r[2] * qmath.PAULI_Z))
+    return qmath.bloch(*(r / radius if radius > 1.0 else r))
 
 
 def reconstructed_entropy(counts: TomographyCounts) -> float:
-    """Entropy of reconstruct_rho(counts) without building it: the binary
-    entropy h((1 + min(|r|, 1)) / 2) of the projected Bloch radius."""
+    """Entropy of the state reconstruct_rho(counts) returns: the binary
+    entropy h((1 + min(|r|, 1)) / 2) of the measured Bloch radius."""
     return float(qmath.qubit_entropy(qmath.bloch_radius(counts.bloch_vector())))
 
 
@@ -118,5 +115,4 @@ def entropy_with_error(counts: TomographyCounts, rng: np.random.Generator,
     plus = rng.binomial(n, rates[:, np.newaxis], size=(3, bootstrap_rounds))
     r = (2 * plus - n) / n                                  # one Bloch vector per column
     boot = qmath.qubit_entropy(np.sqrt(np.sum(r * r, axis=0)))
-    return TomographyResult(rho_hat=reconstruct_rho(counts), entropy=entropy,
-                            entropy_std=float(boot.std(ddof=1)), raw=counts)
+    return TomographyResult(entropy=entropy, entropy_std=float(boot.std(ddof=1)), raw=counts)

@@ -11,35 +11,170 @@ abbreviate:
     exact block law from the 4-configuration chain;
   * the block route 2 H_L - H_2L to the excess entropy, and block counts
     and a two-sample block-law check of whole bit arrays;
+  * the kets, density matrices and Pauli matrices that qstoch's Bloch
+    vectors stand for, and the matrix route (eigenvalues, <t|rho|t>) to
+    the entropy, trace distance and fidelity the vectors give in closed form;
   * the linear-algebra helpers only these need.
 
-qstoch's states and gates are qubits.  Two-qubit objects exist only here,
-as plain numpy arrays ordered model (x) meter: the model qubit is the first,
-most significant tensor factor and controls the entangling gate, and the
-meter is its target.
+qstoch's states are Bloch vectors and its gates qubit operators.
+Two-qubit objects exist only here, as plain numpy arrays ordered
+model (x) meter: the model qubit is the first, most significant tensor
+factor and controls the entangling gate, and the meter is its target.
 """
 
 from __future__ import annotations
 
+import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from qstoch import qmath
 from qstoch.circuit import GATES
 from qstoch.process import (MAX_BLOCK_LEN, CausalMachine, block_distribution,
                             stationary_distribution)
-from qstoch.qmath import Ket, shannon_entropy
-from qstoch.qmodel import QuantumModel, construct_cu, quantum_causal_states
+from qstoch.qmath import ATOL_DIST, ATOL_UNIT, EIG_ZERO, shannon_entropy
+from qstoch.qmodel import construct_cu
 from qstoch.stats import N_SIGMA, block_count_sigma, stream_block_counts
+
+ATOL_PSD = 1e-10       # most negative eigenvalue tolerated in a density matrix
+
+
+# ---------------------------------------------------------------------------
+# single-qubit kets and density matrices: immutable named tuples whose
+# __new__ runs the checks
+# ---------------------------------------------------------------------------
+
+def _as_qubit(values, what: str, shape: tuple) -> np.ndarray:
+    """values as a complex array of a qubit's shape, (2,) or (2, 2)."""
+    arr = np.array(values, dtype=complex)
+    if arr.shape != shape:
+        raise ValueError(f"{what} must have shape {shape}, got {arr.shape}")
+    return arr
+
+
+class Ket(namedtuple("Ket", "amplitudes")):
+    """Unit-norm complex amplitude vector of a qubit."""
+
+    __slots__ = ()
+
+    def __new__(cls, amplitudes):
+        amp = _as_qubit(amplitudes, "ket", (2,))
+        norm_sq = float((amp.real ** 2 + amp.imag ** 2).sum())
+        if abs(norm_sq - 1.0) > ATOL_UNIT:
+            raise ValueError(f"ket is not normalized: sum |a|^2 = {norm_sq!r}")
+        amp.setflags(write=False)
+        return super().__new__(cls, amp)
+
+    def projector(self) -> "DensityMatrix":
+        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
+
+
+class DensityMatrix(namedtuple("DensityMatrix", "entries")):
+    """Hermitian, unit-trace, positive-semidefinite 2x2 matrix."""
+
+    __slots__ = ()
+
+    def __new__(cls, entries):
+        m = _as_qubit(entries, "density matrix", (2, 2))
+        if not np.all(np.isfinite(m)):
+            raise ValueError("density matrix has a non-finite entry")
+        if np.abs(m - m.conj().T).max() > ATOL_UNIT:
+            raise ValueError("density matrix is not Hermitian")
+        tr = complex(np.trace(m))
+        if abs(tr - 1.0) > ATOL_UNIT:
+            raise ValueError(f"density matrix trace is {tr!r}, expected 1")
+        if float(_hermitian_eigvals(m).min()) < -ATOL_PSD:
+            raise ValueError("density matrix is not positive semidefinite")
+        m.setflags(write=False)
+        return super().__new__(cls, m)
+
+
+KET0 = Ket(np.array([1.0, 0.0]))
+KET1 = Ket(np.array([0.0, 1.0]))
+
+IDENTITY2 = np.eye(2, dtype=complex)
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def _hermitian_eigvals(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a 2x2 Hermitian matrix, descending: the closed form
+    mean +- hypot((a - c) / 2, |b|)."""
+    a, c = m[0, 0].real, m[1, 1].real
+    mean, disc = 0.5 * (a + c), np.hypot(0.5 * (a - c), abs(m[0, 1]))
+    return np.array([mean + disc, mean - disc])
+
+
+def bloch_vector(rho: DensityMatrix) -> np.ndarray:
+    """Pauli expectations (<X>, <Y>, <Z>) of a single-qubit state."""
+    m = rho.entries
+    return np.array([2.0 * m[0, 1].real, -2.0 * m[0, 1].imag, (m[0, 0] - m[1, 1]).real])
+
+
+def density(r) -> DensityMatrix:
+    """The state (I + r.sigma) / 2 of Bloch vector r."""
+    return DensityMatrix(0.5 * (IDENTITY2 + r[0] * PAULI_X + r[1] * PAULI_Y + r[2] * PAULI_Z))
+
+
+def ket_mixture(weights, kets) -> DensityMatrix:
+    """Weighted mixture of pure states: sum_i w_i |k_i><k_i|."""
+    w = np.asarray(weights, dtype=float)
+    if np.any(w < 0) or abs(w.sum() - 1.0) > ATOL_DIST:
+        raise ValueError(f"mixture weights must be a distribution, got {w!r}")
+    rho = np.zeros((2, 2), dtype=complex)
+    for wi, ki in zip(w, kets):
+        rho += wi * np.outer(ki.amplitudes, ki.amplitudes.conj())
+    return DensityMatrix(rho)
+
+
+def matrix_entropy(rho: DensityMatrix) -> float:
+    """-Tr(rho log2 rho) from rho's eigenvalues, those below 1e-12 counted as 0."""
+    spectrum = _hermitian_eigvals(rho.entries)
+    return shannon_entropy(np.where(spectrum < EIG_ZERO, 0.0, spectrum))
+
+
+def matrix_trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
+    """Half the trace norm of a - b, from its eigenvalues."""
+    return 0.5 * float(np.abs(_hermitian_eigvals(a.entries - b.entries)).sum())
+
+
+def matrix_fidelity(rho: DensityMatrix, target: Ket) -> float:
+    """<target| rho |target> of a pure target."""
+    t = target.amplitudes
+    return float(np.vdot(t, rho.entries @ t).real)
+
+
+class KetModel(NamedTuple):
+    """A machine's causal states encoded as kets, with its equilibrium law:
+    what qmodel.QuantumModel holds as Bloch vectors."""
+
+    machine: CausalMachine
+    ket0: Ket
+    ket1: Ket
+    stationary: tuple[float, float]
+
+
+def ket_model(machine: CausalMachine) -> KetModel:
+    """State 0 as (sqrt(1 - p_right), sqrt(p_right)), state 1 as
+    (sqrt(p_left), sqrt(1 - p_left))."""
+    pr, pl = machine.p_right, machine.p_left
+    return KetModel(machine, Ket([math.sqrt(1.0 - pr), math.sqrt(pr)]),
+                    Ket([math.sqrt(pl), math.sqrt(1.0 - pl)]),
+                    stationary_distribution(machine))
+
+
+def steady_density(model: KetModel) -> DensityMatrix:
+    """Memory state averaged over the equilibrium causal-state law."""
+    return ket_mixture(model.stationary, (model.ket0, model.ket1))
 
 
 # ---------------------------------------------------------------------------
 # linear-algebra helpers
 # ---------------------------------------------------------------------------
-
-IDENTITY2 = np.eye(2, dtype=complex)
 
 
 def overlap(a: Ket, b: Ket) -> complex:
@@ -47,7 +182,7 @@ def overlap(a: Ket, b: Ket) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
-def same_state(a: Ket, b: Ket, atol: float = qmath.ATOL_UNIT) -> bool:
+def same_state(a: Ket, b: Ket, atol: float = ATOL_UNIT) -> bool:
     """State equality up to global phase, via |<a|b>| = 1."""
     return abs(abs(overlap(a, b)) - 1.0) <= atol
 
@@ -86,7 +221,7 @@ CNOT4 = np.array([[1, 0, 0, 0],
                   [0, 0, 0, 1],
                   [0, 0, 1, 0]], dtype=complex)
 
-_SINGLE_PAULIS = (IDENTITY2, qmath.PAULI_X, qmath.PAULI_Y, qmath.PAULI_Z)
+_SINGLE_PAULIS = (IDENTITY2, PAULI_X, PAULI_Y, PAULI_Z)
 TWO_QUBIT_PAULIS = tuple(
     np.kron(_SINGLE_PAULIS[i], _SINGLE_PAULIS[j])
     for i in range(4) for j in range(4) if (i, j) != (0, 0)
@@ -195,7 +330,7 @@ def _meter_one_prob(psi: np.ndarray, frame) -> float:
     return float(np.real(np.vdot(odd, odd)))
 
 
-def quantum_step(memory: Ket, model: QuantumModel, rng: np.random.Generator,
+def quantum_step(memory: Ket, model: KetModel, rng: np.random.Generator,
                  gate: str = "cnot", lam: float = 0.0) -> tuple[int, Ket]:
     """One quantum step: entangle, read the meter, reprepare by output bit.
 
@@ -255,7 +390,7 @@ def noisy_bell_average(lam: float) -> np.ndarray:
     return depolarizing_average(projector(ideal), lam)
 
 
-def quantum_emission_probs(model: QuantumModel, gate: str,
+def quantum_emission_probs(model: KetModel, gate: str,
                            lam: float) -> tuple[float, float]:
     """(P(1|0), P(1|1)) of one quantum step, noise channel averaged exactly.
 
@@ -276,7 +411,7 @@ def quantum_emission_probs(model: QuantumModel, gate: str,
 def emission_chain(machine: CausalMachine, gate: str) -> CausalMachine:
     """The chain one gate's noiseless literal circuit samples: (p_right,
     p_left) read off quantum_emission_probs."""
-    p_one = quantum_emission_probs(quantum_causal_states(machine), gate, 0.0)
+    p_one = quantum_emission_probs(ket_model(machine), gate, 0.0)
     return CausalMachine(p_one[0], 1.0 - p_one[1])
 
 

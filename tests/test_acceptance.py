@@ -16,7 +16,7 @@ from qstoch.qmath import trace_distance
 from qstoch.qmodel import construct_cu, quantum_causal_states, quantum_complexity, steady_state_rho
 from qstoch.seeding import make_rng
 from qstoch.stats import block_law_check
-from qstoch.tomo import entropy_with_error, reconstruct_rho, simulate_counts
+from qstoch.tomo import ensemble_density, entropy_with_error, reconstruct_rho, simulate_counts
 
 from conftest import chain_outputs, trace_outputs
 from oracle import (
@@ -24,8 +24,10 @@ from oracle import (
     apply_noise,
     bell_state,
     block_excess_entropy,
+    density,
     disjoint_block_counts,
     emission_chain,
+    ket_model,
     naive_switch_entropy,
     two_sample_block_check,
     two_switch_block_distribution,
@@ -73,7 +75,7 @@ def test_criterion_02_quantum_curve():
     spot = quantum_complexity(CausalMachine(0.8, 0.8))
     assert abs(spot - 0.4690) <= 1e-4
     # independent eigensolver route for the spot value
-    rho = steady_state_rho(quantum_causal_states(CausalMachine(0.8, 0.8))).entries
+    rho = density(steady_state_rho(quantum_causal_states(CausalMachine(0.8, 0.8)))).entries
     assert abs(spot - spectrum_entropy(np.linalg.eigvalsh(rho))) < 1e-9
 
 
@@ -102,7 +104,7 @@ def test_criterion_04_asymmetric_point():
     machine = CausalMachine(0.9, 0.3)
     assert abs(classical_complexity(machine) - 0.8113) <= 0.0005
     value = quantum_complexity(machine)
-    rho = steady_state_rho(quantum_causal_states(machine)).entries
+    rho = density(steady_state_rho(quantum_causal_states(machine))).entries
     oracle = spectrum_entropy(np.linalg.eigvalsh(rho))
     assert abs(value - oracle) < 1e-9
     print(f"  quantum_complexity(0.9, 0.3) = {value:.6f}; "
@@ -113,7 +115,7 @@ def test_criterion_04_asymmetric_point():
 @criterion(5, "steady-state matrix reproduced exactly and by tomography")
 def test_criterion_05_steady_state_matrix():
     rho = steady_state_rho(quantum_causal_states(CausalMachine(0.8, 0.8)))
-    np.testing.assert_allclose(rho.entries, [[0.5, 0.4], [0.4, 0.5]], atol=1e-12)
+    np.testing.assert_allclose(density(rho).entries, [[0.5, 0.4], [0.4, 0.5]], atol=1e-12)
     hits = 0
     for trial in range(100):
         rng = make_rng(500, trial)
@@ -191,7 +193,7 @@ def test_criterion_09_noise_reproduction():
     run = run_trace(machine, "quantum", 100_000, make_rng(901), lam=lam)
     rng = make_rng(902)
     # 1e7 shots per basis resolve the small noise-induced uplift
-    result = entropy_with_error(simulate_counts(run.density(), 10_000_000, rng), rng)
+    result = entropy_with_error(simulate_counts(ensemble_density(run), 10_000_000, rng), rng)
     print(f"  noisy tomographic entropy {result.entropy:.5f} "
           f"(ideal {ideal:.5f}, measured reference 0.19)")
     assert result.entropy > ideal
@@ -203,7 +205,7 @@ def test_criterion_10_cu_synthesis():
     machines = [CausalMachine(p, p) for p in SYMMETRIC_GRID]
     machines += [CausalMachine(pr, pl) for pr, pl in ASYM_GRID]
     for machine in machines:
-        model = quantum_causal_states(machine)
+        model = ket_model(machine)
         ops = construct_cu(machine)
         err = np.linalg.norm(ops.u @ model.ket0.amplitudes
                              - model.ket1.amplitudes)

@@ -18,24 +18,30 @@ from qstoch.circuit import (
 )
 from qstoch.cli import main
 from qstoch.process import CausalMachine, stationary_distribution
-from qstoch.qmath import Ket
 from qstoch.qmodel import construct_cu, quantum_causal_states
+from qstoch.tomo import ensemble_density
 from qstoch.seeding import make_rng
 from qstoch.stats import block_law_check
 
 from conftest import chain_outputs, trace_outputs
 from oracle import (
     CNOT4,
+    KET0,
+    KET1,
     CircuitState,
+    Ket,
     apply_noise,
     bell_fidelity,
     bell_state,
+    bloch_vector,
     classical_step,
     controlled,
+    density,
     depolarizing_average,
     disjoint_block_counts,
     emission_chain,
     from_mixing_rate,
+    ket_model,
     measure_qubit,
     noisy_bell_average,
     projector,
@@ -123,7 +129,7 @@ class TestClassicalStep:
 
 class TestQuantumStep:
     def test_orthogonal_encoding_is_deterministic(self):
-        model = quantum_causal_states(CausalMachine(0.0, 0.3))
+        model = ket_model(CausalMachine(0.0, 0.3))
         rng = make_rng(51)
         for _ in range(20):
             outcome, memory = quantum_step(model.ket0, model, rng)
@@ -131,7 +137,7 @@ class TestQuantumStep:
             np.testing.assert_allclose(memory.amplitudes, [1, 0], atol=1e-12)
 
     def test_certain_transition(self):
-        model = quantum_causal_states(CausalMachine(1.0, 0.3))
+        model = ket_model(CausalMachine(1.0, 0.3))
         rng = make_rng(52)
         outcome, memory = quantum_step(model.ket0, model, rng)
         assert outcome == 1
@@ -139,7 +145,7 @@ class TestQuantumStep:
 
     @pytest.mark.parametrize("gate", ["cnot", "cu"])
     def test_symmetric_output_law(self, gate):
-        model = quantum_causal_states(CausalMachine(0.8, 0.8))
+        model = ket_model(CausalMachine(0.8, 0.8))
         rng = make_rng(53)
         n = 100_000
         ones = sum(quantum_step(model.ket0, model, rng, gate=gate)[0] for _ in range(n))
@@ -147,7 +153,7 @@ class TestQuantumStep:
         assert abs(ones / n - 0.8) < 3 * sigma
 
     def test_asymmetric_output_law_from_state_one(self):
-        model = quantum_causal_states(CausalMachine(0.9, 0.3))
+        model = ket_model(CausalMachine(0.9, 0.3))
         rng = make_rng(54)
         n = 100_000
         zeros = sum(1 - quantum_step(model.ket1, model, rng)[0] for _ in range(n))
@@ -156,7 +162,7 @@ class TestQuantumStep:
 
     def test_collapse_leaves_logical_state_on_model(self):
         # before the discard, the model qubit must have collapsed to |x>
-        model = quantum_causal_states(CausalMachine(0.8, 0.8))
+        model = ket_model(CausalMachine(0.8, 0.8))
         joint = CNOT4 @ tensor(model.ket0, Ket([1.0, 0.0]))
         rng = make_rng(55)
         for _ in range(50):
@@ -166,7 +172,7 @@ class TestQuantumStep:
             np.testing.assert_allclose(np.abs(collapsed.joint) ** 2, expected, atol=1e-12)
 
     def test_gate_validated(self):
-        model = quantum_causal_states(CausalMachine(0.8, 0.8))
+        model = ket_model(CausalMachine(0.8, 0.8))
         with pytest.raises(ValueError):
             quantum_step(model.ket0, model, make_rng(0), gate="cz")
 
@@ -252,8 +258,8 @@ class TestRunTrace:
         assert np.array_equal(trace_outputs(machine, "quantum", 2000, make_rng(71)),
                               trace_outputs(machine, "quantum", 2000, make_rng(71)))
         assert a.ones == b.ones
-        for ket_a, ket_b in zip(a.kets, b.kets):
-            assert np.array_equal(ket_a.amplitudes, ket_b.amplitudes)
+        for r_a, r_b in zip(a.vectors, b.vectors):
+            assert np.array_equal(r_a, r_b)
 
     def test_noisy_trace_starts_from_its_own_chain(self):
         # (0.9, 0.3) at lam = 0.0375 samples (0.884, 0.308): P(start in 0) is
@@ -291,9 +297,8 @@ class TestRunTrace:
         machine = CausalMachine(0.9, 0.3)
         model = quantum_causal_states(machine)
         run = run_trace(machine, "quantum", 5000, make_rng(77))
-        for got, encoded in zip(run.kets, (model.ket0, model.ket1)):
-            assert abs(np.vdot(got.amplitudes, encoded.amplitudes)) == pytest.approx(
-                1.0, abs=1e-12)
+        for got, encoded in zip(run.vectors, (model.r0, model.r1)):
+            np.testing.assert_array_equal(got, encoded)
         # encoded state of step j is the output bit of step j-1, and step 0
         # enters in the single start state
         outputs = trace_outputs(machine, "quantum", 5000, make_rng(77))
@@ -308,15 +313,15 @@ class TestRunTrace:
         # rebuild the per-step ket array: step j enters in the state step
         # j - 1 emitted, step 0 in the start state
         entering = np.concatenate([[blocks[0][0]], outputs[:-1]])
-        kets = np.array([ket.amplitudes for ket in run.kets])[entering]
+        kets = np.array([ket.amplitudes for ket in prepared_kets(machine, mode)])[entering]
         reference = np.einsum("ni,nj->ij", kets, kets.conj()) / len(kets)
-        np.testing.assert_allclose(run.density().entries, reference, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(density(ensemble_density(run)).entries, reference,
+                                   rtol=0, atol=1e-12)
 
     def test_classical_ensemble_holds_logical_states(self):
         machine = CausalMachine(0.8, 0.8)
         run = run_trace(machine, "classical", 5000, make_rng(78))
-        probs = np.abs([ket.amplitudes for ket in run.kets]) ** 2
-        np.testing.assert_array_equal(probs > 1 - 1e-12, np.eye(2, dtype=bool))
+        np.testing.assert_array_equal(run.vectors, [[0, 0, 1], [0, 0, -1]])
 
     def test_block_law_error_shrinks_with_trace_length(self):
         for machine in (CausalMachine(0.8, 0.8), CausalMachine(0.9, 0.3)):
@@ -347,11 +352,11 @@ class TestRunTrace:
         with pytest.raises(ValueError, match="lam"):
             sampled_machine(CausalMachine(0.8, 0.8), "quantum", lam)
 
-    def test_result_kets_frozen(self):
+    def test_result_vectors_frozen(self):
         run = run_trace(CausalMachine(0.8, 0.8), "quantum", 10, make_rng(80))
         assert isinstance(run, RunResult)
         with pytest.raises(ValueError):
-            run.kets[0].amplitudes[0] = 1.0
+            run.vectors[0][0] = 1.0
 
 
 def traced_peak(fn) -> int:
@@ -405,6 +410,14 @@ ORACLE_MACHINES = [CausalMachine(0.9, 0.3), CausalMachine(0.8, 0.8), CausalMachi
 ORACLE_IDS = ["0.9-0.3", "0.8-0.8", "0.3-0.9"]
 
 
+def prepared_kets(machine, mode):
+    """The oracle's kets for the states a run of this mode prepares."""
+    if mode == "classical":
+        return KET0, KET1
+    model = ket_model(machine)
+    return model.ket0, model.ket1
+
+
 def step_oracle(machine, mode, gate, n, seed):
     """Outputs and entering memory kets from stepping the single-step circuit."""
     rng = make_rng(seed)
@@ -418,7 +431,7 @@ def step_oracle(machine, mode, gate, n, seed):
             kets[j] = logical[state]
             outputs[j], state = classical_step(state, machine, rng)
     else:
-        model = quantum_causal_states(machine)
+        model = ket_model(machine)
         memory = (model.ket0, model.ket1)[state]
         for j in range(n):
             kets[j] = memory.amplitudes
@@ -426,12 +439,15 @@ def step_oracle(machine, mode, gate, n, seed):
     return outputs, kets
 
 
-def assert_same_ensemble(run, kets):
-    """Every per-step oracle ket is one of the run's two prepared kets, and
-    the run's state-1 count is how many steps entered with the second."""
-    prepared = np.array([ket.amplitudes for ket in run.kets])
-    is_one = np.all(kets == prepared[1], axis=1)
-    assert np.all(is_one | np.all(kets == prepared[0], axis=1))
+def assert_same_ensemble(run, prepared, kets):
+    """Every per-step oracle ket is one of the two prepared kets, the run's
+    vectors are theirs, and the run's state-1 count is how many steps
+    entered with the second."""
+    for r, ket in zip(run.vectors, prepared):
+        np.testing.assert_allclose(r, bloch_vector(ket.projector()), rtol=0, atol=1e-15)
+    amplitudes = np.array([ket.amplitudes for ket in prepared])
+    is_one = np.all(kets == amplitudes[1], axis=1)
+    assert np.all(is_one | np.all(kets == amplitudes[0], axis=1))
     assert run.ones == int(is_one.sum())
 
 
@@ -444,7 +460,7 @@ class TestTraceMatchesStepOracle:
         outputs, kets = step_oracle(machine, "quantum", gate, 3000, seed=85)
         np.testing.assert_array_equal(
             trace_outputs(machine, "quantum", 3000, make_rng(85)), outputs)
-        assert_same_ensemble(run, kets)
+        assert_same_ensemble(run, prepared_kets(machine, "quantum"), kets)
 
     @pytest.mark.parametrize("machine", ORACLE_MACHINES, ids=ORACLE_IDS)
     def test_classical_pathwise(self, machine):
@@ -452,12 +468,12 @@ class TestTraceMatchesStepOracle:
         outputs, kets = step_oracle(machine, "classical", "cnot", 3000, seed=86)
         np.testing.assert_array_equal(trace_outputs(machine, "classical", 3000, make_rng(86)),
                                       outputs)
-        assert_same_ensemble(run, kets)
+        assert_same_ensemble(run, prepared_kets(machine, "classical"), kets)
 
     @pytest.mark.parametrize("gate", ["cnot", "cu"])
     def test_noisy_emission_law_is_exact_channel_average(self, gate):
         machine = CausalMachine(0.9, 0.3)
-        model = quantum_causal_states(machine)
+        model = ket_model(machine)
         lam = 0.0375
         if gate == "cnot":
             meter_in, gate4, frame = np.array([1.0, 0.0]), CNOT4, np.eye(4)
@@ -493,7 +509,7 @@ class TestTraceMatchesStepOracle:
         assert sampled_machine(machine, mode) == machine
         if mode == "quantum":
             np.testing.assert_allclose(emission_law(machine, mode, 0.0),
-                                       quantum_emission_probs(quantum_causal_states(machine),
+                                       quantum_emission_probs(ket_model(machine),
                                                               gate, 0.0),
                                        rtol=0, atol=1e-12)
 
@@ -520,7 +536,7 @@ class TestClosedFormLaw:
     def test_oracle_circuit_equals_closed_form(self, gate, p_right, p_left, lam):
         assume((p_right, p_left) != (0.0, 0.0))
         machine = CausalMachine(p_right, p_left)
-        circuit = quantum_emission_probs(quantum_causal_states(machine), gate, lam)
+        circuit = quantum_emission_probs(ket_model(machine), gate, lam)
         got = emission_law(machine, "quantum", lam)
         closed_form = [p + (16 * lam / 15) * (0.5 - p) for p in (p_right, 1 - p_left)]
         np.testing.assert_allclose(got, closed_form, rtol=0, atol=1e-15)

@@ -13,6 +13,9 @@ import pytest
 from qstoch import cli
 from qstoch.cli import ExperimentConfig, main
 from qstoch.seeding import make_rng
+from qstoch.tomo import TomographyCounts, TomographyResult, reconstruct_rho
+
+from oracle import density
 
 
 def run_cli(args, tmp_path, name):
@@ -264,6 +267,21 @@ class TestTomoCommand:
         _, second = run_cli(args, tmp_path, "t2.csv")
         assert first == second
 
+    @pytest.mark.parametrize("counts", [
+        TomographyCounts(100, x=(90, 10), y=(50, 50), z=(30, 70)),
+        TomographyCounts(10, x=(10, 0), y=(0, 10), z=(10, 0)),
+    ], ids=["inside", "projected"])
+    def test_matrix_columns_are_the_oracle_matrix(self, monkeypatch, tmp_path, counts):
+        # rho00, Re rho01, Im rho01 and rho11 of (I + r.sigma) / 2 for the
+        # projected vector, to the byte, a zero y included ("0", not "-0")
+        result = TomographyResult(entropy=0.5, entropy_std=0.0, raw=counts)
+        monkeypatch.setattr(cli, "_with_error", lambda cfg, point, column: result)
+        _, rows = parse_csv(run_cli(SMALL["tomo"], tmp_path, "tomo.csv")[1])
+        rho = density(reconstruct_rho(counts)).entries
+        want = [rho[0, 0].real, rho[0, 1].real, rho[0, 1].imag, rho[1, 1].real]
+        got = [rows[0][c] for c in ("rho00_re", "rho01_re", "rho01_im", "rho11_re")]
+        assert got == [cli._fmt(float(v)) for v in want]
+
     def test_failed_check_writes_csv_and_exits_1(self, monkeypatch, tmp_path):
         # main alone writes and sets the exit code: a command's failed
         # verdict still leaves its CSV, as simulate's failed check does
@@ -347,16 +365,17 @@ class TestStreams:
         assert checked == tomographed
 
 
-def run_python(args, text=True, unset=()):
+def run_python(args, text=True, unset=(), stdout=subprocess.PIPE):
     """Run a fresh interpreter with this checkout's qstoch on its path, its
-    stdout and stderr pipes; `unset` names variables it does not inherit."""
+    stdout (unless given) and stderr pipes; `unset` names variables it does
+    not inherit."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     for name in unset:
         env.pop(name, None)
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
-                          text=text, timeout=60)
+    return subprocess.run([sys.executable, *args], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=text, timeout=60)
 
 
 # every command shape the benchmark runs, at small sizes
@@ -386,11 +405,14 @@ def matmul_sites(layer):
 
 # numpy functions only a two-qubit object needs
 TWO_QUBIT_KERNELS = {"kron", "eigh", "eigvalsh"}
+# what builds a complex array: the dtypes, and imaginary literals ("1j")
+COMPLEX_NAMES = {"complex", "complex64", "complex128", "complex_", "cdouble", "1j"}
 
 
-def two_qubit_kernel_sites(layer):
+def name_sites(layer, names):
     """(layer, innermost enclosing function or None, name) of each reference
-    to a TWO_QUBIT_KERNELS function in a qstoch module, however imported."""
+    to one of `names` in a qstoch module, however imported; an imaginary
+    literal is named "1j"."""
     tree = module_tree(layer)
     owner = {}
     for func in ast.walk(tree):     # breadth first: inner functions overwrite
@@ -401,7 +423,9 @@ def two_qubit_kernel_sites(layer):
         name = getattr(node, "attr", None) or getattr(node, "id", None)
         if isinstance(node, ast.alias):
             name = node.name
-        if name in TWO_QUBIT_KERNELS:
+        if isinstance(node, ast.Constant) and isinstance(node.value, complex):
+            name = "1j"
+        if name in names:
             sites.add((layer, owner.get(node), name))
     return sites
 
@@ -428,7 +452,7 @@ class TestRunPath:
     def test_no_matrix_product_operator(self):
         # a monkeypatch cannot catch @, so the modules a command runs are read
         sites = set().union(*map(matmul_sites, ("circuit", "process", "tomo", "cli",
-                                                "stats")))
+                                                "stats", "qmath")))
         assert sites == set()
 
     def test_module_run_with_warnings_as_errors(self):
@@ -476,8 +500,22 @@ class TestLayout:
         # one eigensolver is the one eig_hermitian defers to
         layers = [path.stem for path in Path(cli.__file__).parent.glob("*.py")]
         assert "qmath" in layers
-        sites = set().union(*map(two_qubit_kernel_sites, layers))
+        sites = set().union(*(name_sites(layer, TWO_QUBIT_KERNELS) for layer in layers))
         assert sites == {("qmath", "eig_hermitian", "eigh")}
+
+    def test_states_are_real_vectors(self):
+        # every qubit state is a Bloch vector: the two gate and eigenvector
+        # routines off the run path are all that build a complex array
+        layers = [path.stem for path in Path(cli.__file__).parent.glob("*.py")]
+        sites = set().union(*(name_sites(layer, COMPLEX_NAMES) for layer in layers))
+        assert {(layer, func) for layer, func, _ in sites} == {
+            ("qmath", "eig_hermitian"), ("qmodel", "construct_cu")}
+        # and the matrix objects the vectors stand for live in the test oracle
+        matrix_objects = {"Ket", "DensityMatrix", "KET0", "KET1", "PAULI_X", "PAULI_Y",
+                          "PAULI_Z", "bloch_vector", "_hermitian_eigvals"}
+        for layer in layers:        # __init__ among them, read as the package
+            module = importlib.import_module(f"qstoch.{layer}".removesuffix(".__init__"))
+            assert not matrix_objects & set(vars(module)), layer
 
 
 # prints the freeze count from an atexit handler registered before qstoch's
@@ -539,6 +577,45 @@ class TestExit:
         assert proc.returncode == 2
         assert proc.stdout == b""
         assert proc.stderr.startswith(b"qstoch: error: ")
+
+
+class TestOutput:
+    """Exit 1 means a failed check and nothing else: an --out that cannot be
+    written is bad input, and a closed stdout ends as SIGPIPE would."""
+
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_out_exits_2_before_any_stream(self, monkeypatch, capsys, tmp_path,
+                                                      where):
+        monkeypatch.setattr(cli, "make_rng", refusing("a stream"))
+        out = tmp_path / "no" / "x.csv" if where == "missing-dir" else tmp_path
+        assert main(SMALL["simulate"] + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("qstoch: error: cannot write --out ") and err.count("\n") == 1
+        assert sorted(tmp_path.iterdir()) == []
+
+    def test_existing_out_untouched_by_bad_input(self, tmp_path):
+        # the write probe neither truncates nor removes a file it did not make
+        out = tmp_path / "kept.csv"
+        out.write_bytes(b"earlier\n")
+        assert main(BAD_ASYM + ["--out", str(out)]) == 2
+        assert out.read_bytes() == b"earlier\n"
+        assert main(SMALL["simulate"] + ["--out", str(out)]) == 0
+        assert out.read_bytes().startswith(b"# qstoch simulate ")
+
+    @pytest.mark.parametrize("command", ["simulate", "tomo"])
+    def test_closed_stdout_exits_141_quietly(self, command):
+        # the pipe's read end is closed before the process starts, so its
+        # first write fails whatever the timing; no traceback, and a code
+        # that is neither success, a failed check nor bad input
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_python(["-m", "qstoch.cli", *SMALL[command]], text=False,
+                              stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == b""
 
 
 class TestExperimentConfig:

@@ -1,4 +1,6 @@
-"""Linear-algebra kernel: entropies, eigenvalues, fidelity, tensors."""
+"""Qubit kernel: entropies, eigenvalues, fidelity and trace distance of Bloch
+vectors, checked against the oracle's matrices; the oracle's own kets,
+density matrices and tensors."""
 
 import math
 from decimal import Decimal, localcontext
@@ -10,14 +12,9 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from qstoch.qmath import (
-    KET0,
-    KET1,
-    DensityMatrix,
     InvalidDistributionError,
-    Ket,
-    _hermitian_eigvals,
+    bloch,
     bloch_radius,
-    bloch_vector,
     eig_hermitian,
     fidelity,
     mixture,
@@ -26,7 +23,24 @@ from qstoch.qmath import (
     von_neumann_entropy,
 )
 
-from oracle import bell_fidelity, bell_state, overlap, projector, same_state, tensor
+from oracle import (
+    KET0,
+    KET1,
+    DensityMatrix,
+    Ket,
+    _hermitian_eigvals,
+    bell_fidelity,
+    bell_state,
+    bloch_vector,
+    density,
+    ket_mixture,
+    matrix_fidelity,
+    matrix_trace_distance,
+    overlap,
+    projector,
+    same_state,
+    tensor,
+)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -75,11 +89,11 @@ class TestShannonEntropy:
 
 class TestEigHermitian:
     def test_maximally_mixed(self):
-        vals, _ = eig_hermitian(DensityMatrix(np.eye(2) / 2))
+        vals, _ = eig_hermitian(np.eye(2) / 2)
         np.testing.assert_allclose(vals, [0.5, 0.5], atol=1e-15)
 
     def test_pure_projector(self):
-        vals, vecs = eig_hermitian(KET0.projector())
+        vals, vecs = eig_hermitian(KET0.projector().entries)
         np.testing.assert_allclose(vals, [1.0, 0.0], atol=1e-15)
         assert abs(abs(vecs[0, 0]) - 1.0) < 1e-12
 
@@ -88,7 +102,7 @@ class TestEigHermitian:
         m = 0.5 * (np.eye(2) + 0.8 * X)
         tr, det = np.trace(m).real, np.linalg.det(m).real
         roots = np.sort(np.roots([1.0, -tr, det]).real)[::-1]
-        vals, _ = eig_hermitian(DensityMatrix(m))
+        vals, _ = eig_hermitian(m)
         np.testing.assert_allclose(vals, roots, atol=1e-12)
         np.testing.assert_allclose(vals, [0.9, 0.1], atol=1e-12)
 
@@ -118,26 +132,27 @@ class TestEigHermitian:
 
 class TestVonNeumannEntropy:
     def test_maximally_mixed(self):
-        assert von_neumann_entropy(DensityMatrix(np.eye(2) / 2)) == pytest.approx(1.0, abs=1e-12)
+        assert von_neumann_entropy(bloch(0.0, 0.0, 0.0)) == 1.0
 
     def test_pure_states_are_zero(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             amp = rng.normal(size=2) + 1j * rng.normal(size=2)
             ket = Ket(amp / np.linalg.norm(amp))
-            assert von_neumann_entropy(ket.projector()) < 1e-9
+            assert von_neumann_entropy(bloch_vector(ket.projector())) < 1e-9
 
     def test_coherent_mixture(self):
         # entropy of the {0.9, 0.1} spectrum, via an independent evaluation
         expected = -(0.9 * np.log2(0.9) + 0.1 * np.log2(0.1))
-        rho = DensityMatrix(0.5 * (np.eye(2) + 0.8 * X))
-        assert von_neumann_entropy(rho) == pytest.approx(expected, abs=1e-12)
-        assert von_neumann_entropy(rho) == pytest.approx(0.4690, abs=5e-5)
+        r = bloch_vector(DensityMatrix(0.5 * (np.eye(2) + 0.8 * X)))
+        np.testing.assert_array_equal(r, [0.8, 0.0, 0.0])
+        assert von_neumann_entropy(r) == pytest.approx(expected, abs=1e-12)
+        assert von_neumann_entropy(r) == pytest.approx(0.4690, abs=5e-5)
 
     def test_entropy_bounds_random(self):
         rng = np.random.default_rng(11)
         for _ in range(5000):
-            s = von_neumann_entropy(random_density(rng, 2))
+            s = von_neumann_entropy(bloch_vector(random_density(rng, 2)))
             assert 0.0 <= s <= 1.0
 
     def test_bloch_route_equals_eigen_spectrum(self):
@@ -155,7 +170,7 @@ class TestVonNeumannEntropy:
                 rho = DensityMatrix((1 - eps) * pure + eps * rho.entries)
             spectrum = np.linalg.eigvalsh(rho.entries)
             expected = shannon_entropy(np.where(spectrum < 1e-12, 0.0, spectrum))
-            assert abs(von_neumann_entropy(rho) - expected) < 1e-12
+            assert abs(von_neumann_entropy(bloch_vector(rho)) - expected) < 1e-12
 
 
 class TestBlochVector:
@@ -165,6 +180,13 @@ class TestBlochVector:
             rho = random_density(rng, 2)
             expected = [np.trace(rho.entries @ P).real for P in (X, Y, Z)]
             np.testing.assert_allclose(bloch_vector(rho), expected, atol=1e-15)
+            # and back: (I + r.sigma) / 2 rebuilds the matrix
+            np.testing.assert_allclose(density(bloch_vector(rho)).entries, rho.entries,
+                                       rtol=0, atol=1e-15)
+
+    def test_vectors_are_read_only_floats(self):
+        for r in (bloch(0.1, -0.2, 0.3), mixture([0.25, 0.75], (bloch(0, 0, 1), bloch(1, 0, 0)))):
+            assert r.dtype == float and r.shape == (3,) and not r.flags.writeable
 
 
 # a Bloch coordinate whose square does not underflow: the plain sum of
@@ -193,9 +215,9 @@ class TestBlochRadius:
     @pytest.mark.parametrize("pauli", [X, Y, Z], ids="XYZ")
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plus", "minus"])
     def test_axis_aligned_pure_states_have_radius_one(self, pauli, sign):
-        rho = DensityMatrix(0.5 * (np.eye(2) + sign * pauli))
-        assert bloch_radius(bloch_vector(rho)) == 1.0
-        assert von_neumann_entropy(rho) == 0.0
+        r = bloch_vector(DensityMatrix(0.5 * (np.eye(2) + sign * pauli)))
+        assert bloch_radius(r) == 1.0
+        assert von_neumann_entropy(r) == 0.0
 
 
 class TestClosedFormEigenvalues:
@@ -210,12 +232,28 @@ class TestClosedFormEigenvalues:
                                            np.linalg.eigvalsh(m)[::-1], rtol=0, atol=1e-12)
 
 
+ZERO, ONE, PLUS = bloch(0.0, 0.0, 1.0), bloch(0.0, 0.0, -1.0), bloch(1.0, 0.0, 0.0)
+
+
 class TestFidelity:
     def test_qubit_mixture_and_pure_overlap(self):
-        rho = mixture([0.25, 0.75], (KET0, KET1))
-        assert fidelity(rho, KET1) == pytest.approx(0.75, abs=1e-15)
-        plus = Ket(np.array([1, 1]) / np.sqrt(2))
-        assert fidelity(KET0.projector(), plus) == pytest.approx(0.5, abs=1e-15)
+        r = mixture([0.25, 0.75], (ZERO, ONE))
+        assert fidelity(r, ONE) == 0.75
+        assert fidelity(ZERO, PLUS) == 0.5
+
+    def test_equals_matrix_overlap(self):
+        # <t| rho |t> of random states against random pure targets
+        rng = np.random.default_rng(15)
+        for _ in range(1000):
+            rho = random_density(rng, 2)
+            amp = rng.normal(size=2) + 1j * rng.normal(size=2)
+            target = Ket(amp / np.linalg.norm(amp))
+            got = fidelity(bloch_vector(rho), bloch_vector(target.projector()))
+            assert got == pytest.approx(matrix_fidelity(rho, target), rel=0, abs=1e-15)
+
+    def test_mixed_target_rejected(self):
+        with pytest.raises(ValueError, match="pure"):
+            fidelity(ZERO, bloch(0.0, 0.0, 0.5))
 
 
 class TestBellFidelity:
@@ -325,13 +363,27 @@ class TestDomainTypes:
 
 class TestTraceDistance:
     def test_identical_states(self):
-        rho = DensityMatrix(np.eye(2) / 2)
-        assert trace_distance(rho, rho) == 0.0
+        r = bloch(0.0, 0.0, 0.0)
+        assert trace_distance(r, r) == 0.0
 
     def test_orthogonal_pure_states(self):
-        assert trace_distance(KET0.projector(), KET1.projector()) == pytest.approx(1.0, abs=1e-12)
+        assert trace_distance(ZERO, ONE) == 1.0
 
     def test_mixture_helper_and_distance(self):
-        rho = mixture([0.5, 0.5], (KET0, KET1))
-        np.testing.assert_allclose(rho.entries, np.eye(2) / 2, atol=1e-15)
-        assert trace_distance(rho, KET0.projector()) == pytest.approx(0.5, abs=1e-12)
+        r = mixture([0.5, 0.5], (ZERO, ONE))
+        np.testing.assert_array_equal(r, [0.0, 0.0, 0.0])
+        np.testing.assert_allclose(density(r).entries,
+                                   ket_mixture([0.5, 0.5], (KET0, KET1)).entries, atol=1e-15)
+        assert trace_distance(r, ZERO) == 0.5
+
+    def test_equals_matrix_trace_norm(self):
+        rng = np.random.default_rng(16)
+        for _ in range(1000):
+            a, b = random_density(rng, 2), random_density(rng, 2)
+            got = trace_distance(bloch_vector(a), bloch_vector(b))
+            assert got == pytest.approx(matrix_trace_distance(a, b), rel=0, abs=1e-15)
+
+    def test_mixture_weights_checked(self):
+        for weights in ([0.5, 0.6], [1.5, -0.5], []):
+            with pytest.raises(InvalidDistributionError):
+                mixture(weights, (ZERO, ONE))

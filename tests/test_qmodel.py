@@ -5,8 +5,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from qstoch.circuit import run_trace
 from qstoch.process import CausalMachine, classical_complexity, excess_entropy
-from qstoch.qmath import mixture, von_neumann_entropy
+from qstoch.qmath import fidelity, mixture, trace_distance, von_neumann_entropy
 from qstoch.qmodel import (
     construct_cu,
     depolarized_complexity,
@@ -14,8 +15,12 @@ from qstoch.qmodel import (
     quantum_complexity,
     steady_state_rho,
 )
+from qstoch.seeding import make_rng
+from qstoch.tomo import ensemble_density
 
-from oracle import controlled, quantum_emission_probs
+from oracle import (bloch_vector, controlled, density, ket_mixture, ket_model, matrix_entropy,
+                    matrix_fidelity, matrix_trace_distance, quantum_emission_probs,
+                    steady_density)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -41,66 +46,76 @@ def eigen_oracle(machine):
     return entropy_of_spectrum(np.linalg.eigvalsh(rho))
 
 
+def overlap_sq(model):
+    """|<ket0|ket1>|^2 = (1 + r0.r1) / 2 of the encoded states."""
+    return (1.0 + float(np.sum(model.r0 * model.r1))) / 2.0
+
+
 class TestQuantumCausalStates:
     def test_orthogonal_limit(self):
         model = quantum_causal_states(CausalMachine(0.0, 0.3))
-        np.testing.assert_allclose(model.ket0.amplitudes, [1, 0], atol=1e-15)
+        np.testing.assert_array_equal(model.r0, [0, 0, 1])
         model = quantum_causal_states(CausalMachine(1.0, 1.0))
-        np.testing.assert_allclose(model.ket0.amplitudes, [0, 1], atol=1e-15)
-        np.testing.assert_allclose(model.ket1.amplitudes, [1, 0], atol=1e-15)
+        np.testing.assert_array_equal(model.r0, [0, 0, -1])
+        np.testing.assert_array_equal(model.r1, [0, 0, 1])
 
     def test_fair_coin_states_coincide(self):
         model = quantum_causal_states(CausalMachine(0.5, 0.5))
-        plus = np.array([1, 1]) / np.sqrt(2)
-        np.testing.assert_allclose(model.ket0.amplitudes, plus, atol=1e-15)
-        np.testing.assert_allclose(model.ket1.amplitudes, plus, atol=1e-15)
+        np.testing.assert_allclose(model.r0, [1, 0, 0], rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(model.r1, model.r0)
 
     def test_asymmetric_amplitudes(self):
+        # (2ab, 0, a^2 - b^2) of the kets (sqrt 0.1, sqrt 0.9) and (sqrt 0.3, sqrt 0.7)
         model = quantum_causal_states(CausalMachine(0.9, 0.3))
-        np.testing.assert_allclose(model.ket0.amplitudes,
-                                   [np.sqrt(0.1), np.sqrt(0.9)], atol=1e-15)
-        np.testing.assert_allclose(model.ket1.amplitudes,
-                                   [np.sqrt(0.3), np.sqrt(0.7)], atol=1e-15)
+        np.testing.assert_allclose(model.r0, [0.6, 0, -0.8], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(model.r1, [2 * np.sqrt(0.21), 0, -0.4], rtol=0, atol=1e-15)
         assert model.stationary == pytest.approx((0.25, 0.75), abs=1e-15)
+
+    def test_vectors_are_read_only_unit_vectors(self):
+        for pr in np.linspace(0.0, 1.0, 11):
+            model = quantum_causal_states(CausalMachine(pr, 0.3))
+            for r in (model.r0, model.r1):
+                assert r.shape == (3,) and not r.flags.writeable
+                assert float(np.sum(r * r)) == pytest.approx(1.0, abs=1e-15)
 
     def test_overlap_formula_on_grid(self):
         for pr in np.linspace(0.05, 0.95, 10):
             for pl in np.linspace(0.05, 0.95, 10):
                 model = quantum_causal_states(CausalMachine(pr, pl))
-                got = np.vdot(model.ket0.amplitudes, model.ket1.amplitudes).real
                 want = np.sqrt((1 - pr) * pl) + np.sqrt(pr * (1 - pl))
-                assert got == pytest.approx(want, abs=1e-12)
+                assert overlap_sq(model) == pytest.approx(want ** 2, abs=1e-12)
 
     def test_symmetric_overlap_matches_coherence(self):
         for p in np.linspace(0.05, 0.95, 19):
             model = quantum_causal_states(CausalMachine(p, p))
-            got = np.vdot(model.ket0.amplitudes, model.ket1.amplitudes).real
-            assert got == pytest.approx(2.0 * np.sqrt(p * (1 - p)), abs=1e-12)
+            assert overlap_sq(model) == pytest.approx(4.0 * p * (1 - p), abs=1e-12)
 
 
 class TestSteadyStateRho:
     def test_symmetric_benchmark_matrix(self):
-        rho = steady_state_rho(quantum_causal_states(CausalMachine(0.8, 0.8)))
+        rho = density(steady_state_rho(quantum_causal_states(CausalMachine(0.8, 0.8))))
         np.testing.assert_allclose(rho.entries, [[0.5, 0.4], [0.4, 0.5]], atol=1e-12)
 
     def test_symmetric_closed_form_entries_on_grid(self):
         for p in np.linspace(0.05, 0.95, 19):
-            rho = steady_state_rho(quantum_causal_states(CausalMachine(p, p)))
+            rho = density(steady_state_rho(quantum_causal_states(CausalMachine(p, p))))
             coherence = np.sqrt(p * (1 - p))
             np.testing.assert_allclose(rho.entries,
                                        [[0.5, coherence], [coherence, 0.5]], atol=1e-12)
 
     def test_fair_coin_is_pure(self):
-        rho = steady_state_rho(quantum_causal_states(CausalMachine(0.5, 0.5)))
+        rho = density(steady_state_rho(quantum_causal_states(CausalMachine(0.5, 0.5))))
         plus = np.array([1, 1]) / np.sqrt(2)
         np.testing.assert_allclose(rho.entries, np.outer(plus, plus), atol=1e-15)
 
     def test_asymmetric_weighted_outer_products(self):
-        model = quantum_causal_states(CausalMachine(0.9, 0.3))
-        rho = steady_state_rho(model)
+        machine = CausalMachine(0.9, 0.3)
+        r = steady_state_rho(quantum_causal_states(machine))
+        model = ket_model(machine)
         k0, k1 = model.ket0.amplitudes, model.ket1.amplitudes
         direct = 0.25 * np.outer(k0, k0.conj()) + 0.75 * np.outer(k1, k1.conj())
-        np.testing.assert_allclose(rho.entries, direct, atol=1e-15)
+        np.testing.assert_allclose(density(r).entries, direct, atol=1e-15)
+        np.testing.assert_allclose(r, bloch_vector(steady_density(model)), rtol=0, atol=1e-15)
 
 
 class TestQuantumComplexity:
@@ -130,7 +145,7 @@ class TestQuantumComplexity:
         # a hypothesis for the published 0.12 at (0.9, 0.3): the two encoded
         # kets mixed with equal weights, not the stationary (0.25, 0.75)
         model = quantum_causal_states(CausalMachine(0.9, 0.3))
-        value = von_neumann_entropy(mixture([0.5, 0.5], (model.ket0, model.ket1)))
+        value = von_neumann_entropy(mixture([0.5, 0.5], (model.r0, model.r1)))
         assert value == pytest.approx(0.12151, abs=5e-6)
         assert round(value, 2) == 0.12
 
@@ -199,8 +214,7 @@ class TestDepolarizedComplexity:
     @pytest.mark.parametrize("eps", [0.01, 0.2, 0.7])
     def test_matches_depolarized_eigen_oracle(self, eps):
         machine = CausalMachine(0.9, 0.3)
-        model = quantum_causal_states(machine)
-        rho = mixture(model.stationary, (model.ket0, model.ket1)).entries
+        rho = steady_density(ket_model(machine)).entries
         noisy = (1.0 - eps) * rho + eps * np.eye(2) / 2.0
         assert depolarized_complexity(machine, eps) == pytest.approx(
             entropy_of_spectrum(np.linalg.eigvalsh(noisy)), abs=1e-12)
@@ -222,7 +236,7 @@ class TestConstructCu:
                                        (0.75, 0.2), (0.05, 0.95), (0.6, 0.6)])
     def test_maps_encoding_zero_to_encoding_one(self, probs):
         machine = CausalMachine(*probs)
-        model = quantum_causal_states(machine)
+        model = ket_model(machine)
         ops = construct_cu(machine)
         err = np.linalg.norm(ops.u @ model.ket0.amplitudes
                              - model.ket1.amplitudes)
@@ -261,7 +275,7 @@ class TestConstructCu:
 
     def test_merged_states_fixed_point(self):
         machine = CausalMachine(0.3, 0.7)      # ket0 == ket1
-        model = quantum_causal_states(machine)
+        model = ket_model(machine)
         ops = construct_cu(machine)
         out = ops.u @ model.ket0.amplitudes
         np.testing.assert_allclose(out, model.ket0.amplitudes, atol=1e-12)
@@ -272,6 +286,33 @@ class TestConstructCu:
         np.testing.assert_allclose(cu[:2, :2], np.eye(2), atol=1e-15)
         np.testing.assert_allclose(cu[2:, 2:], ops.u, atol=1e-15)
         np.testing.assert_allclose(cu[:2, 2:], 0, atol=1e-15)
+
+
+# the sweep grid but its frozen p = 0 point, two asymmetric points and the edges
+CROSS_CHECK = ([(round(p, 10), round(p, 10)) for p in np.linspace(0.1, 1.0, 10)]
+               + [(0.9, 0.3), (0.3, 0.9), (1.0, 0.0), (0.0, 1.0)])
+
+
+@pytest.mark.parametrize("probs", CROSS_CHECK, ids=[f"{pr}-{pl}" for pr, pl in CROSS_CHECK])
+def test_vectors_equal_the_oracle_matrix_route(probs):
+    """Each Bloch vector, and the entropy, trace distance and fidelity read
+    from them, equals what the oracle's kets and density matrices give."""
+    machine = CausalMachine(*probs)
+    model, kets = quantum_causal_states(machine), ket_model(machine)
+
+    def near(got, want):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+    near(model.r0, bloch_vector(kets.ket0.projector()))
+    near(model.r1, bloch_vector(kets.ket1.projector()))
+    r, rho = steady_state_rho(model), steady_density(kets)
+    near(r, bloch_vector(rho))
+    run = run_trace(machine, "quantum", 1000, make_rng(0))
+    weights = ((run.steps - run.ones) / run.steps, run.ones / run.steps)
+    near(ensemble_density(run), bloch_vector(ket_mixture(weights, (kets.ket0, kets.ket1))))
+    near(von_neumann_entropy(r), matrix_entropy(rho))
+    near(trace_distance(model.r0, r), matrix_trace_distance(kets.ket0.projector(), rho))
+    near(fidelity(r, model.r0), matrix_fidelity(rho, kets.ket0))
 
 
 PROB = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
@@ -307,5 +348,5 @@ class TestProperties:
         cu = controlled(construct_cu(machine).u)
         np.testing.assert_allclose(cu @ cu.conj().T, np.eye(4), rtol=0, atol=1e-12)
         # the cu step circuit emits with the machine's own law
-        got = quantum_emission_probs(quantum_causal_states(machine), "cu", 0.0)
+        got = quantum_emission_probs(ket_model(machine), "cu", 0.0)
         np.testing.assert_allclose(got, [p_right, 1.0 - p_left], rtol=0, atol=1e-12)

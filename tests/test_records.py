@@ -7,23 +7,19 @@ import pytest
 from qstoch.circuit import run_trace
 from qstoch.cli import ExperimentConfig
 from qstoch.process import CausalMachine, block_distribution
-from qstoch.qmath import DensityMatrix, Ket
-from qstoch.qmodel import construct_cu, quantum_causal_states
+from qstoch.qmodel import construct_cu, quantum_causal_states, steady_state_rho
 from qstoch.seeding import make_rng
 from qstoch.stats import block_law_check
-from qstoch.tomo import TomographyCounts, TomographyResult
+from qstoch.tomo import TomographyCounts, TomographyResult, ensemble_density, reconstruct_rho
 
 MACHINE = CausalMachine(0.9, 0.3)
 COUNTS = TomographyCounts(10, (5, 5), (4, 6), (10, 0))
-RHO = DensityMatrix(np.eye(2) / 2)
 CONFIG = ExperimentConfig(p_right=0.8, p_left=0.8)
 
 BAD_RECORDS = {
-    "Ket": lambda: Ket([1.0, 1.0]),
-    "DensityMatrix": lambda: DensityMatrix(np.eye(2)),
     "CausalMachine": lambda: CausalMachine(1.5, 0.3),
     "TomographyCounts": lambda: TomographyCounts(10, (5, 5), (5, 4), (10, 0)),
-    "TomographyResult": lambda: TomographyResult(RHO, 1.5, 0.0, COUNTS),
+    "TomographyResult": lambda: TomographyResult(1.5, 0.0, COUNTS),
     "ExperimentConfig": lambda: ExperimentConfig(p_right=1.5, p_left=0.8),
 }
 
@@ -31,9 +27,9 @@ BAD_RECORDS = {
 def all_records():
     """One valid instance of every record type."""
     counts = np.round(1000 * block_distribution(MACHINE, 2)).astype(np.int64)
-    return [Ket([1.0, 0.0]), RHO, MACHINE, quantum_causal_states(MACHINE), construct_cu(MACHINE),
+    return [MACHINE, quantum_causal_states(MACHINE), construct_cu(MACHINE),
             run_trace(MACHINE, "quantum", 10, make_rng(0)),
-            COUNTS, TomographyResult(RHO, 1.0, 0.0, COUNTS),
+            COUNTS, TomographyResult(1.0, 0.0, COUNTS),
             block_law_check(MACHINE, counts), CONFIG]
 
 
@@ -72,6 +68,27 @@ def test_records_are_immutable(record):
         setattr(record, name, value)
     with pytest.raises(AttributeError):
         record.note = "extra"
+
+
+def state_vectors():
+    """Every kind of Bloch vector the library hands out, by where it comes from."""
+    model = quantum_causal_states(MACHINE)
+    quantum, classical = (run_trace(MACHINE, mode, 10, make_rng(0))
+                          for mode in ("quantum", "classical"))
+    return {"encoded": model.r1, "steady": steady_state_rho(model),
+            "run": quantum.vectors[0], "logical": classical.vectors[1],
+            "ensemble": ensemble_density(quantum), "reconstructed": reconstruct_rho(COUNTS)}
+
+
+STATE_VECTORS = state_vectors()
+
+
+@pytest.mark.parametrize("vector", STATE_VECTORS.values(), ids=STATE_VECTORS.keys())
+def test_state_vectors_are_read_only(vector):
+    # a state is three floats, and no caller can change one another holds
+    assert vector.dtype == np.float64 and vector.shape == (3,)
+    with pytest.raises(ValueError):
+        vector[0] = 0.5
 
 
 def test_construct_cu_cache_hits_for_equal_machines():

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from qstoch.circuit import RunResult, run_trace
 from qstoch.process import CausalMachine
-from qstoch.qmath import DensityMatrix, Ket, mixture, trace_distance, von_neumann_entropy
+from qstoch.qmath import bloch, mixture, trace_distance, von_neumann_entropy
 from qstoch.qmodel import quantum_causal_states, quantum_complexity, steady_state_rho
 from qstoch.seeding import make_rng
 from qstoch.tomo import (
@@ -17,10 +18,14 @@ from qstoch.tomo import (
     simulate_counts,
 )
 
+from oracle import KET0, KET1, bloch_vector, density, ket_mixture, ket_model
 
-def exact_counts(rho, shots):
+MIXED = bloch(0.0, 0.0, 0.0)
+ZERO = bloch(0.0, 0.0, 1.0)
+
+
+def exact_counts(r, shots):
     """Counts at the rounded exact rates, bypassing sampling."""
-    r = [2 * rho[0, 1].real, -2 * rho[0, 1].imag, (rho[0, 0] - rho[1, 1]).real]
     pairs = []
     for val in r:
         plus = round(shots * (1 + val) / 2)
@@ -32,7 +37,7 @@ class TestSimulateCounts:
     def test_maximally_mixed_all_bases_balanced(self):
         rng = make_rng(81)
         shots = 10_000
-        counts = simulate_counts(DensityMatrix(np.eye(2) / 2), shots, rng)
+        counts = simulate_counts(MIXED, shots, rng)
         sigma = np.sqrt(shots * 0.25)
         for plus, minus in (counts.x, counts.y, counts.z):
             assert abs(plus - shots / 2) < 4 * sigma
@@ -43,7 +48,7 @@ class TestSimulateCounts:
         model = quantum_causal_states(machine)
         rng = make_rng(82)
         shots = 10_000
-        counts = simulate_counts(mixture([0.5, 0.5], [model.ket0, model.ket1]), shots, rng)
+        counts = simulate_counts(mixture([0.5, 0.5], [model.r0, model.r1]), shots, rng)
         rx = (counts.x[0] - counts.x[1]) / shots
         rz = (counts.z[0] - counts.z[1]) / shots
         assert abs(rx - 0.8) < 4 * np.sqrt((1 - 0.64) / shots)
@@ -51,23 +56,20 @@ class TestSimulateCounts:
 
     def test_pure_logical_state_deterministic_z(self):
         rng = make_rng(83)
-        counts = simulate_counts(Ket([1.0, 0.0]).projector(), 10_000, rng)
+        counts = simulate_counts(ZERO, 10_000, rng)
         assert counts.z == (10_000, 0)
 
-    def test_only_a_single_qubit_density_matrix_accepted(self):
-        ket = Ket([1.0, 0.0])
-        rho = ket.projector()
-        assert ensemble_density(rho) is rho
-        for other in (ket, [ket, ket], [(1.0, ket)], []):
-            with pytest.raises(TypeError):
+    def test_only_a_bloch_vector_accepted(self):
+        # a density matrix, two vectors or an empty list is not one state
+        for other in (np.eye(2) / 2, [ZERO, ZERO], [], [0.0, 1.0]):
+            with pytest.raises(ValueError, match="shape"):
                 simulate_counts(other, 100, make_rng(0))
 
     def test_shots_past_binomial_range_rejected(self):
         # numpy's binomial takes n up to 2**63 - 1 and overflows past it
-        rho = DensityMatrix(np.eye(2) / 2)
         with pytest.raises(ValueError, match="shots_per_basis"):
-            simulate_counts(rho, MAX_SHOTS + 1, make_rng(0))
-        assert sum(simulate_counts(rho, MAX_SHOTS, make_rng(0)).z) == MAX_SHOTS
+            simulate_counts(MIXED, MAX_SHOTS + 1, make_rng(0))
+        assert sum(simulate_counts(MIXED, MAX_SHOTS, make_rng(0)).z) == MAX_SHOTS
 
     def test_counts_past_binomial_range_rejected(self):
         n = MAX_SHOTS + 1
@@ -82,22 +84,32 @@ class TestSimulateCounts:
     def test_weighted_ensemble_form(self):
         machine = CausalMachine(0.9, 0.3)
         model = quantum_causal_states(machine)
-        rho = ensemble_density(mixture([0.25, 0.75], [model.ket0, model.ket1]))
-        np.testing.assert_allclose(rho.entries,
-                                   steady_state_rho(model).entries, atol=1e-12)
+        run = RunResult(steps=4000, ones=3000, vectors=(model.r0, model.r1))
+        np.testing.assert_array_equal(ensemble_density(run), steady_state_rho(model))
+
+    @pytest.mark.parametrize("mode", ["classical", "quantum"])
+    def test_ensemble_of_a_run_equals_ket_mixture(self, mode):
+        # (n0 P0 + n1 P1) / n of the oracle's kets, the logical ones classically
+        machine = CausalMachine(0.9, 0.3)
+        run = run_trace(machine, mode, 5000, make_rng(79))
+        model = ket_model(machine)
+        kets = (KET0, KET1) if mode == "classical" else (model.ket0, model.ket1)
+        weights = ((run.steps - run.ones) / run.steps, run.ones / run.steps)
+        rho = ket_mixture(weights, kets)
+        np.testing.assert_allclose(ensemble_density(run), bloch_vector(rho),
+                                   rtol=0, atol=1e-15)
 
 
 class TestReconstructRho:
     def test_balanced_counts_give_maximally_mixed(self):
         counts = TomographyCounts(100, x=(50, 50), y=(50, 50), z=(50, 50))
-        np.testing.assert_allclose(reconstruct_rho(counts).entries, np.eye(2) / 2,
-                                   atol=1e-15)
+        np.testing.assert_array_equal(reconstruct_rho(counts), MIXED)
 
     def test_exact_rate_limit_recovers_benchmark_matrix(self):
-        rho = steady_state_rho(quantum_causal_states(CausalMachine(0.8, 0.8)))
-        counts = exact_counts(rho.entries, 10_000_000)
-        np.testing.assert_allclose(reconstruct_rho(counts).entries, rho.entries,
-                                   atol=1e-6)
+        r = steady_state_rho(quantum_causal_states(CausalMachine(0.8, 0.8)))
+        counts = exact_counts(r, 10_000_000)
+        np.testing.assert_allclose(density(reconstruct_rho(counts)).entries,
+                                   [[0.5, 0.4], [0.4, 0.5]], atol=1e-6)
 
     def test_bloch_vector_projected_radially(self):
         # two near-extreme axes push |r| above 1; the hand-applied rule is
@@ -105,11 +117,10 @@ class TestReconstructRho:
         counts = TomographyCounts(100, x=(98, 2), y=(50, 50), z=(75, 25))
         r = np.array([0.96, 0.0, 0.5])
         expected = r / np.linalg.norm(r)
-        rho = reconstruct_rho(counts).entries
-        got = np.array([2 * rho[0, 1].real, -2 * rho[0, 1].imag,
-                        (rho[0, 0] - rho[1, 1]).real])
+        got = reconstruct_rho(counts)
         np.testing.assert_allclose(got, expected, atol=1e-12)
-        assert von_neumann_entropy(reconstruct_rho(counts)) < 1e-9
+        assert not got.flags.writeable
+        assert von_neumann_entropy(got) < 1e-9
 
     def test_adversarial_counts_stay_physical(self):
         cases = [
@@ -118,8 +129,9 @@ class TestReconstructRho:
             TomographyCounts(1, x=(1, 0), y=(0, 1), z=(1, 0)),
         ]
         for counts in cases:
-            rho = reconstruct_rho(counts)        # constructor enforces invariants
-            assert 0.0 <= von_neumann_entropy(rho) <= 1.0
+            r = reconstruct_rho(counts)
+            density(r)                           # the oracle's constructor checks rho
+            assert 0.0 <= von_neumann_entropy(r) <= 1.0
 
     def test_counts_validated(self):
         with pytest.raises(ValueError):
@@ -138,7 +150,7 @@ class TestEntropyWithError:
         machine = CausalMachine(0.9, 0.3)
         model = quantum_causal_states(machine)
         rng = make_rng(85)
-        counts = simulate_counts(mixture([0.25, 0.75], (model.ket0, model.ket1)),
+        counts = simulate_counts(mixture([0.25, 0.75], (model.r0, model.r1)),
                                  10_000, rng)
         result = entropy_with_error(counts, rng)
         ideal = quantum_complexity(machine)
@@ -204,7 +216,7 @@ class TestEstimatorBehaviour:
         # orthogonal logical states with equal weights: the simulated analogue
         # of the measured near-unity classical entropy
         rng = make_rng(88)
-        counts = simulate_counts(DensityMatrix(np.eye(2) / 2), 10_000, rng)
+        counts = simulate_counts(MIXED, 10_000, rng)
         result = entropy_with_error(counts, rng)
         assert abs(result.entropy - 1.0) <= 3 * max(result.entropy_std, 1e-4)
 
@@ -223,7 +235,7 @@ class TestEstimatorBehaviour:
 
     def test_exactly_pure_state_estimates_zero(self):
         # the one case with no room below: every |+> estimate is exactly 0
-        rho = Ket([np.sqrt(0.5), np.sqrt(0.5)]).projector()
+        rho = bloch(1.0, 0.0, 0.0)
         rng = make_rng(89)
         estimates = [entropy_with_error(simulate_counts(rho, 10_000, rng), rng).entropy
                      for _ in range(50)]
