@@ -40,6 +40,9 @@ CASES = {
     "readme-tomo": ["tomo", "--p", "0.8", "--steps", "100000", "--shots", "10000"],
     "asym-cu": ["asym", "--p-right", "0.9", "--p-left", "0.3", "--gate", "cu"],
     "asym-lambda": ["asym", "--p-right", "0.9", "--p-left", "0.3", "--lambda", "0.0375"],
+    # sweep's quantum column runs with the gate noise it is given
+    "sweep-lambda": ["sweep", "--p-min", "0.3", "--p-max", "0.5", "--p-step", "0.1",
+                     "--lambda", "0.0375", "--steps", "20000", "--shots", "10000"],
     # step counts that end 3 steps into an 8 192-step draw block
     "simulate-noisy-65539": ["simulate", *NOISY, "--steps", "65539"],
     "simulate-noisy-131075": ["simulate", *NOISY, "--steps", "131075"],
@@ -47,6 +50,10 @@ CASES = {
                                  "--steps", "65539"],
     "tomo-classical-131075": ["tomo", "--p", "0.8", "--mode", "classical",
                               "--steps", "131075"],
+    # p_right + p_left = 1: both states emit one law, so the classical memory
+    # costs 0 bits while its steady Bloch vector has radius 0.8
+    "tomo-classical-merged-131075": ["tomo", "--p-right", "0.9", "--p-left", "0.1",
+                                     "--mode", "classical", "--steps", "131075"],
     # p_right + p_left < 1: the band between the two emission laws keeps the state
     "simulate-persistent-65539": ["simulate", "--p", "0.2", "--mode", "classical",
                                   "--steps", "65539"],
