@@ -16,7 +16,6 @@ from .process import (
     stationary_distribution,
 )
 from .qmodel import (
-    QuantumModel,
     depolarized_complexity,
     quantum_causal_states,
     quantum_complexity,

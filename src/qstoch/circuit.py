@@ -63,6 +63,19 @@ def calibrate_noise(target_fidelity: float) -> float:
     return (1.0 - target_fidelity) / 0.8
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+
+
+def prepared_states(machine: CausalMachine, mode: str) -> tuple:
+    """The Bloch vectors a step prepares for state 0 and state 1: the
+    logical basis states in classical mode, the encoded causal states in
+    quantum mode."""
+    _check_mode(mode)
+    return LOGICAL if mode == "classical" else quantum_causal_states(machine)
+
+
 def sampled_machine(machine: CausalMachine, mode: str, lam: float = 0.0) -> CausalMachine:
     """The two-state chain a run of this circuit samples, mode and lam checked.
 
@@ -72,8 +85,7 @@ def sampled_machine(machine: CausalMachine, mode: str, lam: float = 0.0) -> Caus
     p_left = 1 - P(1|1), a share 16 lam / 15 of the way to 1/2 whichever gate
     the step uses; a share below 2 keeps the result in [0, 1].
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    _check_mode(mode)
     if not (0.0 <= lam <= 1.0):
         raise ValueError(f"lam must be in [0, 1], got {lam!r}")
     mix = 16.0 * lam / 15.0 if mode == "quantum" else 0.0
@@ -102,20 +114,14 @@ def run_trace(machine: CausalMachine, mode: str, n: int, rng: np.random.Generato
     """Sample n steps of the step circuit from a stationary start.
 
     Returns the memory ensemble: the Bloch vectors prepared for each state
-    (encoded causal states in quantum mode, logical basis states in
-    classical mode) and how many steps entered in state 1.  That ensemble
+    (prepared_states) and how many steps entered in state 1.  That ensemble
     is what tomography measures.
     Outputs are those of trace_blocks on sampled_machine(machine, mode,
     lam), one uniform per step.  The count is summed block by block, so
     memory stays bounded however large n is.
     """
     chain = sampled_machine(machine, mode, lam)
-    if mode == "classical":
-        vectors = LOGICAL
-    else:
-        model = quantum_causal_states(machine)
-        vectors = (model.r0, model.r1)
     # step j enters in the state step j - 1 emitted, step 0 in the start state
     ones = sum(entering + int(np.count_nonzero(bits[:-1]))
                for entering, bits in trace_blocks(chain, n, rng))
-    return RunResult(steps=n, ones=ones, vectors=vectors)
+    return RunResult(steps=n, ones=ones, vectors=prepared_states(machine, mode))

@@ -18,10 +18,11 @@ import sys
 from collections import namedtuple
 from contextlib import nullcontext
 
-from .circuit import GATES, MODES, calibrate_noise, run_trace, sampled_machine, trace_blocks
+from .circuit import (GATES, MODES, calibrate_noise, prepared_states, run_trace,
+                      sampled_machine, trace_blocks)
 from .process import CausalMachine, classical_complexity, stationary_distribution
-from .qmath import bloch, trace_distance
-from .qmodel import quantum_causal_states, quantum_complexity, steady_state_rho
+from .qmath import mixture, trace_distance
+from .qmodel import quantum_complexity
 from .seeding import BOOTSTRAP, COLUMNS, SHOTS, TRACE, make_rng
 from .stats import block_law_check, stream_block_counts
 from .tomo import (MAX_SHOTS, TomographyCounts, TomographyResult, ensemble_density,
@@ -148,6 +149,21 @@ def _with_error(cfg: ExperimentConfig, point: int, column: int) -> TomographyRes
                               make_rng(cfg.seed, point, column, BOOTSTRAP))
 
 
+def _complexity_columns(cfg: ExperimentConfig, point: int) -> dict:
+    """The theory and simulated complexity columns of cfg's machine, the
+    quantum run at cfg's gate noise, its streams keyed by point.  The
+    theory comes first, so a machine without a stationary law fails before
+    any trace is drawn."""
+    machine = cfg.machine()
+    columns = {"c_classical_theory": classical_complexity(machine),
+               "c_quantum_theory": quantum_complexity(machine)}
+    classical = _tomographed(cfg._replace(mode="classical"), point, COLUMNS["classical"])
+    quantum = _with_error(cfg, point, COLUMNS["quantum"])
+    columns.update(c_classical_sim=reconstructed_entropy(classical),
+                   c_quantum_sim=quantum.entropy, c_quantum_sim_std=quantum.entropy_std)
+    return columns
+
+
 def _grid_points(args) -> float:
     """Size of the sweep grid p_min + i p_step, i = 0, 1, ..., up to p_max
     (1e-12 slack): a float, so a vanishing step counts to inf, not an overflow."""
@@ -156,22 +172,13 @@ def _grid_points(args) -> float:
 
 def _sweep_point(index: int, cfg: ExperimentConfig) -> dict:
     p = cfg.p_right
-    row = {"p": p}
     if p == 0.0:
         # frozen chain: theory columns use the uniform-start convention for
         # the orthogonal encoding; one trajectory never leaves its initial
         # state, so simulated columns are undefined
-        row.update(c_classical_theory=1.0, c_quantum_theory=1.0,
-                   c_classical_sim=_NAN, c_quantum_sim=_NAN, c_quantum_sim_std=_NAN)
-        return row
-    machine = cfg.machine()
-    classical = _tomographed(cfg._replace(mode="classical"), index, COLUMNS["classical"])
-    quantum = _with_error(cfg, index, COLUMNS["quantum"])
-    row.update(c_classical_theory=classical_complexity(machine),
-               c_quantum_theory=quantum_complexity(machine),
-               c_classical_sim=reconstructed_entropy(classical),
-               c_quantum_sim=quantum.entropy, c_quantum_sim_std=quantum.entropy_std)
-    return row
+        return {"p": p, "c_classical_theory": 1.0, "c_quantum_theory": 1.0,
+                "c_classical_sim": _NAN, "c_quantum_sim": _NAN, "c_quantum_sim_std": _NAN}
+    return {"p": p, **_complexity_columns(cfg, index)}
 
 
 # ---------------------------------------------------------------------------
@@ -205,20 +212,13 @@ def cmd_asym(args) -> tuple:
     cfg = ExperimentConfig(p_right=args.p_right, p_left=args.p_left, gate=args.gate,
                            steps=args.steps, shots_per_basis=args.shots,
                            noise_lambda=args.noise_lambda, seed=args.seed)
-    machine = cfg.machine()
     # noise-on columns default to the Bell-fidelity-0.97 calibration
     lam = cfg.noise_lambda if cfg.noise_lambda > 0.0 else calibrate_noise(0.97)
 
     row = {"p_right": cfg.p_right, "p_left": cfg.p_left,
-           "c_classical_theory": classical_complexity(machine),
-           "c_quantum_theory": quantum_complexity(machine),
-           "noise_lambda": lam}
-    classical = _tomographed(cfg._replace(mode="classical"), 0, COLUMNS["classical"])
-    ideal = _with_error(cfg._replace(noise_lambda=0.0), 0, COLUMNS["quantum"])
+           **_complexity_columns(cfg._replace(noise_lambda=0.0), 0), "noise_lambda": lam}
     noisy = _with_error(cfg._replace(noise_lambda=lam), 0, COLUMNS["noisy"])
-    row.update(c_classical_sim=reconstructed_entropy(classical),
-               c_quantum_sim=ideal.entropy, c_quantum_sim_std=ideal.entropy_std,
-               c_quantum_noisy_sim=noisy.entropy, c_quantum_noisy_sim_std=noisy.entropy_std)
+    row.update(c_quantum_noisy_sim=noisy.entropy, c_quantum_noisy_sim_std=noisy.entropy_std)
     row.update(dict(ASYM_REFERENCE))
     return _settings(cfg, ("mode",)), [row], True
 
@@ -258,15 +258,11 @@ TOMO_HEADER = ["p_right", "p_left", "mode", "gate", "steps", "shots",
 def cmd_tomo(args) -> tuple:
     cfg = _config_from(args)._replace(shots_per_basis=args.shots)
     machine = cfg.machine()
+    # the theory first: a machine without a stationary law fails before any trace
+    complexity = quantum_complexity if cfg.mode == "quantum" else classical_complexity
+    ent_theory = complexity(machine)
+    r_theory = mixture(stationary_distribution(machine), prepared_states(machine, cfg.mode))
     result = _with_error(cfg, 0, COLUMNS[cfg.mode])
-
-    if cfg.mode == "quantum":
-        r_theory = steady_state_rho(quantum_causal_states(machine))
-        ent_theory = quantum_complexity(machine)
-    else:
-        w0, w1 = stationary_distribution(machine)
-        r_theory = bloch(0.0, 0.0, w0 - w1)
-        ent_theory = classical_complexity(machine)
 
     measured = result.raw.bloch_vector()
     r_hat = reconstruct_rho(result.raw)

@@ -15,8 +15,6 @@ the run path.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 ATOL_UNIT = 1e-12      # normalization / hermiticity tolerance
@@ -35,12 +33,11 @@ def bloch(x, y, z) -> np.ndarray:
     return r
 
 
-def bloch_radius(r) -> float:
-    """Length |r| of a Bloch vector (x, y, z): sqrt(x*x + y*y + z*z), summed
-    in that order, so it equals np.sqrt(np.sum(v * v, axis=0)) on the columns
-    of a (3, n) array bit for bit; not np.linalg.norm, a BLAS dot product."""
-    x, y, z = map(float, r)
-    return math.sqrt(x * x + y * y + z * z)
+def bloch_radius(r):
+    """Length |r| = sqrt(x*x + y*y + z*z) of a Bloch vector (x, y, z), or of
+    each column of a (3, n) array; not np.linalg.norm, a BLAS dot product."""
+    x, y, z = r
+    return np.sqrt(x * x + y * y + z * z)
 
 
 def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
@@ -95,8 +92,9 @@ def von_neumann_entropy(r) -> float:
 
 def fidelity(r, target) -> float:
     """State fidelity <t| rho |t> = (1 + r.t) / 2 with a pure target t."""
-    if abs(bloch_radius(target) - 1.0) > ATOL_UNIT:
-        raise ValueError(f"fidelity needs a pure target, got |t| = {bloch_radius(target)!r}")
+    radius = float(bloch_radius(target))
+    if abs(radius - 1.0) > ATOL_UNIT:
+        raise ValueError(f"fidelity needs a pure target, got |t| = {radius!r}")
     x, y, z = map(float, r)
     tx, ty, tz = map(float, target)
     return (1.0 + (x * tx + y * ty + z * tz)) / 2.0
@@ -104,7 +102,7 @@ def fidelity(r, target) -> float:
 
 def trace_distance(a, b) -> float:
     """Half the trace norm of rho_a - rho_b: |r_a - r_b| / 2."""
-    return bloch_radius(np.subtract(a, b)) / 2.0
+    return float(bloch_radius(np.subtract(a, b))) / 2.0
 
 
 def mixture(weights, vectors) -> np.ndarray:

@@ -2,11 +2,11 @@
 
 Each causal state s gets a real-amplitude ket: state 0 encodes its transition
 law as (a, b) = (sqrt(1 - p_right), sqrt(p_right)), state 1 as
-(sqrt(p_left), sqrt(1 - p_left)).  The model holds each ket as its Bloch
-vector (2ab, 0, a^2 - b^2).  The kets are generally non-orthogonal, which is
-what pushes the steady-state memory entropy below the classical stationary
-entropy.  Also synthesized here: the 2x2 qubit operators of the asymmetric
-circuit's controlled-u step.
+(sqrt(p_left), sqrt(1 - p_left)).  quantum_causal_states returns each ket
+as its Bloch vector (2ab, 0, a^2 - b^2).  The kets are generally
+non-orthogonal, which is what pushes the steady-state memory entropy below
+the classical stationary entropy.  Also synthesized here: the 2x2 qubit
+operators of the asymmetric circuit's controlled-u step.
 """
 
 from __future__ import annotations
@@ -24,15 +24,6 @@ SYNTH_TOL = 1e-12
 
 class SynthesisError(RuntimeError):
     """No Y-rotation maps ket0 onto ket1; cannot happen for a valid machine."""
-
-
-class QuantumModel(NamedTuple):
-    """Causal machine together with its encoded states and equilibrium law."""
-
-    machine: CausalMachine
-    r0: np.ndarray              # Bloch vector of state 0's ket
-    r1: np.ndarray              # Bloch vector of state 1's ket
-    stationary: tuple[float, float]
 
 
 class StepGates(NamedTuple):
@@ -54,21 +45,19 @@ def _amplitudes(machine: CausalMachine) -> tuple[tuple[float, float], ...]:
     return (np.sqrt(1.0 - pr), np.sqrt(pr)), (np.sqrt(pl), np.sqrt(1.0 - pl))
 
 
-def quantum_causal_states(machine: CausalMachine) -> QuantumModel:
-    """Encode both causal states as the Bloch vectors of their kets."""
-    r0, r1 = (qmath.bloch(2.0 * (a * b), 0.0, a * a - b * b) for a, b in _amplitudes(machine))
-    return QuantumModel(machine=machine, r0=r0, r1=r1,
-                        stationary=stationary_distribution(machine))
+def quantum_causal_states(machine: CausalMachine) -> tuple[np.ndarray, np.ndarray]:
+    """The Bloch vectors (r0, r1) of the kets encoding state 0 and state 1."""
+    return tuple(qmath.bloch(2.0 * (a * b), 0.0, a * a - b * b) for a, b in _amplitudes(machine))
 
 
-def steady_state_rho(model: QuantumModel) -> np.ndarray:
+def steady_state_rho(machine: CausalMachine) -> np.ndarray:
     """Bloch vector of the memory averaged over the equilibrium causal-state law."""
-    return qmath.mixture(model.stationary, (model.r0, model.r1))
+    return qmath.mixture(stationary_distribution(machine), quantum_causal_states(machine))
 
 
 def quantum_complexity(machine: CausalMachine) -> float:
     """Entropy (bits) of the steady-state memory; never exceeds the classical cost."""
-    return qmath.von_neumann_entropy(steady_state_rho(quantum_causal_states(machine)))
+    return qmath.von_neumann_entropy(steady_state_rho(machine))
 
 
 def depolarized_complexity(machine: CausalMachine, eps: float) -> float:
@@ -77,7 +66,7 @@ def depolarized_complexity(machine: CausalMachine, eps: float) -> float:
     entropy h((1 + (1 - eps)|r|) / 2), quantum_complexity at eps = 0."""
     if not (0.0 <= eps <= 1.0):
         raise ValueError(f"eps must be in [0, 1], got {eps!r}")
-    r = steady_state_rho(quantum_causal_states(machine))
+    r = steady_state_rho(machine)
     return float(qmath.qubit_entropy((1.0 - eps) * qmath.bloch_radius(r)))
 
 
@@ -92,8 +81,7 @@ def construct_cu(machine: CausalMachine) -> StepGates:
     (it lies in [0, pi) whenever p_right >= p_left).  In the symmetric case
     theta = 0, so v is the identity and u the plain bit flip.
     """
-    model = quantum_causal_states(machine)
-    theta = (sum(np.arctan2(r[0], r[2]) for r in (model.r0, model.r1)) - np.pi) / 2.0
+    theta = (sum(np.arctan2(r[0], r[2]) for r in quantum_causal_states(machine)) - np.pi) / 2.0
     theta %= 2.0 * np.pi
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
     v = np.array([[c, -s], [s, c]], dtype=complex)    # |0> -> cos(t/2)|0> + sin(t/2)|1>

@@ -9,6 +9,7 @@ observed rates, one standard deviation.
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 
 import numpy as np
@@ -25,22 +26,23 @@ def _check_shots(shots_per_basis: int) -> None:
                          f"got {shots_per_basis!r}")
 
 
-class TomographyCounts(namedtuple("TomographyCounts", "shots_per_basis x y z")):
-    """(plus, minus) outcome counts for each Pauli measurement basis."""
+class TomographyCounts(namedtuple("TomographyCounts", "shots_per_basis plus")):
+    """+1 outcome counts of the x, y and z Pauli measurements, each basis
+    measured shots_per_basis times; a basis's -1 count is the rest."""
 
     __slots__ = ()
 
-    def __new__(cls, shots_per_basis: int, x: tuple, y: tuple, z: tuple):
+    def __new__(cls, shots_per_basis: int, plus: tuple):
         _check_shots(shots_per_basis)
-        for name, (plus, minus) in zip("xyz", (x, y, z)):
-            if plus < 0 or minus < 0 or plus + minus != shots_per_basis:
-                raise ValueError(f"{name} counts {(plus, minus)!r} do not total "
-                                 f"{shots_per_basis}")
-        return super().__new__(cls, shots_per_basis, x, y, z)
+        plus = tuple(map(operator.index, plus))
+        if len(plus) != 3 or not all(0 <= k <= shots_per_basis for k in plus):
+            raise ValueError(f"+1 counts {plus!r} are not three counts in "
+                             f"[0, {shots_per_basis}]")
+        return super().__new__(cls, shots_per_basis, plus)
 
     def bloch_vector(self) -> np.ndarray:
         n = self.shots_per_basis
-        return np.array([(p - m) / n for p, m in (self.x, self.y, self.z)])
+        return np.array([(2 * k - n) / n for k in self.plus])
 
 
 class TomographyResult(namedtuple("TomographyResult", "entropy entropy_std raw")):
@@ -68,13 +70,9 @@ def simulate_counts(r, shots_per_basis: int, rng: np.random.Generator) -> Tomogr
     r = np.asarray(r, dtype=float)
     if r.shape != (3,):
         raise ValueError(f"a Bloch vector has shape (3,), got {r.shape}")
-    pairs = []
-    for c in r:
-        p_plus = min(max((1.0 + c) / 2.0, 0.0), 1.0)
-        plus = int(rng.binomial(shots_per_basis, p_plus))
-        pairs.append((plus, shots_per_basis - plus))
-    return TomographyCounts(shots_per_basis=shots_per_basis,
-                            x=pairs[0], y=pairs[1], z=pairs[2])
+    plus = [int(rng.binomial(shots_per_basis, min(max((1.0 + c) / 2.0, 0.0), 1.0)))
+            for c in r]
+    return TomographyCounts(shots_per_basis, plus)
 
 
 def reconstruct_rho(counts: TomographyCounts) -> np.ndarray:
@@ -111,8 +109,8 @@ def entropy_with_error(counts: TomographyCounts, rng: np.random.Generator,
     entropy = reconstructed_entropy(counts)
 
     n = counts.shots_per_basis
-    rates = np.array([plus / n for plus, _ in (counts.x, counts.y, counts.z)])
+    rates = np.array([k / n for k in counts.plus])
     plus = rng.binomial(n, rates[:, np.newaxis], size=(3, bootstrap_rounds))
     r = (2 * plus - n) / n                                  # one Bloch vector per column
-    boot = qmath.qubit_entropy(np.sqrt(np.sum(r * r, axis=0)))
+    boot = qmath.qubit_entropy(qmath.bloch_radius(r))
     return TomographyResult(entropy=entropy, entropy_std=float(boot.std(ddof=1)), raw=counts)

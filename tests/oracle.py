@@ -150,7 +150,7 @@ def matrix_fidelity(rho: DensityMatrix, target: Ket) -> float:
 
 class KetModel(NamedTuple):
     """A machine's causal states encoded as kets, with its equilibrium law:
-    what qmodel.QuantumModel holds as Bloch vectors."""
+    the kets whose Bloch vectors qmodel.quantum_causal_states returns."""
 
     machine: CausalMachine
     ket0: Ket

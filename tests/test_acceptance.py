@@ -13,7 +13,7 @@ from qstoch.circuit import calibrate_noise, run_trace
 from qstoch.cli import main
 from qstoch.process import CausalMachine, block_distribution, classical_complexity, excess_entropy
 from qstoch.qmath import trace_distance
-from qstoch.qmodel import construct_cu, quantum_causal_states, quantum_complexity, steady_state_rho
+from qstoch.qmodel import construct_cu, quantum_complexity, steady_state_rho
 from qstoch.seeding import make_rng
 from qstoch.stats import block_law_check
 from qstoch.tomo import ensemble_density, entropy_with_error, reconstruct_rho, simulate_counts
@@ -75,7 +75,7 @@ def test_criterion_02_quantum_curve():
     spot = quantum_complexity(CausalMachine(0.8, 0.8))
     assert abs(spot - 0.4690) <= 1e-4
     # independent eigensolver route for the spot value
-    rho = density(steady_state_rho(quantum_causal_states(CausalMachine(0.8, 0.8)))).entries
+    rho = density(steady_state_rho(CausalMachine(0.8, 0.8))).entries
     assert abs(spot - spectrum_entropy(np.linalg.eigvalsh(rho))) < 1e-9
 
 
@@ -104,7 +104,7 @@ def test_criterion_04_asymmetric_point():
     machine = CausalMachine(0.9, 0.3)
     assert abs(classical_complexity(machine) - 0.8113) <= 0.0005
     value = quantum_complexity(machine)
-    rho = density(steady_state_rho(quantum_causal_states(machine))).entries
+    rho = density(steady_state_rho(machine)).entries
     oracle = spectrum_entropy(np.linalg.eigvalsh(rho))
     assert abs(value - oracle) < 1e-9
     print(f"  quantum_complexity(0.9, 0.3) = {value:.6f}; "
@@ -114,7 +114,7 @@ def test_criterion_04_asymmetric_point():
 
 @criterion(5, "steady-state matrix reproduced exactly and by tomography")
 def test_criterion_05_steady_state_matrix():
-    rho = steady_state_rho(quantum_causal_states(CausalMachine(0.8, 0.8)))
+    rho = steady_state_rho(CausalMachine(0.8, 0.8))
     np.testing.assert_allclose(density(rho).entries, [[0.5, 0.4], [0.4, 0.5]], atol=1e-12)
     hits = 0
     for trial in range(100):

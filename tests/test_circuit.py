@@ -295,9 +295,8 @@ class TestRunTrace:
 
     def test_noiseless_ensemble_holds_encoded_states(self):
         machine = CausalMachine(0.9, 0.3)
-        model = quantum_causal_states(machine)
         run = run_trace(machine, "quantum", 5000, make_rng(77))
-        for got, encoded in zip(run.vectors, (model.r0, model.r1)):
+        for got, encoded in zip(run.vectors, quantum_causal_states(machine)):
             np.testing.assert_array_equal(got, encoded)
         # encoded state of step j is the output bit of step j-1, and step 0
         # enters in the single start state

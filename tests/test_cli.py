@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qstoch import cli
+from qstoch import circuit, cli
 from qstoch.cli import ExperimentConfig, main
 from qstoch.seeding import make_rng
 from qstoch.tomo import TomographyCounts, TomographyResult, reconstruct_rho
@@ -268,8 +268,8 @@ class TestTomoCommand:
         assert first == second
 
     @pytest.mark.parametrize("counts", [
-        TomographyCounts(100, x=(90, 10), y=(50, 50), z=(30, 70)),
-        TomographyCounts(10, x=(10, 0), y=(0, 10), z=(10, 0)),
+        TomographyCounts(100, (90, 50, 30)),
+        TomographyCounts(10, (10, 0, 10)),
     ], ids=["inside", "projected"])
     def test_matrix_columns_are_the_oracle_matrix(self, monkeypatch, tmp_path, counts):
         # rho00, Re rho01, Im rho01 and rho11 of (I + r.sigma) / 2 for the
@@ -291,6 +291,30 @@ class TestTomoCommand:
         assert code == 1
         assert payload.decode() == ("# qstoch tomo seed=42\n" + ",".join(cli.TOMO_HEADER)
                                     + "\n" + ",".join(["0"] * len(cli.TOMO_HEADER)) + "\n")
+
+
+class TestMachineWithoutStationaryLaw:
+    """p_right = p_left = 0 has no stationary law, so no theory column."""
+
+    @pytest.mark.parametrize("args", [
+        ["tomo", "--p", "0", "--lambda", "0.1"],
+        ["asym", "--p-right", "0", "--p-left", "0", "--lambda", "0.1"],
+    ], ids=["tomo", "asym"])
+    def test_theory_refuses_it_before_any_trace(self, monkeypatch, capsys, tmp_path, args):
+        # gate noise makes the sampled chain ergodic, so the trace alone
+        # would run: the theory, computed first, is what refuses the machine
+        monkeypatch.setattr(circuit, "trace_blocks", refusing("a trace"))
+        out = tmp_path / "frozen.csv"
+        assert main(args + ["--steps", "2000", "--shots", "100", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("qstoch: error: p_right = p_left = 0: "
+                                           "stationary distribution is not unique\n")
+        assert not out.exists()
+
+    def test_simulate_checks_the_noisy_chain(self, tmp_path):
+        # simulate has no theory column: it checks the chain it samples,
+        # which gate noise makes ergodic, and passes
+        args = ["simulate", "--p", "0", "--lambda", "0.1", "--steps", "2000"]
+        assert run_cli(args, tmp_path, "frozen.csv")[0] == 0
 
 
 def stream_key(rng):
@@ -502,6 +526,14 @@ class TestLayout:
         assert "qmath" in layers
         sites = set().union(*(name_sites(layer, TWO_QUBIT_KERNELS) for layer in layers))
         assert sites == {("qmath", "eig_hermitian", "eigh")}
+
+    def test_memory_facts_have_one_owner(self):
+        # circuit alone picks the vectors a mode prepares, and tomo takes
+        # every Bloch radius from qmath.bloch_radius
+        layers = [path.stem for path in Path(cli.__file__).parent.glob("*.py")]
+        logical = set().union(*(name_sites(layer, {"LOGICAL"}) for layer in layers))
+        assert {layer for layer, _, _ in logical} == {"circuit"}
+        assert name_sites("tomo", {"sqrt", "hypot", "norm"}) == set()
 
     def test_states_are_real_vectors(self):
         # every qubit state is a Bloch vector: the two gate and eigenvector

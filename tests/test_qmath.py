@@ -22,6 +22,7 @@ from qstoch.qmath import (
     trace_distance,
     von_neumann_entropy,
 )
+from qstoch.seeding import make_rng
 
 from oracle import (
     KET0,
@@ -218,6 +219,11 @@ class TestBlochRadius:
         r = bloch_vector(DensityMatrix(0.5 * (np.eye(2) + sign * pauli)))
         assert bloch_radius(r) == 1.0
         assert von_neumann_entropy(r) == 0.0
+
+    def test_columns_take_each_vector_radius(self):
+        # the bootstrap takes every round's radius at once, as a (3, n) array
+        cols = make_rng(3).uniform(-0.6, 0.6, size=(3, 500))
+        assert bloch_radius(cols).tolist() == [float(bloch_radius(c)) for c in cols.T]
 
 
 class TestClosedFormEigenvalues:

@@ -46,71 +46,68 @@ def eigen_oracle(machine):
     return entropy_of_spectrum(np.linalg.eigvalsh(rho))
 
 
-def overlap_sq(model):
+def overlap_sq(machine):
     """|<ket0|ket1>|^2 = (1 + r0.r1) / 2 of the encoded states."""
-    return (1.0 + float(np.sum(model.r0 * model.r1))) / 2.0
+    r0, r1 = quantum_causal_states(machine)
+    return (1.0 + float(np.sum(r0 * r1))) / 2.0
 
 
 class TestQuantumCausalStates:
     def test_orthogonal_limit(self):
-        model = quantum_causal_states(CausalMachine(0.0, 0.3))
-        np.testing.assert_array_equal(model.r0, [0, 0, 1])
-        model = quantum_causal_states(CausalMachine(1.0, 1.0))
-        np.testing.assert_array_equal(model.r0, [0, 0, -1])
-        np.testing.assert_array_equal(model.r1, [0, 0, 1])
+        r0, _ = quantum_causal_states(CausalMachine(0.0, 0.3))
+        np.testing.assert_array_equal(r0, [0, 0, 1])
+        r0, r1 = quantum_causal_states(CausalMachine(1.0, 1.0))
+        np.testing.assert_array_equal(r0, [0, 0, -1])
+        np.testing.assert_array_equal(r1, [0, 0, 1])
 
     def test_fair_coin_states_coincide(self):
-        model = quantum_causal_states(CausalMachine(0.5, 0.5))
-        np.testing.assert_allclose(model.r0, [1, 0, 0], rtol=0, atol=1e-15)
-        np.testing.assert_array_equal(model.r1, model.r0)
+        r0, r1 = quantum_causal_states(CausalMachine(0.5, 0.5))
+        np.testing.assert_allclose(r0, [1, 0, 0], rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(r1, r0)
 
     def test_asymmetric_amplitudes(self):
         # (2ab, 0, a^2 - b^2) of the kets (sqrt 0.1, sqrt 0.9) and (sqrt 0.3, sqrt 0.7)
-        model = quantum_causal_states(CausalMachine(0.9, 0.3))
-        np.testing.assert_allclose(model.r0, [0.6, 0, -0.8], rtol=0, atol=1e-15)
-        np.testing.assert_allclose(model.r1, [2 * np.sqrt(0.21), 0, -0.4], rtol=0, atol=1e-15)
-        assert model.stationary == pytest.approx((0.25, 0.75), abs=1e-15)
+        r0, r1 = quantum_causal_states(CausalMachine(0.9, 0.3))
+        np.testing.assert_allclose(r0, [0.6, 0, -0.8], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(r1, [2 * np.sqrt(0.21), 0, -0.4], rtol=0, atol=1e-15)
 
     def test_vectors_are_read_only_unit_vectors(self):
         for pr in np.linspace(0.0, 1.0, 11):
-            model = quantum_causal_states(CausalMachine(pr, 0.3))
-            for r in (model.r0, model.r1):
+            for r in quantum_causal_states(CausalMachine(pr, 0.3)):
                 assert r.shape == (3,) and not r.flags.writeable
                 assert float(np.sum(r * r)) == pytest.approx(1.0, abs=1e-15)
 
     def test_overlap_formula_on_grid(self):
         for pr in np.linspace(0.05, 0.95, 10):
             for pl in np.linspace(0.05, 0.95, 10):
-                model = quantum_causal_states(CausalMachine(pr, pl))
                 want = np.sqrt((1 - pr) * pl) + np.sqrt(pr * (1 - pl))
-                assert overlap_sq(model) == pytest.approx(want ** 2, abs=1e-12)
+                assert overlap_sq(CausalMachine(pr, pl)) == pytest.approx(want ** 2, abs=1e-12)
 
     def test_symmetric_overlap_matches_coherence(self):
         for p in np.linspace(0.05, 0.95, 19):
-            model = quantum_causal_states(CausalMachine(p, p))
-            assert overlap_sq(model) == pytest.approx(4.0 * p * (1 - p), abs=1e-12)
+            assert overlap_sq(CausalMachine(p, p)) == pytest.approx(4.0 * p * (1 - p), abs=1e-12)
 
 
 class TestSteadyStateRho:
     def test_symmetric_benchmark_matrix(self):
-        rho = density(steady_state_rho(quantum_causal_states(CausalMachine(0.8, 0.8))))
+        rho = density(steady_state_rho(CausalMachine(0.8, 0.8)))
         np.testing.assert_allclose(rho.entries, [[0.5, 0.4], [0.4, 0.5]], atol=1e-12)
 
     def test_symmetric_closed_form_entries_on_grid(self):
         for p in np.linspace(0.05, 0.95, 19):
-            rho = density(steady_state_rho(quantum_causal_states(CausalMachine(p, p))))
+            rho = density(steady_state_rho(CausalMachine(p, p)))
             coherence = np.sqrt(p * (1 - p))
             np.testing.assert_allclose(rho.entries,
                                        [[0.5, coherence], [coherence, 0.5]], atol=1e-12)
 
     def test_fair_coin_is_pure(self):
-        rho = density(steady_state_rho(quantum_causal_states(CausalMachine(0.5, 0.5))))
+        rho = density(steady_state_rho(CausalMachine(0.5, 0.5)))
         plus = np.array([1, 1]) / np.sqrt(2)
         np.testing.assert_allclose(rho.entries, np.outer(plus, plus), atol=1e-15)
 
     def test_asymmetric_weighted_outer_products(self):
         machine = CausalMachine(0.9, 0.3)
-        r = steady_state_rho(quantum_causal_states(machine))
+        r = steady_state_rho(machine)
         model = ket_model(machine)
         k0, k1 = model.ket0.amplitudes, model.ket1.amplitudes
         direct = 0.25 * np.outer(k0, k0.conj()) + 0.75 * np.outer(k1, k1.conj())
@@ -144,8 +141,8 @@ class TestQuantumComplexity:
     def test_equal_weight_mixture_rounds_to_published_figure(self):
         # a hypothesis for the published 0.12 at (0.9, 0.3): the two encoded
         # kets mixed with equal weights, not the stationary (0.25, 0.75)
-        model = quantum_causal_states(CausalMachine(0.9, 0.3))
-        value = von_neumann_entropy(mixture([0.5, 0.5], (model.r0, model.r1)))
+        encoded = quantum_causal_states(CausalMachine(0.9, 0.3))
+        value = von_neumann_entropy(mixture([0.5, 0.5], encoded))
         assert value == pytest.approx(0.12151, abs=5e-6)
         assert round(value, 2) == 0.12
 
@@ -197,6 +194,47 @@ class TestQuantumComplexity:
             jumps[step] = max(abs(b - a) for a, b in zip(vals, vals[1:]))
         assert jumps[1e-3] < jumps[1e-2]
         assert jumps[1e-4] < jumps[1e-3]
+
+
+# the 41 x 41 grid of machines but (0, 0), which has no stationary law
+GRID = [(pr, pl) for pr in np.round(np.linspace(0.0, 1.0, 41), 10)
+        for pl in np.round(np.linspace(0.0, 1.0, 41), 10) if (pr, pl) != (0.0, 0.0)]
+
+
+def binary_entropy(q):
+    return -sum(v * np.log2(v) for v in (q, 1.0 - q) if v > 0.0)
+
+
+class TestClosedForm:
+    """The two kets overlap by c = sqrt((1 - p_right) p_left) + sqrt(p_right
+    (1 - p_left)), the Bhattacharyya coefficient of the two states' output
+    laws, so their stationary mixture has Bloch radius |r| = sqrt(1 - 4 w0 w1
+    (1 - c^2)) = sqrt((w0 - w1)^2 + 4 w0 w1 c^2) and C_q = h((1 + |r|) / 2).
+    The classical cost is h(w0) = h((1 + |w0 - w1|) / 2), so C_q < C unless
+    w0 w1 = 0 or c = 0, or the two states merge."""
+
+    def test_quantum_complexity_is_the_closed_form(self):
+        for pr, pl in GRID:
+            w0, w1 = pl / (pr + pl), pr / (pr + pl)
+            c = np.sqrt((1.0 - pr) * pl) + np.sqrt(pr * (1.0 - pl))
+            radius = np.sqrt(max(0.0, 1.0 - 4.0 * w0 * w1 * (1.0 - c * c)))
+            want = binary_entropy((1.0 + radius) / 2.0)
+            assert abs(quantum_complexity(CausalMachine(pr, pl)) - want) <= 1e-14, (pr, pl)
+
+    def test_strict_advantage_but_in_the_equality_cases(self):
+        # equality: an absorbing state (w0 w1 = 0, both costs 0), the
+        # orthogonal corner (1, 1) (c = 0, both costs 1), and the merged
+        # line p_right + p_left = 1, where C = 0 by convention and C_q = 0
+        equal = 0
+        for pr, pl in GRID:
+            machine = CausalMachine(pr, pl)
+            cq, cc = quantum_complexity(machine), classical_complexity(machine)
+            if pr == 0.0 or pl == 0.0 or pr == pl == 1.0 or abs(pr + pl - 1.0) < 1e-9:
+                assert cq == cc, (pr, pl)
+                equal += 1
+            else:
+                assert cq < cc, (pr, pl)
+        assert equal == 80 + 1 + 41 - 2      # the edges, the corner, the line less (0, 1), (1, 0)
 
 
 class TestDepolarizedComplexity:
@@ -298,21 +336,21 @@ def test_vectors_equal_the_oracle_matrix_route(probs):
     """Each Bloch vector, and the entropy, trace distance and fidelity read
     from them, equals what the oracle's kets and density matrices give."""
     machine = CausalMachine(*probs)
-    model, kets = quantum_causal_states(machine), ket_model(machine)
+    (r0, r1), kets = quantum_causal_states(machine), ket_model(machine)
 
     def near(got, want):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
-    near(model.r0, bloch_vector(kets.ket0.projector()))
-    near(model.r1, bloch_vector(kets.ket1.projector()))
-    r, rho = steady_state_rho(model), steady_density(kets)
+    near(r0, bloch_vector(kets.ket0.projector()))
+    near(r1, bloch_vector(kets.ket1.projector()))
+    r, rho = steady_state_rho(machine), steady_density(kets)
     near(r, bloch_vector(rho))
     run = run_trace(machine, "quantum", 1000, make_rng(0))
     weights = ((run.steps - run.ones) / run.steps, run.ones / run.steps)
     near(ensemble_density(run), bloch_vector(ket_mixture(weights, (kets.ket0, kets.ket1))))
     near(von_neumann_entropy(r), matrix_entropy(rho))
-    near(trace_distance(model.r0, r), matrix_trace_distance(kets.ket0.projector(), rho))
-    near(fidelity(r, model.r0), matrix_fidelity(rho, kets.ket0))
+    near(trace_distance(r0, r), matrix_trace_distance(kets.ket0.projector(), rho))
+    near(fidelity(r, r0), matrix_fidelity(rho, kets.ket0))
 
 
 PROB = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))

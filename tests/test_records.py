@@ -13,12 +13,12 @@ from qstoch.stats import block_law_check
 from qstoch.tomo import TomographyCounts, TomographyResult, ensemble_density, reconstruct_rho
 
 MACHINE = CausalMachine(0.9, 0.3)
-COUNTS = TomographyCounts(10, (5, 5), (4, 6), (10, 0))
+COUNTS = TomographyCounts(10, (5, 4, 10))
 CONFIG = ExperimentConfig(p_right=0.8, p_left=0.8)
 
 BAD_RECORDS = {
     "CausalMachine": lambda: CausalMachine(1.5, 0.3),
-    "TomographyCounts": lambda: TomographyCounts(10, (5, 5), (5, 4), (10, 0)),
+    "TomographyCounts": lambda: TomographyCounts(10, (5, 11, 10)),
     "TomographyResult": lambda: TomographyResult(1.5, 0.0, COUNTS),
     "ExperimentConfig": lambda: ExperimentConfig(p_right=1.5, p_left=0.8),
 }
@@ -27,7 +27,7 @@ BAD_RECORDS = {
 def all_records():
     """One valid instance of every record type."""
     counts = np.round(1000 * block_distribution(MACHINE, 2)).astype(np.int64)
-    return [MACHINE, quantum_causal_states(MACHINE), construct_cu(MACHINE),
+    return [MACHINE, construct_cu(MACHINE),
             run_trace(MACHINE, "quantum", 10, make_rng(0)),
             COUNTS, TomographyResult(1.0, 0.0, COUNTS),
             block_law_check(MACHINE, counts), CONFIG]
@@ -72,10 +72,9 @@ def test_records_are_immutable(record):
 
 def state_vectors():
     """Every kind of Bloch vector the library hands out, by where it comes from."""
-    model = quantum_causal_states(MACHINE)
     quantum, classical = (run_trace(MACHINE, mode, 10, make_rng(0))
                           for mode in ("quantum", "classical"))
-    return {"encoded": model.r1, "steady": steady_state_rho(model),
+    return {"encoded": quantum_causal_states(MACHINE)[1], "steady": steady_state_rho(MACHINE),
             "run": quantum.vectors[0], "logical": classical.vectors[1],
             "ensemble": ensemble_density(quantum), "reconstructed": reconstruct_rho(COUNTS)}
 

@@ -26,11 +26,7 @@ ZERO = bloch(0.0, 0.0, 1.0)
 
 def exact_counts(r, shots):
     """Counts at the rounded exact rates, bypassing sampling."""
-    pairs = []
-    for val in r:
-        plus = round(shots * (1 + val) / 2)
-        pairs.append((plus, shots - plus))
-    return TomographyCounts(shots_per_basis=shots, x=pairs[0], y=pairs[1], z=pairs[2])
+    return TomographyCounts(shots, [round(shots * (1 + val) / 2) for val in r])
 
 
 class TestSimulateCounts:
@@ -39,25 +35,22 @@ class TestSimulateCounts:
         shots = 10_000
         counts = simulate_counts(MIXED, shots, rng)
         sigma = np.sqrt(shots * 0.25)
-        for plus, minus in (counts.x, counts.y, counts.z):
+        for plus in counts.plus:
             assert abs(plus - shots / 2) < 4 * sigma
-            assert plus + minus == shots
 
     def test_equal_mixture_coherence_shows_in_x(self):
         machine = CausalMachine(0.8, 0.8)
-        model = quantum_causal_states(machine)
         rng = make_rng(82)
         shots = 10_000
-        counts = simulate_counts(mixture([0.5, 0.5], [model.r0, model.r1]), shots, rng)
-        rx = (counts.x[0] - counts.x[1]) / shots
-        rz = (counts.z[0] - counts.z[1]) / shots
+        counts = simulate_counts(mixture([0.5, 0.5], quantum_causal_states(machine)), shots, rng)
+        rx, _, rz = counts.bloch_vector()
         assert abs(rx - 0.8) < 4 * np.sqrt((1 - 0.64) / shots)
         assert abs(rz) < 4 * np.sqrt(1.0 / shots)
 
     def test_pure_logical_state_deterministic_z(self):
         rng = make_rng(83)
         counts = simulate_counts(ZERO, 10_000, rng)
-        assert counts.z == (10_000, 0)
+        assert counts.plus[2] == 10_000
 
     def test_only_a_bloch_vector_accepted(self):
         # a density matrix, two vectors or an empty list is not one state
@@ -69,13 +62,13 @@ class TestSimulateCounts:
         # numpy's binomial takes n up to 2**63 - 1 and overflows past it
         with pytest.raises(ValueError, match="shots_per_basis"):
             simulate_counts(MIXED, MAX_SHOTS + 1, make_rng(0))
-        assert sum(simulate_counts(MIXED, MAX_SHOTS, make_rng(0)).z) == MAX_SHOTS
+        assert simulate_counts(MIXED, MAX_SHOTS, make_rng(0)).shots_per_basis == MAX_SHOTS
 
     def test_counts_past_binomial_range_rejected(self):
         n = MAX_SHOTS + 1
         with pytest.raises(ValueError, match="shots_per_basis"):
-            TomographyCounts(n, (n, 0), (n, 0), (n, 0))
-        assert TomographyCounts(MAX_SHOTS, *[(MAX_SHOTS, 0)] * 3).shots_per_basis == MAX_SHOTS
+            TomographyCounts(n, (n, n, n))
+        assert TomographyCounts(MAX_SHOTS, [MAX_SHOTS] * 3).shots_per_basis == MAX_SHOTS
 
     def test_empty_ensemble_rejected(self):
         with pytest.raises(ValueError):
@@ -83,9 +76,8 @@ class TestSimulateCounts:
 
     def test_weighted_ensemble_form(self):
         machine = CausalMachine(0.9, 0.3)
-        model = quantum_causal_states(machine)
-        run = RunResult(steps=4000, ones=3000, vectors=(model.r0, model.r1))
-        np.testing.assert_array_equal(ensemble_density(run), steady_state_rho(model))
+        run = RunResult(steps=4000, ones=3000, vectors=quantum_causal_states(machine))
+        np.testing.assert_array_equal(ensemble_density(run), steady_state_rho(machine))
 
     @pytest.mark.parametrize("mode", ["classical", "quantum"])
     def test_ensemble_of_a_run_equals_ket_mixture(self, mode):
@@ -102,11 +94,11 @@ class TestSimulateCounts:
 
 class TestReconstructRho:
     def test_balanced_counts_give_maximally_mixed(self):
-        counts = TomographyCounts(100, x=(50, 50), y=(50, 50), z=(50, 50))
+        counts = TomographyCounts(100, (50, 50, 50))
         np.testing.assert_array_equal(reconstruct_rho(counts), MIXED)
 
     def test_exact_rate_limit_recovers_benchmark_matrix(self):
-        r = steady_state_rho(quantum_causal_states(CausalMachine(0.8, 0.8)))
+        r = steady_state_rho(CausalMachine(0.8, 0.8))
         counts = exact_counts(r, 10_000_000)
         np.testing.assert_allclose(density(reconstruct_rho(counts)).entries,
                                    [[0.5, 0.4], [0.4, 0.5]], atol=1e-6)
@@ -114,7 +106,7 @@ class TestReconstructRho:
     def test_bloch_vector_projected_radially(self):
         # two near-extreme axes push |r| above 1; the hand-applied rule is
         # radial scaling onto the unit sphere
-        counts = TomographyCounts(100, x=(98, 2), y=(50, 50), z=(75, 25))
+        counts = TomographyCounts(100, (98, 50, 75))
         r = np.array([0.96, 0.0, 0.5])
         expected = r / np.linalg.norm(r)
         got = reconstruct_rho(counts)
@@ -124,33 +116,45 @@ class TestReconstructRho:
 
     def test_adversarial_counts_stay_physical(self):
         cases = [
-            TomographyCounts(10, x=(10, 0), y=(10, 0), z=(10, 0)),
-            TomographyCounts(10, x=(0, 10), y=(0, 10), z=(0, 10)),
-            TomographyCounts(1, x=(1, 0), y=(0, 1), z=(1, 0)),
+            TomographyCounts(10, (10, 10, 10)),
+            TomographyCounts(10, (0, 0, 0)),
+            TomographyCounts(1, (1, 0, 1)),
         ]
         for counts in cases:
             r = reconstruct_rho(counts)
             density(r)                           # the oracle's constructor checks rho
             assert 0.0 <= von_neumann_entropy(r) <= 1.0
 
-    def test_counts_validated(self):
-        with pytest.raises(ValueError):
-            TomographyCounts(100, x=(60, 30), y=(50, 50), z=(50, 50))
+    @pytest.mark.parametrize("plus", [(101, 50, 50), (-1, 50, 50), (50, 50), (50, 50, 50, 50)])
+    def test_counts_validated(self, plus):
+        with pytest.raises(ValueError, match="three counts"):
+            TomographyCounts(100, plus)
+
+    def test_non_integer_counts_rejected(self):
+        with pytest.raises(TypeError):
+            TomographyCounts(100, (50.0, 50, 50))
+
+    def test_bloch_vector_is_exact_in_python_ints(self):
+        # (2k - n) / n of Python ints, so a count as large as numpy's binomial
+        # takes does not overflow, and numpy integer counts read the same
+        n = MAX_SHOTS
+        counts = TomographyCounts(n, (np.int64(n), np.int64(0), np.int64(n // 2)))
+        assert all(type(k) is int for k in counts.plus)
+        assert counts.bloch_vector().tolist() == [1.0, -1.0, (2 * (n // 2) - n) / n]
+        assert TomographyCounts(100, (98, 50, 75)).bloch_vector().tolist() == [0.96, 0.0, 0.5]
 
 
 class TestEntropyWithError:
     def test_maximally_mixed_counts(self):
-        counts = TomographyCounts(10_000, x=(5000, 5000), y=(5000, 5000),
-                                  z=(5000, 5000))
+        counts = TomographyCounts(10_000, (5000, 5000, 5000))
         result = entropy_with_error(counts, make_rng(84))
         assert result.entropy == pytest.approx(1.0, abs=1e-12)
         assert result.entropy_std < 0.01
 
     def test_asymmetric_ensemble_matches_model_entropy(self):
         machine = CausalMachine(0.9, 0.3)
-        model = quantum_causal_states(machine)
         rng = make_rng(85)
-        counts = simulate_counts(mixture([0.25, 0.75], (model.r0, model.r1)),
+        counts = simulate_counts(mixture([0.25, 0.75], quantum_causal_states(machine)),
                                  10_000, rng)
         result = entropy_with_error(counts, rng)
         ideal = quantum_complexity(machine)
@@ -161,7 +165,7 @@ class TestEntropyWithError:
     def test_projected_pure_counts_read_zero(self):
         # |r| = sqrt(3) projects onto the sphere: a pure state, entropy 0
         # exactly, not eigensolver dust
-        counts = TomographyCounts(10, x=(10, 0), y=(10, 0), z=(10, 0))
+        counts = TomographyCounts(10, (10, 10, 10))
         assert entropy_with_error(counts, make_rng(0)).entropy == 0.0
 
     @pytest.mark.parametrize("plus", [(9000, 5000, 5000), (10_000, 5000, 5000),
@@ -169,27 +173,27 @@ class TestEntropyWithError:
                                       (5000, 5000, 5000), (9900, 100, 5000)])
     def test_bootstrap_equals_per_round_reconstruction(self, plus):
         shots, rounds = 10_000, 200
-        counts = TomographyCounts(shots, *[(k, shots - k) for k in plus])
+        counts = TomographyCounts(shots, plus)
         # per-round reference: the same binomial draws, then one full
         # reconstruction and eigen-entropy per round
         rng = make_rng(90)
         draws = [rng.binomial(shots, k / shots, size=rounds) for k in plus]
         boot = [von_neumann_entropy(reconstruct_rho(TomographyCounts(
-                    shots, *[(int(d[i]), shots - int(d[i])) for d in draws])))
+                    shots, [int(d[i]) for d in draws])))
                 for i in range(rounds)]
         result = entropy_with_error(counts, make_rng(90), bootstrap_rounds=rounds)
         assert result.entropy_std == pytest.approx(np.std(boot, ddof=1), rel=0, abs=1e-12)
         assert result.entropy == von_neumann_entropy(reconstruct_rho(counts))
 
     def test_bootstrap_rounds_validated(self):
-        counts = TomographyCounts(100, x=(50, 50), y=(50, 50), z=(50, 50))
+        counts = TomographyCounts(100, (50, 50, 50))
         with pytest.raises(ValueError):
             entropy_with_error(counts, make_rng(0), bootstrap_rounds=10)
 
 
 class TestEstimatorBehaviour:
     def test_consistency_with_growing_shots(self):
-        rho = steady_state_rho(quantum_causal_states(CausalMachine(0.8, 0.8)))
+        rho = steady_state_rho(CausalMachine(0.8, 0.8))
         rng = make_rng(86)
         distances = []
         for shots in (10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6):
@@ -201,7 +205,7 @@ class TestEstimatorBehaviour:
         assert distances[-1] < distances[0] / 10.0
 
     def test_one_sigma_coverage(self):
-        rho = steady_state_rho(quantum_causal_states(CausalMachine(0.8, 0.8)))
+        rho = steady_state_rho(CausalMachine(0.8, 0.8))
         truth = von_neumann_entropy(rho)
         rng = make_rng(87)
         hits = 0
@@ -224,7 +228,7 @@ class TestEstimatorBehaviour:
         # quantified, not corrected: near a pure state a noisy Bloch radius
         # is long, so the entropy estimate is low, 6.8 standard errors below
         # the truth here, and 128 of the 300 estimates read exactly 0
-        rho = steady_state_rho(quantum_causal_states(CausalMachine(0.49, 0.49)))
+        rho = steady_state_rho(CausalMachine(0.49, 0.49))
         truth = von_neumann_entropy(rho)
         rng = make_rng(89)
         estimates = np.array([reconstructed_entropy(simulate_counts(rho, 10_000, rng))
