@@ -13,9 +13,9 @@ Gate noise: with probability lam one of the 15 non-identity two-qubit Paulis
 all 16 Paulis gives I/4 (the Pauli twirl), and I/4 reads 1 on the meter
 with probability 1/2 in any frame, so noise moves each P(1|s) = p to
 p + (16 lam / 15)(1/2 - p) whatever the gate, so no function here takes one
-(GATES names the circuits a configuration records).  Traces sample that
-chain directly; the literal statevector steps of either gate and the Pauli
-trajectories are the reference oracle in tests/oracle.py.
+(the gate a configuration records is the CLI's to check).  Traces sample
+that chain directly; the literal statevector steps of either gate and the
+Pauli trajectories are the reference oracle in tests/oracle.py.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .process import CausalMachine, _sample_blocks, stationary_distribution
 from .qmath import bloch
 from .qmodel import quantum_causal_states
 
-GATES = ("cnot", "cu")
 MODES = ("classical", "quantum")
 LOGICAL = (bloch(0.0, 0.0, 1.0), bloch(0.0, 0.0, -1.0))     # |0> and |1>
 
@@ -68,6 +67,11 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
+def _check_steps(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"step count must be >= 1, got {n!r}")
+
+
 def prepared_states(machine: CausalMachine, mode: str) -> tuple:
     """The Bloch vectors a step prepares for state 0 and state 1: the
     logical basis states in classical mode, the encoded causal states in
@@ -103,8 +107,7 @@ def trace_blocks(chain: CausalMachine, n: int,
     a caller may keep it.  n and the stationary law are checked here, before
     the first block is drawn.
     """
-    if n < 1:
-        raise ValueError(f"step count must be >= 1, got {n!r}")
+    _check_steps(n)
     w0, _ = stationary_distribution(chain)
     return _sample_blocks((chain.p_right, 1.0 - chain.p_left), n, rng, w0=w0)
 

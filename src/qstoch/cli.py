@@ -18,16 +18,17 @@ import sys
 from collections import namedtuple
 from contextlib import nullcontext
 
-from .circuit import (GATES, MODES, calibrate_noise, prepared_states, run_trace,
+from .circuit import (MODES, _check_steps, calibrate_noise, prepared_states, run_trace,
                       sampled_machine, trace_blocks)
 from .process import CausalMachine, classical_complexity, stationary_distribution
 from .qmath import mixture, trace_distance
 from .qmodel import quantum_complexity
 from .seeding import BOOTSTRAP, COLUMNS, SHOTS, TRACE, make_rng
 from .stats import block_law_check, stream_block_counts
-from .tomo import (MAX_SHOTS, TomographyCounts, TomographyResult, ensemble_density,
+from .tomo import (TomographyCounts, TomographyResult, _check_shots, ensemble_density,
                    entropy_with_error, reconstruct_rho, reconstructed_entropy, simulate_counts)
 
+GATES = ("cnot", "cu")      # the entangling gates a run records; both give one law
 MAX_CHECK_BLOCK_LEN = 4
 MAX_SWEEP_POINTS = 10_001
 _NAN = float("nan")
@@ -53,16 +54,10 @@ class ExperimentConfig(namedtuple("ExperimentConfig", "p_right p_left mode gate 
     def __new__(cls, p_right: float, p_left: float, mode: str = "quantum",
                 gate: str = "cnot", steps: int = 100_000, shots_per_basis: int = 10_000,
                 noise_lambda: float = 0.0, seed: int = 42):
-        for name, value in (("p_right", p_right), ("p_left", p_left),
-                            ("noise_lambda", noise_lambda)):
-            if not (0.0 <= value <= 1.0):
-                raise ValueError(f"{name} must be in [0, 1], got {value!r}")
-        if steps < 1:
-            raise ValueError(f"steps must be >= 1, got {steps!r}")
-        if not 1 <= shots_per_basis <= MAX_SHOTS:
-            raise ValueError(f"shots must be in [1, {MAX_SHOTS}], got {shots_per_basis!r}")
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        # the library's own checks: the two probabilities, mode, lam, steps, shots
+        sampled_machine(CausalMachine(p_right, p_left), mode, noise_lambda)
+        _check_steps(steps)
+        _check_shots(shots_per_basis)
         if gate not in GATES:
             raise ValueError(f"gate must be one of {GATES}, got {gate!r}")
         if seed < 0:
@@ -194,7 +189,9 @@ def cmd_sweep(args) -> tuple:
     base = ExperimentConfig(p_right=args.p_min, p_left=args.p_min, gate=args.gate,
                             steps=args.steps, shots_per_basis=args.shots,
                             noise_lambda=args.noise_lambda, seed=args.seed)
-    grid = [round(args.p_min + i * args.p_step, 12) for i in range(int(_grid_points(args)))]
+    # clamped: the grid's slack must not carry a point past the checked p_max
+    grid = [min(round(args.p_min + i * args.p_step, 12), args.p_max)
+            for i in range(int(_grid_points(args)))]
     rows = [_sweep_point(index, base._replace(p_right=p, p_left=p))
             for index, p in enumerate(grid)]
     settings = _settings(base, ("p_right", "p_left", "mode"), p_min=args.p_min,
@@ -212,7 +209,7 @@ def cmd_asym(args) -> tuple:
     cfg = ExperimentConfig(p_right=args.p_right, p_left=args.p_left, gate=args.gate,
                            steps=args.steps, shots_per_basis=args.shots,
                            noise_lambda=args.noise_lambda, seed=args.seed)
-    # noise-on columns default to the Bell-fidelity-0.97 calibration
+    # noise-on columns: --lambda 0, given or not, picks the fidelity-0.97 calibration
     lam = cfg.noise_lambda if cfg.noise_lambda > 0.0 else calibrate_noise(0.97)
 
     row = {"p_right": cfg.p_right, "p_left": cfg.p_left,
@@ -286,18 +283,14 @@ def cmd_tomo(args) -> tuple:
 # ---------------------------------------------------------------------------
 
 def _config_from(args) -> ExperimentConfig:
-    if args.p is not None:
-        if args.p_right is not None or args.p_left is not None:
-            raise ValueError("give either --p or both --p-right and --p-left")
-        p_right = p_left = args.p
-    else:
-        if args.p_right is None or args.p_left is None:
-            raise ValueError("give either --p or both --p-right and --p-left")
-        p_right, p_left = args.p_right, args.p_left
+    pair = (args.p_right, args.p_left)
+    if args.p is not None and pair == (None, None):
+        pair = (args.p, args.p)
+    elif args.p is not None or None in pair:
+        raise ValueError("give either --p or both --p-right and --p-left")
     if args.mode == "classical" and args.noise_lambda > 0.0:
         raise ValueError("--lambda is gate noise, and --mode classical runs no gate")
-    return ExperimentConfig(p_right=p_right, p_left=p_left, mode=args.mode,
-                            gate=args.gate, steps=args.steps,
+    return ExperimentConfig(*pair, mode=args.mode, gate=args.gate, steps=args.steps,
                             noise_lambda=args.noise_lambda, seed=args.seed)
 
 

@@ -57,12 +57,9 @@ def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
 # entropies, fidelity and distance
 # ---------------------------------------------------------------------------
 
-def shannon_entropy(dist) -> float:
-    """Shannon entropy in bits, with the convention 0 log 0 = 0.
-
-    Raises InvalidDistributionError for negative entries or a total that
-    deviates from 1 by more than 1e-9.
-    """
+def _distribution(dist) -> np.ndarray:
+    """dist as a float vector, or InvalidDistributionError unless it is a
+    non-empty vector of entries in [0, 1] summing to 1 within ATOL_DIST."""
     p = np.asarray(dist, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise InvalidDistributionError("distribution must be a non-empty vector")
@@ -71,6 +68,13 @@ def shannon_entropy(dist) -> float:
     total = float(p.sum())
     if abs(total - 1.0) > ATOL_DIST:
         raise InvalidDistributionError(f"probabilities sum to {total!r}, expected 1")
+    return p
+
+
+def shannon_entropy(dist) -> float:
+    """Shannon entropy in bits of the probability vector dist, with the
+    convention 0 log 0 = 0."""
+    p = _distribution(dist)
     nz = np.minimum(p[p > 0.0], 1.0)    # shave float dust above 1 before the log
     return max(0.0, float(-(nz * np.log2(nz)).sum()))
 
@@ -106,8 +110,6 @@ def trace_distance(a, b) -> float:
 
 
 def mixture(weights, vectors) -> np.ndarray:
-    """Weighted mixture of qubit states: sum_i w_i r_i."""
-    w = np.asarray(weights, dtype=float)
-    if np.any(w < 0) or abs(w.sum() - 1.0) > ATOL_DIST:
-        raise InvalidDistributionError(f"mixture weights must be a distribution, got {w!r}")
-    return bloch(*sum(wi * np.asarray(ri, dtype=float) for wi, ri in zip(w, vectors)))
+    """Mixture sum_i w_i r_i of qubit states, w a probability vector."""
+    return bloch(*sum(wi * np.asarray(ri, dtype=float)
+                      for wi, ri in zip(_distribution(weights), vectors)))

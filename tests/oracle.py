@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from qstoch.circuit import GATES
+from qstoch.cli import GATES
 from qstoch.process import (MAX_BLOCK_LEN, CausalMachine, block_distribution,
                             stationary_distribution)
 from qstoch.qmath import ATOL_DIST, ATOL_UNIT, EIG_ZERO, shannon_entropy

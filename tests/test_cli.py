@@ -77,6 +77,16 @@ class TestSweep:
         by_p = {row["p"]: row for row in rows}
         assert float(by_p["0.8"]["c_quantum_theory"]) == pytest.approx(0.4690, abs=1e-4)
 
+    @pytest.mark.parametrize("step", ["0.5000000000005", "0.2500000000004"])
+    def test_last_point_is_clamped_to_p_max(self, tmp_path, step):
+        # the grid count's 1e-12 slack admits a last point a hair past p_max;
+        # it runs at p_max, the bound main checked, not past it
+        args = ["sweep", "--p-min", "0.5", "--p-max", "1", "--p-step", step,
+                "--steps", "200", "--shots", "100"]
+        code, payload = run_cli(args, tmp_path, "clamped.csv")
+        assert code == 0
+        assert parse_csv(payload)[1][-1]["p"] == "1"
+
     @pytest.mark.parametrize("bad", [
         ["--p-min", "0", "--p-max", "0", "--seed", "-1"],
         ["--seed", "-1"],
@@ -534,6 +544,18 @@ class TestLayout:
         logical = set().union(*(name_sites(layer, {"LOGICAL"}) for layer in layers))
         assert {layer for layer, _, _ in logical} == {"circuit"}
         assert name_sites("tomo", {"sqrt", "hypot", "norm"}) == set()
+
+    def test_input_rules_have_one_owner(self):
+        # the CLI delegates the library's input rules to the library's own
+        # checks, and owns only its own: the gate and the seed
+        source = Path(cli.__file__).read_text()
+        compared = {node.id for compare in ast.walk(ast.parse(source))
+                    if isinstance(compare, ast.Compare)
+                    for side in [compare.left, *compare.comparators]
+                    for node in ast.walk(side) if isinstance(node, ast.Name)}
+        assert not compared & {"MAX_SHOTS", "MODES"}
+        assert "must be in [0, 1]" not in source
+        assert "GATES" in vars(cli) and "GATES" not in vars(circuit)
 
     def test_states_are_real_vectors(self):
         # every qubit state is a Bloch vector: the two gate and eigenvector

@@ -4,13 +4,15 @@ with checks runs them in its constructor."""
 import numpy as np
 import pytest
 
-from qstoch.circuit import run_trace
+from qstoch.circuit import prepared_states, run_trace, sampled_machine, trace_blocks
 from qstoch.cli import ExperimentConfig
 from qstoch.process import CausalMachine, block_distribution
+from qstoch.qmath import bloch
 from qstoch.qmodel import construct_cu, quantum_causal_states, steady_state_rho
 from qstoch.seeding import make_rng
 from qstoch.stats import block_law_check
-from qstoch.tomo import TomographyCounts, TomographyResult, ensemble_density, reconstruct_rho
+from qstoch.tomo import (TomographyCounts, TomographyResult, ensemble_density, reconstruct_rho,
+                         simulate_counts)
 
 MACHINE = CausalMachine(0.9, 0.3)
 COUNTS = TomographyCounts(10, (5, 4, 10))
@@ -49,6 +51,28 @@ def test_derived_config_is_checked(change):
         CONFIG._replace(**change)
     with pytest.raises(ValueError):
         ExperimentConfig._make({**CONFIG._asdict(), **change}.values())
+
+
+# each library rule a config checks, and a call of the check that owns it
+OWNED_RULES = [
+    ({"p_right": 1.5}, lambda: CausalMachine(1.5, 0.8)),
+    ({"p_left": -0.1}, lambda: CausalMachine(0.8, -0.1)),
+    ({"mode": "x"}, lambda: prepared_states(MACHINE, "x")),
+    ({"noise_lambda": 1.5}, lambda: sampled_machine(MACHINE, "quantum", 1.5)),
+    ({"steps": 0}, lambda: trace_blocks(MACHINE, 0, make_rng(0))),
+    ({"shots_per_basis": 0}, lambda: simulate_counts(bloch(0.0, 0.0, 1.0), 0, make_rng(0))),
+]
+
+
+@pytest.mark.parametrize("change, owner", OWNED_RULES,
+                         ids=[next(iter(change)) for change, _ in OWNED_RULES])
+def test_config_raises_the_owners_message(change, owner):
+    # a config checks the library's rules with the library's own checks
+    with pytest.raises(ValueError) as owned:
+        owner()
+    with pytest.raises(ValueError) as got:
+        CONFIG._replace(**change)
+    assert str(got.value) == str(owned.value)
 
 
 def test_derived_config_keeps_other_fields():
