@@ -113,7 +113,8 @@ def _check_writable(path) -> None:
         os.remove(path)
 
 
-def _write_csv(path, command: str, settings: dict, header: list[str], rows) -> None:
+def _write_csv(path, command: str, settings: dict, rows: list[dict]) -> None:
+    header = list(rows[0])
     out = (nullcontext(sys.stdout) if path in (None, "-")
            else open(path, "w", encoding="utf-8", newline=""))
     with out as stream:
@@ -159,10 +160,20 @@ def _complexity_columns(cfg: ExperimentConfig, point: int) -> dict:
     return columns
 
 
-def _grid_points(args) -> float:
-    """Size of the sweep grid p_min + i p_step, i = 0, 1, ..., up to p_max
-    (1e-12 slack): a float, so a vanishing step counts to inf, not an overflow."""
-    return (args.p_max - args.p_min + 1e-12) // args.p_step + 1.0
+def _sweep_grid(args) -> list[float]:
+    """The sweep's points p_min + i p_step, i = 0, 1, ..., up to p_max (1e-12
+    slack), or ValueError for a bad range or step or more than
+    MAX_SWEEP_POINTS points."""
+    if not (0.0 <= args.p_min <= args.p_max <= 1.0 and args.p_step > 0.0):
+        raise ValueError(f"invalid grid: [{args.p_min}, {args.p_max}] step {args.p_step}")
+    # counted as a float before any list exists: a vanishing step counts to
+    # inf, not to an overflow or a list too large to build
+    points = (args.p_max - args.p_min + 1e-12) // args.p_step + 1.0
+    if points > MAX_SWEEP_POINTS:
+        raise ValueError(f"grid step {args.p_step} gives more than {MAX_SWEEP_POINTS} points")
+    # clamped: the slack must not carry a point past the checked p_max
+    return [min(round(args.p_min + i * args.p_step, 12), args.p_max)
+            for i in range(int(points))]
 
 
 def _sweep_point(index: int, cfg: ExperimentConfig) -> dict:
@@ -177,32 +188,21 @@ def _sweep_point(index: int, cfg: ExperimentConfig) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns (settings, rows, ok) and writes nothing
+# subcommands: each returns (settings, rows, ok), its rows one or more dicts
+# whose keys, in order, are the CSV's columns, and writes nothing
 # ---------------------------------------------------------------------------
 
-SWEEP_HEADER = ["p", "c_classical_theory", "c_quantum_theory",
-                "c_classical_sim", "c_quantum_sim", "c_quantum_sim_std"]
-
-
 def cmd_sweep(args) -> tuple:
+    grid = _sweep_grid(args)
     # every grid point shares these settings: check them once, before any work
     base = ExperimentConfig(p_right=args.p_min, p_left=args.p_min, gate=args.gate,
                             steps=args.steps, shots_per_basis=args.shots,
                             noise_lambda=args.noise_lambda, seed=args.seed)
-    # clamped: the grid's slack must not carry a point past the checked p_max
-    grid = [min(round(args.p_min + i * args.p_step, 12), args.p_max)
-            for i in range(int(_grid_points(args)))]
     rows = [_sweep_point(index, base._replace(p_right=p, p_left=p))
             for index, p in enumerate(grid)]
     settings = _settings(base, ("p_right", "p_left", "mode"), p_min=args.p_min,
                          p_max=args.p_max, p_step=args.p_step)
     return settings, rows, True
-
-
-ASYM_HEADER = (["p_right", "p_left", "c_classical_theory", "c_quantum_theory",
-                "c_classical_sim", "c_quantum_sim", "c_quantum_sim_std",
-                "c_quantum_noisy_sim", "c_quantum_noisy_sim_std", "noise_lambda"]
-               + [name for name, _ in ASYM_REFERENCE])
 
 
 def cmd_asym(args) -> tuple:
@@ -213,14 +213,11 @@ def cmd_asym(args) -> tuple:
     lam = cfg.noise_lambda if cfg.noise_lambda > 0.0 else calibrate_noise(0.97)
 
     row = {"p_right": cfg.p_right, "p_left": cfg.p_left,
-           **_complexity_columns(cfg._replace(noise_lambda=0.0), 0), "noise_lambda": lam}
+           **_complexity_columns(cfg._replace(noise_lambda=0.0), 0)}
     noisy = _with_error(cfg._replace(noise_lambda=lam), 0, COLUMNS["noisy"])
-    row.update(c_quantum_noisy_sim=noisy.entropy, c_quantum_noisy_sim_std=noisy.entropy_std)
-    row.update(dict(ASYM_REFERENCE))
+    row.update(c_quantum_noisy_sim=noisy.entropy, c_quantum_noisy_sim_std=noisy.entropy_std,
+               noise_lambda=lam, **dict(ASYM_REFERENCE))
     return _settings(cfg, ("mode",)), [row], True
-
-
-SIMULATE_HEADER = ["L", "block", "count", "freq", "prob", "tv", "tv_bound", "ok"]
 
 
 def cmd_simulate(args) -> tuple:
@@ -244,12 +241,6 @@ def cmd_simulate(args) -> tuple:
                          "tv": check.tv, "tv_bound": check.tv_bound,
                          "ok": int(check.passed)})
     return _settings(cfg, ("shots_per_basis",)), rows, ok
-
-
-TOMO_HEADER = ["p_right", "p_left", "mode", "gate", "steps", "shots",
-               "entropy", "entropy_std", "bloch_x", "bloch_y", "bloch_z",
-               "rho00_re", "rho01_re", "rho01_im", "rho11_re",
-               "entropy_theory", "trace_dist_theory"]
 
 
 def cmd_tomo(args) -> tuple:
@@ -325,22 +316,22 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--p-max", type=float, default=1.0)
     sweep.add_argument("--p-step", type=float, default=0.1)
     _add_common(sweep, with_mode=False)
-    sweep.set_defaults(func=cmd_sweep, header=SWEEP_HEADER)
+    sweep.set_defaults(func=cmd_sweep)
 
     asym = subs.add_parser("asym", help="one asymmetric parameter point with noise")
     asym.add_argument("--p-right", type=float, required=True)
     asym.add_argument("--p-left", type=float, required=True)
     _add_common(asym, with_mode=False)
-    asym.set_defaults(func=cmd_asym, header=ASYM_HEADER)
+    asym.set_defaults(func=cmd_asym)
 
     simulate = subs.add_parser("simulate",
                                help="check trace block laws against exact ones")
     _add_common(simulate, with_mode=True)
-    simulate.set_defaults(func=cmd_simulate, header=SIMULATE_HEADER)
+    simulate.set_defaults(func=cmd_simulate)
 
     tomo = subs.add_parser("tomo", help="tomograph one run's memory ensemble")
     _add_common(tomo, with_mode=True)
-    tomo.set_defaults(func=cmd_tomo, header=TOMO_HEADER)
+    tomo.set_defaults(func=cmd_tomo)
     for sub in (sweep, asym, tomo):     # simulate tomographs nothing
         sub.add_argument("--shots", type=int, default=10_000,
                          help="tomography shots per Pauli basis")
@@ -348,22 +339,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand, write its CSV, and return 0, or 1 if its check
-    failed; bad input (an --out that cannot be written too) returns 2, and a
-    usage error exits 2, before any work.  A closed stdout returns 141."""
+    """Parse argv, probe --out, run the subcommand it names, write the CSV
+    the subcommand returns, and return 0, or 1 if its check failed.  Bad
+    input, an --out that cannot be written among it, returns 2 before any
+    work, and a usage error exits 2; a closed stdout returns 141.  Each
+    subcommand checks its own inputs and names its own columns."""
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        if args.command == "sweep":
-            if not (0.0 <= args.p_min <= args.p_max <= 1.0 and args.p_step > 0.0):
-                parser.error(f"invalid grid: [{args.p_min}, {args.p_max}] step {args.p_step}")
-            # counted, not built: a tiny step must fail before any list exists
-            if _grid_points(args) > MAX_SWEEP_POINTS:
-                parser.error(f"grid step {args.p_step} gives more than {MAX_SWEEP_POINTS} points")
+        args = build_parser().parse_args(argv)
         _check_writable(args.out)
         settings, rows, ok = args.func(args)
         try:
-            _write_csv(args.out, args.command, settings, args.header, rows)
+            _write_csv(args.out, args.command, settings, rows)
         except BrokenPipeError:
             # stdout's reader is gone: send what is still buffered to
             # devnull, so the exit flush is quiet, and return the code of a

@@ -110,6 +110,9 @@ def trace_distance(a, b) -> float:
 
 
 def mixture(weights, vectors) -> np.ndarray:
-    """Mixture sum_i w_i r_i of qubit states, w a probability vector."""
-    return bloch(*sum(wi * np.asarray(ri, dtype=float)
-                      for wi, ri in zip(_distribution(weights), vectors)))
+    """Mixture sum_i w_i r_i of qubit states, w a probability vector with
+    one weight per state."""
+    w = _distribution(weights)
+    if len(w) != len(vectors):
+        raise InvalidDistributionError(f"{len(w)} weight(s) for {len(vectors)} state(s)")
+    return bloch(*sum(wi * np.asarray(ri, dtype=float) for wi, ri in zip(w, vectors)))

@@ -42,7 +42,7 @@ class TomographyCounts(namedtuple("TomographyCounts", "shots_per_basis plus")):
 
     def bloch_vector(self) -> np.ndarray:
         n = self.shots_per_basis
-        return np.array([(2 * k - n) / n for k in self.plus])
+        return qmath.bloch(*((2 * k - n) / n for k in self.plus))
 
 
 class TomographyResult(namedtuple("TomographyResult", "entropy entropy_std raw")):

@@ -23,7 +23,7 @@ from qstoch.tomo import ensemble_density
 from qstoch.seeding import make_rng
 from qstoch.stats import block_law_check
 
-from conftest import chain_outputs, trace_outputs
+from conftest import ScriptedUniforms, chain_outputs, trace_outputs
 from oracle import (
     CNOT4,
     KET0,
@@ -143,22 +143,27 @@ class TestQuantumStep:
         assert outcome == 1
         np.testing.assert_allclose(memory.amplitudes, model.ket1.amplitudes, atol=1e-12)
 
+    @staticmethod
+    def outcomes_either_side(p_one, memory, model, gate="cnot"):
+        """quantum_step's outcomes for uniforms a hair below and above
+        p_one: 1 then 0 exactly when its Born P(1|s) is p_one to 1e-12,
+        since the step reads 1 when u < P(1|s)."""
+        script = ScriptedUniforms([p_one - 1e-12, p_one + 1e-12])
+        steps = [quantum_step(memory, model, script, gate=gate) for _ in range(2)]
+        # the memory is reprepared as the encoding of the output bit
+        assert all(kept is (model.ket0, model.ket1)[outcome] for outcome, kept in steps)
+        return [outcome for outcome, _ in steps]
+
     @pytest.mark.parametrize("gate", ["cnot", "cu"])
     def test_symmetric_output_law(self, gate):
+        # P(1|0) = p_right = 0.8
         model = ket_model(CausalMachine(0.8, 0.8))
-        rng = make_rng(53)
-        n = 100_000
-        ones = sum(quantum_step(model.ket0, model, rng, gate=gate)[0] for _ in range(n))
-        sigma = np.sqrt(0.8 * 0.2 / n)
-        assert abs(ones / n - 0.8) < 3 * sigma
+        assert self.outcomes_either_side(0.8, model.ket0, model, gate) == [1, 0]
 
     def test_asymmetric_output_law_from_state_one(self):
+        # P(1|1) = 1 - p_left = 0.7
         model = ket_model(CausalMachine(0.9, 0.3))
-        rng = make_rng(54)
-        n = 100_000
-        zeros = sum(1 - quantum_step(model.ket1, model, rng)[0] for _ in range(n))
-        sigma = np.sqrt(0.3 * 0.7 / n)
-        assert abs(zeros / n - 0.3) < 3 * sigma
+        assert self.outcomes_either_side(0.7, model.ket1, model) == [1, 0]
 
     def test_collapse_leaves_logical_state_on_model(self):
         # before the discard, the model qubit must have collapsed to |x>

@@ -1,10 +1,14 @@
 """CLI subcommands, CSV schema, determinism, exit codes."""
 
+import argparse
 import ast
 import importlib
+import inspect
 import os
+import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -80,7 +84,7 @@ class TestSweep:
     @pytest.mark.parametrize("step", ["0.5000000000005", "0.2500000000004"])
     def test_last_point_is_clamped_to_p_max(self, tmp_path, step):
         # the grid count's 1e-12 slack admits a last point a hair past p_max;
-        # it runs at p_max, the bound main checked, not past it
+        # it runs at p_max, the bound _sweep_grid checked, not past it
         args = ["sweep", "--p-min", "0.5", "--p-max", "1", "--p-step", step,
                 "--steps", "200", "--shots", "100"]
         code, payload = run_cli(args, tmp_path, "clamped.csv")
@@ -100,30 +104,39 @@ class TestSweep:
         assert main(FAST_SWEEP + bad + ["--out", str(out)]) == 2
         assert not out.exists()
 
-    def test_invalid_grid_is_usage_error(self):
-        with pytest.raises(SystemExit) as err:
-            main(["sweep", "--p-min", "0.5", "--p-max", "0.1"])
-        assert err.value.code == 2
+    @pytest.mark.parametrize("grid, message", [
+        (["--p-min", "0.5", "--p-max", "0.1"], "invalid grid: [0.5, 0.1] step 0.2"),
+        (["--p-step", "0"], "invalid grid: [0.3, 0.7] step 0.0"),
+        (["--p-step", "-0.2"], "invalid grid: [0.3, 0.7] step -0.2"),
+        (["--p-max", "nan"], "invalid grid: [0.3, nan] step 0.2"),
+        (["--p-step", "1e-9"], "grid step 1e-09 gives more than 10001 points"),
+    ], ids=["inverted", "zero-step", "negative-step", "nan", "oversized"])
+    def test_invalid_grid_rejected_before_work(self, monkeypatch, capsys, tmp_path,
+                                               grid, message):
+        monkeypatch.setattr(cli, "make_rng", refusing("a stream"))
+        out = tmp_path / "bad.csv"
+        assert main(FAST_SWEEP + grid + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"qstoch: error: {message}\n"
+        assert not out.exists()
 
-    def test_oversized_grid_refused_before_building(self, monkeypatch):
-        # 10^9 points: refused from the point count while parsing; the sweep
-        # itself, which builds the grid, must never start
-        def build_grid(args):
-            raise AssertionError("sweep started on an oversized grid")
-        monkeypatch.setattr(cli, "cmd_sweep", build_grid)
-        with pytest.raises(SystemExit) as err:
-            main(["sweep", "--p-step", "1e-9"])
-        assert err.value.code == 2
+    def test_vanishing_step_counted_before_building(self):
+        # the point count of a subnormal step is inf: counted as a float, it
+        # is refused; built first, int(inf) would raise OverflowError
+        grid = argparse.Namespace(p_min=0.0, p_max=1.0, p_step=5e-324)
+        with pytest.raises(ValueError, match="gives more than 10001 points"):
+            cli._sweep_grid(grid)
 
-    @pytest.mark.parametrize("step, allowed", [("1e-4", True), ("0.9999e-4", False)])
-    def test_grid_cap_boundary(self, monkeypatch, step, allowed):
+    @pytest.mark.parametrize("step, allowed", [(1e-4, True), (0.9999e-4, False)],
+                             ids=["1e-4-True", "0.9999e-4-False"])
+    def test_grid_cap_boundary(self, step, allowed):
         # [0, 1] at step 1e-4 is exactly the largest grid allowed
-        monkeypatch.setattr(cli, "cmd_sweep", lambda args: ({}, [], True))
+        grid = argparse.Namespace(p_min=0.0, p_max=1.0, p_step=step)
         if allowed:
-            assert main(["sweep", "--p-step", step]) == 0
+            points = cli._sweep_grid(grid)
+            assert len(points) == cli.MAX_SWEEP_POINTS and points[-1] == 1.0
         else:
-            with pytest.raises(SystemExit):
-                main(["sweep", "--p-step", step])
+            with pytest.raises(ValueError, match="gives more than 10001 points"):
+                cli._sweep_grid(grid)
 
 
 class TestAsym:
@@ -294,13 +307,13 @@ class TestTomoCommand:
 
     def test_failed_check_writes_csv_and_exits_1(self, monkeypatch, tmp_path):
         # main alone writes and sets the exit code: a command's failed
-        # verdict still leaves its CSV, as simulate's failed check does
-        row = dict.fromkeys(cli.TOMO_HEADER, 0)
-        monkeypatch.setattr(cli, "cmd_tomo", lambda args: ({"seed": args.seed}, [row], False))
+        # verdict still leaves its CSV, as simulate's failed check does; the
+        # header is the first row's keys, in order
+        rows = [{"entropy": 0.5, "ok": 0}, {"entropy": 0.25, "ok": 1}]
+        monkeypatch.setattr(cli, "cmd_tomo", lambda args: ({"seed": args.seed}, rows, False))
         code, payload = run_cli(SMALL["tomo"], tmp_path, "failed.csv")
         assert code == 1
-        assert payload.decode() == ("# qstoch tomo seed=42\n" + ",".join(cli.TOMO_HEADER)
-                                    + "\n" + ",".join(["0"] * len(cli.TOMO_HEADER)) + "\n")
+        assert payload.decode() == "# qstoch tomo seed=42\nentropy,ok\n0.5,0\n0.25,1\n"
 
 
 class TestMachineWithoutStationaryLaw:
@@ -556,6 +569,24 @@ class TestLayout:
         assert not compared & {"MAX_SHOTS", "MODES"}
         assert "must be in [0, 1]" not in source
         assert "GATES" in vars(cli) and "GATES" not in vars(circuit)
+
+    def test_commands_own_their_output(self):
+        # each subcommand checks its own inputs and names its own columns, its
+        # first row's keys: no header list restates them, and neither main nor
+        # the CSV writer names a subcommand, its function or a sweep input
+        assert not [name for name in vars(cli) if name.endswith("_HEADER")]
+        assert not hasattr(cli, "_grid_points")
+        for func in (cli.main, cli._write_csv):
+            words = set()
+            for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(func)))):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    words.update(re.findall(r"\w+", node.value))
+                elif isinstance(node, ast.Name):
+                    words.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    words.add(node.attr)
+            assert not words & {"sweep", "asym", "simulate", "tomo"}, func
+            assert not [w for w in words if w.startswith(("cmd_", "p_", "MAX_SWEEP"))], func
 
     def test_states_are_real_vectors(self):
         # every qubit state is a Bloch vector: the two gate and eigenvector

@@ -23,7 +23,7 @@ from qstoch.process import (
 )
 from qstoch.seeding import make_rng
 
-from conftest import trace_outputs
+from conftest import ScriptedUniforms, trace_outputs
 from oracle import (
     SwitchConfig,
     block_excess_entropy,
@@ -341,25 +341,6 @@ def step_loop_path(p1, n, rng, w0):
 
 
 EDGE_OR_ANY = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
-
-
-class ScriptedUniforms:
-    """A stand-in Generator that hands out a fixed list of uniforms in order,
-    one at a time, as an array of a given size, or into an out= buffer."""
-
-    def __init__(self, uniforms):
-        self.uniforms = np.asarray(uniforms, dtype=float)
-        self.used = 0
-
-    def random(self, size=None, out=None):
-        count = out.shape[0] if out is not None else size or 1
-        got = self.uniforms[self.used: self.used + count]
-        assert got.shape[0] == count, "script ran out of uniforms"
-        self.used += count
-        if out is not None:
-            out[...] = got
-            return out
-        return float(got[0]) if size is None else got.copy()
 
 
 class TestSamplePathScan:

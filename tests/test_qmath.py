@@ -393,3 +393,12 @@ class TestTraceDistance:
         for weights in ([0.5, 0.6], [1.5, -0.5], []):
             with pytest.raises(InvalidDistributionError):
                 mixture(weights, (ZERO, ONE))
+
+    @pytest.mark.parametrize("weights, vectors, message", [
+        ([0.5, 0.5], (ZERO,), r"2 weight\(s\) for 1 state\(s\)"),
+        ([1.0], (ZERO, ONE), r"1 weight\(s\) for 2 state\(s\)"),
+    ], ids=["fewer-states", "fewer-weights"])
+    def test_mixture_refuses_a_count_mismatch(self, weights, vectors, message):
+        # one weight per state: zip would drop the extras without a word
+        with pytest.raises(InvalidDistributionError, match=message):
+            mixture(weights, vectors)

@@ -143,6 +143,10 @@ class TestReconstructRho:
         assert counts.bloch_vector().tolist() == [1.0, -1.0, (2 * (n // 2) - n) / n]
         assert TomographyCounts(100, (98, 50, 75)).bloch_vector().tolist() == [0.96, 0.0, 0.5]
 
+    def test_bloch_vector_is_read_only(self):
+        # like every Bloch vector qmath.bloch builds
+        assert not TomographyCounts(100, (98, 50, 75)).bloch_vector().flags.writeable
+
 
 class TestEntropyWithError:
     def test_maximally_mixed_counts(self):
