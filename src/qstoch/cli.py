@@ -164,7 +164,7 @@ def _sweep_grid(args) -> list[float]:
     """The sweep's points p_min + i p_step, i = 0, 1, ..., up to p_max (1e-12
     slack), or ValueError for a bad range or step or more than
     MAX_SWEEP_POINTS points."""
-    if not (0.0 <= args.p_min <= args.p_max <= 1.0 and args.p_step > 0.0):
+    if not (0.0 <= args.p_min <= args.p_max <= 1.0 and 0.0 < args.p_step < float("inf")):
         raise ValueError(f"invalid grid: [{args.p_min}, {args.p_max}] step {args.p_step}")
     # counted as a float before any list exists: a vanishing step counts to
     # inf, not to an overflow or a list too large to build

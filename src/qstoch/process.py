@@ -97,42 +97,24 @@ def classical_complexity(machine: CausalMachine) -> float:
     return shannon_entropy(stationary_distribution(machine))
 
 
-def _block_tree(first: np.ndarray, t: np.ndarray, block_len: int) -> np.ndarray:
-    """Grow the law of the first bit (axis 0) into the law of 2**L blocks.
-
-    Each further bit multiplies a block's probability by the transition out
-    of the block's last bit, which is the current state; trailing axes (a
-    start state, say) ride along.
-    """
-    probs = first
-    for size in (2 ** k for k in range(1, block_len)):
-        last_bit = np.arange(size) & 1                      # = current state
-        step = t[last_bit].reshape((size, 2) + (1,) * (probs.ndim - 1))
-        nxt = np.empty((size * 2,) + probs.shape[1:])
-        nxt[0::2] = probs * step[:, 0]
-        nxt[1::2] = probs * step[:, 1]
-        probs = nxt
-    return probs
-
-
 def block_distribution(machine: CausalMachine, block_len: int) -> np.ndarray:
     """Exact law of length-L output blocks from a stationary start.
 
     Returns a vector of 2**L probabilities indexed with the first bit most
     significant.  Because each output equals the destination state, a block
-    pins the whole state path, so probabilities are simple products.
+    pins the whole state path, so probabilities are simple products: each
+    further bit multiplies a block's probability by the transition out of
+    the block's last bit, which is the current state.
     """
     if not (1 <= block_len <= MAX_BLOCK_LEN):
         raise ValueError(f"block length must be in [1, {MAX_BLOCK_LEN}], got {block_len!r}")
     t = machine.transition_matrix()
     w0, w1 = stationary_distribution(machine)
-    return _block_tree(w0 * t[0] + w1 * t[1], t, block_len)  # law of the first bit
-
-
-def conditional_block_probs(machine: CausalMachine, block_len: int) -> np.ndarray:
-    """cond[b, s] = probability of emitting block b from current state s."""
-    t = machine.transition_matrix()
-    return _block_tree(t.T, t, block_len)
+    probs = w0 * t[0] + w1 * t[1]                           # law of the first bit
+    for size in (2 ** k for k in range(1, block_len)):
+        step = t[np.arange(size) & 1]                       # row of the current state
+        probs = (probs[:, None] * step).reshape(-1)
+    return probs
 
 
 def excess_entropy(machine: CausalMachine) -> float:

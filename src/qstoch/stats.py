@@ -3,9 +3,11 @@
 Blocks are taken disjoint (non-overlapping) from a single trajectory, so
 successive block indicators are autocorrelated through the Markov chain.
 The per-cell standard deviations used here are therefore the exact ones for
-that sampling scheme, computed from the known transition matrix, rather than
-plain multinomial values; a test at N_SIGMA of them keeps its nominal meaning.
-Counts at several lengths come from one tally in windows of their lcm.
+that sampling scheme, rather than plain multinomial values; a test at N_SIGMA
+of them keeps its nominal meaning.  Their lag-1 covariance is read off the
+exact law of two adjacent windows, a block of length 2L, so the checks take
+L in [1, MAX_BLOCK_LEN // 2].  Counts at several lengths, up to
+MAX_BLOCK_LEN bits, come from one tally in windows of their lcm.
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .process import MAX_BLOCK_LEN, CausalMachine, block_distribution, conditional_block_probs
+from .process import MAX_BLOCK_LEN, CausalMachine, block_distribution
 
 _COUNT_CHUNK = 1 << 16    # windows coded and counted at a time
 N_SIGMA = 4.0             # per-cell tolerance of every check, in exact standard deviations
+_MAX_CHECK_LEN = MAX_BLOCK_LEN // 2   # the sigma needs the law of 2L-blocks
 
 
 class BlockLawCheck(NamedTuple):
@@ -93,18 +96,19 @@ def _lag_weight_sum(m: int, r: float) -> float:
 def block_count_sigma(machine: CausalMachine, block_len: int, n_blocks: int) -> np.ndarray:
     """Exact std of each block count over m disjoint windows of one trajectory.
 
-    Var(N_b) = m p (1-p) + 2 sum_k (m-k) Cov_k.  Window k+1 starts in the end
-    state of window k (the last emitted bit), and the two-state chain obeys
-    T^g = Pi + lam2^g (I - Pi) with lam2 = 1 - p_right - p_left, so the lag-k
-    covariance is Cov_1 * (lam2^L)^(k-1) and the whole sum has a closed form.
-    This stays exact for non-mixing parameters (|lam2| = 1) where a truncated
-    lag sum would badly understate the variance.
+    Var(N_b) = m p (1-p) + 2 sum_k (m-k) Cov_k.  Window k+1 starts where
+    window k ends, so Cov_1 = P(b twice in a row) - p_b^2: the 2L-block law
+    at code b (2^L + 1), which needs L <= MAX_BLOCK_LEN // 2.  The two-state
+    chain obeys T^g = Pi + lam2^g (I - Pi) with lam2 = 1 - p_right - p_left,
+    so the lag-k covariance is Cov_1 * (lam2^L)^(k-1) and the whole sum has a
+    closed form.  This stays exact for non-mixing parameters (|lam2| = 1)
+    where a truncated lag sum would badly understate the variance.
     """
+    if not (1 <= block_len <= _MAX_CHECK_LEN):
+        raise ValueError(f"block length must be in [1, {_MAX_CHECK_LEN}], got {block_len!r}")
     probs = block_distribution(machine, block_len)
-    cond = conditional_block_probs(machine, block_len)
-    codes = np.arange(2 ** block_len)
-    ends = codes & 1
-    cov1 = probs * (cond[codes, ends] - probs)
+    twice = np.arange(2 ** block_len) * (2 ** block_len + 1)
+    cov1 = block_distribution(machine, 2 * block_len)[twice] - probs ** 2
     decay = (1.0 - machine.p_right - machine.p_left) ** block_len
     var = n_blocks * probs * (1.0 - probs)
     var += 2.0 * cov1 * _lag_weight_sum(n_blocks, decay)
@@ -119,9 +123,9 @@ def block_law_check(machine: CausalMachine, counts: np.ndarray) -> BlockLawCheck
     """
     counts = np.asarray(counts)
     block_len = counts.size.bit_length() - 1
-    if (counts.ndim != 1 or not (1 <= block_len <= MAX_BLOCK_LEN)
+    if (counts.ndim != 1 or not (1 <= block_len <= _MAX_CHECK_LEN)
             or counts.size != 2 ** block_len):
-        raise ValueError(f"need 2**L block counts with L in [1, {MAX_BLOCK_LEN}], "
+        raise ValueError(f"need 2**L block counts with L in [1, {_MAX_CHECK_LEN}], "
                          f"got shape {counts.shape}")
     m = int(counts.sum())
     if m < 1:

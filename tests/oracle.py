@@ -9,8 +9,9 @@ abbreviate:
     law evaluated by running the circuit once per encoded state;
   * the ground-truth pair of switches, stepped one draw at a time, and its
     exact block law from the 4-configuration chain;
-  * the block route 2 H_L - H_2L to the excess entropy, and block counts
-    and a two-sample block-law check of whole bit arrays;
+  * the block route 2 H_L - H_2L to the excess entropy, block counts and
+    a two-sample block-law check of whole bit arrays, and the exact spread
+    of disjoint-block counts by enumerating every output path;
   * the kets, density matrices and Pauli matrices that qstoch's Bloch
     vectors stand for, and the matrix route (eigenvalues, <t|rho|t>) to
     the entropy, trace distance and fidelity the vectors give in closed form;
@@ -551,3 +552,24 @@ def two_sample_block_check(machine: CausalMachine, outputs_a: np.ndarray,
     sb = block_count_sigma(machine, block_len, mb) / mb
     diff = np.abs(ca / ma - cb / mb)
     return bool(np.all(diff <= N_SIGMA * np.hypot(sa, sb) + 1e-12))
+
+
+def enumerated_count_sigma(machine: CausalMachine, block_len: int,
+                           n_blocks: int) -> np.ndarray:
+    """Exact std of each block count over m disjoint windows, by summing over
+    every output path of n = m L <= MAX_BLOCK_LEN steps from a stationary
+    start: a path's weight is its start state's share times its transitions,
+    since each output is the state it moves to."""
+    n = block_len * n_blocks
+    if not (1 <= n <= MAX_BLOCK_LEN):
+        raise ValueError(f"m L must be in [1, {MAX_BLOCK_LEN}], got {n!r}")
+    t = machine.transition_matrix()
+    paths = (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    weight = np.zeros(2 ** n)
+    for start, share in enumerate(stationary_distribution(machine)):
+        states = np.hstack([np.full((2 ** n, 1), start), paths])
+        weight += share * t[states[:, :-1], states[:, 1:]].prod(axis=1)
+    codes = paths.reshape(-1, n_blocks, block_len) @ (1 << np.arange(block_len - 1, -1, -1))
+    counts = (codes[:, :, None] == np.arange(2 ** block_len)).sum(axis=1)
+    mean = weight @ counts
+    return np.sqrt(weight @ (counts - mean) ** 2)

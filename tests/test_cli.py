@@ -108,9 +108,12 @@ class TestSweep:
         (["--p-min", "0.5", "--p-max", "0.1"], "invalid grid: [0.5, 0.1] step 0.2"),
         (["--p-step", "0"], "invalid grid: [0.3, 0.7] step 0.0"),
         (["--p-step", "-0.2"], "invalid grid: [0.3, 0.7] step -0.2"),
+        (["--p-step", "inf"], "invalid grid: [0.3, 0.7] step inf"),
+        (["--p-step", "nan"], "invalid grid: [0.3, 0.7] step nan"),
         (["--p-max", "nan"], "invalid grid: [0.3, nan] step 0.2"),
         (["--p-step", "1e-9"], "grid step 1e-09 gives more than 10001 points"),
-    ], ids=["inverted", "zero-step", "negative-step", "nan", "oversized"])
+    ], ids=["inverted", "zero-step", "negative-step", "inf-step", "nan-step", "nan",
+            "oversized"])
     def test_invalid_grid_rejected_before_work(self, monkeypatch, capsys, tmp_path,
                                                grid, message):
         monkeypatch.setattr(cli, "make_rng", refusing("a stream"))

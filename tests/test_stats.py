@@ -8,12 +8,11 @@ from qstoch.seeding import make_rng
 from qstoch.stats import (
     block_count_sigma,
     block_law_check,
-    conditional_block_probs,
     stream_block_counts,
 )
 
 from conftest import trace_outputs
-from oracle import disjoint_block_counts, two_sample_block_check
+from oracle import disjoint_block_counts, enumerated_count_sigma, two_sample_block_check
 
 
 class TestDisjointBlockCounts:
@@ -139,19 +138,20 @@ class TestCommonWindowTally:
         assert consumed == []
 
 
-class TestConditionalBlockProbs:
-    def test_rows_sum_to_one_per_start_state(self):
-        cond = conditional_block_probs(CausalMachine(0.9, 0.3), 4)
-        np.testing.assert_allclose(cond.sum(axis=0), [1.0, 1.0], atol=1e-12)
-
-    def test_stationary_mixture_recovers_block_law(self):
-        machine = CausalMachine(0.9, 0.3)
-        cond = conditional_block_probs(machine, 3)
-        law = cond @ np.array([0.25, 0.75])
-        np.testing.assert_allclose(law, block_distribution(machine, 3), atol=1e-12)
-
-
 class TestBlockCountSigma:
+    @pytest.mark.parametrize("probs", [(0.9, 0.3), (0.8, 0.8), (1.0, 1.0), (1.0, 0.0),
+                                       (0.5, 0.5), (0.3, 0.7), (0.05, 0.6)],
+                             ids=["0.9-0.3", "0.8-0.8", "1-1", "1-0", "0.5-0.5",
+                                  "0.3-0.7", "0.05-0.6"])
+    @pytest.mark.parametrize("block_len", [1, 2, 3, 4])
+    def test_equals_path_enumeration(self, probs, block_len):
+        # oracle: every output path of m L = 12 steps, weighted exactly
+        machine = CausalMachine(*probs)
+        m = 12 // block_len
+        np.testing.assert_allclose(block_count_sigma(machine, block_len, m),
+                                   enumerated_count_sigma(machine, block_len, m),
+                                   rtol=0.0, atol=1e-9)
+
     @pytest.mark.parametrize("probs,block_len", [((0.8, 0.8), 2), ((0.2, 0.2), 1),
                                                  ((0.9, 0.3), 3)])
     def test_matches_independent_trace_ensemble(self, probs, block_len):
@@ -221,9 +221,17 @@ class TestChecks:
 
     @pytest.mark.parametrize("size", [1, 3, 8192])
     def test_counts_not_of_a_block_length_rejected(self, size):
-        # 2**L cells for L in [1, 12]: 8192 = 2**13 is one length too long
+        # 2**L cells for L in [1, 6]: 8192 = 2**13 is a power of two far too long
         with pytest.raises(ValueError, match="block counts"):
             block_law_check(CausalMachine(0.9, 0.3), np.ones(size, dtype=np.int64))
+
+    def test_block_longer_than_half_the_law_rejected(self):
+        # the sigma needs the law of 2L-blocks, which stops at 12 bits
+        machine = CausalMachine(0.9, 0.3)
+        with pytest.raises(ValueError, match=r"\[1, 6\]"):
+            block_law_check(machine, np.ones(2 ** 7, dtype=np.int64))
+        with pytest.raises(ValueError, match=r"\[1, 6\]"):
+            block_count_sigma(machine, 7, 100)
 
     def test_empty_counts_rejected(self):
         with pytest.raises(ValueError, match="no blocks"):
