@@ -21,12 +21,12 @@ from contextlib import nullcontext
 from .circuit import (MODES, _check_steps, calibrate_noise, prepared_states, run_trace,
                       sampled_machine, trace_blocks)
 from .process import CausalMachine, classical_complexity, stationary_distribution
-from .qmath import mixture, trace_distance
+from .qmath import mixture, trace_distance, von_neumann_entropy
 from .qmodel import quantum_complexity
 from .seeding import BOOTSTRAP, COLUMNS, SHOTS, TRACE, make_rng
 from .stats import block_law_check, stream_block_counts
 from .tomo import (TomographyCounts, TomographyResult, _check_shots, ensemble_density,
-                   entropy_with_error, reconstruct_rho, reconstructed_entropy, simulate_counts)
+                   entropy_with_error, reconstruct_rho, simulate_counts)
 
 GATES = ("cnot", "cu")      # the entangling gates a run records; both give one law
 MAX_CHECK_BLOCK_LEN = 4
@@ -155,7 +155,7 @@ def _complexity_columns(cfg: ExperimentConfig, point: int) -> dict:
                "c_quantum_theory": quantum_complexity(machine)}
     classical = _tomographed(cfg._replace(mode="classical"), point, COLUMNS["classical"])
     quantum = _with_error(cfg, point, COLUMNS["quantum"])
-    columns.update(c_classical_sim=reconstructed_entropy(classical),
+    columns.update(c_classical_sim=von_neumann_entropy(reconstruct_rho(classical)),
                    c_quantum_sim=quantum.entropy, c_quantum_sim_std=quantum.entropy_std)
     return columns
 
@@ -235,7 +235,7 @@ def cmd_simulate(args) -> tuple:
         ok = ok and check.passed
         for code in range(2 ** block_len):
             rows.append({"L": block_len, "block": format(code, f"0{block_len}b"),
-                         "count": int(check.counts[code]),
+                         "count": int(counts[code]),
                          "freq": float(check.freqs[code]),
                          "prob": float(check.probs[code]),
                          "tv": check.tv, "tv_bound": check.tv_bound,
@@ -250,10 +250,11 @@ def cmd_tomo(args) -> tuple:
     complexity = quantum_complexity if cfg.mode == "quantum" else classical_complexity
     ent_theory = complexity(machine)
     r_theory = mixture(stationary_distribution(machine), prepared_states(machine, cfg.mode))
-    result = _with_error(cfg, 0, COLUMNS[cfg.mode])
+    counts = _tomographed(cfg, 0, COLUMNS[cfg.mode])
+    result = entropy_with_error(counts, make_rng(cfg.seed, 0, COLUMNS[cfg.mode], BOOTSTRAP))
 
-    measured = result.raw.bloch_vector()
-    r_hat = reconstruct_rho(result.raw)
+    measured = counts.bloch_vector()
+    r_hat = reconstruct_rho(counts)
     x, y, z = map(float, r_hat)
     # rho = (I + r.sigma) / 2 of the projected vector; its imaginary
     # off-diagonal reads +0, not -0, where y is 0

@@ -30,7 +30,6 @@ class BlockLawCheck(NamedTuple):
 
     block_len: int
     n_blocks: int
-    counts: np.ndarray
     freqs: np.ndarray
     probs: np.ndarray
     count_sigma: np.ndarray
@@ -139,6 +138,5 @@ def block_law_check(machine: CausalMachine, counts: np.ndarray) -> BlockLawCheck
     freqs = counts / m
     tv = 0.5 * float(np.abs(freqs - probs).sum())
     tv_bound = 0.5 * float(tol.sum()) / m
-    return BlockLawCheck(block_len=block_len, n_blocks=m, counts=counts,
-                         freqs=freqs, probs=probs, count_sigma=sigma,
-                         tv=tv, tv_bound=tv_bound, passed=ok)
+    return BlockLawCheck(block_len=block_len, n_blocks=m, freqs=freqs, probs=probs,
+                         count_sigma=sigma, tv=tv, tv_bound=tv_bound, passed=ok)

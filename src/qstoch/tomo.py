@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import operator
 from collections import namedtuple
+from contextlib import suppress
 
 import numpy as np
 
@@ -21,9 +22,11 @@ MAX_SHOTS = 2 ** 63 - 1     # the largest n numpy's binomial draw takes
 
 
 def _check_shots(shots_per_basis: int) -> None:
-    if not 1 <= shots_per_basis <= MAX_SHOTS:
-        raise ValueError(f"shots_per_basis must be in [1, {MAX_SHOTS}], "
-                         f"got {shots_per_basis!r}")
+    with suppress(TypeError):   # not an integer: numpy's binomial would floor 100.5
+        if 1 <= operator.index(shots_per_basis) <= MAX_SHOTS:
+            return
+    raise ValueError(f"shots_per_basis must be an integer in [1, {MAX_SHOTS}], "
+                     f"got {shots_per_basis!r}")
 
 
 class TomographyCounts(namedtuple("TomographyCounts", "shots_per_basis plus")):
@@ -45,15 +48,7 @@ class TomographyCounts(namedtuple("TomographyCounts", "shots_per_basis plus")):
         return qmath.bloch(*((2 * k - n) / n for k in self.plus))
 
 
-class TomographyResult(namedtuple("TomographyResult", "entropy entropy_std raw")):
-    __slots__ = ()
-
-    def __new__(cls, entropy: float, entropy_std: float, raw: TomographyCounts):
-        if not (-1e-9 <= entropy <= 1.0 + 1e-9):
-            raise ValueError(f"single-qubit entropy out of range: {entropy!r}")
-        if entropy_std < 0.0:
-            raise ValueError("entropy_std must be >= 0")
-        return super().__new__(cls, entropy, entropy_std, raw)
+TomographyResult = namedtuple("TomographyResult", "entropy entropy_std")
 
 
 def ensemble_density(run) -> np.ndarray:
@@ -84,12 +79,6 @@ def reconstruct_rho(counts: TomographyCounts) -> np.ndarray:
     return qmath.bloch(*(r / radius if radius > 1.0 else r))
 
 
-def reconstructed_entropy(counts: TomographyCounts) -> float:
-    """Entropy of the state reconstruct_rho(counts) returns: the binary
-    entropy h((1 + min(|r|, 1)) / 2) of the measured Bloch radius."""
-    return float(qmath.qubit_entropy(qmath.bloch_radius(counts.bloch_vector())))
-
-
 def entropy_with_error(counts: TomographyCounts, rng: np.random.Generator,
                        bootstrap_rounds: int = 200) -> TomographyResult:
     """Reconstructed entropy with a one-standard-deviation parametric bootstrap.
@@ -101,16 +90,16 @@ def entropy_with_error(counts: TomographyCounts, rng: np.random.Generator,
     basis, 300 estimates average 0.00101 against a true 0.00147, and 128 of
     them are 0).  Only at an exactly pure state can no estimate fall below
     the truth; at one on a Pauli axis, such as |+>, every estimate is 0.
-    The reconstruction (reconstructed_entropy) and every bootstrap round
-    take qmath.qubit_entropy of their Bloch radius, the rounds all at once.
+    The estimate is qmath.von_neumann_entropy(reconstruct_rho(counts)); each
+    bootstrap round takes qmath.qubit_entropy of its Bloch radius, all at once.
     """
     if bootstrap_rounds < MIN_BOOTSTRAP:
         raise ValueError(f"bootstrap_rounds must be >= {MIN_BOOTSTRAP}")
-    entropy = reconstructed_entropy(counts)
+    entropy = qmath.von_neumann_entropy(reconstruct_rho(counts))
 
     n = counts.shots_per_basis
     rates = np.array([k / n for k in counts.plus])
     plus = rng.binomial(n, rates[:, np.newaxis], size=(3, bootstrap_rounds))
     r = (2 * plus - n) / n                                  # one Bloch vector per column
     boot = qmath.qubit_entropy(qmath.bloch_radius(r))
-    return TomographyResult(entropy=entropy, entropy_std=float(boot.std(ddof=1)), raw=counts)
+    return TomographyResult(entropy=entropy, entropy_std=float(boot.std(ddof=1)))

@@ -17,7 +17,7 @@ import pytest
 from qstoch import circuit, cli
 from qstoch.cli import ExperimentConfig, main
 from qstoch.seeding import make_rng
-from qstoch.tomo import TomographyCounts, TomographyResult, reconstruct_rho
+from qstoch.tomo import TomographyCounts, reconstruct_rho
 
 from oracle import density
 
@@ -296,12 +296,13 @@ class TestTomoCommand:
     @pytest.mark.parametrize("counts", [
         TomographyCounts(100, (90, 50, 30)),
         TomographyCounts(10, (10, 0, 10)),
-    ], ids=["inside", "projected"])
+        TomographyCounts(20000, (20000, 10000, 10100)),
+    ], ids=["inside", "projected", "just-past-1"])
     def test_matrix_columns_are_the_oracle_matrix(self, monkeypatch, tmp_path, counts):
         # rho00, Re rho01, Im rho01 and rho11 of (I + r.sigma) / 2 for the
-        # projected vector, to the byte, a zero y included ("0", not "-0")
-        result = TomographyResult(entropy=0.5, entropy_std=0.0, raw=counts)
-        monkeypatch.setattr(cli, "_with_error", lambda cfg, point, column: result)
+        # projected vector, to the byte, a zero y included ("0", not "-0");
+        # the last counts measure |r| = 1.00005, a hair past the sphere
+        monkeypatch.setattr(cli, "_tomographed", lambda cfg, point, column: counts)
         _, rows = parse_csv(run_cli(SMALL["tomo"], tmp_path, "tomo.csv")[1])
         rho = density(reconstruct_rho(counts)).entries
         want = [rho[0, 0].real, rho[0, 1].real, rho[0, 1].imag, rho[1, 1].real]
@@ -533,6 +534,19 @@ class TestRunPath:
 
 
 class TestLayout:
+    def test_package_root_imports_and_binds_nothing(self):
+        # every public name has one home, its module: `import qstoch` loads
+        # no layer and no numpy, and the root binds no name but __version__
+        proc = run_python(["-c", "import sys, qstoch\n"
+                                 "print(' '.join(sorted(sys.modules)))\n"
+                                 "print(' '.join(sorted(vars(qstoch))))"])
+        assert proc.returncode == 0, proc.stderr
+        modules, names = (line.split() for line in proc.stdout.splitlines())
+        assert "numpy" not in modules
+        assert not [m for m in modules if m.startswith("qstoch.")]
+        assert [name for name in names if not name.startswith("_")] == []
+        assert "__version__" in names
+
     def test_benchmark_layers_resolve(self):
         # the traced benchmark replay wraps each LAYERS name where its qstoch
         # module binds it; read the table without importing the benchmark

@@ -1,6 +1,8 @@
 """Record semantics: every record is an immutable named tuple, and a record
 with checks runs them in its constructor."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,6 @@ CONFIG = ExperimentConfig(p_right=0.8, p_left=0.8)
 BAD_RECORDS = {
     "CausalMachine": lambda: CausalMachine(1.5, 0.3),
     "TomographyCounts": lambda: TomographyCounts(10, (5, 11, 10)),
-    "TomographyResult": lambda: TomographyResult(1.5, 0.0, COUNTS),
     "ExperimentConfig": lambda: ExperimentConfig(p_right=1.5, p_left=0.8),
 }
 
@@ -31,7 +32,7 @@ def all_records():
     counts = np.round(1000 * block_distribution(MACHINE, 2)).astype(np.int64)
     return [MACHINE, construct_cu(MACHINE),
             run_trace(MACHINE, "quantum", 10, make_rng(0)),
-            COUNTS, TomographyResult(1.0, 0.0, COUNTS),
+            COUNTS, TomographyResult(1.0, 0.0),
             block_law_check(MACHINE, counts), CONFIG]
 
 
@@ -39,6 +40,27 @@ def all_records():
 def test_constructor_checks_value(build):
     with pytest.raises(ValueError):
         build()
+
+
+NON_INTEGER_SHOTS = {
+    "TomographyCounts": lambda shots: TomographyCounts(shots, (5, 4, 10)),
+    "simulate_counts": lambda shots: simulate_counts(bloch(0.0, 0.0, 1.0), shots, make_rng(0)),
+    "ExperimentConfig": lambda shots: ExperimentConfig(0.8, 0.8, shots_per_basis=shots),
+}
+
+
+@pytest.mark.parametrize("shots", [10.5, np.float64(100.0), "10"])
+@pytest.mark.parametrize("build", NON_INTEGER_SHOTS.values(), ids=NON_INTEGER_SHOTS.keys())
+def test_non_integer_shot_count_rejected(build, shots):
+    # numpy's binomial draw would floor 10.5 to 10 while the counts record 10.5
+    with pytest.raises(ValueError, match=re.escape(f"got {shots!r}")):
+        build(shots)
+
+
+@pytest.mark.parametrize("build", NON_INTEGER_SHOTS.values(), ids=NON_INTEGER_SHOTS.keys())
+def test_integer_like_shot_count_accepted(build):
+    # any integer type operator.index takes, numpy's among them
+    build(np.int64(10))
 
 
 @pytest.mark.parametrize("change", [{"p_right": 1.5}, {"steps": 0}, {"mode": "x"},

@@ -217,7 +217,7 @@ class TestChecks:
         counts = disjoint_block_counts(trace_outputs(machine, "classical", 30_000, make_rng(5)), 3)
         check = block_law_check(machine, counts)
         assert (check.block_len, check.n_blocks) == (3, 10_000)
-        np.testing.assert_array_equal(check.counts, counts)
+        np.testing.assert_array_equal(check.freqs, counts / 10_000)
 
     @pytest.mark.parametrize("size", [1, 3, 8192])
     def test_counts_not_of_a_block_length_rejected(self, size):
@@ -242,6 +242,6 @@ class TestChecks:
         outputs = trace_outputs(machine, "classical", 30_000, make_rng(4))
         check = block_law_check(machine, disjoint_block_counts(outputs, 3))
         assert check.passed
-        assert check.counts.sum() == check.n_blocks
+        assert check.n_blocks == 10_000
         assert abs(check.freqs.sum() - 1.0) < 1e-12
         assert 0.0 <= check.tv <= 1.0

@@ -14,7 +14,6 @@ from qstoch.tomo import (
     ensemble_density,
     entropy_with_error,
     reconstruct_rho,
-    reconstructed_entropy,
     simulate_counts,
 )
 
@@ -113,6 +112,17 @@ class TestReconstructRho:
         np.testing.assert_allclose(got, expected, atol=1e-12)
         assert not got.flags.writeable
         assert von_neumann_entropy(got) < 1e-9
+
+    def test_projected_just_past_the_sphere(self):
+        # a measured radius of 1.00005, a hair outside: the projection must
+        # act at any |r| > 1, not only far outside, and keep the direction
+        counts = TomographyCounts(20000, (20000, 10000, 10100))
+        measured = counts.bloch_vector()
+        radius = np.linalg.norm(measured)
+        assert 1.0 < radius < 1.0001
+        got = reconstruct_rho(counts)
+        assert abs(np.linalg.norm(got) - 1.0) <= 1e-15
+        np.testing.assert_allclose(got, measured / radius, rtol=0, atol=1e-15)
 
     def test_adversarial_counts_stay_physical(self):
         cases = [
@@ -235,7 +245,8 @@ class TestEstimatorBehaviour:
         rho = steady_state_rho(CausalMachine(0.49, 0.49))
         truth = von_neumann_entropy(rho)
         rng = make_rng(89)
-        estimates = np.array([reconstructed_entropy(simulate_counts(rho, 10_000, rng))
+        estimates = np.array([von_neumann_entropy(reconstruct_rho(simulate_counts(rho, 10_000,
+                                                                                   rng)))
                               for _ in range(300)])
         stderr = estimates.std(ddof=1) / np.sqrt(estimates.size)
         assert truth - estimates.mean() > 4.0 * stderr
