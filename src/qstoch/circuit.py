@@ -20,7 +20,9 @@ Pauli trajectories are the reference oracle in tests/oracle.py.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterator
+from contextlib import suppress
 from typing import NamedTuple
 
 import numpy as np
@@ -68,8 +70,10 @@ def _check_mode(mode: str) -> None:
 
 
 def _check_steps(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"step count must be >= 1, got {n!r}")
+    with suppress(TypeError):   # not an integer: numpy would refuse it mid-trace
+        if operator.index(n) >= 1:
+            return
+    raise ValueError(f"step count must be an integer >= 1, got {n!r}")
 
 
 def prepared_states(machine: CausalMachine, mode: str) -> tuple:

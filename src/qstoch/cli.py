@@ -13,10 +13,11 @@ from __future__ import annotations
 import argparse
 import atexit
 import gc
+import operator
 import os
 import sys
 from collections import namedtuple
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 
 from .circuit import (MODES, _check_steps, calibrate_noise, prepared_states, run_trace,
                       sampled_machine, trace_blocks)
@@ -45,6 +46,13 @@ ASYM_REFERENCE = (
 )
 
 
+def _check_seed(seed: int) -> None:
+    with suppress(TypeError):   # not an integer: make_rng would draw int(1.5)'s streams
+        if operator.index(seed) >= 0:
+            return
+    raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+
+
 class ExperimentConfig(namedtuple("ExperimentConfig", "p_right p_left mode gate steps "
                                   "shots_per_basis noise_lambda seed")):
     """One fully specified simulation/tomography experiment."""
@@ -60,8 +68,7 @@ class ExperimentConfig(namedtuple("ExperimentConfig", "p_right p_left mode gate 
         _check_shots(shots_per_basis)
         if gate not in GATES:
             raise ValueError(f"gate must be one of {GATES}, got {gate!r}")
-        if seed < 0:
-            raise ValueError(f"seed must be >= 0, got {seed!r}")
+        _check_seed(seed)
         return super().__new__(cls, p_right, p_left, mode, gate, steps, shots_per_basis,
                                noise_lambda, seed)
 

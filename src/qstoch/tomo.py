@@ -37,7 +37,8 @@ class TomographyCounts(namedtuple("TomographyCounts", "shots_per_basis plus")):
 
     def __new__(cls, shots_per_basis: int, plus: tuple):
         _check_shots(shots_per_basis)
-        plus = tuple(map(operator.index, plus))
+        # plain ints: numpy integers would overflow in 2 k - n at large counts
+        shots_per_basis, plus = operator.index(shots_per_basis), tuple(map(operator.index, plus))
         if len(plus) != 3 or not all(0 <= k <= shots_per_basis for k in plus):
             raise ValueError(f"+1 counts {plus!r} are not three counts in "
                              f"[0, {shots_per_basis}]")

@@ -1,0 +1,126 @@
+"""Mutation check: every listed mutant of src/qstoch must fail the tests.
+
+A mutant is one textual change to one module of the package.  Each is
+applied to a fresh temporary copy of src, and the test modules it names run
+against that copy with pytest -x; a mutant is killed when they fail.
+test_golden.py is never run: a change that moves CSV bytes regenerates the
+golden files, so only the other tests measure their strength.  The
+unmutated copy must pass the same modules first.
+
+    python tests/mutants.py
+
+Exit status 0 when every mutant is killed; 1 when one survives, no longer
+applies (its text is not in the module exactly once), or the unmutated
+copy fails.  No mutation-testing package is used.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str         # a module of src/qstoch, without .py
+    old: str            # occurs exactly once in that module
+    new: str
+    tests: tuple        # test modules of which at least one must fail
+
+
+MUTANTS = (
+    Mutant("run counts exiting, not entering, states", "circuit",
+           "entering + int(np.count_nonzero(bits[:-1]))", "int(np.count_nonzero(bits))",
+           ("test_circuit.py",)),
+    Mutant("gate noise at lam, not 16 lam / 15", "circuit",
+           "mix = 16.0 * lam / 15.0", "mix = lam",
+           ("test_circuit.py",)),
+    Mutant("calibrate_noise divides by 0.75", "circuit",
+           "(1.0 - target_fidelity) / 0.8", "(1.0 - target_fidelity) / 0.75",
+           ("test_circuit.py",)),
+    Mutant("bootstrap sd with ddof=0", "tomo",
+           "boot.std(ddof=1)", "boot.std(ddof=0)",
+           ("test_tomo.py",)),
+    Mutant("bootstrap sd 50% wider", "tomo",
+           "entropy_std=float(boot.std(ddof=1))", "entropy_std=1.5 * float(boot.std(ddof=1))",
+           ("test_tomo.py",)),
+    Mutant("counts drawn at a 2% shrunk Bloch vector", "tomo",
+           "for c in r]", "for c in 0.98 * r]",
+           ("test_tomo.py",)),
+    Mutant("projection only past radius 1.05", "tomo",
+           "r / radius if radius > 1.0 else r", "r / radius if radius > 1.05 else r",
+           ("test_tomo.py",)),
+    Mutant("lag covariance halved", "stats",
+           "cov1 = block_distribution(machine, 2 * block_len)[twice] - probs ** 2",
+           "cov1 = 0.5 * (block_distribution(machine, 2 * block_len)[twice] - probs ** 2)",
+           ("test_stats.py",)),
+    Mutant("lag covariance 20% smaller", "stats",
+           "cov1 = block_distribution(machine, 2 * block_len)[twice] - probs ** 2",
+           "cov1 = 0.8 * (block_distribution(machine, 2 * block_len)[twice] - probs ** 2)",
+           ("test_stats.py",)),
+    Mutant("cu angle with its sign flipped", "qmodel",
+           "theta = (np.arcsin(np.sqrt(pr)) - np.arcsin(np.sqrt(pl)))",
+           "theta = (np.arcsin(np.sqrt(pl)) - np.arcsin(np.sqrt(pr)))",
+           ("test_qmodel.py",)),
+)
+
+
+def run_tests(src: Path, tests) -> int:
+    """pytest's exit code for the named test modules against the package in
+    src, stopping at the first failure."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    located = subprocess.run([sys.executable, "-c", "import qstoch; print(qstoch.__file__)"],
+                             env=env, capture_output=True, text=True, check=True)
+    if not Path(located.stdout.strip()).is_relative_to(src):
+        sys.exit(f"mutants: qstoch imports from {located.stdout.strip()}, not from {src}")
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                           *(str(ROOT / "tests" / name) for name in tests)],
+                          cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return proc.returncode
+
+
+def copy_src(workdir: str) -> Path:
+    src = Path(workdir) / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    return src
+
+
+def verdict(mutant: Mutant) -> str:
+    with tempfile.TemporaryDirectory() as workdir:
+        src = copy_src(workdir)
+        path = src / "qstoch" / f"{mutant.module}.py"
+        text = path.read_text()
+        if text.count(mutant.old) != 1:
+            return "stale"
+        path.write_text(text.replace(mutant.old, mutant.new))
+        code = run_tests(src, mutant.tests)
+    # pytest exits 1 when a test failed; 0 is a pass, anything else an error
+    return {0: "survived", 1: "killed"}.get(code, f"error (pytest exit {code})")
+
+
+def main() -> int:
+    every_module = sorted({name for mutant in MUTANTS for name in mutant.tests})
+    with tempfile.TemporaryDirectory() as workdir:
+        baseline = run_tests(copy_src(workdir), every_module)
+    if baseline != 0:
+        print(f"mutants: the unmutated tests fail (pytest exit {baseline})")
+        return 1
+    killed = 0
+    for mutant in MUTANTS:
+        result = verdict(mutant)
+        killed += result == "killed"
+        print(f"{result:>8}  {mutant.module}: {mutant.name}", flush=True)
+    print(f"{killed} of {len(MUTANTS)} mutants killed")
+    return 0 if killed == len(MUTANTS) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

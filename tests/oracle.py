@@ -310,11 +310,10 @@ def _step_operators(machine: CausalMachine, gate: str):
     """
     if gate == "cnot":
         return np.array([1.0, 0.0], dtype=complex), CNOT4, None
-    ops = construct_cu(machine)
-    v = ops.v
+    v, u = construct_cu(machine)
     meter_in = v[:, 0].copy()
-    frame = np.kron(IDENTITY2, v.conj().T)
-    return meter_in, controlled(ops.u), frame
+    frame = np.kron(IDENTITY2, v.T)
+    return meter_in, controlled(u), frame
 
 
 def _apply_noise_raw(psi: np.ndarray, lam: float, rng: np.random.Generator) -> np.ndarray:

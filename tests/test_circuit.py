@@ -482,10 +482,9 @@ class TestTraceMatchesStepOracle:
         if gate == "cnot":
             meter_in, gate4, frame = np.array([1.0, 0.0]), CNOT4, np.eye(4)
         else:
-            ops = construct_cu(machine)
-            v = ops.v
-            meter_in, gate4 = v[:, 0], controlled(ops.u)
-            frame = np.kron(np.eye(2), v.conj().T)
+            v, u = construct_cu(machine)
+            meter_in, gate4 = v[:, 0], controlled(u)
+            frame = np.kron(np.eye(2), v.T)
         via_channel = []
         for ket in (model.ket0, model.ket1):
             joint = gate4 @ np.kron(ket.amplitudes, meter_in)

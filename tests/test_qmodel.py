@@ -263,66 +263,73 @@ class TestDepolarizedComplexity:
             depolarized_complexity(CausalMachine(0.9, 0.3), eps)
 
 
+# the machines of the 11 x 11 probability grid but (0, 0), which has no stationary law
+CU_PROBS = np.linspace(0.0, 1.0, 11)
+CU_GRID = [CausalMachine(p_right, p_left) for p_right in CU_PROBS for p_left in CU_PROBS
+           if p_right + p_left > 0.0]
+
+
+def grid_row(p_right):
+    """The machines of CU_GRID with the given p_right."""
+    return [machine for machine in CU_GRID if machine.p_right == p_right]
+
+
 class TestConstructCu:
     def test_symmetric_reduces_to_plain_flip(self):
         for p in (0.1, 0.5, 0.8):
-            ops = construct_cu(CausalMachine(p, p))
-            np.testing.assert_allclose(ops.u, X, atol=1e-12)
-            np.testing.assert_allclose(ops.v, np.eye(2), atol=1e-12)
+            v, u = construct_cu(CausalMachine(p, p))
+            np.testing.assert_allclose(u, X, atol=1e-12)
+            np.testing.assert_allclose(v, np.eye(2), atol=1e-12)
 
-    @pytest.mark.parametrize("probs", [(0.9, 0.3), (0.3, 0.9), (0.2, 0.75),
-                                       (0.75, 0.2), (0.05, 0.95), (0.6, 0.6)])
-    def test_maps_encoding_zero_to_encoding_one(self, probs):
-        machine = CausalMachine(*probs)
-        model = ket_model(machine)
-        ops = construct_cu(machine)
-        err = np.linalg.norm(ops.u @ model.ket0.amplitudes
-                             - model.ket1.amplitudes)
-        assert err < 1e-12
+    @pytest.mark.parametrize("p_right", CU_PROBS)
+    def test_maps_encoding_zero_to_encoding_one(self, p_right):
+        for machine in grid_row(p_right):
+            model = ket_model(machine)
+            _, u = construct_cu(machine)
+            np.testing.assert_allclose(u @ model.ket0.amplitudes, model.ket1.amplitudes,
+                                       rtol=0, atol=1e-12, err_msg=repr(machine))
 
     def test_gates_are_read_only_unitaries(self):
-        grid = np.linspace(0.0, 1.0, 11)
-        for p_right in grid:
-            for p_left in grid[grid + p_right > 0.0]:    # (0, 0) has no stationary law
-                for gate in construct_cu(CausalMachine(p_right, p_left)):
-                    assert gate.shape == (2, 2) and not gate.flags.writeable
-                    np.testing.assert_allclose(gate @ gate.conj().T, np.eye(2),
-                                               rtol=0, atol=1e-12)
+        for machine in CU_GRID:
+            for gate in construct_cu(machine):
+                assert gate.shape == (2, 2) and gate.dtype == np.float64
+                assert not gate.flags.writeable
+                np.testing.assert_allclose(gate @ gate.T, np.eye(2), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("probs", [(0.9, 0.3), (0.3, 0.9), (0.75, 0.2)])
     def test_v_is_a_real_y_rotation(self, probs):
         # v maps |0> to cos(t/2)|0> + sin(t/2)|1>, with t in [0, pi) when p_right >= p_left
-        v = construct_cu(CausalMachine(*probs)).v
-        assert not v.imag.any()
-        c, s = v[:, 0].real
+        v, _ = construct_cu(CausalMachine(*probs))
+        c, s = v[:, 0]
         np.testing.assert_allclose(v, [[c, -s], [s, c]], rtol=0, atol=1e-15)
         assert c * c + s * s == pytest.approx(1.0, abs=1e-12)
         if probs[0] >= probs[1]:
             assert c > 0.0 and s >= 0.0
 
     def test_u_is_involution(self):
-        for probs in [(0.9, 0.3), (0.3, 0.9), (0.42, 0.17)]:
-            ops = construct_cu(CausalMachine(*probs))
-            np.testing.assert_allclose(ops.u @ ops.u, np.eye(2),
-                                       atol=1e-12)
+        for machine in CU_GRID:
+            _, u = construct_cu(machine)
+            np.testing.assert_allclose(u @ u, np.eye(2), rtol=0, atol=1e-12)
 
-    def test_u_equals_conjugated_flip(self):
-        ops = construct_cu(CausalMachine(0.9, 0.3))
-        v = ops.v
-        np.testing.assert_allclose(ops.u, v @ X @ v.conj().T, atol=1e-12)
+    @pytest.mark.parametrize("p_right", CU_PROBS)
+    def test_u_equals_conjugated_flip(self, p_right):
+        for machine in grid_row(p_right):
+            v, u = construct_cu(machine)
+            np.testing.assert_allclose(u, v @ X @ v.T, rtol=0, atol=1e-12,
+                                       err_msg=repr(machine))
 
     def test_merged_states_fixed_point(self):
         machine = CausalMachine(0.3, 0.7)      # ket0 == ket1
         model = ket_model(machine)
-        ops = construct_cu(machine)
-        out = ops.u @ model.ket0.amplitudes
+        _, u = construct_cu(machine)
+        out = u @ model.ket0.amplitudes
         np.testing.assert_allclose(out, model.ket0.amplitudes, atol=1e-12)
 
     def test_controlled_block_structure(self):
-        ops = construct_cu(CausalMachine(0.9, 0.3))
-        cu = controlled(ops.u)
+        _, u = construct_cu(CausalMachine(0.9, 0.3))
+        cu = controlled(u)
         np.testing.assert_allclose(cu[:2, :2], np.eye(2), atol=1e-15)
-        np.testing.assert_allclose(cu[2:, 2:], ops.u, atol=1e-15)
+        np.testing.assert_allclose(cu[2:, 2:], u, atol=1e-15)
         np.testing.assert_allclose(cu[:2, 2:], 0, atol=1e-15)
 
 
@@ -383,7 +390,7 @@ class TestProperties:
     def test_cu_synthesis_is_exact(self, p_right, p_left):
         assume((p_right, p_left) != (0.0, 0.0))
         machine = CausalMachine(p_right, p_left)
-        cu = controlled(construct_cu(machine).u)
+        cu = controlled(construct_cu(machine)[1])
         np.testing.assert_allclose(cu @ cu.conj().T, np.eye(4), rtol=0, atol=1e-12)
         # the cu step circuit emits with the machine's own law
         got = quantum_emission_probs(ket_model(machine), "cu", 0.0)

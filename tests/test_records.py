@@ -10,7 +10,7 @@ from qstoch.circuit import prepared_states, run_trace, sampled_machine, trace_bl
 from qstoch.cli import ExperimentConfig
 from qstoch.process import CausalMachine, block_distribution
 from qstoch.qmath import bloch
-from qstoch.qmodel import construct_cu, quantum_causal_states, steady_state_rho
+from qstoch.qmodel import quantum_causal_states, steady_state_rho
 from qstoch.seeding import make_rng
 from qstoch.stats import block_law_check
 from qstoch.tomo import (TomographyCounts, TomographyResult, ensemble_density, reconstruct_rho,
@@ -30,8 +30,7 @@ BAD_RECORDS = {
 def all_records():
     """One valid instance of every record type."""
     counts = np.round(1000 * block_distribution(MACHINE, 2)).astype(np.int64)
-    return [MACHINE, construct_cu(MACHINE),
-            run_trace(MACHINE, "quantum", 10, make_rng(0)),
+    return [MACHINE, run_trace(MACHINE, "quantum", 10, make_rng(0)),
             COUNTS, TomographyResult(1.0, 0.0),
             block_law_check(MACHINE, counts), CONFIG]
 
@@ -65,7 +64,10 @@ def test_integer_like_shot_count_accepted(build):
 
 @pytest.mark.parametrize("change", [{"p_right": 1.5}, {"steps": 0}, {"mode": "x"},
                                     {"gate": "x"}, {"noise_lambda": -0.1},
-                                    {"shots_per_basis": 0}, {"seed": -1}],
+                                    {"shots_per_basis": 0}, {"seed": -1},
+                                    # make_rng would draw seed 1's streams
+                                    pytest.param({"seed": 1.5}, id="seed-non-integer"),
+                                    pytest.param({"steps": 10.5}, id="steps-non-integer")],
                          ids=lambda change: next(iter(change)))
 def test_derived_config_is_checked(change):
     # the CLI derives every per-column and per-point config with _replace
@@ -76,18 +78,21 @@ def test_derived_config_is_checked(change):
 
 
 # each library rule a config checks, and a call of the check that owns it
-OWNED_RULES = [
-    ({"p_right": 1.5}, lambda: CausalMachine(1.5, 0.8)),
-    ({"p_left": -0.1}, lambda: CausalMachine(0.8, -0.1)),
-    ({"mode": "x"}, lambda: prepared_states(MACHINE, "x")),
-    ({"noise_lambda": 1.5}, lambda: sampled_machine(MACHINE, "quantum", 1.5)),
-    ({"steps": 0}, lambda: trace_blocks(MACHINE, 0, make_rng(0))),
-    ({"shots_per_basis": 0}, lambda: simulate_counts(bloch(0.0, 0.0, 1.0), 0, make_rng(0))),
-]
+OWNED_RULES = {
+    "p_right": ({"p_right": 1.5}, lambda: CausalMachine(1.5, 0.8)),
+    "p_left": ({"p_left": -0.1}, lambda: CausalMachine(0.8, -0.1)),
+    "mode": ({"mode": "x"}, lambda: prepared_states(MACHINE, "x")),
+    "noise_lambda": ({"noise_lambda": 1.5}, lambda: sampled_machine(MACHINE, "quantum", 1.5)),
+    "steps": ({"steps": 0}, lambda: trace_blocks(MACHINE, 0, make_rng(0))),
+    # numpy would refuse 10.5 steps only mid-trace, with a TypeError
+    "steps-non-integer": ({"steps": 10.5},
+                          lambda: run_trace(MACHINE, "quantum", 10.5, make_rng(0))),
+    "shots_per_basis": ({"shots_per_basis": 0},
+                        lambda: simulate_counts(bloch(0.0, 0.0, 1.0), 0, make_rng(0))),
+}
 
 
-@pytest.mark.parametrize("change, owner", OWNED_RULES,
-                         ids=[next(iter(change)) for change, _ in OWNED_RULES])
+@pytest.mark.parametrize("change, owner", OWNED_RULES.values(), ids=OWNED_RULES.keys())
 def test_config_raises_the_owners_message(change, owner):
     # a config checks the library's rules with the library's own checks
     with pytest.raises(ValueError) as owned:
@@ -136,13 +141,6 @@ def test_state_vectors_are_read_only(vector):
         vector[0] = 0.5
 
 
-def test_construct_cu_cache_hits_for_equal_machines():
-    first = construct_cu(CausalMachine(0.9, 0.3))
-    hits = construct_cu.cache_info().hits
-    assert construct_cu(CausalMachine(0.9, 0.3)) is first
-    assert construct_cu.cache_info().hits == hits + 1
-
-
 def test_machine_repr_names_its_fields():
-    # SynthesisError's message shows the machine through its repr
+    # the cu grid tests name a failing machine through its repr
     assert repr(CausalMachine(0.9, 0.3)) == "CausalMachine(p_right=0.9, p_left=0.3)"

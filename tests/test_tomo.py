@@ -153,6 +153,13 @@ class TestReconstructRho:
         assert counts.bloch_vector().tolist() == [1.0, -1.0, (2 * (n // 2) - n) / n]
         assert TomographyCounts(100, (98, 50, 75)).bloch_vector().tolist() == [0.96, 0.0, 0.5]
 
+    def test_numpy_shot_count_is_stored_as_a_python_int(self):
+        # like the +1 counts, so 2k - n cannot overflow an np.int64
+        n = MAX_SHOTS
+        counts = TomographyCounts(np.int64(n), (n, n, n))
+        assert type(counts.shots_per_basis) is int
+        assert counts.bloch_vector().tolist() == [1.0, 1.0, 1.0]
+
     def test_bloch_vector_is_read_only(self):
         # like every Bloch vector qmath.bloch builds
         assert not TomographyCounts(100, (98, 50, 75)).bloch_vector().flags.writeable
