@@ -21,7 +21,7 @@ from contextlib import nullcontext, suppress
 
 from .circuit import (MODES, _check_steps, calibrate_noise, prepared_states, run_trace,
                       sampled_machine, trace_blocks)
-from .process import CausalMachine, classical_complexity, stationary_distribution
+from .process import CausalMachine, _checked_make, classical_complexity, stationary_distribution
 from .qmath import mixture, trace_distance, von_neumann_entropy
 from .qmodel import quantum_complexity
 from .seeding import BOOTSTRAP, COLUMNS, SHOTS, TRACE, make_rng
@@ -58,6 +58,7 @@ class ExperimentConfig(namedtuple("ExperimentConfig", "p_right p_left mode gate 
     """One fully specified simulation/tomography experiment."""
 
     __slots__ = ()
+    _make = classmethod(_checked_make)   # so _replace checks too
 
     def __new__(cls, p_right: float, p_left: float, mode: str = "quantum",
                 gate: str = "cnot", steps: int = 100_000, shots_per_basis: int = 10_000,
@@ -71,11 +72,6 @@ class ExperimentConfig(namedtuple("ExperimentConfig", "p_right p_left mode gate 
         _check_seed(seed)
         return super().__new__(cls, p_right, p_left, mode, gate, steps, shots_per_basis,
                                noise_lambda, seed)
-
-    @classmethod
-    def _make(cls, iterable) -> "ExperimentConfig":
-        # namedtuple's _make, and _replace through it, skip __new__ and its checks
-        return cls(*iterable)
 
     def machine(self) -> CausalMachine:
         return CausalMachine(self.p_right, self.p_left)

@@ -33,13 +33,14 @@ _DRAW_BLOCK = 1 << 13     # uniforms per block in _sample_blocks: 64 KB, cache-s
 _KEY = np.int16           # _sample_blocks' fill keys, up to 2 * _DRAW_BLOCK + 1
 
 
-class ReducibleChainError(ValueError):
-    """Raised when p_right = p_left = 0: no unique stationary distribution."""
-
-
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
+
+def _checked_make(cls, iterable):
+    # namedtuple's _make, and _replace through it, would skip __new__ and its checks
+    return cls(*iterable)
+
 
 class CausalMachine(namedtuple("CausalMachine", "p_right p_left")):
     """Two-state Markov machine on switch parity.
@@ -49,17 +50,13 @@ class CausalMachine(namedtuple("CausalMachine", "p_right p_left")):
     """
 
     __slots__ = ()
+    _make = classmethod(_checked_make)   # so _replace checks too
 
     def __new__(cls, p_right: float, p_left: float):
         for name, p in (("p_right", p_right), ("p_left", p_left)):
             if not (0.0 <= p <= 1.0):
                 raise ValueError(f"{name} must be in [0, 1], got {p!r}")
         return super().__new__(cls, p_right, p_left)
-
-    def transition_matrix(self) -> np.ndarray:
-        """t[s, x] = probability of moving from state s to state x."""
-        return np.array([[1.0 - self.p_right, self.p_right],
-                         [self.p_left, 1.0 - self.p_left]])
 
 
 # ---------------------------------------------------------------------------
@@ -79,13 +76,13 @@ def states_merge(machine: CausalMachine) -> bool:
 def stationary_distribution(machine: CausalMachine) -> tuple[float, float]:
     """Equilibrium (w0, w1) solving w0 * p_right = w1 * p_left.
 
-    p_right = p_left = 0 has no unique equilibrium and raises
-    ReducibleChainError.  p_right = p_left = 1 is a valid period-2 chain;
-    (0.5, 0.5) is its time-average occupation.
+    p_right = p_left = 0 has no unique equilibrium and raises ValueError.
+    p_right = p_left = 1 is a valid period-2 chain; (0.5, 0.5) is its
+    time-average occupation.
     """
     total = machine.p_right + machine.p_left
     if total == 0.0:
-        raise ReducibleChainError("p_right = p_left = 0: stationary distribution is not unique")
+        raise ValueError("p_right = p_left = 0: stationary distribution is not unique")
     return machine.p_left / total, machine.p_right / total
 
 
@@ -108,7 +105,8 @@ def block_distribution(machine: CausalMachine, block_len: int) -> np.ndarray:
     """
     if not (1 <= block_len <= MAX_BLOCK_LEN):
         raise ValueError(f"block length must be in [1, {MAX_BLOCK_LEN}], got {block_len!r}")
-    t = machine.transition_matrix()
+    p_right, p_left = machine
+    t = np.array([[1.0 - p_right, p_right], [p_left, 1.0 - p_left]])   # t[s, x]: s -> x
     w0, w1 = stationary_distribution(machine)
     probs = w0 * t[0] + w1 * t[1]                           # law of the first bit
     for size in (2 ** k for k in range(1, block_len)):

@@ -22,10 +22,6 @@ ATOL_DIST = 1e-9       # probability vectors must sum to 1 within this
 EIG_ZERO = 1e-12       # a qubit eigenvalue below this counts as 0 in entropies
 
 
-class InvalidDistributionError(ValueError):
-    """Raised when a probability vector has negative mass or wrong total."""
-
-
 def bloch(x, y, z) -> np.ndarray:
     """The read-only Bloch vector (x, y, z) of a qubit state."""
     r = np.array([x, y, z], dtype=float)
@@ -58,16 +54,17 @@ def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def _distribution(dist) -> np.ndarray:
-    """dist as a float vector, or InvalidDistributionError unless it is a
-    non-empty vector of entries in [0, 1] summing to 1 within ATOL_DIST."""
+    """dist as a float vector, or ValueError unless it is a non-empty vector
+    of entries in [0, 1] summing to 1 within ATOL_DIST.  Every comparison
+    with NaN is false, so the checks negate the good case to refuse NaN."""
     p = np.asarray(dist, dtype=float)
     if p.ndim != 1 or p.size == 0:
-        raise InvalidDistributionError("distribution must be a non-empty vector")
-    if np.any(p < 0.0) or np.any(p > 1.0 + ATOL_DIST):
-        raise InvalidDistributionError(f"entries outside [0, 1] in {p!r}")
+        raise ValueError("distribution must be a non-empty vector")
+    if not (p >= 0.0).all() or np.any(p > 1.0 + ATOL_DIST):
+        raise ValueError(f"entries outside [0, 1] in {p!r}")
     total = float(p.sum())
-    if abs(total - 1.0) > ATOL_DIST:
-        raise InvalidDistributionError(f"probabilities sum to {total!r}, expected 1")
+    if not abs(total - 1.0) <= ATOL_DIST:
+        raise ValueError(f"probabilities sum to {total!r}, expected 1")
     return p
 
 
@@ -114,5 +111,5 @@ def mixture(weights, vectors) -> np.ndarray:
     one weight per state."""
     w = _distribution(weights)
     if len(w) != len(vectors):
-        raise InvalidDistributionError(f"{len(w)} weight(s) for {len(vectors)} state(s)")
+        raise ValueError(f"{len(w)} weight(s) for {len(vectors)} state(s)")
     return bloch(*sum(wi * np.asarray(ri, dtype=float) for wi, ri in zip(w, vectors)))

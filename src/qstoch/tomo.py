@@ -16,6 +16,7 @@ from contextlib import suppress
 import numpy as np
 
 from . import qmath
+from .process import _checked_make
 
 MIN_BOOTSTRAP = 100
 MAX_SHOTS = 2 ** 63 - 1     # the largest n numpy's binomial draw takes
@@ -34,6 +35,7 @@ class TomographyCounts(namedtuple("TomographyCounts", "shots_per_basis plus")):
     measured shots_per_basis times; a basis's -1 count is the rest."""
 
     __slots__ = ()
+    _make = classmethod(_checked_make)   # so _replace checks too
 
     def __new__(cls, shots_per_basis: int, plus: tuple):
         _check_shots(shots_per_basis)

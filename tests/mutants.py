@@ -69,6 +69,22 @@ MUTANTS = (
            "theta = (np.arcsin(np.sqrt(pr)) - np.arcsin(np.sqrt(pl)))",
            "theta = (np.arcsin(np.sqrt(pl)) - np.arcsin(np.sqrt(pr)))",
            ("test_qmodel.py",)),
+    Mutant("probability checks let NaN through", "qmath",
+           "if not (p >= 0.0).all() or np.any(p > 1.0 + ATOL_DIST):\n"
+           "        raise ValueError(f\"entries outside [0, 1] in {p!r}\")\n"
+           "    total = float(p.sum())\n"
+           "    if not abs(total - 1.0) <= ATOL_DIST:",
+           "if np.any(p < 0.0) or np.any(p > 1.0 + ATOL_DIST):\n"
+           "        raise ValueError(f\"entries outside [0, 1] in {p!r}\")\n"
+           "    total = float(p.sum())\n"
+           "    if abs(total - 1.0) > ATOL_DIST:",
+           ("test_qmath.py",)),
+    Mutant("CausalMachine without its _make override", "process",
+           "    _make = classmethod(_checked_make)   # so _replace checks too\n", "",
+           ("test_records.py",)),
+    Mutant("block tally drops the bits carried across a chunk boundary", "stats",
+           "bits = np.concatenate([carry, chunk]) if carry.size else chunk", "bits = chunk",
+           ("test_stats.py",)),
 )
 
 

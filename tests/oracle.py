@@ -562,7 +562,8 @@ def enumerated_count_sigma(machine: CausalMachine, block_len: int,
     n = block_len * n_blocks
     if not (1 <= n <= MAX_BLOCK_LEN):
         raise ValueError(f"m L must be in [1, {MAX_BLOCK_LEN}], got {n!r}")
-    t = machine.transition_matrix()
+    p_right, p_left = machine
+    t = np.array([[1.0 - p_right, p_right], [p_left, 1.0 - p_left]])   # t[s, x]: s -> x
     paths = (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
     weight = np.zeros(2 ** n)
     for start, share in enumerate(stationary_distribution(machine)):

@@ -12,7 +12,6 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from qstoch.qmath import (
-    InvalidDistributionError,
     bloch,
     bloch_radius,
     eig_hermitian,
@@ -73,12 +72,19 @@ class TestShannonEntropy:
         assert shannon_entropy([1.0, 0.0]) == 0.0
 
     def test_negative_entry_rejected(self):
-        with pytest.raises(InvalidDistributionError):
+        with pytest.raises(ValueError, match=r"entries outside \[0, 1\]"):
             shannon_entropy([1.2, -0.2])
 
     def test_bad_total_rejected(self):
-        with pytest.raises(InvalidDistributionError):
+        with pytest.raises(ValueError, match="probabilities sum to"):
             shannon_entropy([0.5, 0.4])
+
+    @pytest.mark.parametrize("dist", [[np.nan, np.nan], [np.nan, 1.0], [1.0, np.nan]])
+    def test_nan_entry_rejected(self, dist):
+        # every comparison with NaN is false: a check that asks for the bad
+        # case lets NaN through, and the entropy read 0.0
+        with pytest.raises(ValueError, match=r"entries outside \[0, 1\]"):
+            shannon_entropy(dist)
 
     def test_range_bound(self):
         rng = np.random.default_rng(5)
@@ -389,10 +395,15 @@ class TestTraceDistance:
             got = trace_distance(bloch_vector(a), bloch_vector(b))
             assert got == pytest.approx(matrix_trace_distance(a, b), rel=0, abs=1e-15)
 
-    def test_mixture_weights_checked(self):
-        for weights in ([0.5, 0.6], [1.5, -0.5], []):
-            with pytest.raises(InvalidDistributionError):
-                mixture(weights, (ZERO, ONE))
+    @pytest.mark.parametrize("weights, message", [
+        ([0.5, 0.6], "probabilities sum to"),
+        ([1.5, -0.5], r"entries outside \[0, 1\]"),
+        ([np.nan, np.nan], r"entries outside \[0, 1\]"),
+        ([], "non-empty vector"),
+    ], ids=["bad-total", "negative", "nan", "empty"])
+    def test_mixture_weights_checked(self, weights, message):
+        with pytest.raises(ValueError, match=message):
+            mixture(weights, (ZERO, ONE))
 
     @pytest.mark.parametrize("weights, vectors, message", [
         ([0.5, 0.5], (ZERO,), r"2 weight\(s\) for 1 state\(s\)"),
@@ -400,5 +411,5 @@ class TestTraceDistance:
     ], ids=["fewer-states", "fewer-weights"])
     def test_mixture_refuses_a_count_mismatch(self, weights, vectors, message):
         # one weight per state: zip would drop the extras without a word
-        with pytest.raises(InvalidDistributionError, match=message):
+        with pytest.raises(ValueError, match=message):
             mixture(weights, vectors)

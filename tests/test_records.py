@@ -41,6 +41,23 @@ def test_constructor_checks_value(build):
         build()
 
 
+# a valid record, and a field change its constructor refuses
+BAD_REPLACEMENTS = {
+    "CausalMachine": (MACHINE, {"p_right": 1.5}),
+    "TomographyCounts": (COUNTS, {"shots_per_basis": 3}),   # +1 counts above the shots
+    "ExperimentConfig": (CONFIG, {"p_right": 1.5}),
+}
+
+
+@pytest.mark.parametrize("record, change", BAD_REPLACEMENTS.values(),
+                         ids=BAD_REPLACEMENTS.keys())
+def test_replace_checks_value(record, change):
+    # namedtuple's _replace builds through _make, which would skip __new__
+    with pytest.raises(ValueError):
+        record._replace(**change)
+    assert type(record._replace()) is type(record) and record._replace() == record
+
+
 NON_INTEGER_SHOTS = {
     "TomographyCounts": lambda shots: TomographyCounts(shots, (5, 4, 10)),
     "simulate_counts": lambda shots: simulate_counts(bloch(0.0, 0.0, 1.0), shots, make_rng(0)),
