@@ -30,7 +30,6 @@ MERGE_TOL = 1e-12   # |1 - p_right - p_left| below this collapses the two states
 
 MAX_BLOCK_LEN = 12
 _DRAW_BLOCK = 1 << 13     # uniforms per block in _sample_blocks: 64 KB, cache-sized
-_KEY = np.int16           # _sample_blocks' fill keys, up to 2 * _DRAW_BLOCK + 1
 
 
 # ---------------------------------------------------------------------------
@@ -139,41 +138,39 @@ def _sample_blocks(p1: tuple[float, float], n: int, rng: np.random.Generator,
     state entering its first step, its int8 bits): the n steps arrive in
     order and nothing of length n is built.
 
-    Each step maps {0, 1} -> {0, 1} by a constant, the identity or negation,
-    so a block resolves as one forward fill: a uniform outside the band
-    [lo, hi) between the two probabilities sets the state to w = (u < lo)
-    whatever it was; inside, the state stays (p1[0] < p1[1]) or flips
-    (p1[0] > p1[1]).  Such a reset at step j (from 1 in the block; 0 is the
-    state carried in) keys 2j + (w ^ alt_j), alt_j = j & 1 if the band flips
-    and 0 if it keeps; a running maximum carries the latest key forward, and
-    step k's bit is (key ^ alt_k) & 1: w, negated once per flip since.
+    Each step maps {0, 1} -> {0, 1} by a constant, the identity or negation:
+    a uniform below lo = min(p1) sets the state to 1, one at or above
+    hi = max(p1) sets it to 0, and inside the band [lo, hi) the state stays
+    (p1[0] < p1[1]) or flips (p1[0] > p1[1]).  So a block is one carry
+    chain, resolved by one big-integer add.  Put step i of the block at bit i
+    of Python ints: a holds the steps that set 1 (generate), k those in the
+    band (propagate).  In a + (a | k) + state the carry into bit i is the
+    state before step i, and the sum's bit i is that carry xor k_i, so the
+    states after the steps are s = a | (k & (sum ^ k)).  A flipping band runs
+    the same chain on the states xor'd with the odd-step mask alt = 0b..1010:
+    a flip carries an alternating state unchanged, and the state before
+    step 0 enters negated.
 
-    The scratch arrays are allocated once per trace and every ufunc writes
-    into them; only the yielded bits are new, so a caller may keep blocks.
+    The uniforms' buffer is allocated once per trace; every yielded bit
+    array is new, so a caller may keep blocks.
     """
     state = 0 if rng.random() < w0 else 1
     lo, hi = min(p1), max(p1)
-    size = min(_DRAW_BLOCK, n)
-    u = np.empty(size)
-    below = np.empty(size, dtype=bool)
-    reset = np.empty(size, dtype=bool)
-    # ramp[k] = 2j + alt_j for step j = k + 1, so its low bit is alt_j
-    ramp = np.arange(2, 2 * size + 2, 2, dtype=_KEY)
-    ramp[::2] += p1[0] > p1[1]
-    key = np.empty(size, dtype=_KEY)
+    flips = bool(p1[0] > p1[1])   # a numpy bool makes the carry-in an int64, which overflows
+    u = np.empty(min(_DRAW_BLOCK, n))
+    alt = int.from_bytes(b"\xaa" * ((u.shape[0] + 7) // 8), "little") if flips else 0
     for first in range(0, n, _DRAW_BLOCK):
         m = min(_DRAW_BLOCK, n - first)
-        if m < size:
-            u, below, reset, ramp, key = u[:m], below[:m], reset[:m], ramp[:m], key[:m]
+        if m < u.shape[0]:
+            u = u[:m]
         rng.random(out=u)
-        np.less(u, lo, out=below)
-        np.greater_equal(u, hi, out=reset)
-        np.logical_or(reset, below, out=reset)
-        np.bitwise_xor(ramp, below, out=key)
-        np.multiply(key, reset, out=key)
-        key[0] = max(key[0], state)       # no reset at step 1: the carried state
-        np.maximum.accumulate(key, out=key)
-        np.bitwise_xor(key, ramp, out=key)
-        bits = np.bitwise_and(key, 1, dtype=np.int8, casting="unsafe")
+        a = int.from_bytes(np.packbits(u < lo, bitorder="little"), "little")
+        packed = np.packbits(u < hi, bitorder="little")
+        k = int.from_bytes(packed, "little") ^ a
+        # in a shorter last block alt's extra bits generate only past its steps; ^ alt clears them
+        a = (a ^ alt) & ~k
+        s = (a | (k & ((a + (a | k) + (state ^ flips)) ^ k))) ^ alt
+        bits = np.unpackbits(np.frombuffer(s.to_bytes(packed.shape[0], "little"), np.uint8),
+                             count=m, bitorder="little").view(np.int8)
         yield state, bits
-        state = int(bits[-1])
+        state = s >> (m - 1)

@@ -111,9 +111,13 @@ def block_law_check(machine: CausalMachine, counts: np.ndarray) -> BlockLawCheck
     """N_SIGMA per-cell test of disjoint-block counts vs the exact law.
 
     counts holds the tallies of all 2**L blocks (one length of
-    stream_block_counts), none negative; L is read off its size.
+    stream_block_counts) in an integer dtype, none negative; L is read off
+    its size.
     """
     counts = np.asarray(counts)
+    if counts.dtype.kind not in "iu":
+        raise ValueError(f"block counts must have an integer dtype, got {counts.dtype}: "
+                         f"{counts!r}")
     block_len = counts.size.bit_length() - 1
     # 0.0, not 0: a float64 comparison is loaded already, an int64 one costs 0.3 MB RSS
     if (counts.ndim != 1 or not (1 <= block_len <= _MAX_CHECK_LEN)

@@ -85,6 +85,18 @@ MUTANTS = (
     Mutant("block tally drops the bits carried across a chunk boundary", "stats",
            "bits = np.concatenate([carry, chunk]) if carry.size else chunk", "bits = chunk",
            ("test_stats.py",)),
+    Mutant("trace block carries the state in un-negated through a flipping band", "process",
+           "(state ^ flips)", "state",
+           ("test_process.py",)),
+    Mutant("flipping band's mask on the even steps", "process",
+           'b"\\xaa"', 'b"\\x55"',
+           ("test_process.py",)),
+    Mutant("band direction left a numpy bool", "process",
+           "flips = bool(p1[0] > p1[1])", "flips = p1[0] > p1[1]",
+           ("test_process.py",)),
+    Mutant("next block enters in its block's first state", "process",
+           "state = s >> (m - 1)", "state = s & 1",
+           ("test_process.py",)),
 )
 
 

@@ -17,7 +17,6 @@ from qstoch.process import (
     stationary_distribution,
     states_merge,
     _DRAW_BLOCK,
-    _KEY,
     _sample_blocks,
 )
 from qstoch.seeding import make_rng
@@ -379,9 +378,16 @@ class TestSamplePathScan:
         np.testing.assert_array_equal(np.concatenate([bits for bits, _ in kept]),
                                       step_loop_path(p1, n, make_rng(21), 0.5)[1:])
 
-    def test_key_dtype_holds_the_largest_key(self):
-        # reset step j of a block keys 2j + 1 at most, j <= _DRAW_BLOCK
-        assert 2 * _DRAW_BLOCK + 1 <= np.iinfo(_KEY).max
+    @pytest.mark.parametrize("machine", [(0.9, 0.3), (0.3, 0.3)], ids=["flips", "keeps"])
+    def test_numpy_probabilities_sample_as_python_floats(self, machine):
+        # p1 of np.float64 probabilities compares to numpy bools, and the
+        # sampler's big-integer carry chain must take them as Python numbers
+        n = _DRAW_BLOCK + 5
+        want = list(trace_blocks(CausalMachine(*machine), n, make_rng(5)))
+        got = list(trace_blocks(CausalMachine(*np.array(machine)), n, make_rng(5)))
+        assert [entering for entering, _ in got] == [entering for entering, _ in want]
+        for (_, bits), (_, expected) in zip(got, want):
+            np.testing.assert_array_equal(bits, expected)
 
     @pytest.mark.parametrize("p1", [(0.9, 0.3), (0.3, 0.9)], ids=["flips", "keeps"])
     @pytest.mark.parametrize("last", [0.1, 0.95], ids=["sets-1", "sets-0"])

@@ -242,6 +242,13 @@ class TestChecks:
         with pytest.raises(ValueError, match="block counts >= 0"):
             block_law_check(CausalMachine(0.9, 0.3), counts)
 
+    @pytest.mark.parametrize("counts", [[2.5, 1.6], [3.0, 1.0], [True, False]])
+    def test_counts_of_no_integer_dtype_rejected(self, counts):
+        # [2.5, 1.6] would be judged at m = int(4.1) = 4, freqs summing to 1.025
+        message = f"block counts must have an integer dtype, got {np.asarray(counts).dtype}"
+        with pytest.raises(ValueError, match=message):
+            block_law_check(CausalMachine(0.9, 0.3), counts)
+
     def test_check_fields_consistent(self):
         machine = CausalMachine(0.9, 0.3)
         outputs = trace_outputs(machine, "classical", 30_000, make_rng(4))
