@@ -40,8 +40,9 @@ class RunResult(NamedTuple):
 
     Every step enters with one of two prepared states, the encoding of the
     causal state it starts from, so the memory ensemble is fixed by how many
-    steps entered in state 1 (tomo.ensemble_density mixes them).  The
-    outputs themselves are not kept: stream them with trace_blocks.
+    steps entered in state 1 (tomo.ensemble_density mixes them), counted by
+    popcounts of the trace's packed blocks.  The outputs themselves are not
+    kept: stream them with trace_blocks.
     """
 
     steps: int
@@ -101,15 +102,16 @@ def sampled_machine(machine: CausalMachine, mode: str, lam: float = 0.0) -> Caus
 
 
 def trace_blocks(chain: CausalMachine, n: int,
-                 rng: np.random.Generator) -> Iterator[tuple[int, np.ndarray]]:
+                 rng: np.random.Generator) -> Iterator[tuple[int, int, int]]:
     """The n outputs of the chain from a start drawn from its own stationary
     law, streamed.
 
-    Yields (the state entering the block's first step, the block's int8
-    output bits) for consecutive blocks of at most 8192 steps, so a trace
-    of any length is read in bounded memory.  Each block is a new array, so
-    a caller may keep it.  n and the stationary law are checked here, before
-    the first block is drawn.
+    Yields (the state entering the block's first step, the block's output
+    bits, its step count m) for consecutive blocks of at most 8192 steps, so
+    a trace of any length is read in bounded memory.  The bits are one
+    Python int, step i of the block at bit i, so its last output is
+    bits >> (m - 1).  n and the stationary law are checked here, before the
+    first block is drawn.
     """
     _check_steps(n)
     w0, _ = stationary_distribution(chain)
@@ -129,6 +131,6 @@ def run_trace(machine: CausalMachine, mode: str, n: int, rng: np.random.Generato
     """
     chain = sampled_machine(machine, mode, lam)
     # step j enters in the state step j - 1 emitted, step 0 in the start state
-    ones = sum(entering + int(np.count_nonzero(bits[:-1]))
-               for entering, bits in trace_blocks(chain, n, rng))
+    ones = sum(entering + bits.bit_count() - (bits >> (m - 1))
+               for entering, bits, m in trace_blocks(chain, n, rng))
     return RunResult(steps=n, ones=ones, vectors=prepared_states(machine, mode))

@@ -230,7 +230,7 @@ def cmd_simulate(args) -> tuple:
     law = sampled_machine(cfg.machine(), cfg.mode, cfg.noise_lambda)
     blocks = trace_blocks(law, cfg.steps, make_rng(cfg.seed, 0, COLUMNS[cfg.mode], TRACE))
     block_lens = range(1, min(MAX_CHECK_BLOCK_LEN, cfg.steps) + 1)
-    tallies = stream_block_counts((bits for _, bits in blocks), block_lens)
+    tallies = stream_block_counts(((bits, m) for _, bits, m in blocks), block_lens)
     rows = []
     ok = True
     for block_len, counts in zip(block_lens, tallies):

@@ -129,14 +129,15 @@ def excess_entropy(machine: CausalMachine) -> float:
 
 
 def _sample_blocks(p1: tuple[float, float], n: int, rng: np.random.Generator,
-                   w0: float) -> Iterator[tuple[int, np.ndarray]]:
+                   w0: float) -> Iterator[tuple[int, int, int]]:
     """The chain that emits 1 from state s w.p. p1[s], block by block.
 
     The start state is drawn with one uniform (0 iff below w0); each step
     emits 1 iff its uniform is below p1[state], and that bit is the next
     state.  Uniforms come in _DRAW_BLOCK blocks, and each block yields (the
-    state entering its first step, its int8 bits): the n steps arrive in
-    order and nothing of length n is built.
+    state entering its first step, its bits, its step count m): the bits
+    are the Python int s below, step i at bit i and nothing at bit m or
+    above.  The n steps arrive in order and nothing of length n is built.
 
     Each step maps {0, 1} -> {0, 1} by a constant, the identity or negation:
     a uniform below lo = min(p1) sets the state to 1, one at or above
@@ -151,8 +152,8 @@ def _sample_blocks(p1: tuple[float, float], n: int, rng: np.random.Generator,
     a flip carries an alternating state unchanged, and the state before
     step 0 enters negated.
 
-    The uniforms' buffer is allocated once per trace; every yielded bit
-    array is new, so a caller may keep blocks.
+    The uniforms' buffer is allocated once per trace; the yielded ints are
+    immutable, so a caller may keep blocks.
     """
     state = 0 if rng.random() < w0 else 1
     lo, hi = min(p1), max(p1)
@@ -165,12 +166,9 @@ def _sample_blocks(p1: tuple[float, float], n: int, rng: np.random.Generator,
             u = u[:m]
         rng.random(out=u)
         a = int.from_bytes(np.packbits(u < lo, bitorder="little"), "little")
-        packed = np.packbits(u < hi, bitorder="little")
-        k = int.from_bytes(packed, "little") ^ a
+        k = int.from_bytes(np.packbits(u < hi, bitorder="little"), "little") ^ a
         # in a shorter last block alt's extra bits generate only past its steps; ^ alt clears them
         a = (a ^ alt) & ~k
         s = (a | (k & ((a + (a | k) + (state ^ flips)) ^ k))) ^ alt
-        bits = np.unpackbits(np.frombuffer(s.to_bytes(packed.shape[0], "little"), np.uint8),
-                             count=m, bitorder="little").view(np.int8)
-        yield state, bits
+        yield state, s, m
         state = s >> (m - 1)

@@ -6,13 +6,13 @@ The per-cell standard deviations used here are therefore the exact ones for
 that sampling scheme, rather than plain multinomial values; a test at N_SIGMA
 of them keeps its nominal meaning.  Their lag-1 covariance is read off the
 exact law of two adjacent windows, a block of length 2L, so the checks take
-L in [1, MAX_BLOCK_LEN // 2].  Counts at several lengths, up to
-MAX_BLOCK_LEN bits, come from one tally in windows of their lcm.
+L in [1, MAX_BLOCK_LEN // 2].  Counts at several lengths, each up to
+MAX_BLOCK_LEN bits, come from one pass over a trace's packed blocks, by
+popcounts of big-integer masks: no window is unpacked or coded.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Sequence
 from typing import NamedTuple
 
@@ -34,43 +34,47 @@ class BlockLawCheck(NamedTuple):
     passed: bool
 
 
-def stream_block_counts(chunks: Iterable, block_lens: Sequence[int]) -> list[np.ndarray]:
+def stream_block_counts(blocks: Iterable, block_lens: Sequence[int]) -> list[np.ndarray]:
     """Disjoint-window block counts at several lengths, in one pass over a
-    trace that arrives in chunks.
+    trace that arrives in blocks.
 
-    The trace is tallied once, in windows of W = lcm(block_lens) <= 12 bits,
-    a window cut by a chunk boundary completed from the next chunk.  Each is
-    coded (first bit most significant) by summing its bits' place values.  A
-    W-window is W / L L-windows, so the counts at length L are the summed
-    marginals of the 2**W tally shaped (2**L,) * (W / L), plus the L-windows
-    of the bits after the last W-window.
+    Each block is (bits, m): m outputs packed in a Python int, step i at
+    bit i, as trace_blocks yields them.  At each length L the bits of a
+    window that a block boundary cuts are carried into the next block.  The
+    starts of the whole windows are the repunit mask with a 1 every L bits;
+    splitting it on each window's bit j in turn, first bit first, leaves
+    one mask per code, in code order with the first bit most significant,
+    and the popcount of each is that code's count.
     """
-    width = math.lcm(*block_lens)
-    if min(block_lens, default=1) < 1 or width > MAX_BLOCK_LEN:
-        raise ValueError(f"block lengths must be >= 1 with lcm <= {MAX_BLOCK_LEN}, "
-                         f"got {tuple(block_lens)!r} (lcm {width})")
-    place = (1 << np.arange(width - 1, -1, -1)).astype(np.int16)
-    tally = np.zeros(2 ** width, dtype=np.int64)
-    carry = np.empty(0, dtype=np.int8)
-    for chunk in chunks:
-        chunk = np.asarray(chunk).reshape(-1)
-        bits = np.concatenate([carry, chunk]) if carry.size else chunk
-        n_windows = bits.shape[0] // width
-        codes = (bits[: n_windows * width].reshape(-1, width) * place).sum(axis=1, dtype=np.int16)
-        tally += np.bincount(codes, minlength=2 ** width)
-        carry = bits[n_windows * width:].copy()
-    counts = []
-    for block_len in block_lens:
-        parts = width // block_len
-        cells = tally.reshape((2 ** block_len,) * parts)
-        tail = carry[: carry.shape[0] // block_len * block_len].reshape(-1, block_len)
-        codes = (tail * place[width - block_len:]).sum(axis=1, dtype=np.int16)
-        tally_l = np.bincount(codes, minlength=2 ** block_len)
-        tally_l += sum(cells.sum(axis=tuple(set(range(parts)) - {j})) for j in range(parts))
-        if tally_l.sum() == 0:
+    if not all(1 <= block_len <= MAX_BLOCK_LEN for block_len in block_lens):
+        raise ValueError(f"block lengths must be in [1, {MAX_BLOCK_LEN}], "
+                         f"got {tuple(block_lens)!r}")
+    tallies = [[0] * 2 ** block_len for block_len in block_lens]
+    carry = [(0, 0)] * len(block_lens)    # per length: the cut window's bits, their count
+    for bits, m in blocks:
+        for i, block_len in enumerate(block_lens):
+            held, k = carry[i]
+            t = held | (bits << k)
+            used = (k + m) // block_len * block_len
+            starts = ((1 << used) - 1) // ((1 << block_len) - 1)
+            counts = _split(starts, used // block_len, [t >> j for j in range(block_len)])
+            tallies[i] = [a + b for a, b in zip(tallies[i], counts)]
+            carry[i] = (t >> used, k + m - used)
+    for block_len, tally in zip(block_lens, tallies):
+        if not any(tally):
             raise ValueError(f"trace too short for blocks of length {block_len}")
-        counts.append(tally_l)
-    return counts
+    return [np.array(tally, dtype=np.int64) for tally in tallies]
+
+
+def _split(w: int, count: int, shifted: list) -> list[int]:
+    """Popcounts of the 2**len(shifted) masks that w, of count set bits,
+    splits into on the bits of shifted: each split's 0 half before its 1
+    half, the 0 half counted as what the 1 half leaves."""
+    one = w & shifted[0]
+    ones = one.bit_count()
+    if len(shifted) == 1:
+        return [count - ones, ones]
+    return _split(w ^ one, count - ones, shifted[1:]) + _split(one, ones, shifted[1:])
 
 
 def _lag_weight_sum(m: int, r: float) -> float:

@@ -5,10 +5,23 @@ import numpy as np
 from qstoch.circuit import sampled_machine, trace_blocks
 
 
+def packed(chunk):
+    """A bit array as the (bits, m) pair trace_blocks yields: its m bits in
+    one Python int, element i at bit i."""
+    chunk = np.asarray(chunk).reshape(-1)
+    return int.from_bytes(np.packbits(chunk, bitorder="little"), "little"), chunk.shape[0]
+
+
+def unpacked(bits, m):
+    """The int8 array of a packed block's m bits, element i from bit i."""
+    raw = np.frombuffer(bits.to_bytes((m + 7) // 8, "little"), np.uint8)
+    return np.unpackbits(raw, count=m, bitorder="little").view(np.int8)
+
+
 def chain_outputs(chain, n, rng):
-    """The whole n-step output trace of a chain, concatenated from its
-    trace_blocks."""
-    return np.concatenate([bits for _, bits in trace_blocks(chain, n, rng)])
+    """The whole n-step output trace of a chain, its trace_blocks unpacked
+    and concatenated."""
+    return np.concatenate([unpacked(bits, m) for _, bits, m in trace_blocks(chain, n, rng)])
 
 
 def trace_outputs(machine, mode, n, rng):

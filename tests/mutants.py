@@ -37,7 +37,7 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant("run counts exiting, not entering, states", "circuit",
-           "entering + int(np.count_nonzero(bits[:-1]))", "int(np.count_nonzero(bits))",
+           "entering + bits.bit_count() - (bits >> (m - 1))", "bits.bit_count()",
            ("test_circuit.py",)),
     Mutant("gate noise at lam, not 16 lam / 15", "circuit",
            "mix = 16.0 * lam / 15.0", "mix = lam",
@@ -83,7 +83,13 @@ MUTANTS = (
            "    _make = classmethod(_checked_make)   # so _replace checks too\n", "",
            ("test_records.py",)),
     Mutant("block tally drops the bits carried across a chunk boundary", "stats",
-           "bits = np.concatenate([carry, chunk]) if carry.size else chunk", "bits = chunk",
+           "held | (bits << k)", "bits",
+           ("test_stats.py",)),
+    Mutant("block tally splits on a window's last bit first", "stats",
+           "t >> j", "t >> (block_len - 1 - j)",
+           ("test_stats.py",)),
+    Mutant("block tally starts a window every L + 1 bits", "stats",
+           "// ((1 << block_len) - 1)", "// ((1 << (block_len + 1)) - 1)",
            ("test_stats.py",)),
     Mutant("trace block carries the state in un-negated through a flipping band", "process",
            "(state ^ flips)", "state",

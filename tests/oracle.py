@@ -40,6 +40,8 @@ from qstoch.qmath import ATOL_DIST, ATOL_UNIT, EIG_ZERO, shannon_entropy
 from qstoch.qmodel import construct_cu
 from qstoch.stats import N_SIGMA, block_count_sigma, stream_block_counts
 
+from conftest import packed
+
 ATOL_PSD = 1e-10       # most negative eigenvalue tolerated in a density matrix
 
 
@@ -536,8 +538,9 @@ def naive_switch_entropy(machine: CausalMachine) -> float:
 
 def disjoint_block_counts(outputs: np.ndarray, block_len: int) -> np.ndarray:
     """Counts of the 2**L possible blocks over consecutive disjoint windows
-    of a bit array, by stats.stream_block_counts."""
-    counts, = stream_block_counts((outputs,), (block_len,))
+    of a bit array, by stats.stream_block_counts of the array packed as one
+    block."""
+    counts, = stream_block_counts((packed(outputs),), (block_len,))
     return counts
 
 

@@ -23,7 +23,7 @@ from qstoch.tomo import ensemble_density
 from qstoch.seeding import make_rng
 from qstoch.stats import block_law_check
 
-from conftest import ScriptedUniforms, chain_outputs, trace_outputs
+from conftest import ScriptedUniforms, chain_outputs, trace_outputs, unpacked
 from oracle import (
     CNOT4,
     KET0,
@@ -274,7 +274,7 @@ class TestRunTrace:
         chain = sampled_machine(machine, "quantum", lam)
         assert stationary_distribution(chain)[0] == pytest.approx(0.2584, abs=1e-4)
         assert make_rng(12).random() == pytest.approx(0.2550, abs=1e-4)
-        (start, _), = trace_blocks(chain, 10, make_rng(12))
+        (start, _, _), = trace_blocks(chain, 10, make_rng(12))
         assert start == 0
         assert run_trace(machine, "quantum", 1, make_rng(12), lam).ones == 0
 
@@ -313,7 +313,7 @@ class TestRunTrace:
         machine = CausalMachine(0.9, 0.3)
         run = run_trace(machine, mode, 20_000, make_rng(79))
         blocks = list(trace_blocks(sampled_machine(machine, mode), 20_000, make_rng(79)))
-        outputs = np.concatenate([bits for _, bits in blocks])
+        outputs = np.concatenate([unpacked(bits, m) for _, bits, m in blocks])
         # rebuild the per-step ket array: step j enters in the state step
         # j - 1 emitted, step 0 in the start state
         entering = np.concatenate([[blocks[0][0]], outputs[:-1]])

@@ -500,6 +500,24 @@ class TestRunPath:
         monkeypatch.setattr(np.linalg, "norm", refusing("np.linalg.norm"))
         assert run_cli(args, tmp_path, "out.csv")[0] == 0
 
+    @RUN_PATH
+    def test_no_unpack_or_integer_tally_kernel(self, monkeypatch, tmp_path, args):
+        # a trace block stays the carry chain's Python int, counted by
+        # popcounts: unpacking it to an array and tallying window codes with
+        # np.bincount mapped kernels whose first calls added 228 KB of RSS
+        # to a simulate process that had already run its trace
+        for name in ("unpackbits", "bincount"):
+            monkeypatch.setattr(np, name, refusing(f"np.{name}"))
+        assert run_cli(args, tmp_path, "out.csv")[0] == 0
+
+    def test_no_array_concatenation(self):
+        # nor is a trace's bit array joined to a carried window: numpy.random's
+        # SeedSequence calls np.concatenate for every generator, so a
+        # monkeypatch cannot refuse it and the modules are read instead
+        layers = [path.stem for path in Path(cli.__file__).parent.glob("*.py")]
+        assert "stats" in layers
+        assert set().union(*(name_sites(layer, {"concatenate"}) for layer in layers)) == set()
+
     def test_no_matrix_product_operator(self):
         # a monkeypatch cannot catch @, so the modules are read: no qstoch
         # module holds one, qmodel's closed-form cu gate among them

@@ -21,7 +21,7 @@ from qstoch.process import (
 )
 from qstoch.seeding import make_rng
 
-from conftest import ScriptedUniforms, trace_outputs
+from conftest import ScriptedUniforms, trace_outputs, unpacked
 from oracle import (
     SwitchConfig,
     block_excess_entropy,
@@ -314,14 +314,16 @@ class TestClassicalTrace:
 
 
 def scan_path(p1, n, rng, w0):
-    """_sample_blocks concatenated into the path step_loop_path returns: the
-    start state, then the n bits.  Every block holds at most _DRAW_BLOCK
-    steps and enters in the state the block before it left."""
+    """_sample_blocks unpacked and concatenated into the path step_loop_path
+    returns: the start state, then the n bits.  Every block holds at most
+    _DRAW_BLOCK steps, no bit at or above its step count, and enters in the
+    state the block before it left."""
     blocks = list(_sample_blocks(p1, n, rng, w0))
-    for (_, before), (entering, bits) in zip(blocks, blocks[1:]):
-        assert entering == before[-1]
-    assert all(0 < len(bits) <= _DRAW_BLOCK for _, bits in blocks)
-    return np.concatenate([[blocks[0][0]], *(bits for _, bits in blocks)]).astype(np.int8)
+    for (_, before, m), (entering, _, _) in zip(blocks, blocks[1:]):
+        assert entering == before >> (m - 1)
+    assert all(0 < m <= _DRAW_BLOCK and bits >> m == 0 for _, bits, m in blocks)
+    return np.concatenate([[blocks[0][0]], *(unpacked(bits, m) for _, bits, m in blocks)]
+                          ).astype(np.int8)
 
 
 def step_loop_path(p1, n, rng, w0):
@@ -364,18 +366,14 @@ class TestSamplePathScan:
 
     @pytest.mark.parametrize("p1", [(0.9, 0.3), (0.3, 0.9)])   # flips and stays
     def test_kept_blocks_are_not_reused(self, p1):
-        # the sampler reuses its scratch arrays; the bits it yields must be
-        # fresh, so blocks a caller keeps survive the draws after them
+        # the sampler reuses its uniforms' buffer; the bits it yields are
+        # Python ints, which no later draw can change, so blocks a caller
+        # keeps survive the draws after them
         n = 3 * _DRAW_BLOCK + 5
-        kept = []
-        for _, bits in _sample_blocks(p1, n, make_rng(21), 0.5):
-            kept.append((bits, bits.copy()))
+        kept = list(_sample_blocks(p1, n, make_rng(21), 0.5))
         assert len(kept) == 4
-        for bits, snapshot in kept:
-            np.testing.assert_array_equal(bits, snapshot)
-        for (a, _), (b, _) in itertools.combinations(kept, 2):
-            assert not np.shares_memory(a, b)
-        np.testing.assert_array_equal(np.concatenate([bits for bits, _ in kept]),
+        assert all(type(bits) is int for _, bits, _ in kept)
+        np.testing.assert_array_equal(np.concatenate([unpacked(bits, m) for _, bits, m in kept]),
                                       step_loop_path(p1, n, make_rng(21), 0.5)[1:])
 
     @pytest.mark.parametrize("machine", [(0.9, 0.3), (0.3, 0.3)], ids=["flips", "keeps"])
@@ -385,28 +383,28 @@ class TestSamplePathScan:
         n = _DRAW_BLOCK + 5
         want = list(trace_blocks(CausalMachine(*machine), n, make_rng(5)))
         got = list(trace_blocks(CausalMachine(*np.array(machine)), n, make_rng(5)))
-        assert [entering for entering, _ in got] == [entering for entering, _ in want]
-        for (_, bits), (_, expected) in zip(got, want):
-            np.testing.assert_array_equal(bits, expected)
+        assert got == want
 
     @pytest.mark.parametrize("p1", [(0.9, 0.3), (0.3, 0.9)], ids=["flips", "keeps"])
     @pytest.mark.parametrize("last", [0.1, 0.95], ids=["sets-1", "sets-0"])
     @pytest.mark.parametrize("start", [0.2, 0.7], ids=["from-0", "from-1"])
     def test_only_reset_on_a_blocks_last_step(self, p1, last, start):
-        # every uniform but one lies in the band [0.3, 0.9), so the state is
-        # carried (and kept or flipped) through the first block until its
-        # last step resets it: that step writes the block's largest key,
-        # 2 * _DRAW_BLOCK + (w ^ alt), and the next block starts from its bit
+        # every uniform but one lies in the band [0.3, 0.9), so the carry
+        # chain propagates the state (kept or flipped) through the whole
+        # first block until its last step generates (below 0.3) or kills
+        # (at or above 0.9) the carry, and the next block enters with that
+        # step's output, s >> (m - 1)
         n = _DRAW_BLOCK + 5
         uniforms = np.full(n + 1, 0.5)
         uniforms[0] = start
         uniforms[_DRAW_BLOCK] = last
         blocks = list(_sample_blocks(p1, n, ScriptedUniforms(uniforms), 0.5))
         want = step_loop_path(p1, n, ScriptedUniforms(uniforms), 0.5)
-        assert [len(bits) for _, bits in blocks] == [_DRAW_BLOCK, 5]
-        assert [entering for entering, _ in blocks] == [want[0], want[_DRAW_BLOCK]]
+        assert [m for _, _, m in blocks] == [_DRAW_BLOCK, 5]
+        assert [entering for entering, _, _ in blocks] == [want[0], want[_DRAW_BLOCK]]
         assert want[_DRAW_BLOCK] == (last < 0.3)
-        np.testing.assert_array_equal(np.concatenate([bits for _, bits in blocks]), want[1:])
+        np.testing.assert_array_equal(
+            np.concatenate([unpacked(bits, m) for _, bits, m in blocks]), want[1:])
 
     def test_frozen_chain_from_forced_start(self):
         # CausalMachine(0, 0) never switches: p1 = (0, 1); w0 of 1 or 0 pins

@@ -11,7 +11,7 @@ from qstoch.stats import (
     stream_block_counts,
 )
 
-from conftest import trace_outputs
+from conftest import packed, trace_outputs
 from oracle import disjoint_block_counts, enumerated_count_sigma, two_sample_block_check
 
 
@@ -23,7 +23,7 @@ class TestDisjointBlockCounts:
 
     @pytest.mark.parametrize("block_len", range(1, 13))
     def test_equals_whole_trace_formula(self, block_len):
-        # 800k steps in one array, against an int64 matrix product of the windows
+        # 800k steps in one block, against an int64 matrix product of the windows
         outputs = np.random.default_rng(5).integers(0, 2, 800_011).astype(np.int8)
         n_blocks = len(outputs) // block_len
         windows = outputs[: n_blocks * block_len].astype(np.int64).reshape(n_blocks, block_len)
@@ -38,13 +38,13 @@ class TestDisjointBlockCounts:
         outputs = np.random.default_rng(6).integers(0, 2, 200_003).astype(np.int8)
         cuts = np.cumsum([1, 0, 11, 65_537, 3, 7_919, 65_536, 5])
         chunks = np.split(outputs, cuts)
-        counts, = stream_block_counts(iter(chunks), (block_len,))
+        counts, = stream_block_counts(map(packed, chunks), (block_len,))
         np.testing.assert_array_equal(counts, disjoint_block_counts(outputs, block_len))
 
     def test_one_pass_over_several_lengths(self):
         outputs = np.random.default_rng(7).integers(0, 2, 100_001).astype(np.int8)
         lengths = (1, 2, 3, 4)
-        got = stream_block_counts(iter(np.array_split(outputs, 7)), lengths)
+        got = stream_block_counts(map(packed, np.array_split(outputs, 7)), lengths)
         for block_len, counts in zip(lengths, got):
             np.testing.assert_array_equal(counts, disjoint_block_counts(outputs, block_len))
 
@@ -54,7 +54,7 @@ class TestDisjointBlockCounts:
 
     @pytest.mark.parametrize("block_len", [0, 13])
     def test_block_length_out_of_range_rejected(self, block_len):
-        # codes are 16-bit: a longer block would wrap instead of counting
+        # lengths stop at MAX_BLOCK_LEN = 12 bits, as the exact block law does
         with pytest.raises(ValueError):
             disjoint_block_counts(np.zeros(100, dtype=np.int8), block_len)
 
@@ -101,40 +101,41 @@ class TestTallyOracle:
             # that leave a window straddling the boundary
             sizes = [1, 0, block_len - 1, block_len + 1, 0, 7_919, 65_537, 3]
         chunks = np.split(outputs, np.cumsum(sizes))
-        got, = stream_block_counts(iter(chunks), (block_len,))
+        got, = stream_block_counts(map(packed, chunks), (block_len,))
         np.testing.assert_array_equal(got, column_loop_counts(chunks, block_len))
 
     @pytest.mark.parametrize("block_len", range(1, 13))
     def test_whole_long_trace_equals_column_loop(self, long_trace, block_len):
-        # one array of 2M steps, every window coded in one step
+        # one block of 2M steps, every window split out of one mask
         np.testing.assert_array_equal(disjoint_block_counts(long_trace, block_len),
                                       column_loop_counts([long_trace], block_len))
 
 
-class TestCommonWindowTally:
-    """Several lengths come from one tally in windows of their lcm."""
+class TestSeveralLengths:
+    """Several lengths are counted in one pass, each carrying its own cut window."""
 
-    @pytest.mark.parametrize("lengths", [(1, 2, 3, 4), (2, 3), (4, 6, 12), (1, 12)],
-                             ids=["1-2-3-4", "2-3", "4-6-12", "1-12"])
+    @pytest.mark.parametrize("lengths", [(1, 2, 3, 4), (2, 3), (4, 6, 12), (1, 12), (5, 7)],
+                             ids=["1-2-3-4", "2-3", "4-6-12", "1-12", "5-7"])
     def test_several_lengths_equal_column_loop(self, lengths):
-        # one tally in windows of lcm(lengths) bits, ragged chunks that cut
-        # those windows, and a tail shorter than one of them
+        # ragged chunks that cut windows of every length, and a tail shorter
+        # than a window of some of them
         outputs = np.random.default_rng(60).integers(0, 2, 150_007).astype(np.int8)
         sizes = [1, 0, 5, 13, 0, 7_919, 65_537, 3]
         chunks = np.split(outputs, np.cumsum(sizes))
-        got = stream_block_counts(iter(chunks), lengths)
+        got = stream_block_counts(map(packed, chunks), lengths)
         for block_len, counts in zip(lengths, got):
             np.testing.assert_array_equal(counts, column_loop_counts(chunks, block_len))
 
-    def test_common_window_too_wide_rejected_before_reading(self):
+    @pytest.mark.parametrize("block_len", [0, 13])
+    def test_length_out_of_range_rejected_before_reading(self, block_len):
         consumed = []
 
-        def chunks():
-            for chunk in (np.zeros(35, dtype=np.int8),) * 2:
-                consumed.append(chunk)
-                yield chunk
-        with pytest.raises(ValueError, match="lcm 35"):
-            stream_block_counts(chunks(), (5, 7))
+        def blocks():
+            for block in (packed(np.zeros(35, dtype=np.int8)),) * 2:
+                consumed.append(block)
+                yield block
+        with pytest.raises(ValueError, match=r"block lengths must be in \[1, 12\]"):
+            stream_block_counts(blocks(), (5, block_len))
         assert consumed == []
 
 
