@@ -16,23 +16,28 @@ p + (16 lam / 15)(1/2 - p) whatever the gate, so no function here takes one
 (the gate a configuration records is the CLI's to check).  Traces sample
 that chain directly; the literal statevector steps of either gate and the
 Pauli trajectories are the reference oracle in tests/oracle.py.
+
+A trace streams as blocks (entering, bits, m), m outputs packed in one
+Python int, step i at bit i; this module alone makes (trace_blocks) and
+reads (run_trace, stream_block_counts) that format.
 """
 
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import suppress
 from typing import NamedTuple
 
 import numpy as np
 
-from .process import CausalMachine, _sample_blocks, stationary_distribution
+from .process import MAX_BLOCK_LEN, CausalMachine, stationary_distribution
 from .qmath import bloch
 from .qmodel import quantum_causal_states
 
 MODES = ("classical", "quantum")
 LOGICAL = (bloch(0.0, 0.0, 1.0), bloch(0.0, 0.0, -1.0))     # |0> and |1>
+_DRAW_BLOCK = 1 << 13     # uniforms per trace block: 64 KB, cache-sized
 
 
 class RunResult(NamedTuple):
@@ -103,19 +108,50 @@ def sampled_machine(machine: CausalMachine, mode: str, lam: float = 0.0) -> Caus
 
 def trace_blocks(chain: CausalMachine, n: int,
                  rng: np.random.Generator) -> Iterator[tuple[int, int, int]]:
-    """The n outputs of the chain from a start drawn from its own stationary
-    law, streamed.
+    """The n outputs of the chain, streamed in blocks (entering, bits, m).
 
-    Yields (the state entering the block's first step, the block's output
-    bits, its step count m) for consecutive blocks of at most 8192 steps, so
-    a trace of any length is read in bounded memory.  The bits are one
-    Python int, step i of the block at bit i, so its last output is
-    bits >> (m - 1).  n and the stationary law are checked here, before the
-    first block is drawn.
+    n and the stationary law are checked on the first next(), before any
+    uniform is drawn.  One uniform draws the start from the stationary law
+    (w0, w1), state 0 iff it is below w0; each step emits 1 iff its uniform
+    is below p1[state], p1 = (p_right, 1 - p_left), and that bit is the next
+    state.  Uniforms come in _DRAW_BLOCK blocks, one buffer per trace; each
+    block yields the state entering its first step, its bits as the Python
+    int s below (step i at bit i, nothing at bit m or above, so its last
+    output is bits >> (m - 1)) and m, an immutable triple a caller may keep.
+
+    Each step maps {0, 1} -> {0, 1} by a constant, the identity or negation:
+    a uniform below lo = min(p1) sets the state to 1, one at or above
+    hi = max(p1) sets it to 0, and inside the band [lo, hi) the state stays
+    (p1[0] < p1[1]) or flips (p1[0] > p1[1]).  So a block is one carry
+    chain, resolved by one big-integer add.  Put step i of the block at bit i
+    of Python ints: a holds the steps that set 1 (generate), k those in the
+    band (propagate).  In a + (a | k) + state the carry into bit i is the
+    state before step i, and the sum's bit i is that carry xor k_i, so the
+    states after the steps are s = a | (k & (sum ^ k)).  A flipping band runs
+    the same chain on the states xor'd with the odd-step mask alt = 0b..1010:
+    a flip carries an alternating state unchanged, and the state before
+    step 0 enters negated.
     """
     _check_steps(n)
     w0, _ = stationary_distribution(chain)
-    return _sample_blocks((chain.p_right, 1.0 - chain.p_left), n, rng, w0=w0)
+    p1 = (chain.p_right, 1.0 - chain.p_left)
+    state = 0 if rng.random() < w0 else 1
+    lo, hi = min(p1), max(p1)
+    flips = bool(p1[0] > p1[1])   # a numpy bool makes the carry-in an int64, which overflows
+    u = np.empty(min(_DRAW_BLOCK, n))
+    alt = int.from_bytes(b"\xaa" * ((u.shape[0] + 7) // 8), "little") if flips else 0
+    for first in range(0, n, _DRAW_BLOCK):
+        m = min(_DRAW_BLOCK, n - first)
+        if m < u.shape[0]:
+            u = u[:m]
+        rng.random(out=u)
+        a = int.from_bytes(np.packbits(u < lo, bitorder="little"), "little")
+        k = int.from_bytes(np.packbits(u < hi, bitorder="little"), "little") ^ a
+        # in a shorter last block alt's extra bits generate only past its steps; ^ alt clears them
+        a = (a ^ alt) & ~k
+        s = (a | (k & ((a + (a | k) + (state ^ flips)) ^ k))) ^ alt
+        yield state, s, m
+        state = s >> (m - 1)
 
 
 def run_trace(machine: CausalMachine, mode: str, n: int, rng: np.random.Generator,
@@ -134,3 +170,47 @@ def run_trace(machine: CausalMachine, mode: str, n: int, rng: np.random.Generato
     ones = sum(entering + bits.bit_count() - (bits >> (m - 1))
                for entering, bits, m in trace_blocks(chain, n, rng))
     return RunResult(steps=n, ones=ones, vectors=prepared_states(machine, mode))
+
+
+def stream_block_counts(blocks: Iterable, block_lens: Sequence[int]) -> list[np.ndarray]:
+    """Disjoint-window block counts at several lengths, in one pass over a
+    trace that arrives in blocks.
+
+    Each block is an (entering, bits, m) triple as trace_blocks yields it,
+    read as it arrives; the entering state is not an output and is skipped.
+    At each length L the bits of a window that a block boundary cuts are
+    carried into the next block.  The starts of the whole windows are the
+    repunit mask with a 1 every L bits; splitting it on each window's bit j
+    in turn, first bit first, leaves one mask per code, in code order with
+    the first bit most significant, and the popcount of each is that code's
+    count.  The lengths are checked before the first block is read.
+    """
+    if not all(1 <= block_len <= MAX_BLOCK_LEN for block_len in block_lens):
+        raise ValueError(f"block lengths must be in [1, {MAX_BLOCK_LEN}], "
+                         f"got {tuple(block_lens)!r}")
+    tallies = [[0] * 2 ** block_len for block_len in block_lens]
+    carry = [(0, 0)] * len(block_lens)    # per length: the cut window's bits, their count
+    for _, bits, m in blocks:
+        for i, block_len in enumerate(block_lens):
+            held, k = carry[i]
+            t = held | (bits << k)
+            used = (k + m) // block_len * block_len
+            starts = ((1 << used) - 1) // ((1 << block_len) - 1)
+            counts = _split(starts, used // block_len, [t >> j for j in range(block_len)])
+            tallies[i] = [a + b for a, b in zip(tallies[i], counts)]
+            carry[i] = (t >> used, k + m - used)
+    for block_len, tally in zip(block_lens, tallies):
+        if not any(tally):
+            raise ValueError(f"trace too short for blocks of length {block_len}")
+    return [np.array(tally, dtype=np.int64) for tally in tallies]
+
+
+def _split(w: int, count: int, shifted: list) -> list[int]:
+    """Popcounts of the 2**len(shifted) masks that w, of count set bits,
+    splits into on the bits of shifted: each split's 0 half before its 1
+    half, the 0 half counted as what the 1 half leaves."""
+    one = w & shifted[0]
+    ones = one.bit_count()
+    if len(shifted) == 1:
+        return [count - ones, ones]
+    return _split(w ^ one, count - ones, shifted[1:]) + _split(one, ones, shifted[1:])

@@ -20,12 +20,12 @@ from collections import namedtuple
 from contextlib import nullcontext, suppress
 
 from .circuit import (MODES, _check_steps, calibrate_noise, prepared_states, run_trace,
-                      sampled_machine, trace_blocks)
+                      sampled_machine, stream_block_counts, trace_blocks)
 from .process import CausalMachine, _checked_make, classical_complexity, stationary_distribution
 from .qmath import mixture, trace_distance, von_neumann_entropy
 from .qmodel import quantum_complexity
 from .seeding import BOOTSTRAP, COLUMNS, SHOTS, TRACE, make_rng
-from .stats import block_law_check, stream_block_counts
+from .stats import block_law_check
 from .tomo import (TomographyCounts, TomographyResult, _check_shots, ensemble_density,
                    entropy_with_error, reconstruct_rho, simulate_counts)
 
@@ -230,7 +230,7 @@ def cmd_simulate(args) -> tuple:
     law = sampled_machine(cfg.machine(), cfg.mode, cfg.noise_lambda)
     blocks = trace_blocks(law, cfg.steps, make_rng(cfg.seed, 0, COLUMNS[cfg.mode], TRACE))
     block_lens = range(1, min(MAX_CHECK_BLOCK_LEN, cfg.steps) + 1)
-    tallies = stream_block_counts(((bits, m) for _, bits, m in blocks), block_lens)
+    tallies = stream_block_counts(blocks, block_lens)
     rows = []
     ok = True
     for block_len, counts in zip(block_lens, tallies):

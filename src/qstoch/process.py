@@ -20,7 +20,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -29,7 +28,6 @@ from .qmath import shannon_entropy
 MERGE_TOL = 1e-12   # |1 - p_right - p_left| below this collapses the two states
 
 MAX_BLOCK_LEN = 12
-_DRAW_BLOCK = 1 << 13     # uniforms per block in _sample_blocks: 64 KB, cache-sized
 
 
 # ---------------------------------------------------------------------------
@@ -126,49 +124,3 @@ def excess_entropy(machine: CausalMachine) -> float:
     step = (w0 * shannon_entropy((machine.p_right, 1.0 - machine.p_right))
             + w1 * shannon_entropy((machine.p_left, 1.0 - machine.p_left)))
     return max(shannon_entropy((w0, w1)) - step, 0.0)
-
-
-def _sample_blocks(p1: tuple[float, float], n: int, rng: np.random.Generator,
-                   w0: float) -> Iterator[tuple[int, int, int]]:
-    """The chain that emits 1 from state s w.p. p1[s], block by block.
-
-    The start state is drawn with one uniform (0 iff below w0); each step
-    emits 1 iff its uniform is below p1[state], and that bit is the next
-    state.  Uniforms come in _DRAW_BLOCK blocks, and each block yields (the
-    state entering its first step, its bits, its step count m): the bits
-    are the Python int s below, step i at bit i and nothing at bit m or
-    above.  The n steps arrive in order and nothing of length n is built.
-
-    Each step maps {0, 1} -> {0, 1} by a constant, the identity or negation:
-    a uniform below lo = min(p1) sets the state to 1, one at or above
-    hi = max(p1) sets it to 0, and inside the band [lo, hi) the state stays
-    (p1[0] < p1[1]) or flips (p1[0] > p1[1]).  So a block is one carry
-    chain, resolved by one big-integer add.  Put step i of the block at bit i
-    of Python ints: a holds the steps that set 1 (generate), k those in the
-    band (propagate).  In a + (a | k) + state the carry into bit i is the
-    state before step i, and the sum's bit i is that carry xor k_i, so the
-    states after the steps are s = a | (k & (sum ^ k)).  A flipping band runs
-    the same chain on the states xor'd with the odd-step mask alt = 0b..1010:
-    a flip carries an alternating state unchanged, and the state before
-    step 0 enters negated.
-
-    The uniforms' buffer is allocated once per trace; the yielded ints are
-    immutable, so a caller may keep blocks.
-    """
-    state = 0 if rng.random() < w0 else 1
-    lo, hi = min(p1), max(p1)
-    flips = bool(p1[0] > p1[1])   # a numpy bool makes the carry-in an int64, which overflows
-    u = np.empty(min(_DRAW_BLOCK, n))
-    alt = int.from_bytes(b"\xaa" * ((u.shape[0] + 7) // 8), "little") if flips else 0
-    for first in range(0, n, _DRAW_BLOCK):
-        m = min(_DRAW_BLOCK, n - first)
-        if m < u.shape[0]:
-            u = u[:m]
-        rng.random(out=u)
-        a = int.from_bytes(np.packbits(u < lo, bitorder="little"), "little")
-        k = int.from_bytes(np.packbits(u < hi, bitorder="little"), "little") ^ a
-        # in a shorter last block alt's extra bits generate only past its steps; ^ alt clears them
-        a = (a ^ alt) & ~k
-        s = (a | (k & ((a + (a | k) + (state ^ flips)) ^ k))) ^ alt
-        yield state, s, m
-        state = s >> (m - 1)

@@ -1,4 +1,4 @@
-"""Statistical checks of empirical block laws against exact machine laws.
+"""Statistical checks of block counts against exact machine laws.
 
 Blocks are taken disjoint (non-overlapping) from a single trajectory, so
 successive block indicators are autocorrelated through the Markov chain.
@@ -6,14 +6,12 @@ The per-cell standard deviations used here are therefore the exact ones for
 that sampling scheme, rather than plain multinomial values; a test at N_SIGMA
 of them keeps its nominal meaning.  Their lag-1 covariance is read off the
 exact law of two adjacent windows, a block of length 2L, so the checks take
-L in [1, MAX_BLOCK_LEN // 2].  Counts at several lengths, each up to
-MAX_BLOCK_LEN bits, come from one pass over a trace's packed blocks, by
-popcounts of big-integer masks: no window is unpacked or coded.
+L in [1, MAX_BLOCK_LEN // 2].  The counts come in as arrays, one per
+length, tallied from a trace by the circuit module.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -32,49 +30,6 @@ class BlockLawCheck(NamedTuple):
     tv: float            # total variation distance, frequencies vs exact law
     tv_bound: float      # implied bound: half the sum of per-cell tolerances
     passed: bool
-
-
-def stream_block_counts(blocks: Iterable, block_lens: Sequence[int]) -> list[np.ndarray]:
-    """Disjoint-window block counts at several lengths, in one pass over a
-    trace that arrives in blocks.
-
-    Each block is (bits, m): m outputs packed in a Python int, step i at
-    bit i, as trace_blocks yields them.  At each length L the bits of a
-    window that a block boundary cuts are carried into the next block.  The
-    starts of the whole windows are the repunit mask with a 1 every L bits;
-    splitting it on each window's bit j in turn, first bit first, leaves
-    one mask per code, in code order with the first bit most significant,
-    and the popcount of each is that code's count.
-    """
-    if not all(1 <= block_len <= MAX_BLOCK_LEN for block_len in block_lens):
-        raise ValueError(f"block lengths must be in [1, {MAX_BLOCK_LEN}], "
-                         f"got {tuple(block_lens)!r}")
-    tallies = [[0] * 2 ** block_len for block_len in block_lens]
-    carry = [(0, 0)] * len(block_lens)    # per length: the cut window's bits, their count
-    for bits, m in blocks:
-        for i, block_len in enumerate(block_lens):
-            held, k = carry[i]
-            t = held | (bits << k)
-            used = (k + m) // block_len * block_len
-            starts = ((1 << used) - 1) // ((1 << block_len) - 1)
-            counts = _split(starts, used // block_len, [t >> j for j in range(block_len)])
-            tallies[i] = [a + b for a, b in zip(tallies[i], counts)]
-            carry[i] = (t >> used, k + m - used)
-    for block_len, tally in zip(block_lens, tallies):
-        if not any(tally):
-            raise ValueError(f"trace too short for blocks of length {block_len}")
-    return [np.array(tally, dtype=np.int64) for tally in tallies]
-
-
-def _split(w: int, count: int, shifted: list) -> list[int]:
-    """Popcounts of the 2**len(shifted) masks that w, of count set bits,
-    splits into on the bits of shifted: each split's 0 half before its 1
-    half, the 0 half counted as what the 1 half leaves."""
-    one = w & shifted[0]
-    ones = one.bit_count()
-    if len(shifted) == 1:
-        return [count - ones, ones]
-    return _split(w ^ one, count - ones, shifted[1:]) + _split(one, ones, shifted[1:])
 
 
 def _lag_weight_sum(m: int, r: float) -> float:
@@ -114,9 +69,9 @@ def block_count_sigma(machine: CausalMachine, block_len: int, n_blocks: int) -> 
 def block_law_check(machine: CausalMachine, counts: np.ndarray) -> BlockLawCheck:
     """N_SIGMA per-cell test of disjoint-block counts vs the exact law.
 
-    counts holds the tallies of all 2**L blocks (one length of
-    stream_block_counts) in an integer dtype, none negative; L is read off
-    its size.
+    counts holds the tallies of all 2**L blocks (one length of a trace's
+    window tally) in an integer dtype, none negative; L is read off its
+    size.
     """
     counts = np.asarray(counts)
     if counts.dtype.kind not in "iu":

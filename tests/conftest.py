@@ -6,10 +6,10 @@ from qstoch.circuit import sampled_machine, trace_blocks
 
 
 def packed(chunk):
-    """A bit array as the (bits, m) pair trace_blocks yields: its m bits in
-    one Python int, element i at bit i."""
+    """A bit array as a block (entering, bits, m) of trace_blocks: its m
+    bits in one Python int, element i at bit i, entering state 0."""
     chunk = np.asarray(chunk).reshape(-1)
-    return int.from_bytes(np.packbits(chunk, bitorder="little"), "little"), chunk.shape[0]
+    return 0, int.from_bytes(np.packbits(chunk, bitorder="little"), "little"), chunk.shape[0]
 
 
 def unpacked(bits, m):

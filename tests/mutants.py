@@ -82,27 +82,27 @@ MUTANTS = (
     Mutant("CausalMachine without its _make override", "process",
            "    _make = classmethod(_checked_make)   # so _replace checks too\n", "",
            ("test_records.py",)),
-    Mutant("block tally drops the bits carried across a chunk boundary", "stats",
+    Mutant("block tally drops the bits carried across a chunk boundary", "circuit",
            "held | (bits << k)", "bits",
-           ("test_stats.py",)),
-    Mutant("block tally splits on a window's last bit first", "stats",
+           ("test_circuit.py",)),
+    Mutant("block tally splits on a window's last bit first", "circuit",
            "t >> j", "t >> (block_len - 1 - j)",
-           ("test_stats.py",)),
-    Mutant("block tally starts a window every L + 1 bits", "stats",
+           ("test_circuit.py",)),
+    Mutant("block tally starts a window every L + 1 bits", "circuit",
            "// ((1 << block_len) - 1)", "// ((1 << (block_len + 1)) - 1)",
-           ("test_stats.py",)),
-    Mutant("trace block carries the state in un-negated through a flipping band", "process",
+           ("test_circuit.py",)),
+    Mutant("trace block carries the state in un-negated through a flipping band", "circuit",
            "(state ^ flips)", "state",
-           ("test_process.py",)),
-    Mutant("flipping band's mask on the even steps", "process",
+           ("test_circuit.py",)),
+    Mutant("flipping band's mask on the even steps", "circuit",
            'b"\\xaa"', 'b"\\x55"',
-           ("test_process.py",)),
-    Mutant("band direction left a numpy bool", "process",
+           ("test_circuit.py",)),
+    Mutant("band direction left a numpy bool", "circuit",
            "flips = bool(p1[0] > p1[1])", "flips = p1[0] > p1[1]",
-           ("test_process.py",)),
-    Mutant("next block enters in its block's first state", "process",
+           ("test_circuit.py",)),
+    Mutant("next block enters in its block's first state", "circuit",
            "state = s >> (m - 1)", "state = s & 1",
-           ("test_process.py",)),
+           ("test_circuit.py",)),
 )
 
 

@@ -33,12 +33,13 @@ from typing import NamedTuple
 
 import numpy as np
 
+from qstoch.circuit import stream_block_counts
 from qstoch.cli import GATES
 from qstoch.process import (MAX_BLOCK_LEN, CausalMachine, block_distribution,
                             stationary_distribution)
 from qstoch.qmath import ATOL_DIST, ATOL_UNIT, EIG_ZERO, shannon_entropy
 from qstoch.qmodel import construct_cu
-from qstoch.stats import N_SIGMA, block_count_sigma, stream_block_counts
+from qstoch.stats import N_SIGMA, block_count_sigma
 
 from conftest import packed
 
@@ -538,7 +539,7 @@ def naive_switch_entropy(machine: CausalMachine) -> float:
 
 def disjoint_block_counts(outputs: np.ndarray, block_len: int) -> np.ndarray:
     """Counts of the 2**L possible blocks over consecutive disjoint windows
-    of a bit array, by stats.stream_block_counts of the array packed as one
+    of a bit array, by circuit.stream_block_counts of the array packed as one
     block."""
     counts, = stream_block_counts((packed(outputs),), (block_len,))
     return counts

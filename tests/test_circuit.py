@@ -1,4 +1,5 @@
-"""Step circuits: measurement collapse, stepping, noise, calibration, traces."""
+"""Step circuits: measurement collapse, stepping, noise, calibration, traces,
+the trace block sampler and the block tally."""
 
 import itertools
 import os
@@ -11,9 +12,11 @@ from hypothesis import strategies as st
 
 from qstoch.circuit import (
     RunResult,
+    _DRAW_BLOCK,
     calibrate_noise,
     run_trace,
     sampled_machine,
+    stream_block_counts,
     trace_blocks,
 )
 from qstoch.cli import main
@@ -23,7 +26,7 @@ from qstoch.tomo import ensemble_density
 from qstoch.seeding import make_rng
 from qstoch.stats import block_law_check
 
-from conftest import ScriptedUniforms, chain_outputs, trace_outputs, unpacked
+from conftest import ScriptedUniforms, chain_outputs, packed, trace_outputs, unpacked
 from oracle import (
     CNOT4,
     KET0,
@@ -344,12 +347,12 @@ class TestRunTrace:
             run_trace(machine, "hybrid", 10, make_rng(1))
         with pytest.raises(ValueError):
             run_trace(machine, "quantum", 0, make_rng(1))
-        # the chain checks mode and lam, the stream its length when it is
-        # made, before any block is drawn
+        # the chain checks mode and lam, the stream its length on its first
+        # next(), before any uniform is drawn: the script has none to give
         with pytest.raises(ValueError):
             sampled_machine(machine, "hybrid")
         with pytest.raises(ValueError):
-            trace_blocks(machine, 0, make_rng(1))
+            next(trace_blocks(machine, 0, ScriptedUniforms([])))
 
     @pytest.mark.parametrize("lam", [-0.1, 1.5, float("nan")])
     def test_noise_rate_validated(self, lam):
@@ -555,3 +558,227 @@ class TestClosedFormLaw:
             # the sampled chain is a valid machine, no clipping needed
             p1 = emission_law(machine, mode, lam)
             assert all(0.0 <= p <= 1.0 for p in p1)
+
+
+def scan_path(chain, n, rng):
+    """trace_blocks of the chain unpacked and concatenated into the path
+    step_loop_path returns: the start state, then the n bits.  Every block
+    holds at most _DRAW_BLOCK steps, no bit at or above its step count, and
+    enters in the state the block before it left."""
+    blocks = list(trace_blocks(CausalMachine(*chain), n, rng))
+    for (_, before, m), (entering, _, _) in zip(blocks, blocks[1:]):
+        assert entering == before >> (m - 1)
+    assert all(0 < m <= _DRAW_BLOCK and bits >> m == 0 for _, bits, m in blocks)
+    return np.concatenate([[blocks[0][0]], *(unpacked(bits, m) for _, bits, m in blocks)]
+                          ).astype(np.int8)
+
+
+def step_loop_path(chain, n, rng):
+    """Per-step reference for trace_blocks on the same stream layout: one
+    start uniform (state 0 iff below w0), then uniforms in _DRAW_BLOCK
+    blocks, and a step enters state 1 iff its uniform is below P(1|state)."""
+    w0, _ = stationary_distribution(CausalMachine(*chain))
+    p1 = (chain[0], 1.0 - chain[1])
+    state = 0 if rng.random() < w0 else 1
+    path = np.empty(n + 1, dtype=np.int8)
+    path[0] = state
+    for first in range(0, n, _DRAW_BLOCK):
+        for k, u in enumerate(rng.random(min(_DRAW_BLOCK, n - first))):
+            state = 1 if u < p1[state] else 0
+            path[first + 1 + k] = state
+    return path
+
+
+# both states emit alike where p_right = 1 - p_left, and the band is empty;
+# a dyadic p keeps 1 - (1 - p) == p exactly, so (p, 1 - p) ties in floats
+TIES = st.integers(0, 2 ** 20).map(lambda k: (k / 2 ** 20, 1.0 - k / 2 ** 20))
+CHAINS = st.one_of(st.tuples(PROB, PROB).filter(lambda chain: chain != (0.0, 0.0)), TIES)
+UNIFORM = st.one_of(st.sampled_from([0.0, 1.0 - 2.0 ** -53]),
+                    st.floats(0.0, 1.0, exclude_max=True))
+
+
+class TestSamplePathScan:
+    @settings(max_examples=20, deadline=None)
+    @given(chain=CHAINS, n=st.sampled_from([_DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 1,
+                                            2 * _DRAW_BLOCK + 3]),
+           start=UNIFORM, seed=st.integers(0, 2 ** 32 - 1))
+    def test_scan_equals_step_loop(self, chain, n, start, seed):
+        # every P(1|s) pair is some chain's; the script's first uniform forces
+        # the start state, 0 below w0 and 1 at or above it
+        uniforms = np.concatenate([[start], make_rng(seed).random(n)])
+        got = scan_path(chain, n, ScriptedUniforms(uniforms))
+        want = step_loop_path(chain, n, ScriptedUniforms(uniforms))
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("chain", [(0.9, 0.3), (0.3, 0.9), (0.0, 1.0), (1.0, 1.0),
+                                       (0.4, 0.6)])
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_short_paths(self, chain, n):
+        got = scan_path(chain, n, make_rng(12))
+        np.testing.assert_array_equal(got, step_loop_path(chain, n, make_rng(12)))
+
+    @pytest.mark.parametrize("chain", [(0.9, 0.7), (0.3, 0.1)], ids=["flips", "keeps"])
+    def test_kept_blocks_are_not_reused(self, chain):
+        # the sampler reuses its uniforms' buffer; the bits it yields are
+        # Python ints, which no later draw can change, so blocks a caller
+        # keeps survive the draws after them
+        n = 3 * _DRAW_BLOCK + 5
+        kept = list(trace_blocks(CausalMachine(*chain), n, make_rng(21)))
+        assert len(kept) == 4
+        assert all(type(bits) is int for _, bits, _ in kept)
+        np.testing.assert_array_equal(np.concatenate([unpacked(bits, m) for _, bits, m in kept]),
+                                      step_loop_path(chain, n, make_rng(21))[1:])
+
+    @pytest.mark.parametrize("machine", [(0.9, 0.3), (0.3, 0.3)], ids=["flips", "keeps"])
+    def test_numpy_probabilities_sample_as_python_floats(self, machine):
+        # p1 of np.float64 probabilities compares to numpy bools, and the
+        # sampler's big-integer carry chain must take them as Python numbers
+        n = _DRAW_BLOCK + 5
+        want = list(trace_blocks(CausalMachine(*machine), n, make_rng(5)))
+        got = list(trace_blocks(CausalMachine(*np.array(machine)), n, make_rng(5)))
+        assert got == want
+
+    @pytest.mark.parametrize("chain", [(0.9, 0.7), (0.3, 0.1)], ids=["flips", "keeps"])
+    @pytest.mark.parametrize("last", [0.1, 0.95], ids=["sets-1", "sets-0"])
+    @pytest.mark.parametrize("start", [0.2, 0.7], ids=["from-0", "from-1"])
+    def test_only_reset_on_a_blocks_last_step(self, chain, last, start):
+        # P(1|s) is (0.9, 0.3) or (0.3, 0.9), and every uniform but one lies
+        # in the band [0.3, 0.9), so the carry chain propagates the state
+        # (kept or flipped) through the whole first block until its last step
+        # generates (below 0.3) or kills (at or above 0.9) the carry, and the
+        # next block enters with that step's output, s >> (m - 1)
+        n = _DRAW_BLOCK + 5
+        uniforms = np.full(n + 1, 0.5)
+        uniforms[0] = start
+        uniforms[_DRAW_BLOCK] = last
+        blocks = list(trace_blocks(CausalMachine(*chain), n, ScriptedUniforms(uniforms)))
+        want = step_loop_path(chain, n, ScriptedUniforms(uniforms))
+        assert [m for _, _, m in blocks] == [_DRAW_BLOCK, 5]
+        assert [entering for entering, _, _ in blocks] == [want[0], want[_DRAW_BLOCK]]
+        assert want[0] == (start > 0.5) and want[_DRAW_BLOCK] == (last < 0.3)
+        np.testing.assert_array_equal(
+            np.concatenate([unpacked(bits, m) for _, bits, m in blocks]), want[1:])
+
+
+class TestDisjointBlockCounts:
+    def test_hand_counted_example(self):
+        outputs = np.array([1, 0, 1, 1, 0, 1, 0])   # windows: 10, 11, 01; tail dropped
+        counts = disjoint_block_counts(outputs, 2)
+        np.testing.assert_array_equal(counts, [0, 1, 1, 1])
+
+    @pytest.mark.parametrize("block_len", range(1, 13))
+    def test_equals_whole_trace_formula(self, block_len):
+        # 800k steps in one block, against an int64 matrix product of the windows
+        outputs = np.random.default_rng(5).integers(0, 2, 800_011).astype(np.int8)
+        n_blocks = len(outputs) // block_len
+        windows = outputs[: n_blocks * block_len].astype(np.int64).reshape(n_blocks, block_len)
+        codes = windows @ (1 << np.arange(block_len - 1, -1, -1))
+        np.testing.assert_array_equal(disjoint_block_counts(outputs, block_len),
+                                      np.bincount(codes, minlength=2 ** block_len))
+
+    @pytest.mark.parametrize("block_len", range(1, 13))
+    def test_chunked_equals_whole(self, block_len):
+        # chunk sizes that are not multiples of L, so windows straddle chunk
+        # boundaries, plus chunks shorter than L and an empty one
+        outputs = np.random.default_rng(6).integers(0, 2, 200_003).astype(np.int8)
+        cuts = np.cumsum([1, 0, 11, 65_537, 3, 7_919, 65_536, 5])
+        chunks = np.split(outputs, cuts)
+        counts, = stream_block_counts(map(packed, chunks), (block_len,))
+        np.testing.assert_array_equal(counts, disjoint_block_counts(outputs, block_len))
+
+    def test_one_pass_over_several_lengths(self):
+        outputs = np.random.default_rng(7).integers(0, 2, 100_001).astype(np.int8)
+        lengths = (1, 2, 3, 4)
+        got = stream_block_counts(map(packed, np.array_split(outputs, 7)), lengths)
+        for block_len, counts in zip(lengths, got):
+            np.testing.assert_array_equal(counts, disjoint_block_counts(outputs, block_len))
+
+    def test_too_short_rejected(self):
+        with pytest.raises(ValueError):
+            disjoint_block_counts(np.array([1, 0]), 3)
+
+    @pytest.mark.parametrize("block_len", [0, 13])
+    def test_block_length_out_of_range_rejected(self, block_len):
+        # lengths stop at MAX_BLOCK_LEN = 12 bits, as the exact block law does
+        with pytest.raises(ValueError):
+            disjoint_block_counts(np.zeros(100, dtype=np.int8), block_len)
+
+
+def column_loop_counts(chunks, block_len):
+    """Reference tally: the column-by-column coding loop, one copy per column.
+
+    The carried bits are prepended to each chunk, its whole windows reshaped
+    into rows, and each window column cast to uint16 and shifted into the
+    codes, first bit most significant.
+    """
+    counts = np.zeros(2 ** block_len, dtype=np.int64)
+    carry = np.empty(0, dtype=np.int8)
+    for chunk in chunks:
+        bits = np.concatenate([carry, np.asarray(chunk).reshape(-1)])
+        n_blocks = bits.shape[0] // block_len
+        windows = bits[: n_blocks * block_len].reshape(n_blocks, block_len)
+        codes = np.zeros(n_blocks, dtype=np.uint16)
+        for column in windows.T:
+            codes <<= 1
+            codes |= column.astype(np.uint16)
+        counts += np.bincount(codes, minlength=2 ** block_len)
+        carry = bits[n_blocks * block_len:]
+    return counts
+
+
+@pytest.fixture(scope="module")
+def long_trace():
+    """A 2M-step trace of an asymmetric chain, one whole array."""
+    return trace_outputs(CausalMachine(0.9, 0.3), "classical", 2_000_000, make_rng(31))
+
+
+class TestTallyOracle:
+    """stream_block_counts must count exactly what the column loop counts."""
+
+    @pytest.mark.parametrize("block_len", range(1, 13))
+    @pytest.mark.parametrize("multiples", [True, False], ids=["multiple-of-L", "ragged"])
+    def test_chunked_stream_equals_column_loop(self, block_len, multiples):
+        outputs = np.random.default_rng(40 + block_len).integers(0, 2, 150_001).astype(np.int8)
+        if multiples:
+            sizes = [block_len * k for k in (1, 0, 3, 2_000, 0, 9_001)]
+        else:
+            # chunks shorter than L (1 and L - 1), empty ones, and sizes
+            # that leave a window straddling the boundary
+            sizes = [1, 0, block_len - 1, block_len + 1, 0, 7_919, 65_537, 3]
+        chunks = np.split(outputs, np.cumsum(sizes))
+        got, = stream_block_counts(map(packed, chunks), (block_len,))
+        np.testing.assert_array_equal(got, column_loop_counts(chunks, block_len))
+
+    @pytest.mark.parametrize("block_len", range(1, 13))
+    def test_whole_long_trace_equals_column_loop(self, long_trace, block_len):
+        # one block of 2M steps, every window split out of one mask
+        np.testing.assert_array_equal(disjoint_block_counts(long_trace, block_len),
+                                      column_loop_counts([long_trace], block_len))
+
+
+class TestSeveralLengths:
+    """Several lengths are counted in one pass, each carrying its own cut window."""
+
+    @pytest.mark.parametrize("lengths", [(1, 2, 3, 4), (2, 3), (4, 6, 12), (1, 12), (5, 7)],
+                             ids=["1-2-3-4", "2-3", "4-6-12", "1-12", "5-7"])
+    def test_several_lengths_equal_column_loop(self, lengths):
+        # ragged chunks that cut windows of every length, and a tail shorter
+        # than a window of some of them
+        outputs = np.random.default_rng(60).integers(0, 2, 150_007).astype(np.int8)
+        sizes = [1, 0, 5, 13, 0, 7_919, 65_537, 3]
+        chunks = np.split(outputs, np.cumsum(sizes))
+        got = stream_block_counts(map(packed, chunks), lengths)
+        for block_len, counts in zip(lengths, got):
+            np.testing.assert_array_equal(counts, column_loop_counts(chunks, block_len))
+
+    @pytest.mark.parametrize("block_len", [0, 13])
+    def test_length_out_of_range_rejected_before_reading(self, block_len):
+        consumed = []
+
+        def blocks():
+            for block in (packed(np.zeros(35, dtype=np.int8)),) * 2:
+                consumed.append(block)
+                yield block
+        with pytest.raises(ValueError, match=r"block lengths must be in \[1, 12\]"):
+            stream_block_counts(blocks(), (5, block_len))
+        assert consumed == []

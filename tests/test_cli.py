@@ -594,6 +594,13 @@ class TestLayout:
         assert {layer for layer, _, _ in logical} == {"circuit"}
         assert name_sites("tomo", {"sqrt", "hypot", "norm"}) == set()
 
+    def test_trace_block_format_has_one_owner(self):
+        # circuit alone packs a trace's steps into Python ints and reads them
+        layers = [path.stem for path in Path(cli.__file__).parent.glob("*.py")]
+        names = {"from_bytes", "packbits", "bit_count"}
+        sites = set().union(*(name_sites(layer, names) for layer in layers))
+        assert {layer for layer, _, _ in sites} == {"circuit"}
+
     def test_input_rules_have_one_owner(self):
         # the CLI delegates the library's input rules to the library's own
         # checks, and owns only its own: the gate and the seed

@@ -4,8 +4,6 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qstoch.circuit import trace_blocks
 from qstoch.process import (
@@ -16,12 +14,10 @@ from qstoch.process import (
     excess_entropy,
     stationary_distribution,
     states_merge,
-    _DRAW_BLOCK,
-    _sample_blocks,
 )
 from qstoch.seeding import make_rng
 
-from conftest import ScriptedUniforms, trace_outputs, unpacked
+from conftest import ScriptedUniforms, trace_outputs
 from oracle import (
     SwitchConfig,
     block_excess_entropy,
@@ -290,9 +286,10 @@ class TestExcessEntropy:
 
 class TestClassicalTrace:
     def test_reducible_without_start_rejected(self):
-        # the stream checks the chain when it is made, before any block is drawn
+        # the stream checks the chain on its first next(), before any uniform
+        # is drawn: the script has none to give
         with pytest.raises(ValueError, match="stationary distribution is not unique"):
-            trace_blocks(CausalMachine(0.0, 0.0), 10, make_rng(1))
+            next(trace_blocks(CausalMachine(0.0, 0.0), 10, ScriptedUniforms([])))
 
     def test_seed_determinism(self):
         a = trace_outputs(CausalMachine(0.8, 0.8), "classical", 500, make_rng(9))
@@ -311,107 +308,6 @@ class TestClassicalTrace:
         # still generous here because adjacent-block correlation is negative
         sigma = np.sqrt(m * probs * (1 - probs))
         assert np.all(np.abs(counts - m * probs) <= 4 * sigma)
-
-
-def scan_path(p1, n, rng, w0):
-    """_sample_blocks unpacked and concatenated into the path step_loop_path
-    returns: the start state, then the n bits.  Every block holds at most
-    _DRAW_BLOCK steps, no bit at or above its step count, and enters in the
-    state the block before it left."""
-    blocks = list(_sample_blocks(p1, n, rng, w0))
-    for (_, before, m), (entering, _, _) in zip(blocks, blocks[1:]):
-        assert entering == before >> (m - 1)
-    assert all(0 < m <= _DRAW_BLOCK and bits >> m == 0 for _, bits, m in blocks)
-    return np.concatenate([[blocks[0][0]], *(unpacked(bits, m) for _, bits, m in blocks)]
-                          ).astype(np.int8)
-
-
-def step_loop_path(p1, n, rng, w0):
-    """Per-step reference for _sample_blocks on the same stream layout: one
-    start uniform, then uniforms in _DRAW_BLOCK blocks, and a step enters
-    state 1 iff its uniform is below p1[state]."""
-    state = 0 if rng.random() < w0 else 1
-    path = np.empty(n + 1, dtype=np.int8)
-    path[0] = state
-    for first in range(0, n, _DRAW_BLOCK):
-        for k, u in enumerate(rng.random(min(_DRAW_BLOCK, n - first))):
-            state = 1 if u < p1[state] else 0
-            path[first + 1 + k] = state
-    return path
-
-
-EDGE_OR_ANY = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
-
-
-class TestSamplePathScan:
-    @settings(max_examples=20, deadline=None)
-    @given(p_right=EDGE_OR_ANY, p_left=EDGE_OR_ANY, tie=st.booleans(),
-           n=st.sampled_from([_DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 1,
-                              2 * _DRAW_BLOCK + 3]), w0=EDGE_OR_ANY,
-           seed=st.integers(0, 2 ** 32 - 1))
-    def test_scan_equals_step_loop(self, p_right, p_left, tie, n, w0, seed):
-        # p1 = (P(1|0), P(1|1)); a tie makes both states emit alike; w0 of
-        # 0 or 1 pins the start state
-        p1 = (p_right, p_right if tie else 1.0 - p_left)
-        got = scan_path(p1, n, make_rng(seed), w0)
-        want = step_loop_path(p1, n, make_rng(seed), w0)
-        np.testing.assert_array_equal(got, want)
-
-    @pytest.mark.parametrize("p1", [(0.9, 0.7), (0.3, 0.1), (0.0, 1.0), (1.0, 0.0),
-                                    (0.4, 0.4)])
-    @pytest.mark.parametrize("n", [1, 7])
-    def test_short_paths(self, p1, n):
-        got = scan_path(p1, n, make_rng(12), w0=0.5)
-        np.testing.assert_array_equal(got, step_loop_path(p1, n, make_rng(12), w0=0.5))
-
-    @pytest.mark.parametrize("p1", [(0.9, 0.3), (0.3, 0.9)])   # flips and stays
-    def test_kept_blocks_are_not_reused(self, p1):
-        # the sampler reuses its uniforms' buffer; the bits it yields are
-        # Python ints, which no later draw can change, so blocks a caller
-        # keeps survive the draws after them
-        n = 3 * _DRAW_BLOCK + 5
-        kept = list(_sample_blocks(p1, n, make_rng(21), 0.5))
-        assert len(kept) == 4
-        assert all(type(bits) is int for _, bits, _ in kept)
-        np.testing.assert_array_equal(np.concatenate([unpacked(bits, m) for _, bits, m in kept]),
-                                      step_loop_path(p1, n, make_rng(21), 0.5)[1:])
-
-    @pytest.mark.parametrize("machine", [(0.9, 0.3), (0.3, 0.3)], ids=["flips", "keeps"])
-    def test_numpy_probabilities_sample_as_python_floats(self, machine):
-        # p1 of np.float64 probabilities compares to numpy bools, and the
-        # sampler's big-integer carry chain must take them as Python numbers
-        n = _DRAW_BLOCK + 5
-        want = list(trace_blocks(CausalMachine(*machine), n, make_rng(5)))
-        got = list(trace_blocks(CausalMachine(*np.array(machine)), n, make_rng(5)))
-        assert got == want
-
-    @pytest.mark.parametrize("p1", [(0.9, 0.3), (0.3, 0.9)], ids=["flips", "keeps"])
-    @pytest.mark.parametrize("last", [0.1, 0.95], ids=["sets-1", "sets-0"])
-    @pytest.mark.parametrize("start", [0.2, 0.7], ids=["from-0", "from-1"])
-    def test_only_reset_on_a_blocks_last_step(self, p1, last, start):
-        # every uniform but one lies in the band [0.3, 0.9), so the carry
-        # chain propagates the state (kept or flipped) through the whole
-        # first block until its last step generates (below 0.3) or kills
-        # (at or above 0.9) the carry, and the next block enters with that
-        # step's output, s >> (m - 1)
-        n = _DRAW_BLOCK + 5
-        uniforms = np.full(n + 1, 0.5)
-        uniforms[0] = start
-        uniforms[_DRAW_BLOCK] = last
-        blocks = list(_sample_blocks(p1, n, ScriptedUniforms(uniforms), 0.5))
-        want = step_loop_path(p1, n, ScriptedUniforms(uniforms), 0.5)
-        assert [m for _, _, m in blocks] == [_DRAW_BLOCK, 5]
-        assert [entering for entering, _, _ in blocks] == [want[0], want[_DRAW_BLOCK]]
-        assert want[_DRAW_BLOCK] == (last < 0.3)
-        np.testing.assert_array_equal(
-            np.concatenate([unpacked(bits, m) for _, bits, m in blocks]), want[1:])
-
-    def test_frozen_chain_from_forced_start(self):
-        # CausalMachine(0, 0) never switches: p1 = (0, 1); w0 of 1 or 0 pins
-        # the start state, and the chain stays in it
-        for w0, state in ((1.0, 0), (0.0, 1)):
-            path = scan_path((0.0, 1.0), 10, make_rng(1), w0)
-            assert np.all(path == state)
 
 
 class TestSwitchConfig:

@@ -100,7 +100,7 @@ OWNED_RULES = {
     "p_left": ({"p_left": -0.1}, lambda: CausalMachine(0.8, -0.1)),
     "mode": ({"mode": "x"}, lambda: prepared_states(MACHINE, "x")),
     "noise_lambda": ({"noise_lambda": 1.5}, lambda: sampled_machine(MACHINE, "quantum", 1.5)),
-    "steps": ({"steps": 0}, lambda: trace_blocks(MACHINE, 0, make_rng(0))),
+    "steps": ({"steps": 0}, lambda: next(trace_blocks(MACHINE, 0, make_rng(0)))),
     # numpy would refuse 10.5 steps only mid-trace, with a TypeError
     "steps-non-integer": ({"steps": 10.5},
                           lambda: run_trace(MACHINE, "quantum", 10.5, make_rng(0))),

@@ -5,138 +5,10 @@ import pytest
 
 from qstoch.process import CausalMachine, block_distribution
 from qstoch.seeding import make_rng
-from qstoch.stats import (
-    block_count_sigma,
-    block_law_check,
-    stream_block_counts,
-)
+from qstoch.stats import block_count_sigma, block_law_check
 
-from conftest import packed, trace_outputs
+from conftest import trace_outputs
 from oracle import disjoint_block_counts, enumerated_count_sigma, two_sample_block_check
-
-
-class TestDisjointBlockCounts:
-    def test_hand_counted_example(self):
-        outputs = np.array([1, 0, 1, 1, 0, 1, 0])   # windows: 10, 11, 01; tail dropped
-        counts = disjoint_block_counts(outputs, 2)
-        np.testing.assert_array_equal(counts, [0, 1, 1, 1])
-
-    @pytest.mark.parametrize("block_len", range(1, 13))
-    def test_equals_whole_trace_formula(self, block_len):
-        # 800k steps in one block, against an int64 matrix product of the windows
-        outputs = np.random.default_rng(5).integers(0, 2, 800_011).astype(np.int8)
-        n_blocks = len(outputs) // block_len
-        windows = outputs[: n_blocks * block_len].astype(np.int64).reshape(n_blocks, block_len)
-        codes = windows @ (1 << np.arange(block_len - 1, -1, -1))
-        np.testing.assert_array_equal(disjoint_block_counts(outputs, block_len),
-                                      np.bincount(codes, minlength=2 ** block_len))
-
-    @pytest.mark.parametrize("block_len", range(1, 13))
-    def test_chunked_equals_whole(self, block_len):
-        # chunk sizes that are not multiples of L, so windows straddle chunk
-        # boundaries, plus chunks shorter than L and an empty one
-        outputs = np.random.default_rng(6).integers(0, 2, 200_003).astype(np.int8)
-        cuts = np.cumsum([1, 0, 11, 65_537, 3, 7_919, 65_536, 5])
-        chunks = np.split(outputs, cuts)
-        counts, = stream_block_counts(map(packed, chunks), (block_len,))
-        np.testing.assert_array_equal(counts, disjoint_block_counts(outputs, block_len))
-
-    def test_one_pass_over_several_lengths(self):
-        outputs = np.random.default_rng(7).integers(0, 2, 100_001).astype(np.int8)
-        lengths = (1, 2, 3, 4)
-        got = stream_block_counts(map(packed, np.array_split(outputs, 7)), lengths)
-        for block_len, counts in zip(lengths, got):
-            np.testing.assert_array_equal(counts, disjoint_block_counts(outputs, block_len))
-
-    def test_too_short_rejected(self):
-        with pytest.raises(ValueError):
-            disjoint_block_counts(np.array([1, 0]), 3)
-
-    @pytest.mark.parametrize("block_len", [0, 13])
-    def test_block_length_out_of_range_rejected(self, block_len):
-        # lengths stop at MAX_BLOCK_LEN = 12 bits, as the exact block law does
-        with pytest.raises(ValueError):
-            disjoint_block_counts(np.zeros(100, dtype=np.int8), block_len)
-
-
-def column_loop_counts(chunks, block_len):
-    """Reference tally: the column-by-column coding loop, one copy per column.
-
-    The carried bits are prepended to each chunk, its whole windows reshaped
-    into rows, and each window column cast to uint16 and shifted into the
-    codes, first bit most significant.
-    """
-    counts = np.zeros(2 ** block_len, dtype=np.int64)
-    carry = np.empty(0, dtype=np.int8)
-    for chunk in chunks:
-        bits = np.concatenate([carry, np.asarray(chunk).reshape(-1)])
-        n_blocks = bits.shape[0] // block_len
-        windows = bits[: n_blocks * block_len].reshape(n_blocks, block_len)
-        codes = np.zeros(n_blocks, dtype=np.uint16)
-        for column in windows.T:
-            codes <<= 1
-            codes |= column.astype(np.uint16)
-        counts += np.bincount(codes, minlength=2 ** block_len)
-        carry = bits[n_blocks * block_len:]
-    return counts
-
-
-@pytest.fixture(scope="module")
-def long_trace():
-    """A 2M-step trace of an asymmetric chain, one whole array."""
-    return trace_outputs(CausalMachine(0.9, 0.3), "classical", 2_000_000, make_rng(31))
-
-
-class TestTallyOracle:
-    """stream_block_counts must count exactly what the column loop counts."""
-
-    @pytest.mark.parametrize("block_len", range(1, 13))
-    @pytest.mark.parametrize("multiples", [True, False], ids=["multiple-of-L", "ragged"])
-    def test_chunked_stream_equals_column_loop(self, block_len, multiples):
-        outputs = np.random.default_rng(40 + block_len).integers(0, 2, 150_001).astype(np.int8)
-        if multiples:
-            sizes = [block_len * k for k in (1, 0, 3, 2_000, 0, 9_001)]
-        else:
-            # chunks shorter than L (1 and L - 1), empty ones, and sizes
-            # that leave a window straddling the boundary
-            sizes = [1, 0, block_len - 1, block_len + 1, 0, 7_919, 65_537, 3]
-        chunks = np.split(outputs, np.cumsum(sizes))
-        got, = stream_block_counts(map(packed, chunks), (block_len,))
-        np.testing.assert_array_equal(got, column_loop_counts(chunks, block_len))
-
-    @pytest.mark.parametrize("block_len", range(1, 13))
-    def test_whole_long_trace_equals_column_loop(self, long_trace, block_len):
-        # one block of 2M steps, every window split out of one mask
-        np.testing.assert_array_equal(disjoint_block_counts(long_trace, block_len),
-                                      column_loop_counts([long_trace], block_len))
-
-
-class TestSeveralLengths:
-    """Several lengths are counted in one pass, each carrying its own cut window."""
-
-    @pytest.mark.parametrize("lengths", [(1, 2, 3, 4), (2, 3), (4, 6, 12), (1, 12), (5, 7)],
-                             ids=["1-2-3-4", "2-3", "4-6-12", "1-12", "5-7"])
-    def test_several_lengths_equal_column_loop(self, lengths):
-        # ragged chunks that cut windows of every length, and a tail shorter
-        # than a window of some of them
-        outputs = np.random.default_rng(60).integers(0, 2, 150_007).astype(np.int8)
-        sizes = [1, 0, 5, 13, 0, 7_919, 65_537, 3]
-        chunks = np.split(outputs, np.cumsum(sizes))
-        got = stream_block_counts(map(packed, chunks), lengths)
-        for block_len, counts in zip(lengths, got):
-            np.testing.assert_array_equal(counts, column_loop_counts(chunks, block_len))
-
-    @pytest.mark.parametrize("block_len", [0, 13])
-    def test_length_out_of_range_rejected_before_reading(self, block_len):
-        consumed = []
-
-        def blocks():
-            for block in (packed(np.zeros(35, dtype=np.int8)),) * 2:
-                consumed.append(block)
-                yield block
-        with pytest.raises(ValueError, match=r"block lengths must be in \[1, 12\]"):
-            stream_block_counts(blocks(), (5, block_len))
-        assert consumed == []
 
 
 class TestBlockCountSigma:
