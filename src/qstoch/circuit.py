@@ -24,14 +24,12 @@ reads (run_trace, stream_block_counts) that format.
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Iterable, Iterator, Sequence
-from contextlib import suppress
 from typing import NamedTuple
 
 import numpy as np
 
-from .process import MAX_BLOCK_LEN, CausalMachine, stationary_distribution
+from .process import MAX_BLOCK_LEN, CausalMachine, _check_int, stationary_distribution
 from .qmath import bloch
 from .qmodel import quantum_causal_states
 
@@ -75,11 +73,8 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
-def _check_steps(n: int) -> None:
-    with suppress(TypeError):   # not an integer: numpy would refuse it mid-trace
-        if operator.index(n) >= 1:
-            return
-    raise ValueError(f"step count must be an integer >= 1, got {n!r}")
+def _check_steps(n: int) -> int:
+    return _check_int("step count", n, 1)
 
 
 def prepared_states(machine: CausalMachine, mode: str) -> tuple:
@@ -132,7 +127,7 @@ def trace_blocks(chain: CausalMachine, n: int,
     a flip carries an alternating state unchanged, and the state before
     step 0 enters negated.
     """
-    _check_steps(n)
+    n = _check_steps(n)
     w0, _ = stationary_distribution(chain)
     p1 = (chain.p_right, 1.0 - chain.p_left)
     state = 0 if rng.random() < w0 else 1
@@ -185,9 +180,8 @@ def stream_block_counts(blocks: Iterable, block_lens: Sequence[int]) -> list[np.
     the first bit most significant, and the popcount of each is that code's
     count.  The lengths are checked before the first block is read.
     """
-    if not all(1 <= block_len <= MAX_BLOCK_LEN for block_len in block_lens):
-        raise ValueError(f"block lengths must be in [1, {MAX_BLOCK_LEN}], "
-                         f"got {tuple(block_lens)!r}")
+    block_lens = [_check_int("block length", block_len, 1, MAX_BLOCK_LEN)
+                  for block_len in block_lens]
     tallies = [[0] * 2 ** block_len for block_len in block_lens]
     carry = [(0, 0)] * len(block_lens)    # per length: the cut window's bits, their count
     for _, bits, m in blocks:

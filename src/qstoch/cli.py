@@ -13,15 +13,15 @@ from __future__ import annotations
 import argparse
 import atexit
 import gc
-import operator
 import os
 import sys
 from collections import namedtuple
-from contextlib import nullcontext, suppress
+from contextlib import nullcontext
 
 from .circuit import (MODES, _check_steps, calibrate_noise, prepared_states, run_trace,
                       sampled_machine, stream_block_counts, trace_blocks)
-from .process import CausalMachine, _checked_make, classical_complexity, stationary_distribution
+from .process import (CausalMachine, _check_int, _checked_make, classical_complexity,
+                      stationary_distribution)
 from .qmath import mixture, trace_distance, von_neumann_entropy
 from .qmodel import quantum_complexity
 from .seeding import BOOTSTRAP, COLUMNS, SHOTS, TRACE, make_rng
@@ -46,13 +46,6 @@ ASYM_REFERENCE = (
 )
 
 
-def _check_seed(seed: int) -> None:
-    with suppress(TypeError):   # not an integer: make_rng would draw int(1.5)'s streams
-        if operator.index(seed) >= 0:
-            return
-    raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-
-
 class ExperimentConfig(namedtuple("ExperimentConfig", "p_right p_left mode gate steps "
                                   "shots_per_basis noise_lambda seed")):
     """One fully specified simulation/tomography experiment."""
@@ -69,7 +62,7 @@ class ExperimentConfig(namedtuple("ExperimentConfig", "p_right p_left mode gate 
         _check_shots(shots_per_basis)
         if gate not in GATES:
             raise ValueError(f"gate must be one of {GATES}, got {gate!r}")
-        _check_seed(seed)
+        _check_int("seed", seed, 0)     # make_rng would draw int(1.5)'s streams
         return super().__new__(cls, p_right, p_left, mode, gate, steps, shots_per_basis,
                                noise_lambda, seed)
 

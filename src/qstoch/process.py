@@ -19,7 +19,9 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
+from contextlib import suppress
 
 import numpy as np
 
@@ -37,6 +39,21 @@ MAX_BLOCK_LEN = 12
 def _checked_make(cls, iterable):
     # namedtuple's _make, and _replace through it, would skip __new__ and its checks
     return cls(*iterable)
+
+
+def _check_int(name: str, value, lo: int, hi: int | None = None) -> int:
+    """The one integer rule: value as a plain int, if operator.index takes it,
+    it is no bool (numpy's neither) and it lies in [lo, hi], or is at least lo
+    without hi.  A float or a bool would reach range or numpy, which refuse it
+    mid-run or floor it, and a numpy integer would overflow in the big-integer
+    arithmetic of a trace block."""
+    if not isinstance(value, (bool, np.bool_)):
+        with suppress(TypeError):
+            n = operator.index(value)
+            if lo <= n and (hi is None or n <= hi):
+                return n
+    span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+    raise ValueError(f"{name} must be an integer {span}, got {value!r}")
 
 
 class CausalMachine(namedtuple("CausalMachine", "p_right p_left")):
@@ -100,8 +117,7 @@ def block_distribution(machine: CausalMachine, block_len: int) -> np.ndarray:
     further bit multiplies a block's probability by the transition out of
     the block's last bit, which is the current state.
     """
-    if not (1 <= block_len <= MAX_BLOCK_LEN):
-        raise ValueError(f"block length must be in [1, {MAX_BLOCK_LEN}], got {block_len!r}")
+    _check_int("block length", block_len, 1, MAX_BLOCK_LEN)
     p_right, p_left = machine
     t = np.array([[1.0 - p_right, p_right], [p_left, 1.0 - p_left]])   # t[s, x]: s -> x
     w0, w1 = stationary_distribution(machine)

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .process import MAX_BLOCK_LEN, CausalMachine, block_distribution
+from .process import MAX_BLOCK_LEN, CausalMachine, _check_int, block_distribution
 
 N_SIGMA = 4.0             # per-cell tolerance of every check, in exact standard deviations
 _MAX_CHECK_LEN = MAX_BLOCK_LEN // 2   # the sigma needs the law of 2L-blocks
@@ -55,8 +55,7 @@ def block_count_sigma(machine: CausalMachine, block_len: int, n_blocks: int) -> 
     closed form.  This stays exact for non-mixing parameters (|lam2| = 1)
     where a truncated lag sum would badly understate the variance.
     """
-    if not (1 <= block_len <= _MAX_CHECK_LEN):
-        raise ValueError(f"block length must be in [1, {_MAX_CHECK_LEN}], got {block_len!r}")
+    _check_int("block length", block_len, 1, _MAX_CHECK_LEN)
     probs = block_distribution(machine, block_len)
     twice = np.arange(2 ** block_len) * (2 ** block_len + 1)
     cov1 = block_distribution(machine, 2 * block_len)[twice] - probs ** 2
@@ -79,7 +78,7 @@ def block_law_check(machine: CausalMachine, counts: np.ndarray) -> BlockLawCheck
                          f"{counts!r}")
     block_len = counts.size.bit_length() - 1
     # 0.0, not 0: a float64 comparison is loaded already, an int64 one costs 0.3 MB RSS
-    if (counts.ndim != 1 or not (1 <= block_len <= _MAX_CHECK_LEN)
+    if (counts.ndim != 1 or not (2 <= counts.size <= 2 ** _MAX_CHECK_LEN)
             or counts.size != 2 ** block_len or not (counts >= 0.0).all()):
         raise ValueError(f"need 2**L block counts >= 0 with L in [1, {_MAX_CHECK_LEN}], "
                          f"got shape {counts.shape}: {counts!r}")

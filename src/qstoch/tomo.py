@@ -11,23 +11,18 @@ from __future__ import annotations
 
 import operator
 from collections import namedtuple
-from contextlib import suppress
 
 import numpy as np
 
 from . import qmath
-from .process import _checked_make
+from .process import _check_int, _checked_make
 
 MIN_BOOTSTRAP = 100
 MAX_SHOTS = 2 ** 63 - 1     # the largest n numpy's binomial draw takes
 
 
-def _check_shots(shots_per_basis: int) -> None:
-    with suppress(TypeError):   # not an integer: numpy's binomial would floor 100.5
-        if 1 <= operator.index(shots_per_basis) <= MAX_SHOTS:
-            return
-    raise ValueError(f"shots_per_basis must be an integer in [1, {MAX_SHOTS}], "
-                     f"got {shots_per_basis!r}")
+def _check_shots(shots_per_basis: int) -> int:
+    return _check_int("shots_per_basis", shots_per_basis, 1, MAX_SHOTS)
 
 
 class TomographyCounts(namedtuple("TomographyCounts", "shots_per_basis plus")):
@@ -38,9 +33,8 @@ class TomographyCounts(namedtuple("TomographyCounts", "shots_per_basis plus")):
     _make = classmethod(_checked_make)   # so _replace checks too
 
     def __new__(cls, shots_per_basis: int, plus: tuple):
-        _check_shots(shots_per_basis)
         # plain ints: numpy integers would overflow in 2 k - n at large counts
-        shots_per_basis, plus = operator.index(shots_per_basis), tuple(map(operator.index, plus))
+        shots_per_basis, plus = _check_shots(shots_per_basis), tuple(map(operator.index, plus))
         if len(plus) != 3 or not all(0 <= k <= shots_per_basis for k in plus):
             raise ValueError(f"+1 counts {plus!r} are not three counts in "
                              f"[0, {shots_per_basis}]")
@@ -96,8 +90,7 @@ def entropy_with_error(counts: TomographyCounts, rng: np.random.Generator,
     The estimate is qmath.von_neumann_entropy(reconstruct_rho(counts)); each
     bootstrap round takes qmath.qubit_entropy of its Bloch radius, all at once.
     """
-    if bootstrap_rounds < MIN_BOOTSTRAP:
-        raise ValueError(f"bootstrap_rounds must be >= {MIN_BOOTSTRAP}")
+    _check_int("bootstrap_rounds", bootstrap_rounds, MIN_BOOTSTRAP)
     entropy = qmath.von_neumann_entropy(reconstruct_rho(counts))
 
     n = counts.shots_per_basis

@@ -79,6 +79,12 @@ MUTANTS = (
            "    total = float(p.sum())\n"
            "    if abs(total - 1.0) > ATOL_DIST:",
            ("test_qmath.py",)),
+    Mutant("_check_int takes a bool", "process",
+           "if not isinstance(value, (bool, np.bool_)):", "if True:",
+           ("test_records.py",)),
+    Mutant("_check_int ignores hi", "process",
+           "if lo <= n and (hi is None or n <= hi):", "if lo <= n:",
+           ("test_records.py",)),
     Mutant("CausalMachine without its _make override", "process",
            "    _make = classmethod(_checked_make)   # so _replace checks too\n", "",
            ("test_records.py",)),

@@ -779,6 +779,7 @@ class TestSeveralLengths:
             for block in (packed(np.zeros(35, dtype=np.int8)),) * 2:
                 consumed.append(block)
                 yield block
-        with pytest.raises(ValueError, match=r"block lengths must be in \[1, 12\]"):
+        with pytest.raises(ValueError,
+                           match=rf"block length must be an integer in \[1, 12\], got {block_len}$"):
             stream_block_counts(blocks(), (5, block_len))
         assert consumed == []

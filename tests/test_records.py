@@ -6,15 +6,16 @@ import re
 import numpy as np
 import pytest
 
-from qstoch.circuit import prepared_states, run_trace, sampled_machine, trace_blocks
+from qstoch.circuit import (prepared_states, run_trace, sampled_machine, stream_block_counts,
+                            trace_blocks)
 from qstoch.cli import ExperimentConfig
 from qstoch.process import CausalMachine, block_distribution
 from qstoch.qmath import bloch
 from qstoch.qmodel import quantum_causal_states, steady_state_rho
 from qstoch.seeding import make_rng
-from qstoch.stats import block_law_check
-from qstoch.tomo import (TomographyCounts, TomographyResult, ensemble_density, reconstruct_rho,
-                         simulate_counts)
+from qstoch.stats import block_count_sigma, block_law_check
+from qstoch.tomo import (MAX_SHOTS, TomographyCounts, TomographyResult, ensemble_density,
+                         entropy_with_error, reconstruct_rho, simulate_counts)
 
 MACHINE = CausalMachine(0.9, 0.3)
 COUNTS = TomographyCounts(10, (5, 4, 10))
@@ -58,25 +59,64 @@ def test_replace_checks_value(record, change):
     assert type(record._replace()) is type(record) and record._replace() == record
 
 
-NON_INTEGER_SHOTS = {
-    "TomographyCounts": lambda shots: TomographyCounts(shots, (5, 4, 10)),
-    "simulate_counts": lambda shots: simulate_counts(bloch(0.0, 0.0, 1.0), shots, make_rng(0)),
-    "ExperimentConfig": lambda shots: ExperimentConfig(0.8, 0.8, shots_per_basis=shots),
+def tally_unread(block_len):
+    """One length's tally of a 100-step trace; a refused length must be
+    refused before the first block is read."""
+    read = []
+
+    def blocks():
+        for block in trace_blocks(MACHINE, 100, make_rng(0)):
+            read.append(block)
+            yield block
+    try:
+        return stream_block_counts(blocks(), [block_len])
+    except ValueError:
+        assert read == []
+        raise
+
+
+# every integer rule, through each call that checks it: the call, a value in
+# range, and the least value above the range where the rule bounds it
+INTEGER_RULES = {
+    "steps-trace_blocks": (lambda n: next(trace_blocks(MACHINE, n, make_rng(0))), 100, None),
+    "steps-run_trace": (lambda n: run_trace(MACHINE, "quantum", n, make_rng(0)), 100, None),
+    "steps-ExperimentConfig": (lambda n: ExperimentConfig(0.8, 0.8, steps=n), 100, None),
+    "seed": (lambda seed: ExperimentConfig(0.8, 0.8, seed=seed), 10, None),
+    "shots-TomographyCounts": (lambda shots: TomographyCounts(shots, (5, 4, 10)), 10,
+                               MAX_SHOTS + 1),
+    "shots-simulate_counts": (lambda shots: simulate_counts(bloch(0.0, 0.0, 1.0), shots,
+                                                            make_rng(0)), 10, MAX_SHOTS + 1),
+    "shots-ExperimentConfig": (lambda shots: ExperimentConfig(0.8, 0.8, shots_per_basis=shots),
+                               10, MAX_SHOTS + 1),
+    "block_distribution": (lambda block_len: block_distribution(MACHINE, block_len), 2, 13),
+    "block_count_sigma": (lambda block_len: block_count_sigma(MACHINE, block_len, 10), 2, 7),
+    "stream_block_counts": (tally_unread, 2, 13),
+    "bootstrap_rounds": (lambda rounds: entropy_with_error(COUNTS, make_rng(0),
+                                                           bootstrap_rounds=rounds), 150, None),
 }
+BOUNDED_RULES = {name: rule for name, rule in INTEGER_RULES.items() if rule[2] is not None}
 
 
-@pytest.mark.parametrize("shots", [10.5, np.float64(100.0), "10"])
-@pytest.mark.parametrize("build", NON_INTEGER_SHOTS.values(), ids=NON_INTEGER_SHOTS.keys())
-def test_non_integer_shot_count_rejected(build, shots):
-    # numpy's binomial draw would floor 10.5 to 10 while the counts record 10.5
-    with pytest.raises(ValueError, match=re.escape(f"got {shots!r}")):
-        build(shots)
+@pytest.mark.parametrize("value", [True, np.True_, 2.5, np.float64(100.0), "3"], ids=repr)
+@pytest.mark.parametrize("build, ok, above", INTEGER_RULES.values(), ids=INTEGER_RULES.keys())
+def test_non_integer_rejected(build, ok, above, value):
+    # a bool or a float would reach range or numpy, which refuse it mid-run
+    # (a TypeError), floor it, or take True for 1
+    with pytest.raises(ValueError, match=re.escape(f"got {value!r}") + "$"):
+        build(value)
 
 
-@pytest.mark.parametrize("build", NON_INTEGER_SHOTS.values(), ids=NON_INTEGER_SHOTS.keys())
-def test_integer_like_shot_count_accepted(build):
-    # any integer type operator.index takes, numpy's among them
-    build(np.int64(10))
+@pytest.mark.parametrize("build, ok, above", BOUNDED_RULES.values(), ids=BOUNDED_RULES.keys())
+def test_integer_above_range_rejected(build, ok, above):
+    with pytest.raises(ValueError, match=re.escape(f"got {above!r}") + "$"):
+        build(above)
+
+
+@pytest.mark.parametrize("build, ok, above", INTEGER_RULES.values(), ids=INTEGER_RULES.keys())
+def test_integer_like_accepted(build, ok, above):
+    # any integer type operator.index takes, numpy's among them; 100 steps of
+    # np.int64 would overflow a trace block's big-integer shift
+    build(np.int64(ok))
 
 
 @pytest.mark.parametrize("change", [{"p_right": 1.5}, {"steps": 0}, {"mode": "x"},
