@@ -167,7 +167,7 @@ def run_trace(machine: CausalMachine, mode: str, n: int, rng: np.random.Generato
     return RunResult(steps=n, ones=ones, vectors=prepared_states(machine, mode))
 
 
-def stream_block_counts(blocks: Iterable, block_lens: Sequence[int]) -> list[np.ndarray]:
+def stream_block_counts(blocks: Iterable, block_lens: Sequence[int]) -> list[tuple[int, ...]]:
     """Disjoint-window block counts at several lengths, in one pass over a
     trace that arrives in blocks.
 
@@ -175,28 +175,41 @@ def stream_block_counts(blocks: Iterable, block_lens: Sequence[int]) -> list[np.
     read as it arrives; the entering state is not an output and is skipped.
     At each length L the bits of a window that a block boundary cuts are
     carried into the next block.  The starts of the whole windows are the
-    repunit mask with a 1 every L bits; splitting it on each window's bit j
-    in turn, first bit first, leaves one mask per code, in code order with
-    the first bit most significant, and the popcount of each is that code's
-    count.  The lengths are checked before the first block is read.
+    repunit mask with a 1 every L bits, built per length when a block needs
+    it wider than any before and cut to each block by a shift; splitting it
+    on each window's bit j in turn, first bit first, leaves one mask per
+    code, in code order with the first bit most significant, and the
+    popcount of each is that code's count.  The lengths are checked before
+    the first block is read.
     """
     block_lens = [_check_int("block length", block_len, 1, MAX_BLOCK_LEN)
                   for block_len in block_lens]
     tallies = [[0] * 2 ** block_len for block_len in block_lens]
     carry = [(0, 0)] * len(block_lens)    # per length: the cut window's bits, their count
+    starts = [(0, 0)] * len(block_lens)   # per length: the widest repunit yet, its width
     for _, bits, m in blocks:
         for i, block_len in enumerate(block_lens):
             held, k = carry[i]
             t = held | (bits << k)
             used = (k + m) // block_len * block_len
-            starts = ((1 << used) - 1) // ((1 << block_len) - 1)
-            counts = _split(starts, used // block_len, [t >> j for j in range(block_len)])
+            mask, width = starts[i]
+            if used > width:
+                mask, width = starts[i] = _window_starts(block_len, used)
+            counts = _split(mask >> (width - used), used // block_len,
+                            [t >> j for j in range(block_len)])
             tallies[i] = [a + b for a, b in zip(tallies[i], counts)]
             carry[i] = (t >> used, k + m - used)
     for block_len, tally in zip(block_lens, tallies):
         if not any(tally):
             raise ValueError(f"trace too short for blocks of length {block_len}")
-    return [np.array(tally, dtype=np.int64) for tally in tallies]
+    return [tuple(tally) for tally in tallies]
+
+
+def _window_starts(block_len: int, bits: int) -> tuple[int, int]:
+    """The repunit with a 1 every block_len bits from bit 0, over the
+    whole windows that fit in `bits` bits, and their width."""
+    width = bits // block_len * block_len
+    return ((1 << width) - 1) // ((1 << block_len) - 1), width
 
 
 def _split(w: int, count: int, shifted: list) -> list[int]:

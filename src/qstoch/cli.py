@@ -231,9 +231,8 @@ def cmd_simulate(args) -> tuple:
         ok = ok and check.passed
         for code in range(2 ** block_len):
             rows.append({"L": block_len, "block": format(code, f"0{block_len}b"),
-                         "count": int(counts[code]),
-                         "freq": float(check.freqs[code]),
-                         "prob": float(check.probs[code]),
+                         "count": counts[code], "freq": check.freqs[code],
+                         "prob": check.probs[code],
                          "tv": check.tv, "tv_bound": check.tv_bound,
                          "ok": int(check.passed)})
     return _settings(cfg, ("shots_per_basis",)), rows, ok
@@ -251,14 +250,13 @@ def cmd_tomo(args) -> tuple:
 
     measured = counts.bloch_vector()
     r_hat = reconstruct_rho(counts)
-    x, y, z = map(float, r_hat)
+    x, y, z = r_hat
     # rho = (I + r.sigma) / 2 of the projected vector; its imaginary
     # off-diagonal reads +0, not -0, where y is 0
     row = {"p_right": cfg.p_right, "p_left": cfg.p_left, "mode": cfg.mode,
            "gate": cfg.gate, "steps": cfg.steps, "shots": cfg.shots_per_basis,
            "entropy": result.entropy, "entropy_std": result.entropy_std,
-           "bloch_x": float(measured[0]), "bloch_y": float(measured[1]),
-           "bloch_z": float(measured[2]),
+           "bloch_x": measured[0], "bloch_y": measured[1], "bloch_z": measured[2],
            "rho00_re": (1.0 + z) / 2.0, "rho01_re": x / 2.0,
            "rho01_im": 0.0 - y / 2.0, "rho11_re": (1.0 - z) / 2.0,
            "entropy_theory": ent_theory,

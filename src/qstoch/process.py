@@ -108,10 +108,10 @@ def classical_complexity(machine: CausalMachine) -> float:
     return shannon_entropy(stationary_distribution(machine))
 
 
-def block_distribution(machine: CausalMachine, block_len: int) -> np.ndarray:
+def block_distribution(machine: CausalMachine, block_len: int) -> tuple[float, ...]:
     """Exact law of length-L output blocks from a stationary start.
 
-    Returns a vector of 2**L probabilities indexed with the first bit most
+    Returns a tuple of 2**L probabilities indexed with the first bit most
     significant.  Because each output equals the destination state, a block
     pins the whole state path, so probabilities are simple products: each
     further bit multiplies a block's probability by the transition out of
@@ -119,13 +119,12 @@ def block_distribution(machine: CausalMachine, block_len: int) -> np.ndarray:
     """
     _check_int("block length", block_len, 1, MAX_BLOCK_LEN)
     p_right, p_left = machine
-    t = np.array([[1.0 - p_right, p_right], [p_left, 1.0 - p_left]])   # t[s, x]: s -> x
+    t = ((1.0 - p_right, p_right), (p_left, 1.0 - p_left))     # t[s][x]: s -> x
     w0, w1 = stationary_distribution(machine)
-    probs = w0 * t[0] + w1 * t[1]                           # law of the first bit
-    for size in (2 ** k for k in range(1, block_len)):
-        step = t[np.arange(size) & 1]                       # row of the current state
-        probs = (probs[:, None] * step).reshape(-1)
-    return probs
+    probs = [w0 * t[0][x] + w1 * t[1][x] for x in (0, 1)]     # law of the first bit
+    for _ in range(1, block_len):
+        probs = [p * t[code & 1][x] for code, p in enumerate(probs) for x in (0, 1)]
+    return tuple(probs)
 
 
 def excess_entropy(machine: CausalMachine) -> float:

@@ -1,19 +1,22 @@
 """One-qubit states as Bloch vectors.
 
-Every single-qubit state is a read-only float array r = (x, y, z), the
+Every single-qubit state is a tuple of three floats r = (x, y, z), the
 Pauli expectations of rho = (I + r.sigma) / 2: a pure state has |r| = 1,
 a mixture is the weighted sum of its parts' vectors, the entropy in bits is
 the binary entropy of the radius (bloch_radius, qubit_entropy), and the
 trace distance of two states is half the distance of their vectors.  The
 kets, density matrices and Pauli matrices these stand for live in the test
-oracle, the reference the vectors are checked against.  A CLI run calls
-neither LAPACK nor BLAS: a process's first call of such a kernel maps its
-code in, from about 0.06 MB of resident memory for a BLAS dot product to
-0.8 MB for an eigensolver; eig_hermitian, the one eigensolver here, is off
-the run path.
+oracle, the reference the vectors are checked against.  Everything here but
+eig_hermitian, which is off the run path, is plain Python arithmetic with
+math.sqrt and math.log2: a process's first call of a numpy kernel maps its
+code in, from about 0.06 MB of resident memory for a ufunc loop or a BLAS
+dot product to 0.8 MB for an eigensolver.
 """
 
 from __future__ import annotations
+
+import math
+import numbers
 
 import numpy as np
 
@@ -22,18 +25,16 @@ ATOL_DIST = 1e-9       # probability vectors must sum to 1 within this
 EIG_ZERO = 1e-12       # a qubit eigenvalue below this counts as 0 in entropies
 
 
-def bloch(x, y, z) -> np.ndarray:
-    """The read-only Bloch vector (x, y, z) of a qubit state."""
-    r = np.array([x, y, z], dtype=float)
-    r.setflags(write=False)
-    return r
+def bloch(x, y, z) -> tuple[float, float, float]:
+    """The Bloch vector (x, y, z) of a qubit state."""
+    return float(x), float(y), float(z)
 
 
-def bloch_radius(r):
-    """Length |r| = sqrt(x*x + y*y + z*z) of a Bloch vector (x, y, z), or of
-    each column of a (3, n) array; not np.linalg.norm, a BLAS dot product."""
+def bloch_radius(r) -> float:
+    """Length |r| = sqrt(x*x + y*y + z*z) of a Bloch vector (x, y, z),
+    summed left to right."""
     x, y, z = r
-    return np.sqrt(x * x + y * y + z * z)
+    return math.sqrt(x * x + y * y + z * z)
 
 
 def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
@@ -53,16 +54,31 @@ def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
 # entropies, fidelity and distance
 # ---------------------------------------------------------------------------
 
-def _distribution(dist) -> np.ndarray:
-    """dist as a float vector, or ValueError unless it is a non-empty vector
-    of entries in [0, 1] summing to 1 within ATOL_DIST.  Every comparison
-    with NaN is false, so the checks negate the good case to refuse NaN."""
-    p = np.asarray(dist, dtype=float)
-    if p.ndim != 1 or p.size == 0:
+def _real_vector(values) -> tuple[float, ...]:
+    """values as a tuple of floats, or () unless they are a flat sequence of
+    real numbers: a number, a row of a 2-D array or a string is none."""
+    try:
+        entries = tuple(values)
+    except TypeError:       # a number or a 0-d array
+        return ()
+    if not all(isinstance(x, numbers.Real) for x in entries):
+        return ()
+    return tuple(map(float, entries))
+
+
+def _distribution(dist) -> tuple[float, ...]:
+    """dist as a tuple of floats, or ValueError unless it is a non-empty
+    flat sequence of real entries in [0, 1] summing to 1 within ATOL_DIST.
+    Every comparison with NaN is false, so the checks negate the good case
+    to refuse NaN."""
+    p = _real_vector(dist)
+    if not p:
         raise ValueError("distribution must be a non-empty vector")
-    if not (p >= 0.0).all() or np.any(p > 1.0 + ATOL_DIST):
+    if not all(0.0 <= x <= 1.0 + ATOL_DIST for x in p):
         raise ValueError(f"entries outside [0, 1] in {p!r}")
-    total = float(p.sum())
+    total = 0.0
+    for x in p:             # left to right: built-in sum compensates from Python 3.12
+        total += x
     if not abs(total - 1.0) <= ATOL_DIST:
         raise ValueError(f"probabilities sum to {total!r}, expected 1")
     return p
@@ -71,29 +87,33 @@ def _distribution(dist) -> np.ndarray:
 def shannon_entropy(dist) -> float:
     """Shannon entropy in bits of the probability vector dist, with the
     convention 0 log 0 = 0."""
-    p = _distribution(dist)
-    nz = np.minimum(p[p > 0.0], 1.0)    # shave float dust above 1 before the log
-    return max(0.0, float(-(nz * np.log2(nz)).sum()))
+    h = 0.0
+    for x in _distribution(dist):
+        if x > 0.0:
+            x = min(x, 1.0)     # shave float dust above 1 before the log
+            h -= x * math.log2(x)
+    return max(0.0, h)
 
 
-def qubit_entropy(radius):
-    """Entropy in bits of a qubit of Bloch radius |r|, elementwise over an
-    array of radii: the binary entropy h((1 + min(|r|, 1)) / 2).  The
-    smaller eigenvalue (1 - |r|) / 2 counts as 0 below 1e-12, so a pure
-    state reads exactly +0.0, neither rounding dust nor -0.0."""
-    low = (1.0 - np.minimum(radius, 1.0)) / 2.0
-    low = np.where(low < EIG_ZERO, 0.0, low)
-    return 0.0 - low * np.log2(np.where(low > 0.0, low, 1.0)) - (1.0 - low) * np.log2(1.0 - low)
+def qubit_entropy(radius: float) -> float:
+    """Entropy in bits of a qubit of Bloch radius |r|: the binary entropy
+    h((1 + min(|r|, 1)) / 2).  The smaller eigenvalue (1 - |r|) / 2 counts
+    as 0 below 1e-12, so a pure state reads exactly +0.0, neither rounding
+    dust nor -0.0."""
+    low = (1.0 - min(radius, 1.0)) / 2.0
+    if low < EIG_ZERO:
+        return 0.0
+    return 0.0 - low * math.log2(low) - (1.0 - low) * math.log2(1.0 - low)
 
 
 def von_neumann_entropy(r) -> float:
     """-Tr(rho log2 rho) of the qubit with Bloch vector r: qubit_entropy of |r|."""
-    return float(qubit_entropy(bloch_radius(r)))
+    return qubit_entropy(bloch_radius(r))
 
 
 def fidelity(r, target) -> float:
     """State fidelity <t| rho |t> = (1 + r.t) / 2 with a pure target t."""
-    radius = float(bloch_radius(target))
+    radius = bloch_radius(target)
     if abs(radius - 1.0) > ATOL_UNIT:
         raise ValueError(f"fidelity needs a pure target, got |t| = {radius!r}")
     x, y, z = map(float, r)
@@ -103,13 +123,17 @@ def fidelity(r, target) -> float:
 
 def trace_distance(a, b) -> float:
     """Half the trace norm of rho_a - rho_b: |r_a - r_b| / 2."""
-    return float(bloch_radius(np.subtract(a, b))) / 2.0
+    (ax, ay, az), (bx, by, bz) = a, b
+    return bloch_radius((ax - bx, ay - by, az - bz)) / 2.0
 
 
-def mixture(weights, vectors) -> np.ndarray:
+def mixture(weights, vectors) -> tuple[float, float, float]:
     """Mixture sum_i w_i r_i of qubit states, w a probability vector with
-    one weight per state."""
+    one weight per state, summed left to right."""
     w = _distribution(weights)
     if len(w) != len(vectors):
         raise ValueError(f"{len(w)} weight(s) for {len(vectors)} state(s)")
-    return bloch(*sum(wi * np.asarray(ri, dtype=float) for wi, ri in zip(w, vectors)))
+    x = y = z = 0.0
+    for wi, (rx, ry, rz) in zip(w, vectors):
+        x, y, z = x + wi * rx, y + wi * ry, z + wi * rz
+    return bloch(x, y, z)

@@ -11,6 +11,8 @@ operators of the asymmetric circuit's controlled-u step.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import qmath
@@ -20,15 +22,15 @@ from .process import CausalMachine, stationary_distribution
 def _amplitudes(machine: CausalMachine) -> tuple[tuple[float, float], ...]:
     """Real amplitudes (a, b) of the kets encoding state 0 and state 1."""
     pr, pl = machine.p_right, machine.p_left
-    return (np.sqrt(1.0 - pr), np.sqrt(pr)), (np.sqrt(pl), np.sqrt(1.0 - pl))
+    return (math.sqrt(1.0 - pr), math.sqrt(pr)), (math.sqrt(pl), math.sqrt(1.0 - pl))
 
 
-def quantum_causal_states(machine: CausalMachine) -> tuple[np.ndarray, np.ndarray]:
+def quantum_causal_states(machine: CausalMachine) -> tuple[tuple, tuple]:
     """The Bloch vectors (r0, r1) of the kets encoding state 0 and state 1."""
     return tuple(qmath.bloch(2.0 * (a * b), 0.0, a * a - b * b) for a, b in _amplitudes(machine))
 
 
-def steady_state_rho(machine: CausalMachine) -> np.ndarray:
+def steady_state_rho(machine: CausalMachine) -> tuple[float, float, float]:
     """Bloch vector of the memory averaged over the equilibrium causal-state law."""
     return qmath.mixture(stationary_distribution(machine), quantum_causal_states(machine))
 
@@ -45,7 +47,7 @@ def depolarized_complexity(machine: CausalMachine, eps: float) -> float:
     if not (0.0 <= eps <= 1.0):
         raise ValueError(f"eps must be in [0, 1], got {eps!r}")
     r = steady_state_rho(machine)
-    return float(qmath.qubit_entropy((1.0 - eps) * qmath.bloch_radius(r)))
+    return qmath.qubit_entropy((1.0 - eps) * qmath.bloch_radius(r))
 
 
 def construct_cu(machine: CausalMachine) -> tuple[np.ndarray, np.ndarray]:

@@ -6,15 +6,16 @@ The per-cell standard deviations used here are therefore the exact ones for
 that sampling scheme, rather than plain multinomial values; a test at N_SIGMA
 of them keeps its nominal meaning.  Their lag-1 covariance is read off the
 exact law of two adjacent windows, a block of length 2L, so the checks take
-L in [1, MAX_BLOCK_LEN // 2].  The counts come in as arrays, one per
-length, tallied from a trace by the circuit module.
+L in [1, MAX_BLOCK_LEN // 2].  The counts come in one sequence per length,
+tallied from a trace by the circuit module, and every number here is a
+plain Python int or float.  sample_std is the spread of tomo's bootstrap.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from typing import NamedTuple
-
-import numpy as np
 
 from .process import MAX_BLOCK_LEN, CausalMachine, _check_int, block_distribution
 
@@ -25,11 +26,18 @@ _MAX_CHECK_LEN = MAX_BLOCK_LEN // 2   # the sigma needs the law of 2L-blocks
 class BlockLawCheck(NamedTuple):
     """Per-cell comparison of disjoint-block counts with the exact law."""
 
-    freqs: np.ndarray
-    probs: np.ndarray
+    freqs: tuple         # each cell's count over the blocks counted
+    probs: tuple         # the exact law, block_distribution
     tv: float            # total variation distance, frequencies vs exact law
     tv_bound: float      # implied bound: half the sum of per-cell tolerances
     passed: bool
+
+
+def sample_std(values: list[float]) -> float:
+    """Sample standard deviation (ddof=1) of two or more floats, each
+    sum taken with math.fsum."""
+    mean = math.fsum(values) / len(values)
+    return math.sqrt(math.fsum((v - mean) * (v - mean) for v in values) / (len(values) - 1))
 
 
 def _lag_weight_sum(m: int, r: float) -> float:
@@ -44,7 +52,8 @@ def _lag_weight_sum(m: int, r: float) -> float:
     return (m * (1.0 - r) - (1.0 - r ** m)) / (1.0 - r) ** 2
 
 
-def block_count_sigma(machine: CausalMachine, block_len: int, n_blocks: int) -> np.ndarray:
+def block_count_sigma(machine: CausalMachine, block_len: int,
+                      n_blocks: int) -> tuple[float, ...]:
     """Exact std of each block count over m disjoint windows of one trajectory.
 
     Var(N_b) = m p (1-p) + 2 sum_k (m-k) Cov_k.  Window k+1 starts where
@@ -56,41 +65,54 @@ def block_count_sigma(machine: CausalMachine, block_len: int, n_blocks: int) -> 
     where a truncated lag sum would badly understate the variance.
     """
     _check_int("block length", block_len, 1, _MAX_CHECK_LEN)
-    probs = block_distribution(machine, block_len)
-    twice = np.arange(2 ** block_len) * (2 ** block_len + 1)
-    cov1 = block_distribution(machine, 2 * block_len)[twice] - probs ** 2
+    twice = block_distribution(machine, 2 * block_len)[::2 ** block_len + 1]   # codes b b
     decay = (1.0 - machine.p_right - machine.p_left) ** block_len
-    var = n_blocks * probs * (1.0 - probs)
-    var += 2.0 * cov1 * _lag_weight_sum(n_blocks, decay)
-    return np.sqrt(np.maximum(var, 0.0))
+    lags = _lag_weight_sum(n_blocks, decay)
+    sigma = []
+    for p, p_twice in zip(block_distribution(machine, block_len), twice):
+        cov1 = p_twice - p * p
+        sigma.append(math.sqrt(max(n_blocks * p * (1.0 - p) + 2.0 * cov1 * lags, 0.0)))
+    return tuple(sigma)
 
 
-def block_law_check(machine: CausalMachine, counts: np.ndarray) -> BlockLawCheck:
+def _plain_counts(counts) -> list[int]:
+    """counts as plain ints, or ValueError unless they are 2**L integer
+    counts >= 0 with L in [1, _MAX_CHECK_LEN], in one flat sequence or 1-D
+    array: no bool, float or NaN among them, and no row of a 2-D input."""
+    try:
+        cells = list(counts)
+    except TypeError:       # a number or a 0-d array
+        cells = []
+    flat = not any(hasattr(c, "__len__") for c in cells)
+    for c in cells if flat else ():
+        if isinstance(c, bool) or not isinstance(c, numbers.Integral):
+            dtype = "float64" if type(c) is float else type(c).__name__    # numpy's names
+            raise ValueError(f"block counts must have an integer dtype, got {dtype}: "
+                             f"{counts!r}")
+    if (not flat or not 2 <= len(cells) <= 2 ** _MAX_CHECK_LEN
+            or len(cells) & (len(cells) - 1) or not all(c >= 0 for c in cells)):
+        raise ValueError(f"need 2**L block counts >= 0 with L in [1, {_MAX_CHECK_LEN}], "
+                         f"got {counts!r}")
+    return [int(c) for c in cells]
+
+
+def block_law_check(machine: CausalMachine, counts) -> BlockLawCheck:
     """N_SIGMA per-cell test of disjoint-block counts vs the exact law.
 
     counts holds the tallies of all 2**L blocks (one length of a trace's
-    window tally) in an integer dtype, none negative; L is read off its
-    size.
+    window tally) as integers, none negative, in a sequence or a 1-D
+    integer array; L is read off their number.
     """
-    counts = np.asarray(counts)
-    if counts.dtype.kind not in "iu":
-        raise ValueError(f"block counts must have an integer dtype, got {counts.dtype}: "
-                         f"{counts!r}")
-    block_len = counts.size.bit_length() - 1
-    # 0.0, not 0: a float64 comparison is loaded already, an int64 one costs 0.3 MB RSS
-    if (counts.ndim != 1 or not (2 <= counts.size <= 2 ** _MAX_CHECK_LEN)
-            or counts.size != 2 ** block_len or not (counts >= 0.0).all()):
-        raise ValueError(f"need 2**L block counts >= 0 with L in [1, {_MAX_CHECK_LEN}], "
-                         f"got shape {counts.shape}: {counts!r}")
-    m = int(counts.sum())
+    counts = _plain_counts(counts)
+    block_len = len(counts).bit_length() - 1
+    m = sum(counts)
     if m < 1:
         raise ValueError("no blocks counted")
     probs = block_distribution(machine, block_len)
-    dev = np.abs(counts - m * probs)
-    tol = N_SIGMA * block_count_sigma(machine, block_len, m)
+    tol = [N_SIGMA * s for s in block_count_sigma(machine, block_len, m)]
     # zero-variance cells must match exactly (up to count rounding)
-    ok = bool(np.all(dev <= np.maximum(tol, 1e-9)))
-    freqs = counts / m
-    tv = 0.5 * float(np.abs(freqs - probs).sum())
-    tv_bound = 0.5 * float(tol.sum()) / m
+    ok = all(abs(c - m * p) <= max(t, 1e-9) for c, p, t in zip(counts, probs, tol))
+    freqs = tuple(c / m for c in counts)
+    tv = 0.5 * math.fsum(abs(f - p) for f, p in zip(freqs, probs))
+    tv_bound = 0.5 * math.fsum(tol) / m
     return BlockLawCheck(freqs=freqs, probs=probs, tv=tv, tv_bound=tv_bound, passed=ok)

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import qmath
 from .process import _check_int, _checked_make
+from .stats import sample_std
 
 MIN_BOOTSTRAP = 100
 MAX_SHOTS = 2 ** 63 - 1     # the largest n numpy's binomial draw takes
@@ -40,7 +41,7 @@ class TomographyCounts(namedtuple("TomographyCounts", "shots_per_basis plus")):
                              f"[0, {shots_per_basis}]")
         return super().__new__(cls, shots_per_basis, plus)
 
-    def bloch_vector(self) -> np.ndarray:
+    def bloch_vector(self) -> tuple[float, float, float]:
         n = self.shots_per_basis
         return qmath.bloch(*((2 * k - n) / n for k in self.plus))
 
@@ -48,7 +49,7 @@ class TomographyCounts(namedtuple("TomographyCounts", "shots_per_basis plus")):
 TomographyResult = namedtuple("TomographyResult", "entropy entropy_std")
 
 
-def ensemble_density(run) -> np.ndarray:
+def ensemble_density(run) -> tuple[float, float, float]:
     """The memory state tomography measures: the Bloch vector of a
     circuit.RunResult's steps, (n0 r0 + n1 r1) / n."""
     n = run.steps
@@ -59,21 +60,21 @@ def simulate_counts(r, shots_per_basis: int, rng: np.random.Generator) -> Tomogr
     """Binomial Pauli-basis counts at the exact expectation values (x, y, z)
     of the state with Bloch vector r."""
     _check_shots(shots_per_basis)
-    r = np.asarray(r, dtype=float)
-    if r.shape != (3,):
-        raise ValueError(f"a Bloch vector has shape (3,), got {r.shape}")
+    vector = qmath._real_vector(r)
+    if len(vector) != 3:
+        raise ValueError(f"a Bloch vector has shape (3,), got {r!r}")
     plus = [int(rng.binomial(shots_per_basis, min(max((1.0 + c) / 2.0, 0.0), 1.0)))
-            for c in r]
+            for c in vector]
     return TomographyCounts(shots_per_basis, plus)
 
 
-def reconstruct_rho(counts: TomographyCounts) -> np.ndarray:
+def reconstruct_rho(counts: TomographyCounts) -> tuple[float, float, float]:
     """Linear inversion with physicality projection: the measured Bloch
     vector, scaled radially back onto the unit sphere if it lies outside,
     so the state's eigenvalues (1 +- |r|) / 2 lie in [0, 1]."""
     r = counts.bloch_vector()
     radius = qmath.bloch_radius(r)
-    return qmath.bloch(*(r / radius if radius > 1.0 else r))
+    return tuple(c / radius for c in r) if radius > 1.0 else r
 
 
 def entropy_with_error(counts: TomographyCounts, rng: np.random.Generator,
@@ -88,14 +89,16 @@ def entropy_with_error(counts: TomographyCounts, rng: np.random.Generator,
     them are 0).  Only at an exactly pure state can no estimate fall below
     the truth; at one on a Pauli axis, such as |+>, every estimate is 0.
     The estimate is qmath.von_neumann_entropy(reconstruct_rho(counts)); each
-    bootstrap round takes qmath.qubit_entropy of its Bloch radius, all at once.
+    bootstrap round takes qmath.qubit_entropy of its Bloch radius, which it
+    caps at 1.  The rounds are drawn basis by basis, every x count, then
+    every y, then every z; their spread is stats.sample_std.
     """
     _check_int("bootstrap_rounds", bootstrap_rounds, MIN_BOOTSTRAP)
     entropy = qmath.von_neumann_entropy(reconstruct_rho(counts))
 
     n = counts.shots_per_basis
-    rates = np.array([k / n for k in counts.plus])
-    plus = rng.binomial(n, rates[:, np.newaxis], size=(3, bootstrap_rounds))
-    r = (2 * plus - n) / n                                  # one Bloch vector per column
-    boot = qmath.qubit_entropy(qmath.bloch_radius(r))
-    return TomographyResult(entropy=entropy, entropy_std=float(boot.std(ddof=1)))
+    draws = [rng.binomial(n, k / n, size=bootstrap_rounds).tolist() for k in counts.plus]
+    boot = [qmath.qubit_entropy(qmath.bloch_radius(((2 * a - n) / n, (2 * b - n) / n,
+                                                    (2 * c - n) / n)))
+            for a, b, c in zip(*draws)]
+    return TomographyResult(entropy=entropy, entropy_std=sample_std(boot))

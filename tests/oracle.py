@@ -15,6 +15,9 @@ abbreviate:
   * the kets, density matrices and Pauli matrices that qstoch's Bloch
     vectors stand for, and the matrix route (eigenvalues, <t|rho|t>) to
     the entropy, trace distance and fidelity the vectors give in closed form;
+  * numpy's route to the numbers qstoch computes in plain Python: the
+    bootstrap's spread from one (3, rounds) binomial draw, and the fields of
+    a block-law check from whole arrays;
   * the linear-algebra helpers only these need.
 
 qstoch's states are Bloch vectors and its gates qubit operators.
@@ -37,9 +40,10 @@ from qstoch.circuit import stream_block_counts
 from qstoch.cli import GATES
 from qstoch.process import (MAX_BLOCK_LEN, CausalMachine, block_distribution,
                             stationary_distribution)
-from qstoch.qmath import ATOL_DIST, ATOL_UNIT, EIG_ZERO, shannon_entropy
+from qstoch.qmath import (ATOL_DIST, ATOL_UNIT, EIG_ZERO, shannon_entropy,
+                          von_neumann_entropy)
 from qstoch.qmodel import construct_cu
-from qstoch.stats import N_SIGMA, block_count_sigma
+from qstoch.stats import N_SIGMA, _lag_weight_sum, block_count_sigma
 
 from conftest import packed
 
@@ -540,9 +544,9 @@ def naive_switch_entropy(machine: CausalMachine) -> float:
 def disjoint_block_counts(outputs: np.ndarray, block_len: int) -> np.ndarray:
     """Counts of the 2**L possible blocks over consecutive disjoint windows
     of a bit array, by circuit.stream_block_counts of the array packed as one
-    block."""
+    block, as an int64 array."""
     counts, = stream_block_counts((packed(outputs),), (block_len,))
-    return counts
+    return np.array(counts, dtype=np.int64)
 
 
 def two_sample_block_check(machine: CausalMachine, outputs_a: np.ndarray,
@@ -551,8 +555,8 @@ def two_sample_block_check(machine: CausalMachine, outputs_a: np.ndarray,
     ca = disjoint_block_counts(outputs_a, block_len)
     cb = disjoint_block_counts(outputs_b, block_len)
     ma, mb = int(ca.sum()), int(cb.sum())
-    sa = block_count_sigma(machine, block_len, ma) / ma
-    sb = block_count_sigma(machine, block_len, mb) / mb
+    sa = np.array(block_count_sigma(machine, block_len, ma)) / ma
+    sb = np.array(block_count_sigma(machine, block_len, mb)) / mb
     diff = np.abs(ca / ma - cb / mb)
     return bool(np.all(diff <= N_SIGMA * np.hypot(sa, sb) + 1e-12))
 
@@ -577,3 +581,48 @@ def enumerated_count_sigma(machine: CausalMachine, block_len: int,
     counts = (codes[:, :, None] == np.arange(2 ** block_len)).sum(axis=1)
     mean = weight @ counts
     return np.sqrt(weight @ (counts - mean) ** 2)
+
+
+# ---------------------------------------------------------------------------
+# numpy references of the numbers qstoch computes in plain Python
+# ---------------------------------------------------------------------------
+
+def numpy_bootstrap_std(plus, shots: int, rng: np.random.Generator,
+                        rounds: int = 200) -> float:
+    """The bootstrap spread of tomo.entropy_with_error from numpy: one
+    (3, rounds) binomial draw at the observed rates, broadcast basis by
+    basis, each column's entropy by qmath.von_neumann_entropy, and numpy's
+    std(ddof=1) of them, whose sums are pairwise."""
+    rates = np.array([k / shots for k in plus])
+    r = (2 * rng.binomial(shots, rates[:, np.newaxis], size=(3, rounds)) - shots) / shots
+    return float(np.std([von_neumann_entropy(column) for column in r.T], ddof=1))
+
+
+NumpyBlockLaw = namedtuple("NumpyBlockLaw", "freqs probs tv tv_bound")
+
+
+def numpy_block_law(machine: CausalMachine, counts) -> NumpyBlockLaw:
+    """freqs, probs, tv and tv_bound of stats.block_law_check, in numpy
+    arrays: each law by broadcasting a block's probability over the row of
+    its last bit, the per-cell sigma elementwise (with the check's own
+    closed-form lag sum), the sums pairwise."""
+    counts = np.asarray(counts, dtype=np.int64)
+    block_len = counts.size.bit_length() - 1
+    m = int(counts.sum())
+    p_right, p_left = machine
+    t = np.array([[1.0 - p_right, p_right], [p_left, 1.0 - p_left]])   # t[s, x]: s -> x
+    w0, w1 = stationary_distribution(machine)
+
+    def law(length):
+        probs = w0 * t[0] + w1 * t[1]
+        for size in (2 ** k for k in range(1, length)):
+            probs = (probs[:, None] * t[np.arange(size) & 1]).reshape(-1)
+        return probs
+
+    probs = law(block_len)
+    cov1 = law(2 * block_len)[np.arange(2 ** block_len) * (2 ** block_len + 1)] - probs ** 2
+    lags = _lag_weight_sum(m, (1.0 - p_right - p_left) ** block_len)
+    tol = N_SIGMA * np.sqrt(np.maximum(m * probs * (1.0 - probs) + 2.0 * cov1 * lags, 0.0))
+    freqs = counts / m
+    return NumpyBlockLaw(freqs, probs, 0.5 * float(np.abs(freqs - probs).sum()),
+                         0.5 * float(tol.sum()) / m)

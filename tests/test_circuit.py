@@ -362,7 +362,7 @@ class TestRunTrace:
     def test_result_vectors_frozen(self):
         run = run_trace(CausalMachine(0.8, 0.8), "quantum", 10, make_rng(80))
         assert isinstance(run, RunResult)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             run.vectors[0][0] = 1.0
 
 

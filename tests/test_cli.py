@@ -454,10 +454,23 @@ def matmul_sites(layer):
             if isinstance(getattr(node, "op", None), ast.MatMult)}
 
 
+# the numpy names the run path reads: the streams (np.random), the buffer the
+# uniforms fill, its packing into a trace block's int, and the integer rule's
+# refusal of numpy's bool
+RUN_PATH_NUMPY = {"random", "empty", "packbits", "bool_"}
 # numpy functions only a two-qubit object needs
 TWO_QUBIT_KERNELS = {"kron", "eigh", "eigvalsh"}
 # what builds a complex array: the dtypes, and imaginary literals ("1j")
 COMPLEX_NAMES = {"complex", "complex64", "complex128", "complex_", "cdouble", "1j"}
+
+
+def owners(tree):
+    """The innermost enclosing function's name of each node inside one."""
+    owner = {}
+    for func in ast.walk(tree):     # breadth first: inner functions overwrite
+        if isinstance(func, ast.FunctionDef):
+            owner.update(dict.fromkeys(ast.walk(func), func.name))
+    return owner
 
 
 def name_sites(layer, names):
@@ -465,10 +478,7 @@ def name_sites(layer, names):
     to one of `names` in a qstoch module, however imported; an imaginary
     literal is named "1j"."""
     tree = module_tree(layer)
-    owner = {}
-    for func in ast.walk(tree):     # breadth first: inner functions overwrite
-        if isinstance(func, ast.FunctionDef):
-            owner.update(dict.fromkeys(ast.walk(func), func.name))
+    owner = owners(tree)
     sites = set()
     for node in ast.walk(tree):
         name = getattr(node, "attr", None) or getattr(node, "id", None)
@@ -479,6 +489,20 @@ def name_sites(layer, names):
         if name in names:
             sites.add((layer, owner.get(node), name))
     return sites
+
+
+def numpy_sites(layer):
+    """name_sites of every name a qstoch module reads off numpy: each
+    np.<name>, and each name a `from numpy... import` binds."""
+    tree = module_tree(layer)
+    owner = owners(tree)
+    attributes = {(layer, owner.get(node), node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "np"}
+    imported = {(layer, owner.get(node), alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[0] == "numpy"
+                for alias in node.names}
+    return attributes | imported
 
 
 class TestRunPath:
@@ -509,6 +533,26 @@ class TestRunPath:
         for name in ("unpackbits", "bincount"):
             monkeypatch.setattr(np, name, refusing(f"np.{name}"))
         assert run_cli(args, tmp_path, "out.csv")[0] == 0
+
+    @RUN_PATH
+    def test_no_elementwise_math_after_the_trace(self, monkeypatch, tmp_path, args):
+        # after its trace a run is one integer and three shot counts, and
+        # every number made from them is a Python float, int or tuple: the
+        # first call of each numpy ufunc loop maps its code pages in
+        for name in ("log2", "sqrt", "where", "minimum", "maximum", "abs"):
+            monkeypatch.setattr(np, name, refusing(f"np.{name}"))
+        assert run_cli(args, tmp_path, "out.csv")[0] == 0
+
+    def test_numpy_only_draws(self):
+        # a monkeypatch catches only the names it is told, so the modules are
+        # read: outside eig_hermitian and construct_cu, which no command
+        # calls, qstoch takes from numpy only what builds, fills, packs and
+        # draws its random streams
+        layers = [path.stem for path in Path(cli.__file__).parent.glob("*.py")]
+        sites = set().union(*map(numpy_sites, layers))
+        assert ("seeding", "make_rng", "random") in sites
+        assert {name for _, func, name in sites
+                if func not in ("eig_hermitian", "construct_cu")} <= RUN_PATH_NUMPY
 
     def test_no_array_concatenation(self):
         # nor is a trace's bit array joined to a carried window: numpy.random's

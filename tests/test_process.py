@@ -1,6 +1,7 @@
 """Ground-truth switch process, causal machine reduction, exact block laws."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -241,7 +242,7 @@ class TestBlockDistribution:
     def test_normalization_all_lengths(self):
         machine = CausalMachine(0.7, 0.2)
         for block_len in range(1, 13):
-            assert abs(block_distribution(machine, block_len).sum() - 1.0) < 1e-12
+            assert abs(math.fsum(block_distribution(machine, block_len)) - 1.0) < 1e-12
 
     def test_length_bounds(self):
         machine = CausalMachine(0.5, 0.5)
@@ -303,7 +304,7 @@ class TestClassicalTrace:
         codes = pairs[:, 0] * 2 + pairs[:, 1]
         counts = np.bincount(codes, minlength=4)
         m = counts.sum()
-        probs = block_distribution(machine, 2)
+        probs = np.array(block_distribution(machine, 2))
         # blocks of a chain are autocorrelated; 4x the multinomial sigma is
         # still generous here because adjacent-block correlation is negative
         sigma = np.sqrt(m * probs * (1 - probs))

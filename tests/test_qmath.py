@@ -192,8 +192,11 @@ class TestBlochVector:
                                        rtol=0, atol=1e-15)
 
     def test_vectors_are_read_only_floats(self):
-        for r in (bloch(0.1, -0.2, 0.3), mixture([0.25, 0.75], (bloch(0, 0, 1), bloch(1, 0, 0)))):
-            assert r.dtype == float and r.shape == (3,) and not r.flags.writeable
+        for r in (bloch(0.1, -0.2, 0.3), mixture([0.25, 0.75], (bloch(0, 0, 1), bloch(1, 0, 0))),
+                  bloch(np.float64(0.1), 0, np.int64(1))):
+            assert type(r) is tuple and len(r) == 3 and all(type(c) is float for c in r)
+            with pytest.raises(TypeError):
+                r[0] = 0.5
 
 
 # a Bloch coordinate whose square does not underflow: the plain sum of
@@ -227,9 +230,11 @@ class TestBlochRadius:
         assert von_neumann_entropy(r) == 0.0
 
     def test_columns_take_each_vector_radius(self):
-        # the bootstrap takes every round's radius at once, as a (3, n) array
+        # one vector at a time, each bootstrap round's: equal to numpy's
+        # radius of every column at once, summed in the same order
         cols = make_rng(3).uniform(-0.6, 0.6, size=(3, 500))
-        assert bloch_radius(cols).tolist() == [float(bloch_radius(c)) for c in cols.T]
+        x, y, z = cols
+        assert [bloch_radius(c) for c in cols.T] == np.sqrt(x * x + y * y + z * z).tolist()
 
 
 class TestClosedFormEigenvalues:
@@ -400,7 +405,9 @@ class TestTraceDistance:
         ([1.5, -0.5], r"entries outside \[0, 1\]"),
         ([np.nan, np.nan], r"entries outside \[0, 1\]"),
         ([], "non-empty vector"),
-    ], ids=["bad-total", "negative", "nan", "empty"])
+        (np.array([[0.5], [0.5]]), "non-empty vector"),
+        ([[0.5], [0.5]], "non-empty vector"),
+    ], ids=["bad-total", "negative", "nan", "empty", "column-array", "nested-list"])
     def test_mixture_weights_checked(self, weights, message):
         with pytest.raises(ValueError, match=message):
             mixture(weights, (ZERO, ONE))

@@ -49,7 +49,7 @@ def eigen_oracle(machine):
 def overlap_sq(machine):
     """|<ket0|ket1>|^2 = (1 + r0.r1) / 2 of the encoded states."""
     r0, r1 = quantum_causal_states(machine)
-    return (1.0 + float(np.sum(r0 * r1))) / 2.0
+    return (1.0 + float(np.dot(r0, r1))) / 2.0
 
 
 class TestQuantumCausalStates:
@@ -74,8 +74,9 @@ class TestQuantumCausalStates:
     def test_vectors_are_read_only_unit_vectors(self):
         for pr in np.linspace(0.0, 1.0, 11):
             for r in quantum_causal_states(CausalMachine(pr, 0.3)):
-                assert r.shape == (3,) and not r.flags.writeable
-                assert float(np.sum(r * r)) == pytest.approx(1.0, abs=1e-15)
+                assert type(r) is tuple and len(r) == 3
+                assert all(type(c) is float for c in r)
+                assert float(np.dot(r, r)) == pytest.approx(1.0, abs=1e-15)
 
     def test_overlap_formula_on_grid(self):
         for pr in np.linspace(0.05, 0.95, 10):

@@ -1,14 +1,17 @@
 """Exact block-count deviations vs brute-force ensembles of independent runs."""
 
+import math
+
 import numpy as np
 import pytest
 
 from qstoch.process import CausalMachine, block_distribution
 from qstoch.seeding import make_rng
-from qstoch.stats import block_count_sigma, block_law_check
+from qstoch.stats import block_count_sigma, block_law_check, sample_std
 
 from conftest import trace_outputs
-from oracle import disjoint_block_counts, enumerated_count_sigma, two_sample_block_check
+from oracle import (disjoint_block_counts, enumerated_count_sigma, numpy_block_law,
+                    two_sample_block_check)
 
 
 class TestBlockCountSigma:
@@ -64,7 +67,7 @@ class TestBlockCountSigma:
     def test_iid_case_reduces_to_multinomial(self):
         machine = CausalMachine(0.5, 0.5)
         m = 1000
-        probs = block_distribution(machine, 2)
+        probs = np.array(block_distribution(machine, 2))
         expected = np.sqrt(m * probs * (1 - probs))
         np.testing.assert_allclose(block_count_sigma(machine, 2, m), expected,
                                    atol=1e-9)
@@ -122,10 +125,46 @@ class TestChecks:
         with pytest.raises(ValueError, match=message):
             block_law_check(CausalMachine(0.9, 0.3), counts)
 
+    @pytest.mark.parametrize("form", [list, tuple, np.array], ids=["list", "tuple", "array"])
+    @pytest.mark.parametrize("cells, message", [
+        ([True, False], "integer dtype, got bool"),
+        ([2.5, 1.5], "integer dtype, got float64"),
+        ([float("nan"), 3.0], "integer dtype, got float64"),
+        ([3, -1, 2, 4], "block counts >= 0"),
+        ([1, 2, 3], r"need 2\*\*L block counts"),
+        ([[1, 2], [3, 4]], r"need 2\*\*L block counts"),
+    ], ids=["bool", "float", "nan", "negative", "length", "2-D"])
+    def test_refused_in_every_form(self, form, cells, message):
+        # a list, a tuple and an array of each are refused alike
+        with pytest.raises(ValueError, match=message):
+            block_law_check(CausalMachine(0.9, 0.3), form(cells))
+
+    @pytest.mark.parametrize("probs", [(0.9, 0.3), (0.8, 0.8), (0.2, 0.2), (1.0, 1.0),
+                                       (0.5, 0.5)])
+    @pytest.mark.parametrize("block_len", [1, 2, 3, 4, 6])
+    def test_fields_equal_numpy_reference(self, probs, block_len):
+        # the same products and quotients as numpy's, so probs and freqs are
+        # equal; tv and tv_bound are math.fsum sums, numpy's pairwise ones
+        # agree to 1e-15
+        machine = CausalMachine(*probs)
+        outputs = trace_outputs(machine, "classical", 30_000, make_rng(8))
+        counts = disjoint_block_counts(outputs, block_len)
+        check, want = block_law_check(machine, counts), numpy_block_law(machine, counts)
+        assert check.probs == tuple(want.probs.tolist())
+        assert check.freqs == tuple(want.freqs.tolist())
+        assert check.tv == pytest.approx(want.tv, rel=1e-15, abs=0)
+        assert check.tv_bound == pytest.approx(want.tv_bound, rel=1e-15, abs=0)
+
     def test_check_fields_consistent(self):
         machine = CausalMachine(0.9, 0.3)
         outputs = trace_outputs(machine, "classical", 30_000, make_rng(4))
         check = block_law_check(machine, disjoint_block_counts(outputs, 3))
         assert check.passed
-        assert abs(check.freqs.sum() - 1.0) < 1e-12
+        assert abs(math.fsum(check.freqs) - 1.0) < 1e-12
         assert 0.0 <= check.tv <= 1.0
+
+
+class TestSampleStd:
+    def test_two_values(self):
+        # ddof=1: the spread of (0, 1) is sqrt(1/2), not 1/2
+        assert sample_std([0.0, 1.0]) == math.sqrt(0.5)

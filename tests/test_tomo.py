@@ -17,7 +17,7 @@ from qstoch.tomo import (
     simulate_counts,
 )
 
-from oracle import KET0, KET1, bloch_vector, density, ket_mixture, ket_model
+from oracle import KET0, KET1, bloch_vector, density, ket_mixture, ket_model, numpy_bootstrap_std
 
 MIXED = bloch(0.0, 0.0, 0.0)
 ZERO = bloch(0.0, 0.0, 1.0)
@@ -52,8 +52,9 @@ class TestSimulateCounts:
         assert counts.plus[2] == 10_000
 
     def test_only_a_bloch_vector_accepted(self):
-        # a density matrix, two vectors or an empty list is not one state
-        for other in (np.eye(2) / 2, [ZERO, ZERO], [], [0.0, 1.0]):
+        # a density matrix, two vectors, a column or an empty list is not one state
+        for other in (np.eye(2) / 2, [ZERO, ZERO], [], [0.0, 1.0],
+                      np.array(ZERO).reshape(3, 1), 0.5):
             with pytest.raises(ValueError, match="shape"):
                 simulate_counts(other, 100, make_rng(0))
 
@@ -110,7 +111,7 @@ class TestReconstructRho:
         expected = r / np.linalg.norm(r)
         got = reconstruct_rho(counts)
         np.testing.assert_allclose(got, expected, atol=1e-12)
-        assert not got.flags.writeable
+        assert type(got) is tuple and all(type(c) is float for c in got)
         assert von_neumann_entropy(got) < 1e-9
 
     def test_projected_just_past_the_sphere(self):
@@ -150,19 +151,22 @@ class TestReconstructRho:
         n = MAX_SHOTS
         counts = TomographyCounts(n, (np.int64(n), np.int64(0), np.int64(n // 2)))
         assert all(type(k) is int for k in counts.plus)
-        assert counts.bloch_vector().tolist() == [1.0, -1.0, (2 * (n // 2) - n) / n]
-        assert TomographyCounts(100, (98, 50, 75)).bloch_vector().tolist() == [0.96, 0.0, 0.5]
+        assert counts.bloch_vector() == (1.0, -1.0, (2 * (n // 2) - n) / n)
+        assert TomographyCounts(100, (98, 50, 75)).bloch_vector() == (0.96, 0.0, 0.5)
 
     def test_numpy_shot_count_is_stored_as_a_python_int(self):
         # like the +1 counts, so 2k - n cannot overflow an np.int64
         n = MAX_SHOTS
         counts = TomographyCounts(np.int64(n), (n, n, n))
         assert type(counts.shots_per_basis) is int
-        assert counts.bloch_vector().tolist() == [1.0, 1.0, 1.0]
+        assert counts.bloch_vector() == (1.0, 1.0, 1.0)
 
     def test_bloch_vector_is_read_only(self):
-        # like every Bloch vector qmath.bloch builds
-        assert not TomographyCounts(100, (98, 50, 75)).bloch_vector().flags.writeable
+        # like every Bloch vector qmath.bloch builds: a tuple of floats
+        r = TomographyCounts(100, (98, 50, 75)).bloch_vector()
+        assert type(r) is tuple and all(type(c) is float for c in r)
+        with pytest.raises(TypeError):
+            r[0] = 0.5
 
 
 class TestEntropyWithError:
@@ -205,6 +209,17 @@ class TestEntropyWithError:
         result = entropy_with_error(counts, make_rng(90), bootstrap_rounds=rounds)
         assert result.entropy_std == pytest.approx(np.std(boot, ddof=1), rel=0, abs=1e-12)
         assert result.entropy == von_neumann_entropy(reconstruct_rho(counts))
+
+    @pytest.mark.parametrize("seed", [90, 91, 92])
+    @pytest.mark.parametrize("plus", [(9000, 5000, 5000), (7000, 4000, 6000),
+                                      (9999, 5000, 5000), (5000, 5000, 5000),
+                                      (10_000, 10_000, 5000)])
+    def test_bootstrap_std_equals_numpy_of_the_same_draws(self, plus, seed):
+        # basis by basis is the stream order of one (3, rounds) draw, and
+        # stats.sample_std's spread is numpy's std(ddof=1) to 1e-15
+        got = entropy_with_error(TomographyCounts(10_000, plus), make_rng(seed)).entropy_std
+        want = numpy_bootstrap_std(plus, 10_000, make_rng(seed))
+        assert got == pytest.approx(want, rel=1e-15, abs=0)
 
     def test_bootstrap_rounds_validated(self):
         counts = TomographyCounts(100, (50, 50, 50))
