@@ -29,7 +29,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .process import MAX_BLOCK_LEN, CausalMachine, _check_int, stationary_distribution
+from .process import (MAX_BLOCK_LEN, CausalMachine, _check_int, _check_real,
+                      stationary_distribution)
 from .qmath import bloch
 from .qmodel import quantum_causal_states
 
@@ -63,8 +64,7 @@ def calibrate_noise(target_fidelity: float) -> float:
     Closed form of that average: F = 1 - (3/4)(16/15) lam = 1 - 0.8 lam.
     Targets below 0.25 are rejected as unachievable.
     """
-    if not (0.25 <= target_fidelity <= 1.0):
-        raise ValueError(f"target fidelity must be in [0.25, 1], got {target_fidelity!r}")
+    target_fidelity = _check_real("target fidelity", target_fidelity, 0.25, 1)
     return (1.0 - target_fidelity) / 0.8
 
 
@@ -95,8 +95,7 @@ def sampled_machine(machine: CausalMachine, mode: str, lam: float = 0.0) -> Caus
     the step uses; a share below 2 keeps the result in [0, 1].
     """
     _check_mode(mode)
-    if not (0.0 <= lam <= 1.0):
-        raise ValueError(f"lam must be in [0, 1], got {lam!r}")
+    lam = _check_real("lam", lam, 0, 1)
     mix = 16.0 * lam / 15.0 if mode == "quantum" else 0.0
     return CausalMachine(*(p + mix * (0.5 - p) for p in (machine.p_right, machine.p_left)))
 
@@ -132,7 +131,7 @@ def trace_blocks(chain: CausalMachine, n: int,
     p1 = (chain.p_right, 1.0 - chain.p_left)
     state = 0 if rng.random() < w0 else 1
     lo, hi = min(p1), max(p1)
-    flips = bool(p1[0] > p1[1])   # a numpy bool makes the carry-in an int64, which overflows
+    flips = p1[0] > p1[1]         # a plain bool: the machine's probabilities are plain floats
     u = np.empty(min(_DRAW_BLOCK, n))
     alt = int.from_bytes(b"\xaa" * ((u.shape[0] + 7) // 8), "little") if flips else 0
     for first in range(0, n, _DRAW_BLOCK):

@@ -62,7 +62,7 @@ class ExperimentConfig(namedtuple("ExperimentConfig", "p_right p_left mode gate 
         _check_shots(shots_per_basis)
         if gate not in GATES:
             raise ValueError(f"gate must be one of {GATES}, got {gate!r}")
-        _check_int("seed", seed, 0)     # make_rng would draw int(1.5)'s streams
+        _check_int("seed", seed, 0)     # make_rng checks it too, but only once work starts
         return super().__new__(cls, p_right, p_left, mode, gate, steps, shots_per_basis,
                                noise_lambda, seed)
 

@@ -25,7 +25,7 @@ from contextlib import suppress
 
 import numpy as np
 
-from .qmath import shannon_entropy
+from .qmath import _is_real, shannon_entropy
 
 MERGE_TOL = 1e-12   # |1 - p_right - p_left| below this collapses the two states
 
@@ -56,6 +56,14 @@ def _check_int(name: str, value, lo: int, hi: int | None = None) -> int:
     raise ValueError(f"{name} must be an integer {span}, got {value!r}")
 
 
+def _check_real(name: str, value, lo: float, hi: float) -> float:
+    """The one interval rule: value as a plain float, if qmath._is_real takes
+    it and it lies in [lo, hi], which NaN never does."""
+    if _is_real(value) and lo <= value <= hi:
+        return float(value)
+    raise ValueError(f"{name} must be in [{lo}, {hi}], got {value!r}")
+
+
 class CausalMachine(namedtuple("CausalMachine", "p_right p_left")):
     """Two-state Markov machine on switch parity.
 
@@ -67,10 +75,8 @@ class CausalMachine(namedtuple("CausalMachine", "p_right p_left")):
     _make = classmethod(_checked_make)   # so _replace checks too
 
     def __new__(cls, p_right: float, p_left: float):
-        for name, p in (("p_right", p_right), ("p_left", p_left)):
-            if not (0.0 <= p <= 1.0):
-                raise ValueError(f"{name} must be in [0, 1], got {p!r}")
-        return super().__new__(cls, p_right, p_left)
+        return super().__new__(cls, _check_real("p_right", p_right, 0, 1),
+                               _check_real("p_left", p_left, 0, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -54,14 +54,20 @@ def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
 # entropies, fidelity and distance
 # ---------------------------------------------------------------------------
 
+def _is_real(x) -> bool:
+    """The one test of a probability or vector entry: a numbers.Real (so no
+    array, string or None, nor numpy's bool) and no bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def _real_vector(values) -> tuple[float, ...]:
     """values as a tuple of floats, or () unless they are a flat sequence of
-    real numbers: a number, a row of a 2-D array or a string is none."""
+    _is_real entries: a number, a row of a 2-D array or a string is none."""
     try:
         entries = tuple(values)
     except TypeError:       # a number or a 0-d array
         return ()
-    if not all(isinstance(x, numbers.Real) for x in entries):
+    if not all(map(_is_real, entries)):
         return ()
     return tuple(map(float, entries))
 
@@ -73,7 +79,7 @@ def _distribution(dist) -> tuple[float, ...]:
     to refuse NaN."""
     p = _real_vector(dist)
     if not p:
-        raise ValueError("distribution must be a non-empty vector")
+        raise ValueError(f"distribution must be a non-empty vector of reals, got {dist!r}")
     if not all(0.0 <= x <= 1.0 + ATOL_DIST for x in p):
         raise ValueError(f"entries outside [0, 1] in {p!r}")
     total = 0.0

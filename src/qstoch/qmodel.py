@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from . import qmath
-from .process import CausalMachine, stationary_distribution
+from .process import CausalMachine, _check_real, stationary_distribution
 
 
 def _amplitudes(machine: CausalMachine) -> tuple[tuple[float, float], ...]:
@@ -44,8 +44,7 @@ def depolarized_complexity(machine: CausalMachine, eps: float) -> float:
     """Steady-memory entropy (bits) under a model depolarizing channel of rate
     eps in [0, 1], which scales the Bloch radius |r| by 1 - eps: the binary
     entropy h((1 + (1 - eps)|r|) / 2), quantum_complexity at eps = 0."""
-    if not (0.0 <= eps <= 1.0):
-        raise ValueError(f"eps must be in [0, 1], got {eps!r}")
+    eps = _check_real("eps", eps, 0, 1)
     r = steady_state_rho(machine)
     return qmath.qubit_entropy((1.0 - eps) * qmath.bloch_radius(r))
 

@@ -17,11 +17,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from .process import _check_int
+
 COLUMNS = {"classical": 0, "quantum": 1, "noisy": 2}
 TRACE, SHOTS, BOOTSTRAP = 0, 1, 2
 
 
 def make_rng(seed: int, *key: int) -> np.random.Generator:
-    """The stream of the given seed and key."""
-    sequence = np.random.SeedSequence(int(seed), spawn_key=tuple(map(int, key)))
+    """The stream of the given seed and key, each an integer >= 0."""
+    sequence = np.random.SeedSequence(_check_int("seed", seed, 0),
+                                      spawn_key=tuple(_check_int("key", k, 0) for k in key))
     return np.random.Generator(np.random.Philox(sequence))

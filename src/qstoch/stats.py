@@ -14,7 +14,6 @@ plain Python int or float.  sample_std is the spread of tomo's bootstrap.
 from __future__ import annotations
 
 import math
-import numbers
 from typing import NamedTuple
 
 from .process import MAX_BLOCK_LEN, CausalMachine, _check_int, block_distribution
@@ -75,36 +74,19 @@ def block_count_sigma(machine: CausalMachine, block_len: int,
     return tuple(sigma)
 
 
-def _plain_counts(counts) -> list[int]:
-    """counts as plain ints, or ValueError unless they are 2**L integer
-    counts >= 0 with L in [1, _MAX_CHECK_LEN], in one flat sequence or 1-D
-    array: no bool, float or NaN among them, and no row of a 2-D input."""
-    try:
-        cells = list(counts)
-    except TypeError:       # a number or a 0-d array
-        cells = []
-    flat = not any(hasattr(c, "__len__") for c in cells)
-    for c in cells if flat else ():
-        if isinstance(c, bool) or not isinstance(c, numbers.Integral):
-            dtype = "float64" if type(c) is float else type(c).__name__    # numpy's names
-            raise ValueError(f"block counts must have an integer dtype, got {dtype}: "
-                             f"{counts!r}")
-    if (not flat or not 2 <= len(cells) <= 2 ** _MAX_CHECK_LEN
-            or len(cells) & (len(cells) - 1) or not all(c >= 0 for c in cells)):
-        raise ValueError(f"need 2**L block counts >= 0 with L in [1, {_MAX_CHECK_LEN}], "
-                         f"got {counts!r}")
-    return [int(c) for c in cells]
-
-
 def block_law_check(machine: CausalMachine, counts) -> BlockLawCheck:
     """N_SIGMA per-cell test of disjoint-block counts vs the exact law.
 
     counts holds the tallies of all 2**L blocks (one length of a trace's
-    window tally) as integers, none negative, in a sequence or a 1-D
-    integer array; L is read off their number.
+    window tally), each an integer >= 0 (a row of a 2-D array is none), in
+    a sequence or a 1-D array; L in [1, _MAX_CHECK_LEN] is read off their
+    number.
     """
-    counts = _plain_counts(counts)
+    counts = [_check_int("block count", c, 0) for c in counts]
     block_len = len(counts).bit_length() - 1
+    if not 1 <= block_len <= _MAX_CHECK_LEN or len(counts) != 2 ** block_len:
+        raise ValueError(f"need 2**L block counts with L in [1, {_MAX_CHECK_LEN}], "
+                         f"got {len(counts)}")
     m = sum(counts)
     if m < 1:
         raise ValueError("no blocks counted")

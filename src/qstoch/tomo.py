@@ -9,7 +9,6 @@ observed rates, one standard deviation.
 
 from __future__ import annotations
 
-import operator
 from collections import namedtuple
 
 import numpy as np
@@ -35,10 +34,10 @@ class TomographyCounts(namedtuple("TomographyCounts", "shots_per_basis plus")):
 
     def __new__(cls, shots_per_basis: int, plus: tuple):
         # plain ints: numpy integers would overflow in 2 k - n at large counts
-        shots_per_basis, plus = _check_shots(shots_per_basis), tuple(map(operator.index, plus))
-        if len(plus) != 3 or not all(0 <= k <= shots_per_basis for k in plus):
-            raise ValueError(f"+1 counts {plus!r} are not three counts in "
-                             f"[0, {shots_per_basis}]")
+        shots_per_basis = _check_shots(shots_per_basis)
+        plus = tuple(_check_int("+1 count", k, 0, shots_per_basis) for k in plus)
+        if len(plus) != 3:
+            raise ValueError(f"need three +1 counts, got {plus!r}")
         return super().__new__(cls, shots_per_basis, plus)
 
     def bloch_vector(self) -> tuple[float, float, float]:

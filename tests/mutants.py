@@ -92,6 +92,16 @@ MUTANTS = (
     Mutant("_check_int ignores hi", "process",
            "if lo <= n and (hi is None or n <= hi):", "if lo <= n:",
            ("test_records.py",)),
+    Mutant("_check_real takes a bool", "qmath",
+           "isinstance(x, numbers.Real) and not isinstance(x, bool)",
+           "isinstance(x, numbers.Real)",
+           ("test_records.py",)),
+    Mutant("_check_real ignores hi", "process",
+           "if _is_real(value) and lo <= value <= hi:", "if _is_real(value) and lo <= value:",
+           ("test_records.py",)),
+    Mutant("_check_real keeps a numpy float", "process",
+           "return float(value)", "return value",
+           ("test_records.py",)),
     Mutant("CausalMachine without its _make override", "process",
            "    _make = classmethod(_checked_make)   # so _replace checks too\n", "",
            ("test_records.py",)),
@@ -112,9 +122,6 @@ MUTANTS = (
            ("test_circuit.py",)),
     Mutant("flipping band's mask on the even steps", "circuit",
            'b"\\xaa"', 'b"\\x55"',
-           ("test_circuit.py",)),
-    Mutant("band direction left a numpy bool", "circuit",
-           "flips = bool(p1[0] > p1[1])", "flips = p1[0] > p1[1]",
            ("test_circuit.py",)),
     Mutant("next block enters in its block's first state", "circuit",
            "state = s >> (m - 1)", "state = s & 1",

@@ -631,8 +631,9 @@ class TestSamplePathScan:
 
     @pytest.mark.parametrize("machine", [(0.9, 0.3), (0.3, 0.3)], ids=["flips", "keeps"])
     def test_numpy_probabilities_sample_as_python_floats(self, machine):
-        # p1 of np.float64 probabilities compares to numpy bools, and the
-        # sampler's big-integer carry chain must take them as Python numbers
+        # p1 of np.float64 probabilities would compare to numpy bools, which
+        # the sampler's big-integer carry chain must not take; the machine
+        # stores them as Python floats
         n = _DRAW_BLOCK + 5
         want = list(trace_blocks(CausalMachine(*machine), n, make_rng(5)))
         got = list(trace_blocks(CausalMachine(*np.array(machine)), n, make_rng(5)))

@@ -1,17 +1,18 @@
 """Record semantics: every record is an immutable named tuple, and a record
 with checks runs them in its constructor."""
 
+import math
 import re
 
 import numpy as np
 import pytest
 
-from qstoch.circuit import (prepared_states, run_trace, sampled_machine, stream_block_counts,
-                            trace_blocks)
+from qstoch.circuit import (calibrate_noise, prepared_states, run_trace, sampled_machine,
+                            stream_block_counts, trace_blocks)
 from qstoch.cli import ExperimentConfig
 from qstoch.process import CausalMachine, block_distribution
-from qstoch.qmath import bloch
-from qstoch.qmodel import quantum_causal_states, steady_state_rho
+from qstoch.qmath import bloch, mixture, shannon_entropy
+from qstoch.qmodel import depolarized_complexity, quantum_causal_states, steady_state_rho
 from qstoch.seeding import make_rng
 from qstoch.stats import block_count_sigma, block_law_check
 from qstoch.tomo import (MAX_SHOTS, TomographyCounts, TomographyResult, ensemble_density,
@@ -93,6 +94,10 @@ INTEGER_RULES = {
     "stream_block_counts": (tally_unread, 2, 13),
     "bootstrap_rounds": (lambda rounds: entropy_with_error(COUNTS, make_rng(0),
                                                            bootstrap_rounds=rounds), 150, None),
+    "plus-count": (lambda k: TomographyCounts(200, (k, 4, 10)), 10, 201),
+    "block-count": (lambda c: block_law_check(MACHINE, [c, 80, 90, 100]), 30, None),
+    "make_rng-seed": (lambda seed: make_rng(seed, 0, 1, 2), 10, None),
+    "make_rng-key": (lambda key: make_rng(0, 1, key), 2, None),
 }
 BOUNDED_RULES = {name: rule for name, rule in INTEGER_RULES.items() if rule[2] is not None}
 
@@ -119,10 +124,64 @@ def test_integer_like_accepted(build, ok, above):
     build(np.int64(ok))
 
 
+# the one interval rule, through each call that checks it: the call, the
+# value's name, its range and what the call stores or returns of it
+REAL_RULES = {
+    "p_right": (lambda p: CausalMachine(p, 0.3), "p_right", 0, 1,
+                lambda machine: machine.p_right),
+    "p_left": (lambda p: CausalMachine(0.9, p), "p_left", 0, 1,
+               lambda machine: machine.p_left),
+    "lam": (lambda lam: sampled_machine(MACHINE, "quantum", lam), "lam", 0, 1,
+            lambda machine: machine.p_right),
+    "target-fidelity": (calibrate_noise, "target fidelity", 0.25, 1, lambda lam: lam),
+    "eps": (lambda eps: depolarized_complexity(MACHINE, eps), "eps", 0, 1,
+            lambda entropy: entropy),
+}
+
+
+@pytest.mark.parametrize("value", [True, np.True_, "0.5", None, math.nan, np.array([0.5])],
+                         ids=repr)
+@pytest.mark.parametrize("build, name, lo, hi, read", REAL_RULES.values(), ids=REAL_RULES.keys())
+def test_non_real_rejected(build, name, lo, hi, read, value):
+    # True would read as 1 and an array would carry numpy onto the plain-Python
+    # run path; a string or None would reach a comparison, a TypeError
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be in [{lo}, {hi}], "
+                                                   f"got {value!r}") + "$"):
+        build(value)
+
+
+@pytest.mark.parametrize("build, name, lo, hi, read", REAL_RULES.values(), ids=REAL_RULES.keys())
+def test_real_above_range_rejected(build, name, lo, hi, read):
+    above = math.nextafter(hi, math.inf)
+    with pytest.raises(ValueError, match=re.escape(f"got {above!r}") + "$"):
+        build(above)
+
+
+@pytest.mark.parametrize("build, name, lo, hi, read", REAL_RULES.values(), ids=REAL_RULES.keys())
+def test_numpy_real_kept_as_float(build, name, lo, hi, read):
+    # the value the call stores, or returns, is a plain float
+    assert type(read(build(np.float64(0.5 * (lo + hi))))) is float
+
+
+VECTOR_RULES = {
+    "shannon_entropy": shannon_entropy,
+    "mixture": lambda entries: mixture(entries, (bloch(0.0, 0.0, 1.0), bloch(0.0, 0.0, -1.0))),
+    "simulate_counts": lambda entries: simulate_counts((*entries, 0.0), 10, make_rng(0)),
+}
+
+
+@pytest.mark.parametrize("build", VECTOR_RULES.values(), ids=VECTOR_RULES.keys())
+def test_bool_vector_entry_rejected(build):
+    # the vector rule's entries are qmath._is_real, as every probability is
+    build((0.0, 1.0))
+    with pytest.raises(ValueError, match=re.escape("got (False, True")):
+        build((False, True))
+
+
 @pytest.mark.parametrize("change", [{"p_right": 1.5}, {"steps": 0}, {"mode": "x"},
                                     {"gate": "x"}, {"noise_lambda": -0.1},
                                     {"shots_per_basis": 0}, {"seed": -1},
-                                    # make_rng would draw seed 1's streams
+                                    # make_rng refuses it too, but once work starts
                                     pytest.param({"seed": 1.5}, id="seed-non-integer"),
                                     pytest.param({"steps": 10.5}, id="steps-non-integer")],
                          ids=lambda change: next(iter(change)))
@@ -146,6 +205,7 @@ OWNED_RULES = {
                           lambda: run_trace(MACHINE, "quantum", 10.5, make_rng(0))),
     "shots_per_basis": ({"shots_per_basis": 0},
                         lambda: simulate_counts(bloch(0.0, 0.0, 1.0), 0, make_rng(0))),
+    "seed": ({"seed": -1}, lambda: make_rng(-1, 0, 1, 0)),
 }
 
 

@@ -1,6 +1,7 @@
 """Exact block-count deviations vs brute-force ensembles of independent runs."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -115,29 +116,30 @@ class TestChecks:
     @pytest.mark.parametrize("counts", [[-5, 10], [3, -1, 2, 4]])
     def test_negative_counts_rejected(self, counts):
         # [-5, 10] would read as freqs (-1, 2), judged and failed at tv 1.25
-        with pytest.raises(ValueError, match="block counts >= 0"):
+        bad = next(c for c in counts if c < 0)
+        with pytest.raises(ValueError, match=f"block count must be an integer >= 0, got {bad}$"):
             block_law_check(CausalMachine(0.9, 0.3), counts)
 
     @pytest.mark.parametrize("counts", [[2.5, 1.6], [3.0, 1.0], [True, False]])
     def test_counts_of_no_integer_dtype_rejected(self, counts):
         # [2.5, 1.6] would be judged at m = int(4.1) = 4, freqs summing to 1.025
-        message = f"block counts must have an integer dtype, got {np.asarray(counts).dtype}"
+        message = re.escape(f"block count must be an integer >= 0, got {counts[0]!r}") + "$"
         with pytest.raises(ValueError, match=message):
             block_law_check(CausalMachine(0.9, 0.3), counts)
 
     @pytest.mark.parametrize("form", [list, tuple, np.array], ids=["list", "tuple", "array"])
-    @pytest.mark.parametrize("cells, message", [
-        ([True, False], "integer dtype, got bool"),
-        ([2.5, 1.5], "integer dtype, got float64"),
-        ([float("nan"), 3.0], "integer dtype, got float64"),
-        ([3, -1, 2, 4], "block counts >= 0"),
-        ([1, 2, 3], r"need 2\*\*L block counts"),
-        ([[1, 2], [3, 4]], r"need 2\*\*L block counts"),
+    @pytest.mark.parametrize("cells, named", [
+        ([True, False], 0), ([2.5, 1.5], 0), ([float("nan"), 3.0], 0), ([3, -1, 2, 4], 1),
+        ([1, 2, 3], None), ([[1, 2], [3, 4]], 0),
     ], ids=["bool", "float", "nan", "negative", "length", "2-D"])
-    def test_refused_in_every_form(self, form, cells, message):
-        # a list, a tuple and an array of each are refused alike
+    def test_refused_in_every_form(self, form, cells, named):
+        # a list, a tuple and an array of each are refused alike, a bad cell
+        # (a row of a 2-D input among them) by name, in the form it arrives in
+        counts = form(cells)
+        message = (r"need 2\*\*L block counts with L in \[1, 6\], got 3$" if named is None else
+                   re.escape(f"block count must be an integer >= 0, got {counts[named]!r}") + "$")
         with pytest.raises(ValueError, match=message):
-            block_law_check(CausalMachine(0.9, 0.3), form(cells))
+            block_law_check(CausalMachine(0.9, 0.3), counts)
 
     @pytest.mark.parametrize("probs", [(0.9, 0.3), (0.8, 0.8), (0.2, 0.2), (1.0, 1.0),
                                        (0.5, 0.5)])

@@ -1,5 +1,7 @@
 """Finite-shot tomography: sampling, reconstruction, error bars."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -138,11 +140,16 @@ class TestReconstructRho:
 
     @pytest.mark.parametrize("plus", [(101, 50, 50), (-1, 50, 50), (50, 50), (50, 50, 50, 50)])
     def test_counts_validated(self, plus):
-        with pytest.raises(ValueError, match="three counts"):
+        # a count out of range is named by the one integer rule
+        message = (f"+1 count must be an integer in [0, 100], got {plus[0]}" if len(plus) == 3
+                   else f"need three +1 counts, got {plus!r}")
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
             TomographyCounts(100, plus)
 
     def test_non_integer_counts_rejected(self):
-        with pytest.raises(TypeError):
+        # the one integer rule, as for every count: a float is refused by name
+        message = re.escape("+1 count must be an integer in [0, 100], got 50.0") + "$"
+        with pytest.raises(ValueError, match=message):
             TomographyCounts(100, (50.0, 50, 50))
 
     def test_bloch_vector_is_exact_in_python_ints(self):
