@@ -108,10 +108,11 @@ def trace_blocks(chain: CausalMachine, n: int,
     uniform is drawn.  One uniform draws the start from the stationary law
     (w0, w1), state 0 iff it is below w0; each step emits 1 iff its uniform
     is below p1[state], p1 = (p_right, 1 - p_left), and that bit is the next
-    state.  Uniforms come in _DRAW_BLOCK blocks, one buffer per trace; each
-    block yields the state entering its first step, its bits as the Python
-    int s below (step i at bit i, nothing at bit m or above, so its last
-    output is bits >> (m - 1)) and m, an immutable triple a caller may keep.
+    state.  Uniforms come in _DRAW_BLOCK blocks, each drawn into a view of
+    one buffer allocated per trace; each block yields the state entering its
+    first step, its bits as the Python int s below (step i at bit i, nothing
+    at bit m or above, so its last output is bits >> (m - 1)) and m, an
+    immutable triple a caller may keep.
 
     Each step maps {0, 1} -> {0, 1} by a constant, the identity or negation:
     a uniform below lo = min(p1) sets the state to 1, one at or above
@@ -136,11 +137,9 @@ def trace_blocks(chain: CausalMachine, n: int,
     alt = int.from_bytes(b"\xaa" * ((u.shape[0] + 7) // 8), "little") if flips else 0
     for first in range(0, n, _DRAW_BLOCK):
         m = min(_DRAW_BLOCK, n - first)
-        if m < u.shape[0]:
-            u = u[:m]
-        rng.random(out=u)
-        a = int.from_bytes(np.packbits(u < lo, bitorder="little"), "little")
-        k = int.from_bytes(np.packbits(u < hi, bitorder="little"), "little") ^ a
+        v = rng.random(out=u[:m])
+        a = int.from_bytes(np.packbits(v < lo, bitorder="little"), "little")
+        k = int.from_bytes(np.packbits(v < hi, bitorder="little"), "little") ^ a
         # in a shorter last block alt's extra bits generate only past its steps; ^ alt clears them
         a = (a ^ alt) & ~k
         s = (a | (k & ((a + (a | k) + (state ^ flips)) ^ k))) ^ alt
@@ -174,27 +173,22 @@ def stream_block_counts(blocks: Iterable, block_lens: Sequence[int]) -> list[tup
     read as it arrives; the entering state is not an output and is skipped.
     At each length L the bits of a window that a block boundary cuts are
     carried into the next block.  The starts of the whole windows are the
-    repunit mask with a 1 every L bits, built per length when a block needs
-    it wider than any before and cut to each block by a shift; splitting it
-    on each window's bit j in turn, first bit first, leaves one mask per
-    code, in code order with the first bit most significant, and the
-    popcount of each is that code's count.  The lengths are checked before
-    the first block is read.
+    repunit mask with a 1 every L bits over the block's whole windows, built
+    per block and length; splitting it on each window's bit j in turn, first
+    bit first, leaves one mask per code, in code order with the first bit
+    most significant, and the popcount of each is that code's count.  The
+    lengths are checked before the first block is read.
     """
     block_lens = [_check_int("block length", block_len, 1, MAX_BLOCK_LEN)
                   for block_len in block_lens]
     tallies = [[0] * 2 ** block_len for block_len in block_lens]
     carry = [(0, 0)] * len(block_lens)    # per length: the cut window's bits, their count
-    starts = [(0, 0)] * len(block_lens)   # per length: the widest repunit yet, its width
     for _, bits, m in blocks:
         for i, block_len in enumerate(block_lens):
             held, k = carry[i]
             t = held | (bits << k)
             used = (k + m) // block_len * block_len
-            mask, width = starts[i]
-            if used > width:
-                mask, width = starts[i] = _window_starts(block_len, used)
-            counts = _split(mask >> (width - used), used // block_len,
+            counts = _split(((1 << used) - 1) // ((1 << block_len) - 1), used // block_len,
                             [t >> j for j in range(block_len)])
             tallies[i] = [a + b for a, b in zip(tallies[i], counts)]
             carry[i] = (t >> used, k + m - used)
@@ -202,13 +196,6 @@ def stream_block_counts(blocks: Iterable, block_lens: Sequence[int]) -> list[tup
         if not any(tally):
             raise ValueError(f"trace too short for blocks of length {block_len}")
     return [tuple(tally) for tally in tallies]
-
-
-def _window_starts(block_len: int, bits: int) -> tuple[int, int]:
-    """The repunit with a 1 every block_len bits from bit 0, over the
-    whole windows that fit in `bits` bits, and their width."""
-    width = bits // block_len * block_len
-    return ((1 << width) - 1) // ((1 << block_len) - 1), width
 
 
 def _split(w: int, count: int, shifted: list) -> list[int]:

@@ -26,8 +26,13 @@ EIG_ZERO = 1e-12       # a qubit eigenvalue below this counts as 0 in entropies
 
 
 def bloch(x, y, z) -> tuple[float, float, float]:
-    """The Bloch vector (x, y, z) of a qubit state."""
-    return float(x), float(y), float(z)
+    """The Bloch vector (x, y, z) of a qubit state as three plain floats, or
+    ValueError unless each entry is real by the vector rule (_real_vector):
+    a string, bool, None or array is none."""
+    r = _real_vector((x, y, z))
+    if not r:
+        raise ValueError(f"a Bloch vector has three real entries, got {(x, y, z)!r}")
+    return r
 
 
 def bloch_radius(r) -> float:

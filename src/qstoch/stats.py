@@ -64,6 +64,7 @@ def block_count_sigma(machine: CausalMachine, block_len: int,
     where a truncated lag sum would badly understate the variance.
     """
     _check_int("block length", block_len, 1, _MAX_CHECK_LEN)
+    n_blocks = _check_int("n_blocks", n_blocks, 1)
     twice = block_distribution(machine, 2 * block_len)[::2 ** block_len + 1]   # codes b b
     decay = (1.0 - machine.p_right - machine.p_left) ** block_len
     lags = _lag_weight_sum(n_blocks, decay)

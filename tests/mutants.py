@@ -96,6 +96,9 @@ MUTANTS = (
            "isinstance(x, numbers.Real) and not isinstance(x, bool)",
            "isinstance(x, numbers.Real)",
            ("test_records.py",)),
+    Mutant("bloch takes a string or a bool", "qmath",
+           "r = _real_vector((x, y, z))", "r = tuple(map(float, (x, y, z)))",
+           ("test_records.py",)),
     Mutant("_check_real ignores hi", "process",
            "if _is_real(value) and lo <= value <= hi:", "if _is_real(value) and lo <= value:",
            ("test_records.py",)),
@@ -111,8 +114,8 @@ MUTANTS = (
     Mutant("block tally splits on a window's last bit first", "circuit",
            "t >> j", "t >> (block_len - 1 - j)",
            ("test_circuit.py",)),
-    Mutant("block tally's window starts not cut to the block", "circuit",
-           "mask >> (width - used)", "mask",
+    Mutant("block tally's window starts span the cut window", "circuit",
+           "((1 << used) - 1)", "((1 << (k + m)) - 1)",
            ("test_circuit.py",)),
     Mutant("block tally starts a window every L + 1 bits", "circuit",
            "// ((1 << block_len) - 1)", "// ((1 << (block_len + 1)) - 1)",

@@ -91,6 +91,7 @@ INTEGER_RULES = {
                                10, MAX_SHOTS + 1),
     "block_distribution": (lambda block_len: block_distribution(MACHINE, block_len), 2, 13),
     "block_count_sigma": (lambda block_len: block_count_sigma(MACHINE, block_len, 10), 2, 7),
+    "block_count_sigma-n_blocks": (lambda n: block_count_sigma(MACHINE, 2, n), 10, None),
     "stream_block_counts": (tally_unread, 2, 13),
     "bootstrap_rounds": (lambda rounds: entropy_with_error(COUNTS, make_rng(0),
                                                            bootstrap_rounds=rounds), 150, None),
@@ -167,6 +168,7 @@ VECTOR_RULES = {
     "shannon_entropy": shannon_entropy,
     "mixture": lambda entries: mixture(entries, (bloch(0.0, 0.0, 1.0), bloch(0.0, 0.0, -1.0))),
     "simulate_counts": lambda entries: simulate_counts((*entries, 0.0), 10, make_rng(0)),
+    "bloch": lambda entries: bloch(*entries, 0.0),
 }
 
 
@@ -176,6 +178,14 @@ def test_bool_vector_entry_rejected(build):
     build((0.0, 1.0))
     with pytest.raises(ValueError, match=re.escape("got (False, True")):
         build((False, True))
+
+
+@pytest.mark.parametrize("entry", ["0.5", np.True_, None, np.array([0.5])], ids=repr)
+def test_bloch_entry_rejected(entry):
+    # float() alone would read '0.5' as 0.5 and np.True_ as 1.0
+    with pytest.raises(ValueError, match=re.escape(f"a Bloch vector has three real entries, "
+                                                   f"got {(0.0, entry, 0.0)!r}") + "$"):
+        bloch(0.0, entry, 0.0)
 
 
 @pytest.mark.parametrize("change", [{"p_right": 1.5}, {"steps": 0}, {"mode": "x"},

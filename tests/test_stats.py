@@ -109,6 +109,12 @@ class TestChecks:
         with pytest.raises(ValueError, match=r"\[1, 6\]"):
             block_count_sigma(machine, 7, 100)
 
+    @pytest.mark.parametrize("n_blocks", [0, -3])
+    def test_no_windows_rejected(self, n_blocks):
+        # 0 or -3 windows would read as four sigmas of 0
+        with pytest.raises(ValueError, match=f"n_blocks must be an integer >= 1, got {n_blocks}$"):
+            block_count_sigma(CausalMachine(0.9, 0.3), 2, n_blocks)
+
     def test_empty_counts_rejected(self):
         with pytest.raises(ValueError, match="no blocks"):
             block_law_check(CausalMachine(0.9, 0.3), np.zeros(4, dtype=np.int64))
