@@ -47,24 +47,24 @@ ASYM_REFERENCE = (
 
 
 class ExperimentConfig(namedtuple("ExperimentConfig", "p_right p_left mode gate steps "
-                                  "shots_per_basis noise_lambda seed")):
-    """One fully specified simulation/tomography experiment."""
+                                  "shots_per_basis noise_lambda seed",
+                                  defaults=("quantum", "cnot", 100_000, 10_000, 0.0, 42))):
+    """One fully specified simulation/tomography experiment; its defaults
+    are the CLI's too."""
 
     __slots__ = ()
     _make = classmethod(_checked_make)   # so _replace checks too
 
-    def __new__(cls, p_right: float, p_left: float, mode: str = "quantum",
-                gate: str = "cnot", steps: int = 100_000, shots_per_basis: int = 10_000,
-                noise_lambda: float = 0.0, seed: int = 42):
+    def __new__(cls, *args, **kwargs):
+        cfg = super().__new__(cls, *args, **kwargs)
         # the library's own checks: the two probabilities, mode, lam, steps, shots
-        sampled_machine(CausalMachine(p_right, p_left), mode, noise_lambda)
-        _check_steps(steps)
-        _check_shots(shots_per_basis)
-        if gate not in GATES:
-            raise ValueError(f"gate must be one of {GATES}, got {gate!r}")
-        _check_int("seed", seed, 0)     # make_rng checks it too, but only once work starts
-        return super().__new__(cls, p_right, p_left, mode, gate, steps, shots_per_basis,
-                               noise_lambda, seed)
+        sampled_machine(CausalMachine(cfg.p_right, cfg.p_left), cfg.mode, cfg.noise_lambda)
+        _check_steps(cfg.steps)
+        _check_shots(cfg.shots_per_basis)
+        if cfg.gate not in GATES:
+            raise ValueError(f"gate must be one of {GATES}, got {cfg.gate!r}")
+        _check_int("seed", cfg.seed, 0)     # make_rng checks it too, but only once work starts
+        return cfg
 
     def machine(self) -> CausalMachine:
         return CausalMachine(self.p_right, self.p_left)
@@ -191,9 +191,7 @@ def _sweep_point(index: int, cfg: ExperimentConfig) -> dict:
 def cmd_sweep(args) -> tuple:
     grid = _sweep_grid(args)
     # every grid point shares these settings: check them once, before any work
-    base = ExperimentConfig(p_right=args.p_min, p_left=args.p_min, gate=args.gate,
-                            steps=args.steps, shots_per_basis=args.shots,
-                            noise_lambda=args.noise_lambda, seed=args.seed)
+    base = _config(args, p_right=args.p_min, p_left=args.p_min)
     rows = [_sweep_point(index, base._replace(p_right=p, p_left=p))
             for index, p in enumerate(grid)]
     settings = _settings(base, ("p_right", "p_left", "mode"), p_min=args.p_min,
@@ -202,9 +200,7 @@ def cmd_sweep(args) -> tuple:
 
 
 def cmd_asym(args) -> tuple:
-    cfg = ExperimentConfig(p_right=args.p_right, p_left=args.p_left, gate=args.gate,
-                           steps=args.steps, shots_per_basis=args.shots,
-                           noise_lambda=args.noise_lambda, seed=args.seed)
+    cfg = _config(args)
     # noise-on columns: --lambda 0, given or not, picks the fidelity-0.97 calibration
     lam = cfg.noise_lambda if cfg.noise_lambda > 0.0 else calibrate_noise(0.97)
 
@@ -217,7 +213,7 @@ def cmd_asym(args) -> tuple:
 
 
 def cmd_simulate(args) -> tuple:
-    cfg = _config_from(args)
+    cfg = _config(args)
     # the trace is checked against the chain it samples: with gate noise,
     # the channel-averaged machine; its stream is the one tomo's run draws
     law = sampled_machine(cfg.machine(), cfg.mode, cfg.noise_lambda)
@@ -239,7 +235,7 @@ def cmd_simulate(args) -> tuple:
 
 
 def cmd_tomo(args) -> tuple:
-    cfg = _config_from(args)._replace(shots_per_basis=args.shots)
+    cfg = _config(args)
     machine = cfg.machine()
     # the theory first: a machine without a stationary law fails before any trace
     complexity = quantum_complexity if cfg.mode == "quantum" else classical_complexity
@@ -268,68 +264,66 @@ def cmd_tomo(args) -> tuple:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _config_from(args) -> ExperimentConfig:
-    pair = (args.p_right, args.p_left)
-    if args.p is not None and pair == (None, None):
-        pair = (args.p, args.p)
-    elif args.p is not None or None in pair:
-        raise ValueError("give either --p or both --p-right and --p-left")
-    if args.mode == "classical" and args.noise_lambda > 0.0:
-        raise ValueError("--lambda is gate noise, and --mode classical runs no gate")
-    return ExperimentConfig(*pair, mode=args.mode, gate=args.gate, steps=args.steps,
-                            noise_lambda=args.noise_lambda, seed=args.seed)
-
-
-def _add_common(sub, with_mode: bool) -> None:
-    sub.add_argument("--gate", choices=GATES, default="cnot",
-                     help="entangling gate, recorded in the CSV (both give one law)")
-    sub.add_argument("--steps", type=int, default=100_000, help="trace length")
-    sub.add_argument("--lambda", dest="noise_lambda", type=float, default=0.0,
-                     help="two-qubit depolarizing trajectory probability")
-    sub.add_argument("--seed", type=int, default=42, help="master RNG seed")
-    sub.add_argument("--out", default=None, help="output CSV path (default stdout)")
-    if with_mode:
-        sub.add_argument("--p", type=float, default=None,
-                         help="symmetric flip probability")
-        sub.add_argument("--p-right", type=float, default=None,
-                         help="0 -> 1 transition probability")
-        sub.add_argument("--p-left", type=float, default=None,
-                         help="1 -> 0 transition probability")
-        sub.add_argument("--mode", choices=MODES, default="quantum",
-                         help="which step circuit to run")
+def _config(args, **fields) -> ExperimentConfig:
+    """The ExperimentConfig of a command's parsed flags: each field a flag
+    sets, `fields`, and the defaults for the rest.  The point flags give
+    the two probabilities as --p, or as --p-right and --p-left."""
+    given = {key: value for key, value in vars(args).items() if key in ExperimentConfig._fields}
+    if "p" in vars(args):
+        pair = (args.p_right, args.p_left)
+        if args.p is not None and pair == (None, None):
+            pair = (args.p, args.p)
+        elif args.p is not None or None in pair:
+            raise ValueError("give either --p or both --p-right and --p-left")
+        if args.mode == "classical" and args.noise_lambda > 0.0:
+            raise ValueError("--lambda is gate noise, and --mode classical runs no gate")
+        given.update(p_right=pair[0], p_left=pair[1])
+    return ExperimentConfig(**given, **fields)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # each flag is declared once, in a parent parser; a command lists its
+    # parents' flags in order, in --help and in usage errors
+    default = ExperimentConfig._field_defaults
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--p-min", type=float, default=0.0)
+    grid.add_argument("--p-max", type=float, default=1.0)
+    grid.add_argument("--p-step", type=float, default=0.1)
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("--p-right", type=float, required=True)
+    pair.add_argument("--p-left", type=float, required=True)
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--gate", choices=GATES, default=default["gate"],
+                     help="entangling gate, recorded in the CSV (both give one law)")
+    run.add_argument("--steps", type=int, default=default["steps"], help="trace length")
+    run.add_argument("--lambda", dest="noise_lambda", type=float,
+                     default=default["noise_lambda"],
+                     help="two-qubit depolarizing trajectory probability")
+    run.add_argument("--seed", type=int, default=default["seed"], help="master RNG seed")
+    run.add_argument("--out", help="output CSV path (default stdout)")
+    point = argparse.ArgumentParser(add_help=False)
+    point.add_argument("--p", type=float, help="symmetric flip probability")
+    point.add_argument("--p-right", type=float, help="0 -> 1 transition probability")
+    point.add_argument("--p-left", type=float, help="1 -> 0 transition probability")
+    point.add_argument("--mode", choices=MODES, default=default["mode"],
+                       help="which step circuit to run")
+    shots = argparse.ArgumentParser(add_help=False)
+    shots.add_argument("--shots", dest="shots_per_basis", metavar="SHOTS", type=int,
+                       default=default["shots_per_basis"],
+                       help="tomography shots per Pauli basis")
+
     parser = argparse.ArgumentParser(
         prog="qstoch",
         description="Simulate memory-efficient quantum models of a two-switch "
                     "stochastic process and emit reproducible CSV.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sweep = subs.add_parser("sweep", help="scan symmetric flip probabilities")
-    sweep.add_argument("--p-min", type=float, default=0.0)
-    sweep.add_argument("--p-max", type=float, default=1.0)
-    sweep.add_argument("--p-step", type=float, default=0.1)
-    _add_common(sweep, with_mode=False)
-    sweep.set_defaults(func=cmd_sweep)
-
-    asym = subs.add_parser("asym", help="one asymmetric parameter point with noise")
-    asym.add_argument("--p-right", type=float, required=True)
-    asym.add_argument("--p-left", type=float, required=True)
-    _add_common(asym, with_mode=False)
-    asym.set_defaults(func=cmd_asym)
-
-    simulate = subs.add_parser("simulate",
-                               help="check trace block laws against exact ones")
-    _add_common(simulate, with_mode=True)
-    simulate.set_defaults(func=cmd_simulate)
-
-    tomo = subs.add_parser("tomo", help="tomograph one run's memory ensemble")
-    _add_common(tomo, with_mode=True)
-    tomo.set_defaults(func=cmd_tomo)
-    for sub in (sweep, asym, tomo):     # simulate tomographs nothing
-        sub.add_argument("--shots", type=int, default=10_000,
-                         help="tomography shots per Pauli basis")
+    for name, func, parents, text in (
+            ("sweep", cmd_sweep, (grid, run, shots), "scan symmetric flip probabilities"),
+            ("asym", cmd_asym, (pair, run, shots), "one asymmetric parameter point with noise"),
+            # simulate tomographs nothing, so it takes no --shots
+            ("simulate", cmd_simulate, (run, point), "check trace block laws against exact ones"),
+            ("tomo", cmd_tomo, (run, point, shots), "tomograph one run's memory ensemble")):
+        subs.add_parser(name, parents=parents, help=text).set_defaults(func=func)
     return parser
 
 

@@ -2,8 +2,17 @@
 committed under tests/golden/, so any change to what the CLI prints shows up
 file by file in a diff.
 
-Regenerate after a deliberate output change, and name the files that changed
-in CHANGES.md:
+CASES is the one list of end-to-end commands.  tests/test_golden.py reruns
+each case in process, and CI replays each one through the installed qstoch
+entry point, from outside the checkout, comparing its stdout bytes and exit
+code:
+
+    python tests/golden.py replay
+
+To add a command, append it to CASES and regenerate; the files already
+committed must come back byte-identical (`git diff --stat tests/golden`
+then lists manifest.json alone).  Regenerate after a
+deliberate output change too, and name the files that changed in CHANGES.md:
 
     PYTHONPATH=src python tests/golden.py
 
@@ -15,6 +24,8 @@ compares bytes whatever version runs, and a mismatch names both versions.
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +68,14 @@ CASES = {
     # p_right + p_left < 1: the band between the two emission laws keeps the state
     "simulate-persistent-65539": ["simulate", "--p", "0.2", "--mode", "classical",
                                   "--steps", "65539"],
+    "tomo-persistent-131075": ["tomo", "--p", "0.2", "--mode", "classical",
+                               "--steps", "131075"],
+    # tomography of a noisy run of the cu gate
+    "tomo-noisy-cu-131075": ["tomo", *NOISY, "--gate", "cu", "--steps", "131075"],
+    # a trace shorter than the longest checked block: L = 1..3 only, one block
+    "simulate-classical-3": ["simulate", "--p", "0.8", "--mode", "classical", "--steps", "3"],
+    # the paper's headline point, where C_q = 0.05 against C = 1
+    "paper-headline": ["sweep", "--p-min", "0.4253", "--p-max", "0.4253", "--p-step", "0.1"],
 }
 for _name, _point in EDGES.items():
     CASES[f"edge-{_name}-simulate"] = ["simulate", *_point, "--steps", "65539"]
@@ -81,5 +100,35 @@ def regenerate() -> None:
     MANIFEST.write_text(json.dumps(manifest, indent=1) + "\n", encoding="utf-8")
 
 
+def replay() -> None:
+    """Run every manifest case through the qstoch on PATH, its stdout a pipe,
+    and exit naming each case whose stdout bytes or exit code differ from the
+    committed ones; a manifest that lists no case fails too."""
+    fixtures = json.loads(MANIFEST.read_text(encoding="utf-8"))
+    if not fixtures["cases"]:
+        sys.exit(f"golden replay: {MANIFEST} lists no case")
+    failed = []
+    for name, case in fixtures["cases"].items():
+        csv = GOLDEN / f"{name}.csv"
+        if not csv.is_file():
+            failed.append(f"{name}: no committed {csv}")
+            continue
+        want = csv.read_bytes()
+        proc = subprocess.run(["qstoch", *case["command"].split()], stdout=subprocess.PIPE)
+        if (proc.returncode, proc.stdout) != (case["exit"], want):
+            failed.append(f"{name}: exit {proc.returncode} (golden {case['exit']}), "
+                          f"stdout {'matches' if proc.stdout == want else 'differs'}")
+    if failed:
+        sys.exit(f"golden replay through qstoch failed (numpy "
+                 f"{np.__version__}, golden files made with numpy {fixtures['numpy']}):\n  "
+                 + "\n  ".join(failed))
+    print(f"{len(fixtures['cases'])} golden cases replayed through qstoch")
+
+
 if __name__ == "__main__":
-    regenerate()
+    if sys.argv[1:] == ["replay"]:
+        replay()
+    elif sys.argv[1:]:
+        sys.exit("usage: python tests/golden.py [replay]")
+    else:
+        regenerate()
