@@ -24,10 +24,9 @@ reads (run_trace, stream_block_counts) that format.
 
 from __future__ import annotations
 
+import random
 from collections.abc import Iterable, Iterator, Sequence
 from typing import NamedTuple
-
-import numpy as np
 
 from .process import (MAX_BLOCK_LEN, CausalMachine, _check_int, _check_real,
                       stationary_distribution)
@@ -36,7 +35,7 @@ from .qmodel import quantum_causal_states
 
 MODES = ("classical", "quantum")
 LOGICAL = (bloch(0.0, 0.0, 1.0), bloch(0.0, 0.0, -1.0))     # |0> and |1>
-_DRAW_BLOCK = 1 << 13     # uniforms per trace block: 64 KB, cache-sized
+_DRAW_BLOCK = 1 << 13     # steps per trace block: each bit plane of its uniforms is 1 KB
 
 
 class RunResult(NamedTuple):
@@ -100,19 +99,63 @@ def sampled_machine(machine: CausalMachine, mode: str, lam: float = 0.0) -> Caus
     return CausalMachine(*(p + mix * (0.5 - p) for p in (machine.p_right, machine.p_left)))
 
 
+def _digits(p: float) -> tuple[int, ...] | None:
+    """The binary digits d_1, d_2, ... of p in [0, 1), p = sum d_j 2**-j,
+    up to its last set one (none for 0), or None for p = 1."""
+    num, den = p.as_integer_ratio()      # den is a power of two
+    if num == den:
+        return None
+    e = den.bit_length() - 1
+    return tuple((num >> (e - j)) & 1 for j in range(1, e + 1))
+
+
+def _below(rng: random.Random, m: int, bounds: list) -> list[int]:
+    """For m fresh uniforms, the mask of the steps whose uniform lies below
+    each bound, step i at bit i; each bound is given by its _digits.
+
+    Step i's uniform is u = sum_j b_j 2**-j, its bit b_j bit i of the j-th
+    plane rng.getrandbits(m), and planes are drawn only while some step is
+    tied, on every digit so far, with a bound that has digits left (about
+    15 planes for 8192 steps).  Where the bound's digit is 1, a tied step
+    whose bit is 0 falls below it and one whose bit is 1 stays tied; where
+    the digit is 0, a tied step whose bit is 1 rises above it.  A step still
+    tied past the bound's last set digit has u >= p, so every draw is exact
+    for the double p; every u is below 1 and none below 0.
+    """
+    full = (1 << m) - 1
+    lt = [full if digits is None else 0 for digits in bounds]
+    eq = [0 if digits is None else full for digits in bounds]
+    live = [(c, digits) for c, digits in enumerate(bounds) if digits]
+    j = 0
+    while live:
+        u = rng.getrandbits(m)
+        for c, digits in live:
+            # tied & ~u as tied ^ (tied & u): a negative int makes each
+            # bitwise op about three times slower
+            tied = eq[c]
+            eq[c] = tied & u
+            if digits[j]:
+                lt[c] |= tied ^ eq[c]
+            else:
+                eq[c] ^= tied
+        j += 1
+        live = [(c, digits) for c, digits in live if eq[c] and j < len(digits)]
+    return lt
+
+
 def trace_blocks(chain: CausalMachine, n: int,
-                 rng: np.random.Generator) -> Iterator[tuple[int, int, int]]:
+                 rng: random.Random) -> Iterator[tuple[int, int, int]]:
     """The n outputs of the chain, streamed in blocks (entering, bits, m).
 
-    n and the stationary law are checked on the first next(), before any
-    uniform is drawn.  One uniform draws the start from the stationary law
-    (w0, w1), state 0 iff it is below w0; each step emits 1 iff its uniform
-    is below p1[state], p1 = (p_right, 1 - p_left), and that bit is the next
-    state.  Uniforms come in _DRAW_BLOCK blocks, each drawn into a view of
-    one buffer allocated per trace; each block yields the state entering its
-    first step, its bits as the Python int s below (step i at bit i, nothing
-    at bit m or above, so its last output is bits >> (m - 1)) and m, an
-    immutable triple a caller may keep.
+    n and the stationary law are checked on the first next(), before
+    anything is drawn from the random.Random rng.  rng.random() draws the
+    start from the stationary law (w0, w1), state 0 iff it is below w0;
+    each step emits 1 iff its uniform is below p1[state], p1 = (p_right,
+    1 - p_left), and that bit is the next state.  The steps come in
+    _DRAW_BLOCK blocks, their uniforms drawn bit-sliced (_below); each
+    block yields the state entering its first step, its bits as the Python
+    int s below (step i at bit i, nothing at bit m or above, so its last
+    output is bits >> (m - 1)) and m, an immutable triple a caller may keep.
 
     Each step maps {0, 1} -> {0, 1} by a constant, the identity or negation:
     a uniform below lo = min(p1) sets the state to 1, one at or above
@@ -132,14 +175,13 @@ def trace_blocks(chain: CausalMachine, n: int,
     p1 = (chain.p_right, 1.0 - chain.p_left)
     state = 0 if rng.random() < w0 else 1
     lo, hi = min(p1), max(p1)
+    bounds = [_digits(lo), _digits(hi)]
     flips = p1[0] > p1[1]         # a plain bool: the machine's probabilities are plain floats
-    u = np.empty(min(_DRAW_BLOCK, n))
-    alt = int.from_bytes(b"\xaa" * ((u.shape[0] + 7) // 8), "little") if flips else 0
+    alt = int.from_bytes(b"\xaa" * ((min(_DRAW_BLOCK, n) + 7) // 8), "little") if flips else 0
     for first in range(0, n, _DRAW_BLOCK):
         m = min(_DRAW_BLOCK, n - first)
-        v = rng.random(out=u[:m])
-        a = int.from_bytes(np.packbits(v < lo, bitorder="little"), "little")
-        k = int.from_bytes(np.packbits(v < hi, bitorder="little"), "little") ^ a
+        a, below_hi = _below(rng, m, bounds)
+        k = below_hi ^ a
         # in a shorter last block alt's extra bits generate only past its steps; ^ alt clears them
         a = (a ^ alt) & ~k
         s = (a | (k & ((a + (a | k) + (state ^ flips)) ^ k))) ^ alt
@@ -147,7 +189,7 @@ def trace_blocks(chain: CausalMachine, n: int,
         state = s >> (m - 1)
 
 
-def run_trace(machine: CausalMachine, mode: str, n: int, rng: np.random.Generator,
+def run_trace(machine: CausalMachine, mode: str, n: int, rng: random.Random,
               lam: float = 0.0) -> RunResult:
     """Sample n steps of the step circuit from a stationary start.
 
@@ -155,7 +197,7 @@ def run_trace(machine: CausalMachine, mode: str, n: int, rng: np.random.Generato
     (prepared_states) and how many steps entered in state 1.  That ensemble
     is what tomography measures.
     Outputs are those of trace_blocks on sampled_machine(machine, mode,
-    lam), one uniform per step.  The count is summed block by block, so
+    lam).  The count is summed block by block, so
     memory stays bounded however large n is.
     """
     chain = sampled_machine(machine, mode, lam)

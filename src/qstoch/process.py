@@ -20,10 +20,9 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import operator
+import sys
 from collections import namedtuple
 from contextlib import suppress
-
-import numpy as np
 
 from .qmath import _is_real, shannon_entropy
 
@@ -44,10 +43,13 @@ def _checked_make(cls, iterable):
 def _check_int(name: str, value, lo: int, hi: int | None = None) -> int:
     """The one integer rule: value as a plain int, if operator.index takes it,
     it is no bool (numpy's neither) and it lies in [lo, hi], or is at least lo
-    without hi.  A float or a bool would reach range or numpy, which refuse it
-    mid-run or floor it, and a numpy integer would overflow in the big-integer
-    arithmetic of a trace block."""
-    if not isinstance(value, (bool, np.bool_)):
+    without hi.  A float or a bool would reach range, which refuses it
+    mid-run, or a seed, which would take True as 1, and a numpy integer would
+    overflow in the big-integer arithmetic of a trace block.  A numpy bool
+    exists only once numpy is loaded, so the rule looks numpy up, and never
+    imports it; from numpy 2 on, operator.index refuses one anyway."""
+    numpy = sys.modules.get("numpy")
+    if not isinstance(value, bool) and not (numpy and isinstance(value, numpy.bool_)):
         with suppress(TypeError):
             n = operator.index(value)
             if lo <= n and (hi is None or n <= hi):

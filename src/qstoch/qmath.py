@@ -7,18 +7,14 @@ the binary entropy of the radius (bloch_radius, qubit_entropy), and the
 trace distance of two states is half the distance of their vectors.  The
 kets, density matrices and Pauli matrices these stand for live in the test
 oracle, the reference the vectors are checked against.  Everything here but
-eig_hermitian, which is off the run path, is plain Python arithmetic with
-math.sqrt and math.log2: a process's first call of a numpy kernel maps its
-code in, from about 0.06 MB of resident memory for a ufunc loop or a BLAS
-dot product to 0.8 MB for an eigensolver.
+eig_hermitian, which no command calls and which imports numpy when called,
+is plain Python arithmetic with math.sqrt and math.log2.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-
-import numpy as np
 
 ATOL_UNIT = 1e-12      # normalization / hermiticity tolerance
 ATOL_DIST = 1e-9       # probability vectors must sum to 1 within this
@@ -42,10 +38,12 @@ def bloch_radius(r) -> float:
     return math.sqrt(x * x + y * y + z * z)
 
 
-def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
+def eig_hermitian(m) -> tuple:
     """Eigenvalues (descending) and orthonormal eigenvectors of a 2x2
-    Hermitian array, from numpy's symmetric solver; eigenvectors are the
-    returned matrix's columns."""
+    Hermitian array, from numpy's symmetric solver, as two numpy arrays;
+    eigenvectors are the returned matrix's columns."""
+    import numpy as np
+
     arr = np.array(m, dtype=complex)
     if arr.shape != (2, 2):
         raise ValueError(f"matrix must have shape (2, 2), got {arr.shape}")

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from . import qmath
 from .process import CausalMachine, _check_real, stationary_distribution
 
@@ -49,9 +47,10 @@ def depolarized_complexity(machine: CausalMachine, eps: float) -> float:
     return qmath.qubit_entropy((1.0 - eps) * qmath.bloch_radius(r))
 
 
-def construct_cu(machine: CausalMachine) -> tuple[np.ndarray, np.ndarray]:
+def construct_cu(machine: CausalMachine) -> tuple:
     """The qubit operators (v, u) of the controlled step, as read-only real
-    2x2 arrays: v the Y rotation by theta, u = v X v^T with u ket0 = ket1.
+    2x2 numpy arrays: v the Y rotation by theta, u = v X v^T with u ket0 =
+    ket1.  No command calls it, so it imports numpy only when called.
 
     A ket (cos a/2, sin a/2) is the Y rotation of |0> by a, so ket0 sits at
     a0 = 2 asin sqrt(p_right) and ket1 at a1 = pi - 2 asin sqrt(p_left).  The
@@ -59,6 +58,8 @@ def construct_cu(machine: CausalMachine) -> tuple[np.ndarray, np.ndarray]:
     theta = asin sqrt(p_right) - asin sqrt(p_left), taken mod 2 pi.  In the
     symmetric case theta = 0, so v is the identity and u the plain bit flip.
     """
+    import numpy as np
+
     pr, pl = machine.p_right, machine.p_left
     theta = (np.arcsin(np.sqrt(pr)) - np.arcsin(np.sqrt(pl))) % (2.0 * np.pi)
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)

@@ -16,19 +16,19 @@ deliberate output change too, and name the files that changed in CHANGES.md:
 
     PYTHONPATH=src python tests/golden.py
 
-numpy does not promise the same Generator streams across releases, so
-manifest.json records the numpy version the files were made with.  The test
-compares bytes whatever version runs, and a mismatch names both versions.
+Every stream is a standard-library random.Random, and the files are the
+same bytes on every supported Python; manifest.json records the Python
+version they were made with.  The test compares bytes whatever version
+runs, and a mismatch names both versions.
 """
 
 from __future__ import annotations
 
 import json
+import platform
 import subprocess
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from qstoch.cli import main
 
@@ -96,7 +96,7 @@ def regenerate() -> None:
     for name, argv in CASES.items():
         code, _ = run(name, GOLDEN / f"{name}.csv")
         cases[name] = {"command": " ".join(argv), "exit": code}
-    manifest = {"numpy": np.__version__, "regenerate": REGENERATE, "cases": cases}
+    manifest = {"python": platform.python_version(), "regenerate": REGENERATE, "cases": cases}
     MANIFEST.write_text(json.dumps(manifest, indent=1) + "\n", encoding="utf-8")
 
 
@@ -119,8 +119,9 @@ def replay() -> None:
             failed.append(f"{name}: exit {proc.returncode} (golden {case['exit']}), "
                           f"stdout {'matches' if proc.stdout == want else 'differs'}")
     if failed:
-        sys.exit(f"golden replay through qstoch failed (numpy "
-                 f"{np.__version__}, golden files made with numpy {fixtures['numpy']}):\n  "
+        sys.exit(f"golden replay through qstoch failed (Python "
+                 f"{platform.python_version()}, golden files made with Python "
+                 f"{fixtures['python']}):\n  "
                  + "\n  ".join(failed))
     print(f"{len(fixtures['cases'])} golden cases replayed through qstoch")
 

@@ -52,9 +52,15 @@ MUTANTS = (
            "entropy_std=sample_std(boot)", "entropy_std=1.5 * sample_std(boot)",
            ("test_tomo.py",)),
     Mutant("bootstrap draws round by round, not basis by basis", "tomo",
-           "draws = [rng.binomial(n, k / n, size=bootstrap_rounds).tolist() for k in counts.plus]",
-           "draws = zip(*(rng.binomial(n, [k / n for k in counts.plus]).tolist()\n"
+           "draws = [[binomial(rng, n, k / n) for _ in range(bootstrap_rounds)] for k in counts.plus]",
+           "draws = zip(*([binomial(rng, n, k / n) for k in counts.plus]\n"
            "                   for _ in range(bootstrap_rounds)))",
+           ("test_tomo.py",)),
+    Mutant("binomial's ratio to the mode takes one factor too many below it", "tomo",
+           "for i in range(k + 1, m + 1):", "for i in range(k, m + 1):",
+           ("test_tomo.py",)),
+    Mutant("binomial's inversion starts its pmf walk at x = 1", "tomo",
+           "        x = 0\n", "        x = 1\n",
            ("test_tomo.py",)),
     Mutant("counts drawn at a 2% shrunk Bloch vector", "tomo",
            "(1.0 + c) / 2.0", "(1.0 + 0.98 * c) / 2.0",
@@ -87,7 +93,8 @@ MUTANTS = (
            "    if abs(total - 1.0) > ATOL_DIST:",
            ("test_qmath.py",)),
     Mutant("_check_int takes a bool", "process",
-           "if not isinstance(value, (bool, np.bool_)):", "if True:",
+           "if not isinstance(value, bool) and not (numpy and isinstance(value, numpy.bool_)):",
+           "if True:",
            ("test_records.py",)),
     Mutant("_check_int ignores hi", "process",
            "if lo <= n and (hi is None or n <= hi):", "if lo <= n:",
@@ -128,6 +135,12 @@ MUTANTS = (
            ("test_circuit.py",)),
     Mutant("next block enters in its block's first state", "circuit",
            "state = s >> (m - 1)", "state = s & 1",
+           ("test_circuit.py",)),
+    Mutant("a tie past p's last set bit counts as below", "circuit",
+           "    return lt\n", "    return [below | tied for below, tied in zip(lt, eq)]\n",
+           ("test_circuit.py",)),
+    Mutant("a bound's planes stop one digit early", "circuit",
+           "if eq[c] and j < len(digits)]", "if eq[c] and j < len(digits) - 1]",
            ("test_circuit.py",)),
 )
 

@@ -16,8 +16,8 @@ abbreviate:
     vectors stand for, and the matrix route (eigenvalues, <t|rho|t>) to
     the entropy, trace distance and fidelity the vectors give in closed form;
   * numpy's route to the numbers qstoch computes in plain Python: the
-    bootstrap's spread from one (3, rounds) binomial draw, and the fields of
-    a block-law check from whole arrays;
+    bootstrap's spread from its draws as one (3, rounds) array, and the
+    fields of a block-law check from whole arrays;
   * the linear-algebra helpers only these need.
 
 qstoch's states are Bloch vectors and its gates qubit operators.
@@ -29,6 +29,7 @@ factor and controls the entangling gate, and the meter is its target.
 from __future__ import annotations
 
 import math
+import random
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
@@ -44,6 +45,7 @@ from qstoch.qmath import (ATOL_DIST, ATOL_UNIT, EIG_ZERO, shannon_entropy,
                           von_neumann_entropy)
 from qstoch.qmodel import construct_cu
 from qstoch.stats import N_SIGMA, _lag_weight_sum, block_count_sigma
+from qstoch.tomo import binomial
 
 from conftest import packed
 
@@ -258,12 +260,12 @@ class CircuitState:
     joint: np.ndarray
 
 
-def _born_pick(p_one: float, rng: np.random.Generator) -> int:
+def _born_pick(p_one: float, rng: random.Random) -> int:
     return int(rng.random() < p_one)
 
 
 def measure_qubit(state: CircuitState, which: str,
-                  rng: np.random.Generator) -> tuple[int, CircuitState]:
+                  rng: random.Random) -> tuple[int, CircuitState]:
     """Logical-basis measurement of one qubit of a two-qubit state.
 
     Destructive: the outcome is Born-sampled, the measured qubit is removed,
@@ -291,7 +293,7 @@ def measure_qubit(state: CircuitState, which: str,
 # ---------------------------------------------------------------------------
 
 def classical_step(s: int, machine: CausalMachine,
-                   rng: np.random.Generator) -> tuple[int, int]:
+                   rng: random.Random) -> tuple[int, int]:
     """One step of the classical bit circuit: returns (output bit, next state).
 
     The destination state is 1 iff a uniform falls below P(1|s) (p_right
@@ -323,9 +325,9 @@ def _step_operators(machine: CausalMachine, gate: str):
     return meter_in, controlled(u), frame
 
 
-def _apply_noise_raw(psi: np.ndarray, lam: float, rng: np.random.Generator) -> np.ndarray:
+def _apply_noise_raw(psi: np.ndarray, lam: float, rng: random.Random) -> np.ndarray:
     if rng.random() < lam:
-        return TWO_QUBIT_PAULIS[int(rng.integers(15))] @ psi
+        return TWO_QUBIT_PAULIS[rng.randrange(15)] @ psi
     return psi
 
 
@@ -337,7 +339,7 @@ def _meter_one_prob(psi: np.ndarray, frame) -> float:
     return float(np.real(np.vdot(odd, odd)))
 
 
-def quantum_step(memory: Ket, model: KetModel, rng: np.random.Generator,
+def quantum_step(memory: Ket, model: KetModel, rng: random.Random,
                  gate: str = "cnot", lam: float = 0.0) -> tuple[int, Ket]:
     """One quantum step: entangle, read the meter, reprepare by output bit.
 
@@ -358,7 +360,7 @@ def quantum_step(memory: Ket, model: KetModel, rng: np.random.Generator,
 
 
 def apply_noise(state: CircuitState, lam: float,
-                rng: np.random.Generator) -> CircuitState:
+                rng: random.Random) -> CircuitState:
     """Depolarizing trajectory: with probability lam, a random non-identity
     two-qubit Pauli hits the joint state; otherwise it passes unchanged."""
     if state.joint.shape != (4,):
@@ -444,7 +446,7 @@ class SwitchConfig:
 
 
 def two_switch_step(cfg: SwitchConfig, machine: CausalMachine,
-                    rng: np.random.Generator) -> tuple[SwitchConfig, int]:
+                    rng: random.Random) -> tuple[SwitchConfig, int]:
     """Advance the switch pair one step; returns (new config, emitted bit).
 
     One switch is chosen uniformly and flipped with probability p_right when
@@ -452,7 +454,7 @@ def two_switch_step(cfg: SwitchConfig, machine: CausalMachine,
     consumed per call regardless of outcome, keeping streams aligned.
     """
     flip_prob = machine.p_right if cfg.parity == 0 else machine.p_left
-    which = int(rng.integers(2))
+    which = rng.getrandbits(1)
     do_flip = rng.random() < flip_prob
     b1, b2 = cfg.b1, cfg.b2
     if do_flip:
@@ -587,14 +589,14 @@ def enumerated_count_sigma(machine: CausalMachine, block_len: int,
 # numpy references of the numbers qstoch computes in plain Python
 # ---------------------------------------------------------------------------
 
-def numpy_bootstrap_std(plus, shots: int, rng: np.random.Generator,
+def numpy_bootstrap_std(plus, shots: int, rng: random.Random,
                         rounds: int = 200) -> float:
-    """The bootstrap spread of tomo.entropy_with_error from numpy: one
-    (3, rounds) binomial draw at the observed rates, broadcast basis by
-    basis, each column's entropy by qmath.von_neumann_entropy, and numpy's
-    std(ddof=1) of them, whose sums are pairwise."""
-    rates = np.array([k / shots for k in plus])
-    r = (2 * rng.binomial(shots, rates[:, np.newaxis], size=(3, rounds)) - shots) / shots
+    """The bootstrap spread of tomo.entropy_with_error from numpy: the same
+    tomo.binomial draws at the observed rates, basis by basis, as one
+    (3, rounds) array, each column's entropy by qmath.von_neumann_entropy,
+    and numpy's std(ddof=1) of them, whose sums are pairwise."""
+    draws = np.array([[binomial(rng, shots, k / shots) for _ in range(rounds)] for k in plus])
+    r = (2 * draws - shots) / shots
     return float(np.std([von_neumann_entropy(column) for column in r.T], ddof=1))
 
 

@@ -1,8 +1,8 @@
 """Every golden command still prints its committed bytes and exit code."""
 
 import json
+import platform
 
-import numpy as np
 import pytest
 
 from golden import CASES, GOLDEN, MANIFEST, REGENERATE, run
@@ -25,6 +25,6 @@ def test_golden_output(name, tmp_path):
                   if a != b), None)
     assert (code, got) == (fixture["exit"], want), (
         f"{name}: exit {code} (golden {fixture['exit']}), first differing line "
-        f"{first}; running numpy {np.__version__}, golden files made with numpy "
-        f"{FIXTURES['numpy']}.  If the change is deliberate, regenerate with "
+        f"{first}; running Python {platform.python_version()}, golden files made "
+        f"with Python {FIXTURES['python']}.  If the change is deliberate, regenerate with "
         f"`{REGENERATE}` and list the changed files in CHANGES.md.")

@@ -18,7 +18,7 @@ from qstoch.process import (
 )
 from qstoch.seeding import make_rng
 
-from conftest import ScriptedUniforms, trace_outputs
+from conftest import ScriptedBits, trace_outputs
 from oracle import (
     SwitchConfig,
     block_excess_entropy,
@@ -287,10 +287,10 @@ class TestExcessEntropy:
 
 class TestClassicalTrace:
     def test_reducible_without_start_rejected(self):
-        # the stream checks the chain on its first next(), before any uniform
-        # is drawn: the script has none to give
+        # the stream checks the chain on its first next(), before anything
+        # is drawn: the script has nothing to give
         with pytest.raises(ValueError, match="stationary distribution is not unique"):
-            next(trace_blocks(CausalMachine(0.0, 0.0), 10, ScriptedUniforms([])))
+            next(trace_blocks(CausalMachine(0.0, 0.0), 10, ScriptedBits()))
 
     def test_seed_determinism(self):
         a = trace_outputs(CausalMachine(0.8, 0.8), "classical", 500, make_rng(9))

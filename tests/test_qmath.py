@@ -21,7 +21,6 @@ from qstoch.qmath import (
     trace_distance,
     von_neumann_entropy,
 )
-from qstoch.seeding import make_rng
 
 from oracle import (
     KET0,
@@ -232,7 +231,7 @@ class TestBlochRadius:
     def test_columns_take_each_vector_radius(self):
         # one vector at a time, each bootstrap round's: equal to numpy's
         # radius of every column at once, summed in the same order
-        cols = make_rng(3).uniform(-0.6, 0.6, size=(3, 500))
+        cols = np.random.default_rng(3).uniform(-0.6, 0.6, size=(3, 500))
         x, y, z = cols
         assert [bloch_radius(c) for c in cols.T] == np.sqrt(x * x + y * y + z * z).tolist()
 

@@ -106,8 +106,8 @@ BOUNDED_RULES = {name: rule for name, rule in INTEGER_RULES.items() if rule[2] i
 @pytest.mark.parametrize("value", [True, np.True_, 2.5, np.float64(100.0), "3"], ids=repr)
 @pytest.mark.parametrize("build, ok, above", INTEGER_RULES.values(), ids=INTEGER_RULES.keys())
 def test_non_integer_rejected(build, ok, above, value):
-    # a bool or a float would reach range or numpy, which refuse it mid-run
-    # (a TypeError), floor it, or take True for 1
+    # a bool or a float would reach range, which refuses it mid-run (a
+    # TypeError), or a seed, which would take True for 1
     with pytest.raises(ValueError, match=re.escape(f"got {value!r}") + "$"):
         build(value)
 
@@ -210,7 +210,7 @@ OWNED_RULES = {
     "mode": ({"mode": "x"}, lambda: prepared_states(MACHINE, "x")),
     "noise_lambda": ({"noise_lambda": 1.5}, lambda: sampled_machine(MACHINE, "quantum", 1.5)),
     "steps": ({"steps": 0}, lambda: next(trace_blocks(MACHINE, 0, make_rng(0)))),
-    # numpy would refuse 10.5 steps only mid-trace, with a TypeError
+    # range would refuse 10.5 steps only mid-trace, with a TypeError
     "steps-non-integer": ({"steps": 10.5},
                           lambda: run_trace(MACHINE, "quantum", 10.5, make_rng(0))),
     "shots_per_basis": ({"shots_per_basis": 0},

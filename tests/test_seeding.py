@@ -13,7 +13,8 @@ SHORT_KEYS = [(), (0,), (0, 0), (1,), (5,), (1, 5), (0, 1), (0, 5)]
 
 
 def first_draws(seed, key):
-    return tuple(make_rng(seed, *key).integers(0, 2 ** 63, size=2).tolist())
+    rng = make_rng(seed, *key)
+    return rng.getrandbits(64), rng.getrandbits(64)
 
 
 def test_distinct_seed_and_key_pairs_draw_distinct_streams():

@@ -1,5 +1,6 @@
 """Finite-shot tomography: sampling, reconstruction, error bars."""
 
+import math
 import re
 
 import numpy as np
@@ -13,6 +14,8 @@ from qstoch.seeding import make_rng
 from qstoch.tomo import (
     MAX_SHOTS,
     TomographyCounts,
+    _STIRLING_TAIL,
+    binomial,
     ensemble_density,
     entropy_with_error,
     reconstruct_rho,
@@ -61,7 +64,8 @@ class TestSimulateCounts:
                 simulate_counts(other, 100, make_rng(0))
 
     def test_shots_past_binomial_range_rejected(self):
-        # numpy's binomial takes n up to 2**63 - 1 and overflows past it
+        # the CLI has always stated the cap 2**63 - 1, numpy's once; the
+        # sampler's floats would take more
         with pytest.raises(ValueError, match="shots_per_basis"):
             simulate_counts(MIXED, MAX_SHOTS + 1, make_rng(0))
         assert simulate_counts(MIXED, MAX_SHOTS, make_rng(0)).shots_per_basis == MAX_SHOTS
@@ -92,6 +96,74 @@ class TestSimulateCounts:
         rho = ket_mixture(weights, kets)
         np.testing.assert_allclose(ensemble_density(run), bloch_vector(rho),
                                    rtol=0, atol=1e-15)
+
+
+def binomial_pmf(n, p):
+    return [math.comb(n, k) * p ** k * (1.0 - p) ** (n - k) for k in range(n + 1)]
+
+
+class TestBinomial:
+    """tomo.binomial against the exact law: inversion below a mean of 11,
+    BTRD above, and n - Binomial(n, 1 - p) above p = 1/2."""
+
+    @pytest.mark.parametrize("n, p", [(7, 0.3), (20, 0.5), (30, 0.2), (50, 0.95), (50, 0.4),
+                                      (50, 0.5), (50, 0.7), (1000, 0.3)])
+    def test_chi_square_against_the_exact_pmf(self, n, p):
+        # inversion up to (50, 0.95), BTRD from (50, 0.4) on, and at n = 1000
+        # its Stirling-series branch, |k - m| > 15.  40 000 draws; cells
+        # pooled left to right until they expect 5 or more; the statistic
+        # lies below dof + 6 sqrt(2 dof), a normal 6 sigma of its law
+        draws = 40_000
+        rng = make_rng(70, n)
+        counts = [0] * (n + 1)
+        for _ in range(draws):
+            counts[binomial(rng, n, p)] += 1
+        stat, cells, expected, observed = 0.0, 0, 0.0, 0
+        for k, prob in enumerate(binomial_pmf(n, p)):
+            expected += draws * prob
+            observed += counts[k]
+            if expected >= 5.0:
+                stat += (observed - expected) ** 2 / expected
+                cells += 1
+                expected, observed = 0.0, 0
+        dof = cells - 1
+        assert dof >= 5
+        assert stat < dof + 6.0 * math.sqrt(2.0 * dof), (stat, dof)
+
+    @pytest.mark.parametrize("p", [0.3, 0.5, 0.999, 1e-4])
+    def test_mean_and_variance_at_ten_thousand(self, p):
+        # 20 000 draws at n = 10**4: the mean within 5 standard errors, and
+        # the variance within 5 of its own (kurtosis of a binomial included)
+        n, draws = 10_000, 20_000
+        rng = make_rng(71)
+        xs = [binomial(rng, n, p) for _ in range(draws)]
+        mean = math.fsum(xs) / draws
+        var = math.fsum((x - mean) ** 2 for x in xs) / (draws - 1)
+        want = n * p * (1.0 - p)
+        assert abs(mean - n * p) <= 5.0 * math.sqrt(want / draws)
+        kurtosis = (1.0 - 6.0 * p * (1.0 - p)) / want
+        assert abs(var - want) <= 5.0 * want * math.sqrt((2.0 + kurtosis) / draws)
+
+    @pytest.mark.parametrize("p", [0.0, 1e-18, 0.3, 0.5, 1.0])
+    def test_largest_shot_count_draws_in_range(self, p):
+        # a draw at n = MAX_SHOTS lands in [0, n], within 10 sigma of n p
+        n = MAX_SHOTS
+        for x in (binomial(make_rng(72, i), n, p) for i in range(20)):
+            assert type(x) is int and 0 <= x <= n
+            assert abs(x - n * p) <= 10.0 * math.sqrt(n * p * (1.0 - p)) + 1.0
+
+    def test_certain_outcomes(self):
+        rng = make_rng(73)
+        assert [binomial(rng, 10, 0.0) for _ in range(5)] == [0] * 5
+        assert [binomial(rng, 10, 1.0) for _ in range(5)] == [10] * 5
+        assert binomial(rng, 0, 0.4) == 0
+
+    def test_stirling_tail_table(self):
+        # log k! less (k + 1/2) log(k + 1) - (k + 1) + log sqrt(2 pi)
+        for k, tail in enumerate(_STIRLING_TAIL):
+            exact = (math.lgamma(k + 1) - (k + 0.5) * math.log(k + 1) + (k + 1)
+                     - 0.5 * math.log(2.0 * math.pi))
+            assert tail == pytest.approx(exact, rel=0, abs=1e-12)
 
 
 class TestReconstructRho:
@@ -153,8 +225,8 @@ class TestReconstructRho:
             TomographyCounts(100, (50.0, 50, 50))
 
     def test_bloch_vector_is_exact_in_python_ints(self):
-        # (2k - n) / n of Python ints, so a count as large as numpy's binomial
-        # takes does not overflow, and numpy integer counts read the same
+        # (2k - n) / n of Python ints, so a count as large as MAX_SHOTS does
+        # not overflow, and numpy integer counts read the same
         n = MAX_SHOTS
         counts = TomographyCounts(n, (np.int64(n), np.int64(0), np.int64(n // 2)))
         assert all(type(k) is int for k in counts.plus)
@@ -209,7 +281,7 @@ class TestEntropyWithError:
         # per-round reference: the same binomial draws, then one full
         # reconstruction and eigen-entropy per round
         rng = make_rng(90)
-        draws = [rng.binomial(shots, k / shots, size=rounds) for k in plus]
+        draws = [[binomial(rng, shots, k / shots) for _ in range(rounds)] for k in plus]
         boot = [von_neumann_entropy(reconstruct_rho(TomographyCounts(
                     shots, [int(d[i]) for d in draws])))
                 for i in range(rounds)]
@@ -222,7 +294,7 @@ class TestEntropyWithError:
                                       (9999, 5000, 5000), (5000, 5000, 5000),
                                       (10_000, 10_000, 5000)])
     def test_bootstrap_std_equals_numpy_of_the_same_draws(self, plus, seed):
-        # basis by basis is the stream order of one (3, rounds) draw, and
+        # the same draws, basis by basis, as one (3, rounds) array: and
         # stats.sample_std's spread is numpy's std(ddof=1) to 1e-15
         got = entropy_with_error(TomographyCounts(10_000, plus), make_rng(seed)).entropy_std
         want = numpy_bootstrap_std(plus, 10_000, make_rng(seed))
@@ -269,8 +341,8 @@ class TestEstimatorBehaviour:
 
     def test_low_bias_near_pure_states(self):
         # quantified, not corrected: near a pure state a noisy Bloch radius
-        # is long, so the entropy estimate is low, 6.8 standard errors below
-        # the truth here, and 128 of the 300 estimates read exactly 0
+        # is long, so the entropy estimate is low, 10.0 standard errors below
+        # the truth here, and 144 of the 300 estimates read exactly 0
         rho = steady_state_rho(CausalMachine(0.49, 0.49))
         truth = von_neumann_entropy(rho)
         rng = make_rng(89)
