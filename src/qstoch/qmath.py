@@ -24,10 +24,13 @@ EIG_ZERO = 1e-12       # a qubit eigenvalue below this counts as 0 in entropies
 def bloch(x, y, z) -> tuple[float, float, float]:
     """The Bloch vector (x, y, z) of a qubit state as three plain floats, or
     ValueError unless each entry is real by the vector rule (_real_vector):
-    a string, bool, None or array is none."""
+    a string, bool, None or array is none, and NaN and +-inf are refused.
+    A measured vector may lie outside the unit ball, up to |r| = sqrt(3)."""
     r = _real_vector((x, y, z))
     if not r:
         raise ValueError(f"a Bloch vector has three real entries, got {(x, y, z)!r}")
+    if not all(map(math.isfinite, r)):
+        raise ValueError(f"a Bloch vector has finite entries, got {r!r}")
     return r
 
 

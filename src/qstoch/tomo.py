@@ -22,12 +22,6 @@ MIN_BOOTSTRAP = 100
 # the shot cap the CLI has always stated; binomial's floats carry any n up to it
 MAX_SHOTS = 2 ** 63 - 1
 _INVERSION_MEAN = 11        # below this floor((n + 1) p), binomial sums the pmf
-# log k! less its Stirling series (k + 1/2) log(k + 1) - (k + 1) + log sqrt(2 pi),
-# for k < 10; larger k take the series' own tail
-_STIRLING_TAIL = (0.08106146679532726, 0.04134069595540929, 0.02767792568499834,
-                  0.02079067210376509, 0.01664469118982119, 0.01387612882307075,
-                  0.01189670994589177, 0.01041126526197209, 0.009255462182712733,
-                  0.008330563433362871)
 
 
 def _check_shots(shots_per_basis: int) -> int:
@@ -65,8 +59,10 @@ def ensemble_density(run) -> tuple[float, float, float]:
 
 
 def _stirling_tail(k: int) -> float:
-    if k < len(_STIRLING_TAIL):
-        return _STIRLING_TAIL[k]
+    """log k! less its Stirling series (k + 1/2) log(k + 1) - (k + 1) + log sqrt(2 pi)."""
+    if k < 10:
+        return (math.lgamma(k + 1) - (k + 0.5) * math.log(k + 1) + (k + 1)
+                - 0.5 * math.log(2.0 * math.pi))
     x = 1.0 / (k + 1)
     return (1.0 / 12.0 - (1.0 / 360.0 - x * x / 1260.0) * x * x) * x
 
@@ -81,8 +77,8 @@ def binomial(rng: random.Random, n: int, p: float) -> int:
     r = p / (1 - p), and stops once, past the mode, a term falls below the
     float epsilon.  Otherwise Hormann's BTRD (J. Stat. Comput. Simul. 46,
     101, 1993): transformed rejection whose squeeze accepts about 86% of
-    first uniforms outright, and the rest accepted against the pmf ratio to
-    the mode (15 factors or fewer) or, farther out, its log by Stirling's
+    first uniforms outright; the rest meet bounds t -+ rho on the log pmf
+    ratio to the mode and, between those bounds, its value by Stirling's
     series.
     """
     if p > 0.5:
@@ -126,16 +122,6 @@ def binomial(rng: random.Random, n: int, p: float) -> int:
             continue
         v = v * alpha / (a / (us * us) + b)
         km = abs(k - m)
-        if km <= 15:
-            # the pmf ratio P(k) / P(m), one factor per step from m to k
-            f = 1.0
-            for i in range(m + 1, k + 1):
-                f *= nr / i - r
-            for i in range(k + 1, m + 1):
-                v *= nr / i - r
-            if v <= f:
-                return k
-            continue
         v = math.log(v)
         rho = (km / npq) * (((km / 3.0 + 0.625) * km + 1.0 / 6.0) / npq + 0.5)
         t = -km * km / (2.0 * npq)
@@ -152,11 +138,15 @@ def binomial(rng: random.Random, n: int, p: float) -> int:
 
 def simulate_counts(r, shots_per_basis: int, rng: random.Random) -> TomographyCounts:
     """Binomial Pauli-basis counts at the exact expectation values (x, y, z)
-    of the state with Bloch vector r."""
+    of the state with Bloch vector r, a finite vector of radius at most 1
+    (within qmath.ATOL_UNIT)."""
     _check_shots(shots_per_basis)
     vector = qmath._real_vector(r)
     if len(vector) != 3:
         raise ValueError(f"a Bloch vector has shape (3,), got {r!r}")
+    if not qmath.bloch_radius(vector) <= 1.0 + qmath.ATOL_UNIT:     # NaN too
+        raise ValueError(f"a state's Bloch vector has a finite radius of at most 1, "
+                         f"got {vector!r}")
     plus = [binomial(rng, shots_per_basis, min(max((1.0 + c) / 2.0, 0.0), 1.0))
             for c in vector]
     return TomographyCounts(shots_per_basis, plus)

@@ -76,6 +76,9 @@ CASES = {
     "simulate-classical-3": ["simulate", "--p", "0.8", "--mode", "classical", "--steps", "3"],
     # the paper's headline point, where C_q = 0.05 against C = 1
     "paper-headline": ["sweep", "--p-min", "0.4253", "--p-max", "0.4253", "--p-step", "0.1"],
+    # the shot cap: every count and bootstrap draw is a BTRD draw near n = 2^63
+    "tomo-max-shots": ["tomo", "--p-right", "0.9", "--p-left", "0.3", "--steps", "3",
+                       "--shots", "9223372036854775807"],
 }
 for _name, _point in EDGES.items():
     CASES[f"edge-{_name}-simulate"] = ["simulate", *_point, "--steps", "65539"]

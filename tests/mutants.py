@@ -56,8 +56,11 @@ MUTANTS = (
            "draws = zip(*([binomial(rng, n, k / n) for k in counts.plus]\n"
            "                   for _ in range(bootstrap_rounds)))",
            ("test_tomo.py",)),
-    Mutant("binomial's ratio to the mode takes one factor too many below it", "tomo",
-           "for i in range(k + 1, m + 1):", "for i in range(k, m + 1):",
+    Mutant("binomial's Stirling test takes n - k for n - k + 1", "tomo",
+           "nm, nk = n - m + 1, n - k + 1", "nm, nk = n - m + 1, n - k",
+           ("test_tomo.py",)),
+    Mutant("Stirling tail's series from k = 5, not 10", "tomo",
+           "if k < 10:", "if k < 5:",
            ("test_tomo.py",)),
     Mutant("binomial's inversion starts its pmf walk at x = 1", "tomo",
            "        x = 0\n", "        x = 1\n",
@@ -99,6 +102,12 @@ MUTANTS = (
     Mutant("_check_int ignores hi", "process",
            "if lo <= n and (hi is None or n <= hi):", "if lo <= n:",
            ("test_records.py",)),
+    Mutant("bloch lets NaN and inf through", "qmath",
+           "if not all(map(math.isfinite, r)):", "if False:",
+           ("test_records.py",)),
+    Mutant("simulate_counts draws at any radius", "tomo",
+           "if not qmath.bloch_radius(vector) <= 1.0 + qmath.ATOL_UNIT:", "if False:",
+           ("test_tomo.py",)),
     Mutant("_check_real takes a bool", "qmath",
            "isinstance(x, numbers.Real) and not isinstance(x, bool)",
            "isinstance(x, numbers.Real)",

@@ -11,7 +11,6 @@ import sys
 import textwrap
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from qstoch import circuit, cli
@@ -433,13 +432,6 @@ def run_python(args, text=True, unset=(), stdout=subprocess.PIPE):
                           stderr=subprocess.PIPE, text=text, timeout=60)
 
 
-# every command shape the benchmark runs, at small sizes
-RUN_PATH = pytest.mark.parametrize(
-    "args", [SMALL["sweep"], SMALL["asym"], SMALL["simulate"], SMALL["tomo"],
-             SMALL["tomo"] + ["--mode", "classical"]],
-    ids=["sweep", "asym", "simulate", "tomo", "tomo-classical"])
-
-
 def refusing(what):
     def refuse(*_args, **_kwargs):
         raise AssertionError(f"{what} called on the run path")
@@ -492,43 +484,6 @@ def name_sites(layer, names):
 
 
 class TestRunPath:
-    @RUN_PATH
-    def test_no_lapack_eigensolver(self, monkeypatch, tmp_path, args):
-        # every state a command builds is a qubit, read in closed form; a
-        # process's first LAPACK eigvalsh call alone costs about 0.8 MB of RSS
-        monkeypatch.setattr(np.linalg, "eigh", refusing("LAPACK eigensolver"))
-        monkeypatch.setattr(np.linalg, "eigvalsh", refusing("LAPACK eigensolver"))
-        assert run_cli(args, tmp_path, "out.csv")[0] == 0
-
-    @RUN_PATH
-    def test_no_blas_kernel_or_allclose(self, monkeypatch, tmp_path, args):
-        # norms, Hermiticity and the first-bit law are plain elementwise
-        # arithmetic: the first call of a BLAS kernel or of np.allclose maps
-        # its code pages in, 0.06-0.13 MB of RSS each
-        for name in ("dot", "vdot", "inner", "allclose"):
-            monkeypatch.setattr(np, name, refusing(f"np.{name}"))
-        monkeypatch.setattr(np.linalg, "norm", refusing("np.linalg.norm"))
-        assert run_cli(args, tmp_path, "out.csv")[0] == 0
-
-    @RUN_PATH
-    def test_no_unpack_or_integer_tally_kernel(self, monkeypatch, tmp_path, args):
-        # a trace block stays the carry chain's Python int, counted by
-        # popcounts: unpacking it to an array and tallying window codes with
-        # np.bincount mapped kernels whose first calls added 228 KB of RSS
-        # to a simulate process that had already run its trace
-        for name in ("unpackbits", "bincount"):
-            monkeypatch.setattr(np, name, refusing(f"np.{name}"))
-        assert run_cli(args, tmp_path, "out.csv")[0] == 0
-
-    @RUN_PATH
-    def test_no_elementwise_math_after_the_trace(self, monkeypatch, tmp_path, args):
-        # after its trace a run is one integer and three shot counts, and
-        # every number made from them is a Python float, int or tuple: the
-        # first call of each numpy ufunc loop maps its code pages in
-        for name in ("log2", "sqrt", "where", "minimum", "maximum", "abs"):
-            monkeypatch.setattr(np, name, refusing(f"np.{name}"))
-        assert run_cli(args, tmp_path, "out.csv")[0] == 0
-
     @pytest.mark.parametrize("args", [
         None, SMALL["sweep"], SMALL["sweep"] + ["--lambda", "0.0375"], SMALL["asym"],
         SMALL["asym"] + ["--lambda", "0.0375"], SMALL["simulate"],
@@ -540,20 +495,15 @@ class TestRunPath:
         # every stream and draw comes from the standard library: a fresh
         # interpreter that imports qstoch.cli, and runs a command, loads no
         # numpy at all (eig_hermitian and construct_cu, which no command
-        # calls, import it when called)
+        # calls, import it when called).  So no numpy kernel runs either: no
+        # LAPACK eigensolver, BLAS product, np.allclose, unpackbits, bincount,
+        # ufunc or concatenate, each of which mapped its code pages in
         run = "" if args is None else (f"assert main({args!r} + ['--out', "
                                        f"{str(tmp_path / 'out.csv')!r}]) == 0\n")
         proc = run_python(["-c", "import sys\nfrom qstoch.cli import main\n" + run
                                  + "print('numpy' in sys.modules)"])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
-
-    def test_no_array_concatenation(self):
-        # nor is a trace's bit array joined to a carried window, by numpy
-        # or any other library: the modules are read for the name
-        layers = [path.stem for path in Path(cli.__file__).parent.glob("*.py")]
-        assert "stats" in layers
-        assert set().union(*(name_sites(layer, {"concatenate"}) for layer in layers)) == set()
 
     def test_no_matrix_product_operator(self):
         # a monkeypatch cannot catch @, so the modules are read: no qstoch

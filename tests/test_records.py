@@ -188,6 +188,15 @@ def test_bloch_entry_rejected(entry):
         bloch(0.0, entry, 0.0)
 
 
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf], ids=repr)
+def test_bloch_non_finite_entry_rejected(entry):
+    # as the oracle's DensityMatrix refuses them: a NaN entry would read
+    # entropy nan, and an infinite one entropy 0.0
+    with pytest.raises(ValueError, match=re.escape(f"a Bloch vector has finite entries, "
+                                                   f"got {(0.0, entry, 0.0)!r}") + "$"):
+        bloch(0.0, entry, 0.0)
+
+
 @pytest.mark.parametrize("change", [{"p_right": 1.5}, {"steps": 0}, {"mode": "x"},
                                     {"gate": "x"}, {"noise_lambda": -0.1},
                                     {"shots_per_basis": 0}, {"seed": -1},

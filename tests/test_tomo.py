@@ -14,7 +14,7 @@ from qstoch.seeding import make_rng
 from qstoch.tomo import (
     MAX_SHOTS,
     TomographyCounts,
-    _STIRLING_TAIL,
+    _stirling_tail,
     binomial,
     ensemble_density,
     entropy_with_error,
@@ -55,6 +55,20 @@ class TestSimulateCounts:
         rng = make_rng(83)
         counts = simulate_counts(ZERO, 10_000, rng)
         assert counts.plus[2] == 10_000
+
+    @pytest.mark.parametrize("r", [(math.nan, 0.0, 0.0), (math.inf, 0.0, 0.0),
+                                   (5.0, 0.0, 0.0), (0.0, 0.0, -1.0 - 2e-12)],
+                             ids=["nan", "inf", "radius-5", "radius-past-tolerance"])
+    def test_only_a_state_drawn(self, r):
+        # unrefused, a NaN fails on a float-to-integer conversion naming no
+        # value, and an infinite or long vector draws counts as if it were |+x>
+        with pytest.raises(ValueError, match=re.escape(f"got {r!r}") + "$"):
+            simulate_counts(r, 100, make_rng(0))
+
+    def test_radius_within_tolerance_drawn(self):
+        # rounding leaves a mixture of unit vectors up to ATOL_UNIT past the sphere
+        counts = simulate_counts((0.0, 0.0, -1.0 - 5e-13), 100, make_rng(0))
+        assert counts.plus[2] == 0
 
     def test_only_a_bloch_vector_accepted(self):
         # a density matrix, two vectors, a column or an empty list is not one state
@@ -109,8 +123,8 @@ class TestBinomial:
     @pytest.mark.parametrize("n, p", [(7, 0.3), (20, 0.5), (30, 0.2), (50, 0.95), (50, 0.4),
                                       (50, 0.5), (50, 0.7), (1000, 0.3)])
     def test_chi_square_against_the_exact_pmf(self, n, p):
-        # inversion up to (50, 0.95), BTRD from (50, 0.4) on, and at n = 1000
-        # its Stirling-series branch, |k - m| > 15.  40 000 draws; cells
+        # inversion up to (50, 0.95), BTRD from (50, 0.4) on, its squeeze,
+        # bounds and Stirling test all reached at each n.  40 000 draws; cells
         # pooled left to right until they expect 5 or more; the statistic
         # lies below dof + 6 sqrt(2 dof), a normal 6 sigma of its law
         draws = 40_000
@@ -159,11 +173,16 @@ class TestBinomial:
         assert binomial(rng, 0, 0.4) == 0
 
     def test_stirling_tail_table(self):
-        # log k! less (k + 1/2) log(k + 1) - (k + 1) + log sqrt(2 pi)
-        for k, tail in enumerate(_STIRLING_TAIL):
+        # log k! less (k + 1/2) log(k + 1) - (k + 1) + log sqrt(2 pi), for
+        # k = 0..1000: from k = 10 the series stops at its (k + 1)^-5 term,
+        # so it may miss by its next, 1 / (1680 (k + 1)^7), 3.05e-11 at k = 10;
+        # 4e-12 more allows for the rounding of the lgamma expression, whose
+        # terms reach 7e3 (a unit in the last place of 9e-13)
+        for k in range(1001):
             exact = (math.lgamma(k + 1) - (k + 0.5) * math.log(k + 1) + (k + 1)
                      - 0.5 * math.log(2.0 * math.pi))
-            assert tail == pytest.approx(exact, rel=0, abs=1e-12)
+            bound = (1.0 / (1680.0 * (k + 1) ** 7) if k >= 10 else 0.0) + 4e-12
+            assert abs(_stirling_tail(k) - exact) <= bound, k
 
 
 class TestReconstructRho:
