@@ -432,6 +432,13 @@ def run_python(args, text=True, unset=(), stdout=subprocess.PIPE):
                           stderr=subprocess.PIPE, text=text, timeout=60)
 
 
+# every command shape the benchmark runs, at small sizes
+RUN_PATH = pytest.mark.parametrize(
+    "args", [SMALL["sweep"], SMALL["asym"], SMALL["simulate"], SMALL["tomo"],
+             SMALL["tomo"] + ["--mode", "classical"]],
+    ids=["sweep", "asym", "simulate", "tomo", "tomo-classical"])
+
+
 def refusing(what):
     def refuse(*_args, **_kwargs):
         raise AssertionError(f"{what} called on the run path")
@@ -483,7 +490,68 @@ def name_sites(layer, names):
     return sites
 
 
+def numpy_sites(layer, names):
+    """(layer, innermost enclosing function) of each numpy function in
+    `names` a qstoch module reads, as np.name or numpy.name, directly or
+    through a submodule (np.linalg.eigh)."""
+    tree = module_tree(layer)
+    owner = owners(tree)
+    sites = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in names:
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if getattr(root, "id", None) in ("np", "numpy"):
+                sites.add((layer, owner.get(node)))
+    return sites
+
+
+def run_numpy_free(monkeypatch, tmp_path, args, kernels, off_path):
+    """Check that qstoch reads the numpy `kernels` only in the functions
+    `off_path`, then run a command with each of those refusing and numpy
+    unimportable: a None entry in sys.modules makes `import numpy` raise."""
+    layers = [path.stem for path in Path(cli.__file__).parent.glob("*.py")]
+    assert set().union(*(numpy_sites(layer, kernels) for layer in layers)) == off_path
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    for layer, func in off_path:
+        monkeypatch.setattr(importlib.import_module(f"qstoch.{layer}"), func, refusing(func))
+    assert run_cli(args, tmp_path, "out.csv")[0] == 0
+
+
 class TestRunPath:
+    @RUN_PATH
+    def test_no_lapack_eigensolver(self, monkeypatch, tmp_path, args):
+        # every state a command builds is a qubit, read in closed form; a
+        # process's first LAPACK eigvalsh call alone cost about 0.8 MB of RSS
+        run_numpy_free(monkeypatch, tmp_path, args, {"eigh", "eigvalsh"},
+                       {("qmath", "eig_hermitian")})
+
+    @RUN_PATH
+    def test_no_blas_kernel_or_allclose(self, monkeypatch, tmp_path, args):
+        # norms, Hermiticity and the first-bit law are plain arithmetic: the
+        # first call of a BLAS kernel or of np.allclose mapped its code pages
+        # in, 0.06-0.13 MB of RSS each
+        run_numpy_free(monkeypatch, tmp_path, args,
+                       {"dot", "vdot", "inner", "allclose", "norm"},
+                       {("qmath", "eig_hermitian")})
+
+    @RUN_PATH
+    def test_no_unpack_or_integer_tally_kernel(self, monkeypatch, tmp_path, args):
+        # a trace block stays the carry chain's Python int, counted by
+        # popcounts: unpacking it to an array and tallying window codes with
+        # np.bincount mapped kernels whose first calls added 228 KB of RSS
+        run_numpy_free(monkeypatch, tmp_path, args, {"unpackbits", "bincount"}, set())
+
+    @RUN_PATH
+    def test_no_elementwise_math_after_the_trace(self, monkeypatch, tmp_path, args):
+        # after its trace a run is one integer and three shot counts, and
+        # every number made from them is a Python float, int or tuple: the
+        # first call of each numpy ufunc loop mapped its code pages in
+        run_numpy_free(monkeypatch, tmp_path, args,
+                       {"log2", "sqrt", "where", "minimum", "maximum", "abs"},
+                       {("qmodel", "construct_cu")})
+
     @pytest.mark.parametrize("args", [
         None, SMALL["sweep"], SMALL["sweep"] + ["--lambda", "0.0375"], SMALL["asym"],
         SMALL["asym"] + ["--lambda", "0.0375"], SMALL["simulate"],
@@ -495,9 +563,7 @@ class TestRunPath:
         # every stream and draw comes from the standard library: a fresh
         # interpreter that imports qstoch.cli, and runs a command, loads no
         # numpy at all (eig_hermitian and construct_cu, which no command
-        # calls, import it when called).  So no numpy kernel runs either: no
-        # LAPACK eigensolver, BLAS product, np.allclose, unpackbits, bincount,
-        # ufunc or concatenate, each of which mapped its code pages in
+        # calls, import it when called)
         run = "" if args is None else (f"assert main({args!r} + ['--out', "
                                        f"{str(tmp_path / 'out.csv')!r}]) == 0\n")
         proc = run_python(["-c", "import sys\nfrom qstoch.cli import main\n" + run
