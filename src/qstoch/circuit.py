@@ -25,8 +25,8 @@ reads (run_trace, stream_block_counts) that format.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
-from typing import NamedTuple
 
 from .process import (MAX_BLOCK_LEN, CausalMachine, _check_int, _check_real,
                       stationary_distribution)
@@ -38,19 +38,15 @@ LOGICAL = (bloch(0.0, 0.0, 1.0), bloch(0.0, 0.0, -1.0))     # |0> and |1>
 _DRAW_BLOCK = 1 << 13     # steps per trace block: each bit plane of its uniforms is 1 KB
 
 
-class RunResult(NamedTuple):
-    """The sufficient statistic of an n-step run's memory.
+class RunResult(namedtuple("RunResult", "steps ones vectors")):
+    """The sufficient statistic of an n-step run's memory: of its steps, the
+    ones entering in state 1, and the vectors prepared for state 0 and state
+    1.  Every step enters with one of the two, so these fix the memory
+    ensemble (tomo.ensemble_density mixes them).  ones is counted by
+    popcounts of the trace's packed blocks; the outputs themselves are not
+    kept: stream them with trace_blocks."""
 
-    Every step enters with one of two prepared states, the encoding of the
-    causal state it starts from, so the memory ensemble is fixed by how many
-    steps entered in state 1 (tomo.ensemble_density mixes them), counted by
-    popcounts of the trace's packed blocks.  The outputs themselves are not
-    kept: stream them with trace_blocks.
-    """
-
-    steps: int
-    ones: int                   # steps whose entering state was 1
-    vectors: tuple              # Bloch vectors prepared for state 0 and state 1
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +215,8 @@ def stream_block_counts(blocks: Iterable, block_lens: Sequence[int]) -> list[tup
     per block and length; splitting it on each window's bit j in turn, first
     bit first, leaves one mask per code, in code order with the first bit
     most significant, and the popcount of each is that code's count.  The
-    lengths are checked before the first block is read.
-    """
+    lengths are checked before the first block is read; one with no whole
+    window tallies to all zeros."""
     block_lens = [_check_int("block length", block_len, 1, MAX_BLOCK_LEN)
                   for block_len in block_lens]
     tallies = [[0] * 2 ** block_len for block_len in block_lens]
@@ -234,9 +230,6 @@ def stream_block_counts(blocks: Iterable, block_lens: Sequence[int]) -> list[tup
                             [t >> j for j in range(block_len)])
             tallies[i] = [a + b for a, b in zip(tallies[i], counts)]
             carry[i] = (t >> used, k + m - used)
-    for block_len, tally in zip(block_lens, tallies):
-        if not any(tally):
-            raise ValueError(f"trace too short for blocks of length {block_len}")
     return [tuple(tally) for tally in tallies]
 
 

@@ -141,25 +141,28 @@ def _with_error(cfg: ExperimentConfig, point: int, column: int) -> TomographyRes
                               make_rng(cfg.seed, point, column, BOOTSTRAP))
 
 
-def _complexity_columns(cfg: ExperimentConfig, point: int) -> dict:
-    """The theory and simulated complexity columns of cfg's machine, the
-    quantum run at cfg's gate noise, its streams keyed by point.  The
-    theory comes first, so a machine without a stationary law fails before
-    any trace is drawn."""
+def _complexity_columns(*values: float) -> dict:
+    """Sweep's and asym's five complexity columns, named here alone, of
+    their values in order: the theory, then the simulated entropies."""
+    return dict(zip(("c_classical_theory", "c_quantum_theory", "c_classical_sim",
+                     "c_quantum_sim", "c_quantum_sim_std"), values, strict=True))
+
+
+def _complexity(cfg: ExperimentConfig, point: int) -> dict:
+    """The complexity columns of cfg's machine, the quantum run at cfg's
+    gate noise, its streams keyed by point.  The theory comes first, so a
+    machine without a stationary law fails before any trace is drawn."""
     machine = cfg.machine()
-    columns = {"c_classical_theory": classical_complexity(machine),
-               "c_quantum_theory": quantum_complexity(machine)}
+    theory = (classical_complexity(machine), quantum_complexity(machine))
     classical = _tomographed(cfg._replace(mode="classical"), point, COLUMNS["classical"])
-    quantum = _with_error(cfg, point, COLUMNS["quantum"])
-    columns.update(c_classical_sim=von_neumann_entropy(reconstruct_rho(classical)),
-                   c_quantum_sim=quantum.entropy, c_quantum_sim_std=quantum.entropy_std)
-    return columns
+    return _complexity_columns(*theory, von_neumann_entropy(reconstruct_rho(classical)),
+                               *_with_error(cfg, point, COLUMNS["quantum"]))
 
 
 def _sweep_grid(args) -> list[float]:
     """The sweep's points p_min + i p_step, i = 0, 1, ..., up to p_max (1e-12
-    slack), or ValueError for a bad range or step or more than
-    MAX_SWEEP_POINTS points."""
+    slack), rounded to 12 digits inside [p_min, p_max], or ValueError for a
+    bad range or step, more than MAX_SWEEP_POINTS points or a repeated one."""
     if not (0.0 <= args.p_min <= args.p_max <= 1.0 and 0.0 < args.p_step < float("inf")):
         raise ValueError(f"invalid grid: [{args.p_min}, {args.p_max}] step {args.p_step}")
     # counted as a float before any list exists: a vanishing step counts to
@@ -167,20 +170,22 @@ def _sweep_grid(args) -> list[float]:
     points = (args.p_max - args.p_min + 1e-12) // args.p_step + 1.0
     if points > MAX_SWEEP_POINTS:
         raise ValueError(f"grid step {args.p_step} gives more than {MAX_SWEEP_POINTS} points")
-    # clamped: the slack must not carry a point past the checked p_max
-    return [min(round(args.p_min + i * args.p_step, 12), args.p_max)
+    # clamped: neither the rounding nor the slack may carry a point past a checked bound
+    grid = [min(max(round(args.p_min + i * args.p_step, 12), args.p_min), args.p_max)
             for i in range(int(points))]
+    if any(a >= b for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"invalid grid: step {args.p_step} repeats a point at 12 digits")
+    return grid
 
 
 def _sweep_point(index: int, cfg: ExperimentConfig) -> dict:
     p = cfg.p_right
-    if p == 0.0:
-        # frozen chain: theory columns use the uniform-start convention for
-        # the orthogonal encoding; one trajectory never leaves its initial
-        # state, so simulated columns are undefined
-        return {"p": p, "c_classical_theory": 1.0, "c_quantum_theory": 1.0,
-                "c_classical_sim": _NAN, "c_quantum_sim": _NAN, "c_quantum_sim_std": _NAN}
-    return {"p": p, **_complexity_columns(cfg, index)}
+    # the frozen chain at p = 0: theory columns use the uniform-start
+    # convention for the orthogonal encoding; one trajectory never leaves its
+    # initial state, so simulated columns are undefined
+    columns = (_complexity_columns(1.0, 1.0, _NAN, _NAN, _NAN) if p == 0.0
+               else _complexity(cfg, index))
+    return {"p": p, **columns}
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +210,7 @@ def cmd_asym(args) -> tuple:
     lam = cfg.noise_lambda if cfg.noise_lambda > 0.0 else calibrate_noise(0.97)
 
     row = {"p_right": cfg.p_right, "p_left": cfg.p_left,
-           **_complexity_columns(cfg._replace(noise_lambda=0.0), 0)}
+           **_complexity(cfg._replace(noise_lambda=0.0), 0)}
     noisy = _with_error(cfg._replace(noise_lambda=lam), 0, COLUMNS["noisy"])
     row.update(c_quantum_noisy_sim=noisy.entropy, c_quantum_noisy_sim_std=noisy.entropy_std,
                noise_lambda=lam, **dict(ASYM_REFERENCE))
@@ -221,17 +226,15 @@ def cmd_simulate(args) -> tuple:
     block_lens = range(1, min(MAX_CHECK_BLOCK_LEN, cfg.steps) + 1)
     tallies = stream_block_counts(blocks, block_lens)
     rows = []
-    ok = True
     for block_len, counts in zip(block_lens, tallies):
         check = block_law_check(law, counts)
-        ok = ok and check.passed
         for code in range(2 ** block_len):
             rows.append({"L": block_len, "block": format(code, f"0{block_len}b"),
                          "count": counts[code], "freq": check.freqs[code],
                          "prob": check.probs[code],
                          "tv": check.tv, "tv_bound": check.tv_bound,
                          "ok": int(check.passed)})
-    return _settings(cfg, ("shots_per_basis",)), rows, ok
+    return _settings(cfg, ("shots_per_basis",)), rows, all(row["ok"] for row in rows)
 
 
 def cmd_tomo(args) -> tuple:

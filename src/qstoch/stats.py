@@ -14,7 +14,7 @@ plain Python int or float.  sample_std is the spread of tomo's bootstrap.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .process import MAX_BLOCK_LEN, CausalMachine, _check_int, block_distribution
 
@@ -22,14 +22,13 @@ N_SIGMA = 4.0             # per-cell tolerance of every check, in exact standard
 _MAX_CHECK_LEN = MAX_BLOCK_LEN // 2   # the sigma needs the law of 2L-blocks
 
 
-class BlockLawCheck(NamedTuple):
-    """Per-cell comparison of disjoint-block counts with the exact law."""
+class BlockLawCheck(namedtuple("BlockLawCheck", "freqs probs tv tv_bound passed")):
+    """Per-cell comparison of disjoint-block counts with the exact law: each
+    cell's count over the blocks counted (freqs), the exact law (probs), the
+    total variation distance of the two (tv), the bound that half the sum of
+    the per-cell tolerances implies (tv_bound), and whether every cell passed."""
 
-    freqs: tuple         # each cell's count over the blocks counted
-    probs: tuple         # the exact law, block_distribution
-    tv: float            # total variation distance, frequencies vs exact law
-    tv_bound: float      # implied bound: half the sum of per-cell tolerances
-    passed: bool
+    __slots__ = ()
 
 
 def sample_std(values: list[float]) -> float:
@@ -81,7 +80,7 @@ def block_law_check(machine: CausalMachine, counts) -> BlockLawCheck:
     counts holds the tallies of all 2**L blocks (one length of a trace's
     window tally), each an integer >= 0 (a row of a 2-D array is none), in
     a sequence or a 1-D array; L in [1, _MAX_CHECK_LEN] is read off their
-    number.
+    number.  An all-zero tally, a trace with no whole window, is refused.
     """
     counts = [_check_int("block count", c, 0) for c in counts]
     block_len = len(counts).bit_length() - 1

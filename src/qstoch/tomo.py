@@ -48,7 +48,10 @@ class TomographyCounts(namedtuple("TomographyCounts", "shots_per_basis plus")):
         return qmath.bloch(*((2 * k - n) / n for k in self.plus))
 
 
-TomographyResult = namedtuple("TomographyResult", "entropy entropy_std")
+class TomographyResult(namedtuple("TomographyResult", "entropy entropy_std")):
+    """An entropy estimate and entropy_std, its bootstrap standard deviation."""
+
+    __slots__ = ()
 
 
 def ensemble_density(run) -> tuple[float, float, float]:

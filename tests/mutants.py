@@ -151,6 +151,14 @@ MUTANTS = (
     Mutant("a bound's planes stop one digit early", "circuit",
            "if eq[c] and j < len(digits)]", "if eq[c] and j < len(digits) - 1]",
            ("test_circuit.py",)),
+    Mutant("the frozen sweep row takes one column fewer", "cli",
+           "_complexity_columns(1.0, 1.0, _NAN, _NAN, _NAN)",
+           "_complexity_columns(1.0, 1.0, _NAN, _NAN)",
+           ("test_cli.py",)),
+    Mutant("the sweep grid keeps a repeated point", "cli",
+           "if any(a >= b for a, b in zip(grid, grid[1:])):",
+           "if any(a > b for a, b in zip(grid, grid[1:])):",
+           ("test_cli.py",)),
 )
 
 

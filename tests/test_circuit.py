@@ -753,8 +753,12 @@ class TestDisjointBlockCounts:
             np.testing.assert_array_equal(counts, disjoint_block_counts(outputs, block_len))
 
     def test_too_short_rejected(self):
-        with pytest.raises(ValueError):
-            disjoint_block_counts(np.array([1, 0]), 3)
+        # a trace with no whole window tallies to all zeros, like any other
+        # tally; the block-law check alone refuses it
+        counts = disjoint_block_counts(np.array([1, 0]), 3)
+        np.testing.assert_array_equal(counts, [0] * 8)
+        with pytest.raises(ValueError, match="^no blocks counted$"):
+            block_law_check(CausalMachine(0.9, 0.3), counts)
 
     @pytest.mark.parametrize("block_len", [0, 13])
     def test_block_length_out_of_range_rejected(self, block_len):

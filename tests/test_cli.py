@@ -12,6 +12,8 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from qstoch import circuit, cli
 from qstoch.cli import ExperimentConfig, main
@@ -111,8 +113,10 @@ class TestSweep:
         (["--p-step", "nan"], "invalid grid: [0.3, 0.7] step nan"),
         (["--p-max", "nan"], "invalid grid: [0.3, nan] step 0.2"),
         (["--p-step", "1e-9"], "grid step 1e-09 gives more than 10001 points"),
+        (["--p-min", "0.2", "--p-max", "0.2", "--p-step", "1e-13"],
+         "invalid grid: step 1e-13 repeats a point at 12 digits"),
     ], ids=["inverted", "zero-step", "negative-step", "inf-step", "nan-step", "nan",
-            "oversized"])
+            "oversized", "repeated"])
     def test_invalid_grid_rejected_before_work(self, monkeypatch, capsys, tmp_path,
                                                grid, message):
         monkeypatch.setattr(cli, "make_rng", refusing("a stream"))
@@ -139,6 +143,43 @@ class TestSweep:
         else:
             with pytest.raises(ValueError, match="gives more than 10001 points"):
                 cli._sweep_grid(grid)
+
+    @given(p_min=st.floats(0.0, 1.0), span=st.floats(0.0, 30.0),
+           p_step=st.floats(1e-14, 1e-11) | st.floats(1e-11, 1.0, exclude_min=True))
+    @example(p_min=0.0, span=1.0, p_step=1e-12)
+    @example(p_min=0.2, span=0.0, p_step=1e-13)
+    def test_grid_strictly_increases_inside_its_bounds(self, p_min, span, p_step):
+        # a step at the 12-digit rounding's resolution would merge points:
+        # every grid accepted is strictly increasing in [p_min, p_max]
+        p_max = min(p_min + span * p_step, 1.0)
+        try:
+            grid = cli._sweep_grid(argparse.Namespace(p_min=p_min, p_max=p_max, p_step=p_step))
+        except ValueError:
+            return
+        assert p_min <= grid[0] and grid[-1] <= p_max
+        assert all(a < b for a, b in zip(grid, grid[1:]))
+
+    def test_step_at_the_rounding_resolution_rejected(self):
+        # [0, 1e-12] at step 1e-12 counts three points, the last clamped onto the second
+        grid = argparse.Namespace(p_min=0.0, p_max=1e-12, p_step=1e-12)
+        with pytest.raises(ValueError, match="^invalid grid: step 1e-12 repeats a point"):
+            cli._sweep_grid(grid)
+
+    def test_frozen_point_has_every_column(self, tmp_path):
+        # the frozen p = 0 row and a running point's row have the same keys,
+        # in order, so a grid starting at 0 prints the same header as any other
+        cfg = ExperimentConfig(0.0, 0.0, steps=200, shots_per_basis=100)
+        frozen = cli._sweep_point(0, cfg)
+        running = cli._sweep_point(1, cfg._replace(p_right=0.1, p_left=0.1))
+        assert list(frozen) == list(running)
+        headers = []
+        for p_min in ("0", "0.1"):
+            args = ["sweep", "--p-min", p_min, "--p-max", "0.2", "--steps", "200",
+                    "--shots", "100"]
+            code, payload = run_cli(args, tmp_path, f"from-{p_min}.csv")
+            assert code == 0
+            headers.append(parse_csv(payload)[0])
+        assert headers[0] == headers[1] == list(running)
 
 
 class TestAsym:
@@ -683,6 +724,30 @@ class TestLayout:
                     words.add(node.attr)
             assert not words & {"sweep", "asym", "simulate", "tomo"}, func
             assert not [w for w in words if w.startswith(("cmd_", "p_", "MAX_SWEEP"))], func
+
+    def test_records_have_one_idiom(self):
+        # every record subclasses a collections.namedtuple and declares
+        # __slots__ = (); no module imports typing
+        layers = [path.stem for path in Path(cli.__file__).parent.glob("*.py")]
+        records = {}
+        for layer in layers:
+            imported = set()
+            for node in ast.walk(module_tree(layer)):
+                if isinstance(node, ast.Import):
+                    imported.update(alias.name.partition(".")[0] for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    imported.add(node.module.partition(".")[0])
+            assert "typing" not in imported, layer
+            module = importlib.import_module(f"qstoch.{layer}".removesuffix(".__init__"))
+            records.update({name: value for name, value in vars(module).items()
+                            if isinstance(value, type) and issubclass(value, tuple)
+                            and value.__module__ == module.__name__})
+        assert sorted(records) == ["BlockLawCheck", "CausalMachine", "ExperimentConfig",
+                                   "RunResult", "TomographyCounts", "TomographyResult"]
+        for name, record in records.items():
+            base, = record.__bases__
+            assert base.__bases__ == (tuple,) and base._fields == record._fields, name
+            assert vars(record).get("__slots__") == (), name
 
     def test_states_are_real_vectors(self):
         # every qubit state is a Bloch vector and the cu gate real: the
