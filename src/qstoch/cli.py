@@ -26,8 +26,8 @@ from .qmath import mixture, trace_distance, von_neumann_entropy
 from .qmodel import quantum_complexity
 from .seeding import BOOTSTRAP, COLUMNS, SHOTS, TRACE, make_rng
 from .stats import block_law_check
-from .tomo import (TomographyCounts, TomographyResult, _check_shots, ensemble_density,
-                   entropy_with_error, reconstruct_rho, simulate_counts)
+from .tomo import (TomographyCounts, _check_shots, ensemble_density, entropy_with_error,
+                   reconstruct_rho, simulate_counts)
 
 GATES = ("cnot", "cu")      # the entangling gates a run records; both give one law
 MAX_CHECK_BLOCK_LEN = 4
@@ -135,10 +135,11 @@ def _tomographed(cfg: ExperimentConfig, point: int, column: int) -> TomographyCo
                            make_rng(cfg.seed, point, column, SHOTS))
 
 
-def _with_error(cfg: ExperimentConfig, point: int, column: int) -> TomographyResult:
-    """Entropy of _tomographed(cfg, point, column), bootstrapped from its own stream."""
-    return entropy_with_error(_tomographed(cfg, point, column),
-                              make_rng(cfg.seed, point, column, BOOTSTRAP))
+def _with_error(cfg: ExperimentConfig, point: int, column: int) -> tuple:
+    """_tomographed(cfg, point, column) and its TomographyResult, the
+    bootstrap drawn from the stream keyed (point, column) too."""
+    counts = _tomographed(cfg, point, column)
+    return counts, entropy_with_error(counts, make_rng(cfg.seed, point, column, BOOTSTRAP))
 
 
 def _complexity_columns(*values: float) -> dict:
@@ -155,8 +156,8 @@ def _complexity(cfg: ExperimentConfig, point: int) -> dict:
     machine = cfg.machine()
     theory = (classical_complexity(machine), quantum_complexity(machine))
     classical = _tomographed(cfg._replace(mode="classical"), point, COLUMNS["classical"])
-    return _complexity_columns(*theory, von_neumann_entropy(reconstruct_rho(classical)),
-                               *_with_error(cfg, point, COLUMNS["quantum"]))
+    _, quantum = _with_error(cfg, point, COLUMNS["quantum"])
+    return _complexity_columns(*theory, von_neumann_entropy(classical.bloch_vector()), *quantum)
 
 
 def _sweep_grid(args) -> list[float]:
@@ -211,7 +212,7 @@ def cmd_asym(args) -> tuple:
 
     row = {"p_right": cfg.p_right, "p_left": cfg.p_left,
            **_complexity(cfg._replace(noise_lambda=0.0), 0)}
-    noisy = _with_error(cfg._replace(noise_lambda=lam), 0, COLUMNS["noisy"])
+    _, noisy = _with_error(cfg._replace(noise_lambda=lam), 0, COLUMNS["noisy"])
     row.update(c_quantum_noisy_sim=noisy.entropy, c_quantum_noisy_sim_std=noisy.entropy_std,
                noise_lambda=lam, **dict(ASYM_REFERENCE))
     return _settings(cfg, ("mode",)), [row], True
@@ -244,8 +245,7 @@ def cmd_tomo(args) -> tuple:
     complexity = quantum_complexity if cfg.mode == "quantum" else classical_complexity
     ent_theory = complexity(machine)
     r_theory = mixture(stationary_distribution(machine), prepared_states(machine, cfg.mode))
-    counts = _tomographed(cfg, 0, COLUMNS[cfg.mode])
-    result = entropy_with_error(counts, make_rng(cfg.seed, 0, COLUMNS[cfg.mode], BOOTSTRAP))
+    counts, result = _with_error(cfg, 0, COLUMNS[cfg.mode])
 
     measured = counts.bloch_vector()
     r_hat = reconstruct_rho(counts)
@@ -333,8 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Parse argv, probe --out, run the subcommand it names, write the CSV
     the subcommand returns, and return 0, or 1 if its check failed.  Bad
-    input, an --out that cannot be written among it, returns 2 before any
-    work, and a usage error exits 2; a closed stdout returns 141.  Each
+    input, an --out that cannot be opened among it, returns 2 before any
+    work, and a usage error exits 2; a write that fails returns 74
+    (EX_IOERR), or 141 if the reader of the pipe written to has gone.  Each
     subcommand checks its own inputs and names its own columns."""
     try:
         args = build_parser().parse_args(argv)
@@ -342,13 +343,18 @@ def main(argv=None) -> int:
         settings, rows, ok = args.func(args)
         try:
             _write_csv(args.out, args.command, settings, rows)
-        except BrokenPipeError:
-            # stdout's reader is gone: send what is still buffered to
-            # devnull, so the exit flush is quiet, and return the code of a
-            # process SIGPIPE ends (128 + 13), which no shell reads as a
-            # failed check
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            return 141
+        except OSError as exc:
+            dest = "stdout" if args.out in (None, "-") else args.out
+            if args.out in (None, "-") and sys.stdout is sys.__stdout__:
+                # what stdout still buffers goes to devnull, so the flush
+                # at exit cannot fail a second time
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if isinstance(exc, BrokenPipeError):
+                # the code of a process SIGPIPE ends (128 + 13), which no
+                # shell reads as a failed check
+                return 141
+            print(f"qstoch: error: cannot write {dest}: {exc.strerror or exc}", file=sys.stderr)
+            return 74
         return 0 if ok else 1
     except ValueError as exc:
         print(f"qstoch: error: {exc}", file=sys.stderr)

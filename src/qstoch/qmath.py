@@ -22,13 +22,19 @@ EIG_ZERO = 1e-12       # a qubit eigenvalue below this counts as 0 in entropies
 
 
 def bloch(x, y, z) -> tuple[float, float, float]:
-    """The Bloch vector (x, y, z) of a qubit state as three plain floats, or
-    ValueError unless each entry is real by the vector rule (_real_vector):
-    a string, bool, None or array is none, and NaN and +-inf are refused.
-    A measured vector may lie outside the unit ball, up to |r| = sqrt(3)."""
-    r = _real_vector((x, y, z))
-    if not r:
-        raise ValueError(f"a Bloch vector has three real entries, got {(x, y, z)!r}")
+    """The Bloch vector (x, y, z) of a qubit state: as_bloch((x, y, z))."""
+    return as_bloch((x, y, z))
+
+
+def as_bloch(values) -> tuple[float, float, float]:
+    """values as a Bloch vector of three plain floats, or ValueError unless
+    they are a flat sequence of three real entries by the vector rule
+    (_real_vector): a number, string, bool, None or array is none, and NaN
+    and +-inf are refused.  A measured vector may lie outside the unit
+    ball, up to |r| = sqrt(3)."""
+    r = _real_vector(values)
+    if len(r) != 3:
+        raise ValueError(f"a Bloch vector has three real entries, got {values!r}")
     if not all(map(math.isfinite, r)):
         raise ValueError(f"a Bloch vector has finite entries, got {r!r}")
     return r

@@ -3,6 +3,8 @@
 Finite-shot Pauli measurements are drawn binomially from the exact
 expectation values of the ensemble state; reconstruction is linear inversion
 on the Bloch vector with a radial projection back into the physical ball.
+The entropy is read off the measured vector itself, whose radius past 1
+qmath.qubit_entropy reads as a pure state, as the projection would.
 Entropy error bars come from a parametric bootstrap of the counts at the
 observed rates, one standard deviation.  Every count comes from binomial,
 which draws only random.Random.random().
@@ -28,6 +30,12 @@ def _check_shots(shots_per_basis: int) -> int:
     return _check_int("shots_per_basis", shots_per_basis, 1, MAX_SHOTS)
 
 
+def _pauli_means(n: int, plus):
+    """The mean +-1 outcome (2k - n) / n of each basis measured n times with
+    k +1 outcomes, exact for Python ints of any size."""
+    return ((2 * k - n) / n for k in plus)
+
+
 class TomographyCounts(namedtuple("TomographyCounts", "shots_per_basis plus")):
     """+1 outcome counts of the x, y and z Pauli measurements, each basis
     measured shots_per_basis times; a basis's -1 count is the rest."""
@@ -44,8 +52,7 @@ class TomographyCounts(namedtuple("TomographyCounts", "shots_per_basis plus")):
         return super().__new__(cls, shots_per_basis, plus)
 
     def bloch_vector(self) -> tuple[float, float, float]:
-        n = self.shots_per_basis
-        return qmath.bloch(*((2 * k - n) / n for k in self.plus))
+        return qmath.bloch(*_pauli_means(self.shots_per_basis, self.plus))
 
 
 class TomographyResult(namedtuple("TomographyResult", "entropy entropy_std")):
@@ -141,15 +148,12 @@ def binomial(rng: random.Random, n: int, p: float) -> int:
 
 def simulate_counts(r, shots_per_basis: int, rng: random.Random) -> TomographyCounts:
     """Binomial Pauli-basis counts at the exact expectation values (x, y, z)
-    of the state with Bloch vector r, a finite vector of radius at most 1
+    of the state with Bloch vector r (qmath.as_bloch) of radius at most 1
     (within qmath.ATOL_UNIT)."""
     _check_shots(shots_per_basis)
-    vector = qmath._real_vector(r)
-    if len(vector) != 3:
-        raise ValueError(f"a Bloch vector has shape (3,), got {r!r}")
-    if not qmath.bloch_radius(vector) <= 1.0 + qmath.ATOL_UNIT:     # NaN too
-        raise ValueError(f"a state's Bloch vector has a finite radius of at most 1, "
-                         f"got {vector!r}")
+    vector = qmath.as_bloch(r)
+    if not qmath.bloch_radius(vector) <= 1.0 + qmath.ATOL_UNIT:
+        raise ValueError(f"a state's Bloch vector has a radius of at most 1, got {vector!r}")
     plus = [binomial(rng, shots_per_basis, min(max((1.0 + c) / 2.0, 0.0), 1.0))
             for c in vector]
     return TomographyCounts(shots_per_basis, plus)
@@ -158,7 +162,8 @@ def simulate_counts(r, shots_per_basis: int, rng: random.Random) -> TomographyCo
 def reconstruct_rho(counts: TomographyCounts) -> tuple[float, float, float]:
     """Linear inversion with physicality projection: the measured Bloch
     vector, scaled radially back onto the unit sphere if it lies outside,
-    so the state's eigenvalues (1 +- |r|) / 2 lie in [0, 1]."""
+    so the state's eigenvalues (1 +- |r|) / 2 lie in [0, 1].  No entropy
+    needs it: qmath.qubit_entropy caps the radius at 1 itself."""
     r = counts.bloch_vector()
     radius = qmath.bloch_radius(r)
     return tuple(c / radius for c in r) if radius > 1.0 else r
@@ -170,22 +175,23 @@ def entropy_with_error(counts: TomographyCounts, rng: random.Random,
 
     Counts are resampled binomially at the observed per-basis rates.  Near
     a pure state the estimate is biased low and reported as is: shot noise
-    lengthens the Bloch vector on average, and a radius past 1 projects
-    onto the sphere and reads exactly 0 (at p = 0.49 with 10 000 shots per
-    basis, 300 estimates average 0.00084 against a true 0.00147, and 144 of
-    them are 0).  Only at an exactly pure state can no estimate fall below
+    lengthens the Bloch vector on average, and a radius past 1 reads as a
+    pure state, exactly 0 (at p = 0.49 with 10 000 shots per basis, 300
+    estimates average 0.00084 against a true 0.00147, and 144 of them are
+    0).  Only at an exactly pure state can no estimate fall below
     the truth; at one on a Pauli axis, such as |+>, every estimate is 0.
-    The estimate is qmath.von_neumann_entropy(reconstruct_rho(counts)); each
-    bootstrap round takes qmath.qubit_entropy of its Bloch radius, which it
-    caps at 1.  The rounds are drawn basis by basis, every x count, then
-    every y, then every z; their spread is stats.sample_std.
+    The estimate is qmath.von_neumann_entropy(counts.bloch_vector()), and
+    each bootstrap round takes qmath.qubit_entropy of its own vector's
+    radius; both read a radius past 1 as 1, so no vector is projected.  The
+    rounds are drawn basis by basis, every x count, then every y, then
+    every z; their spread is stats.sample_std.
     """
     _check_int("bootstrap_rounds", bootstrap_rounds, MIN_BOOTSTRAP)
-    entropy = qmath.von_neumann_entropy(reconstruct_rho(counts))
+    entropy = qmath.von_neumann_entropy(counts.bloch_vector())
 
     n = counts.shots_per_basis
-    draws = [[binomial(rng, n, k / n) for _ in range(bootstrap_rounds)] for k in counts.plus]
-    boot = [qmath.qubit_entropy(qmath.bloch_radius(((2 * a - n) / n, (2 * b - n) / n,
-                                                    (2 * c - n) / n)))
-            for a, b, c in zip(*draws)]
+    # each basis's draws, all drawn before the next basis's, mapped lazily
+    means = [_pauli_means(n, [binomial(rng, n, k / n) for _ in range(bootstrap_rounds)])
+             for k in counts.plus]
+    boot = [qmath.qubit_entropy(qmath.bloch_radius(r)) for r in zip(*means)]
     return TomographyResult(entropy=entropy, entropy_std=sample_std(boot))

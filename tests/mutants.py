@@ -52,9 +52,10 @@ MUTANTS = (
            "entropy_std=sample_std(boot)", "entropy_std=1.5 * sample_std(boot)",
            ("test_tomo.py",)),
     Mutant("bootstrap draws round by round, not basis by basis", "tomo",
-           "draws = [[binomial(rng, n, k / n) for _ in range(bootstrap_rounds)] for k in counts.plus]",
-           "draws = zip(*([binomial(rng, n, k / n) for k in counts.plus]\n"
-           "                   for _ in range(bootstrap_rounds)))",
+           "means = [_pauli_means(n, [binomial(rng, n, k / n) for _ in range(bootstrap_rounds)])\n"
+           "             for k in counts.plus]",
+           "means = [_pauli_means(n, basis) for basis in zip(*(\n"
+           "        [binomial(rng, n, k / n) for k in counts.plus] for _ in range(bootstrap_rounds)))]",
            ("test_tomo.py",)),
     Mutant("binomial's Stirling test takes n - k for n - k + 1", "tomo",
            "nm, nk = n - m + 1, n - k + 1", "nm, nk = n - m + 1, n - k",
@@ -64,6 +65,9 @@ MUTANTS = (
            ("test_tomo.py",)),
     Mutant("binomial's inversion starts its pmf walk at x = 1", "tomo",
            "        x = 0\n", "        x = 1\n",
+           ("test_tomo.py",)),
+    Mutant("the count map shifts every count by one", "tomo",
+           "return ((2 * k - n) / n for k in plus)", "return ((2 * k - n + 1) / n for k in plus)",
            ("test_tomo.py",)),
     Mutant("counts drawn at a 2% shrunk Bloch vector", "tomo",
            "(1.0 + c) / 2.0", "(1.0 + 0.98 * c) / 2.0",
@@ -113,7 +117,7 @@ MUTANTS = (
            "isinstance(x, numbers.Real)",
            ("test_records.py",)),
     Mutant("bloch takes a string or a bool", "qmath",
-           "r = _real_vector((x, y, z))", "r = tuple(map(float, (x, y, z)))",
+           "r = _real_vector(values)", "r = tuple(map(float, values))",
            ("test_records.py",)),
     Mutant("_check_real ignores hi", "process",
            "if _is_real(value) and lo <= value <= hi:", "if _is_real(value) and lo <= value:",

@@ -2,8 +2,10 @@
 
 import argparse
 import ast
+import errno
 import importlib
 import inspect
+import io
 import os
 import re
 import subprocess
@@ -749,6 +751,29 @@ class TestLayout:
             assert base.__bases__ == (tuple,) and base._fields == record._fields, name
             assert vars(record).get("__slots__") == (), name
 
+    def test_tomography_rules_have_one_owner(self):
+        # the count map (2k - n) / n is written once in the package; the
+        # estimate takes its entropy off the measured vector, not the
+        # projected one; tomo checks a vector by qmath's public rule alone;
+        # and cli keys a column's bootstrap stream in one function
+        layers = [path.stem for path in Path(cli.__file__).parent.glob("*.py")]
+        maps = [(layer, ast.unparse(node)) for layer in layers
+                for node in ast.walk(module_tree(layer))
+                if isinstance(node, ast.BinOp)
+                and re.fullmatch(r"\(2 \* \w+ - (\w+)\) / \1", ast.unparse(node))]
+        assert [layer for layer, _ in maps] == ["tomo"], maps
+        assert not [site for site in name_sites("tomo", {"reconstruct_rho"})
+                    if site[1] == "entropy_with_error"]
+        assert {func for _, func, _ in name_sites("cli", {"reconstruct_rho"})} == {None,
+                                                                                  "cmd_tomo"}
+        private = [node.attr for node in ast.walk(module_tree("tomo"))
+                   if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                   and getattr(node.value, "id", None) == "qmath"]
+        assert private == []
+        sites = set().union(*(name_sites(layer, {"_real_vector"}) for layer in layers))
+        assert {layer for layer, _, _ in sites} == {"qmath"}
+        assert {func for _, func, _ in name_sites("cli", {"BOOTSTRAP"})} == {None, "_with_error"}
+
     def test_states_are_real_vectors(self):
         # every qubit state is a Bloch vector and the cu gate real: the
         # eigenvector routine off the run path alone builds a complex array
@@ -826,7 +851,8 @@ class TestExit:
 
 class TestOutput:
     """Exit 1 means a failed check and nothing else: an --out that cannot be
-    written is bad input, and a closed stdout ends as SIGPIPE would."""
+    opened is bad input, a write that fails exits 74, and a closed stdout
+    ends as SIGPIPE would."""
 
     @pytest.mark.parametrize("where", ["missing-dir", "directory"])
     def test_unwritable_out_exits_2_before_any_stream(self, monkeypatch, capsys, tmp_path,
@@ -846,6 +872,33 @@ class TestOutput:
         assert out.read_bytes() == b"earlier\n"
         assert main(SMALL["simulate"] + ["--out", str(out)]) == 0
         assert out.read_bytes().startswith(b"# qstoch simulate ")
+
+    @pytest.mark.parametrize("where", ["out", "stdout"])
+    def test_full_device_exits_74_with_one_line(self, where):
+        # a write that fails is neither a failed check (1) nor bad input
+        # (2): one line names the destination, and on stdout nothing fails
+        # again at exit, where CPython would turn a failed flush into 120
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        argv = ["-m", "qstoch.cli", *SMALL["tomo"]]
+        if where == "out":
+            proc = run_python(argv + ["--out", "/dev/full"])
+        else:
+            with open("/dev/full", "wb") as full:
+                proc = run_python(argv, stdout=full)
+        dest = "/dev/full" if where == "out" else "stdout"
+        assert proc.returncode == 74
+        assert proc.stderr == f"qstoch: error: cannot write {dest}: No space left on device\n"
+
+    def test_stream_error_exits_74(self, monkeypatch, capsys):
+        class Failing(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        monkeypatch.setattr(sys, "stdout", Failing())
+        assert main(SMALL["simulate"]) == 74
+        assert capsys.readouterr().err == (f"qstoch: error: cannot write stdout: "
+                                           f"{os.strerror(errno.EIO)}\n")
 
     @pytest.mark.parametrize("command", ["simulate", "tomo"])
     def test_closed_stdout_exits_141_quietly(self, command):

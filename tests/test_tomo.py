@@ -1,11 +1,13 @@
 """Finite-shot tomography: sampling, reconstruction, error bars."""
 
+import itertools
 import math
 import re
 
 import numpy as np
 import pytest
 
+from qstoch import tomo
 from qstoch.circuit import RunResult, run_trace
 from qstoch.process import CausalMachine
 from qstoch.qmath import bloch, mixture, trace_distance, von_neumann_entropy
@@ -74,7 +76,7 @@ class TestSimulateCounts:
         # a density matrix, two vectors, a column or an empty list is not one state
         for other in (np.eye(2) / 2, [ZERO, ZERO], [], [0.0, 1.0],
                       np.array(ZERO).reshape(3, 1), 0.5):
-            with pytest.raises(ValueError, match="shape"):
+            with pytest.raises(ValueError, match="^a Bloch vector has three real entries, got "):
                 simulate_counts(other, 100, make_rng(0))
 
     def test_shots_past_binomial_range_rejected(self):
@@ -318,6 +320,19 @@ class TestEntropyWithError:
         got = entropy_with_error(TomographyCounts(10_000, plus), make_rng(seed)).entropy_std
         want = numpy_bootstrap_std(plus, 10_000, make_rng(seed))
         assert got == pytest.approx(want, rel=1e-15, abs=0)
+
+    def test_estimate_is_the_projected_entropy_at_every_small_count(self, monkeypatch):
+        # all (n + 1)**3 count triples at n <= 12, radii past 1 and pure
+        # states among them: the unprojected estimate is the projected
+        # state's entropy bit for bit.  The rounds never reach the
+        # estimate, so two keep the 8 280 bootstraps cheap
+        monkeypatch.setattr(tomo, "MIN_BOOTSTRAP", 2)
+        rng = make_rng(0)
+        for n in range(1, 13):
+            for plus in itertools.product(range(n + 1), repeat=3):
+                counts = TomographyCounts(n, plus)
+                got = entropy_with_error(counts, rng, bootstrap_rounds=2).entropy
+                assert got.hex() == von_neumann_entropy(reconstruct_rho(counts)).hex(), plus
 
     def test_bootstrap_rounds_validated(self):
         counts = TomographyCounts(100, (50, 50, 50))
